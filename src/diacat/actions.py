@@ -2,12 +2,12 @@
 
 An action of an algebra D on an algebra L of the same flavor is a family of
 cross products D (x) L -> L and L (x) D -> L satisfying every mixed-variable
-instance of the flavor's axioms.  Those instances are generated mechanically
-from the same axiom templates that certify the algebras: each template is
-evaluated on basis elements tagged with a sort (D for the actor, L for the
-actee), and a dispatcher picks the internal or cross tensor from the sorts of
-the operands.  Hand-listing the 30 dialgebra instances would invite a
-transcription slip; generating them cannot.
+instance of the flavor's axioms.  Those instances are the mixed-sort basis
+triples of the semidirect product L (+) D: the same axiom templates that
+certify the algebras run over its product tensors, with each variable
+ranging over the actee block or the actor block.  Hand-listing the 30
+dialgebra instances would invite a transcription slip; generating them
+cannot.
 
 A crossed module bundles a morphism mu: L -> D with an action of D on L,
 subject to equivariance of mu and Peiffer-style identities.  The checker
@@ -21,16 +21,16 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from . import audit
-from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, Algebra, AlgebraMorphism,
-                      AxiomReport, BilinearMap, _leibniz_template,
-                      abelian_algebra, annihilator, image_of, induced_subalgebra,
+from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, LEIBNIZ_AXIOM, Algebra,
+                      AlgebraMorphism, AxiomReport, BilinearMap,
+                      _check_templates, abelian_algebra, annihilator,
+                      first_unintertwined, image_of, induced_subalgebra,
                       is_ideal, kernel_of, make_algebra, product_arity,
-                      quotient_algebra, sp_from_dense, sp_sub, sp_to_dense)
+                      quotient_algebra, sp_from_dense, sp_sub)
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAction,
                      InvalidCrossedModule, LemmaViolation, NotAnIdeal)
-from .fields import GF
 from .linalg import (Matrix, QuotientMap, Subspace, solve, unit_vector,
-                     vec_add, vec_eq, vec_is_zero)
+                     vec_is_zero)
 
 ACTOR = "D"
 ACTEE = "L"
@@ -209,93 +209,45 @@ _MIXED_PATTERNS = tuple(p for p in iter_product((ACTOR, ACTEE), repeat=3)
                         if len(set(p)) == 2)
 
 
-def _tagged_sub(field):
-    def sub(a, b):
-        assert a[0] == b[0]
-        return (a[0], sp_sub(field, a[1], b[1]))
-    return sub
+MIXED_TEMPLATES = {"dias": DIAS_AXIOMS, "lb": (LEIBNIZ_AXIOM,),
+                   "as": (ASSOC_AXIOM,)}
 
 
-def _mixed_templates(flavor, field):
-    if flavor == "dias":
-        return DIAS_AXIOMS
-    if flavor == "as":
-        return (ASSOC_AXIOM,)
-    if flavor == "lb":
-        return (_leibniz_template(_tagged_sub(field)),)
-    raise ValueError(f"no mixed template set for flavor {flavor!r}")
-
-
-def mixed_instances(flavor, field):
+def mixed_instances(flavor):
     """All axiom instances with variables of both sorts, as (name, fn, sorts)."""
-    out = []
-    for name, fn in _mixed_templates(flavor, field):
-        tag = name.split(":")[0]
-        for pat in _MIXED_PATTERNS:
-            out.append((f"{tag} @ ({pat[0]},{pat[1]},{pat[2]})", fn, pat))
-    return tuple(out)
+    return tuple((f"{name.split(':')[0]} @ ({','.join(pat)})", fn, pat)
+                 for name, fn in MIXED_TEMPLATES[flavor]
+                 for pat in _MIXED_PATTERNS)
 
 
 # placement enumeration must reproduce the axiom counts of the definitions
-_PROBE = GF(2)
 assert len(_MIXED_PATTERNS) == 6
-assert len(mixed_instances("dias", _PROBE)) == 30
-assert len(mixed_instances("lb", _PROBE)) == 6
-assert len(mixed_instances("as", _PROBE)) == 6
+assert len(mixed_instances("dias")) == 30
+assert len(mixed_instances("lb")) == 6
+assert len(mixed_instances("as")) == 6
 
 
-def _mixed_mul(act: Action):
-    actor_prods = act.actor.products()
-    actee_prods = act.actee.products()
-
-    def mul(pidx, a, b):
-        sa, va = a
-        sb, vb = b
-        if sa == sb:
-            prods = actor_prods if sa == ACTOR else actee_prods
-            return (sa, prods[pidx].apply_sparse(va, vb))
-        side = "DL" if sa == ACTOR else "LD"
-        return (ACTEE, act.cross(pidx, side).apply_sparse(va, vb))
-
-    return mul
-
-
-def _check_mixed(report: AxiomReport, act: Action, instances) -> AxiomReport:
-    mul = _mixed_mul(act)
-    one = act.field.one()
-    dims = {ACTOR: act.actor.dim, ACTEE: act.actee.dim}
-    for name, fn, pat in instances:
-        violation = None
-        for i in range(dims[pat[0]]):
-            x = (pat[0], {i: one})
-            for j in range(dims[pat[1]]):
-                y = (pat[1], {j: one})
-                for k in range(dims[pat[2]]):
-                    lhs, rhs = fn(mul, x, y, (pat[2], {k: one}))
-                    if lhs[1] != rhs[1]:
-                        violation = (i, j, k)
-                        break
-                if violation:
-                    break
-            if violation:
-                break
-        report.add(name, violation is None, violation)
-    return report
+def _check_on_semidirect(subject, act: Action) -> AxiomReport:
+    """Mixed instances as the mixed-sort basis triples of the semidirect
+    product: actee block [0, nl), actor block [nl, nl + nd)."""
+    nl = act.actee.dim
+    block = {ACTEE: range(nl), ACTOR: range(nl, nl + act.actor.dim)}
+    instances = [(name, fn, tuple(block[srt] for srt in pat))
+                 for name, fn, pat in mixed_instances(act.flavor)]
+    return _check_templates(AxiomReport(subject), _semidirect_products(act),
+                            instances)
 
 
 def check_dialgebra_action(act: Action) -> AxiomReport:
-    report = AxiomReport("dialgebra action")
-    return _check_mixed(report, act, mixed_instances("dias", act.field))
+    return _check_on_semidirect("dialgebra action", act)
 
 
 def check_leibniz_action(act: Action) -> AxiomReport:
-    report = AxiomReport("leibniz action")
-    return _check_mixed(report, act, mixed_instances("lb", act.field))
+    return _check_on_semidirect("leibniz action", act)
 
 
 def check_assoc_action(act: Action) -> AxiomReport:
-    report = AxiomReport("associative action")
-    return _check_mixed(report, act, mixed_instances("as", act.field))
+    return _check_on_semidirect("associative action", act)
 
 
 def check_lie_action(act: Action) -> AxiomReport:
@@ -352,14 +304,6 @@ def check_lie_action(act: Action) -> AxiomReport:
 
 ACTION_CHECKERS = {"dias": check_dialgebra_action, "lb": check_leibniz_action,
                    "lie": check_lie_action, "as": check_assoc_action}
-
-
-def induced_bimodule(act: Action) -> Action:
-    """Forget the actee's own products; the cross tensors alone form a
-    bimodule over the actor (an action on the abelianized actee)."""
-    actee = abelian_algebra(act.flavor, act.field, act.actee.dim,
-                            act.actee.labels)
-    return make_action(act.flavor, act.actor, actee, dict(act.tensors))
 
 
 # ---------------------------------------------------------------------------
@@ -424,31 +368,6 @@ def semidirect(act: Action, check=True, labels=None):
         if not recovered.same_tensors(act):
             raise InvalidAction("splitting does not recover the action")
     return E, inj, proj, split
-
-
-def _expect_flavor(obj, flavor, what):
-    if obj.flavor != flavor:
-        raise InvalidAction(f"{what} expects flavor {flavor!r}, got {obj.flavor!r}")
-
-
-def semidirect_dias(act: Action, check=True, labels=None):
-    _expect_flavor(act, "dias", "semidirect_dias")
-    return semidirect(act, check=check, labels=labels)
-
-
-def semidirect_lb(act: Action, check=True, labels=None):
-    _expect_flavor(act, "lb", "semidirect_lb")
-    return semidirect(act, check=check, labels=labels)
-
-
-def semidirect_lie(act: Action, check=True, labels=None):
-    _expect_flavor(act, "lie", "semidirect_lie")
-    return semidirect(act, check=check, labels=labels)
-
-
-def semidirect_as(act: Action, check=True, labels=None):
-    _expect_flavor(act, "as", "semidirect_as")
-    return semidirect(act, check=check, labels=labels)
 
 
 def action_from_splitting(E: Algebra, actee: Algebra, actor: Algebra,
@@ -550,6 +469,9 @@ def _crossed_equations(report: AxiomReport, mu: AlgebraMorphism, act: Action):
     f = mu.source.field
     L, D = mu.source, mu.target
     mu_cols = [mu.matrix.col(j) for j in range(L.dim)]
+    d_units = [unit_vector(f, D.dim, x) for x in range(D.dim)]
+    l_units = [unit_vector(f, L.dim, l) for l in range(L.dim)]
+    lp_sym = "l'"
     for pidx in range(product_arity(act.flavor)):
         dl = act.cross(pidx, "DL")
         ld = act.cross(pidx, "LD")
@@ -559,51 +481,21 @@ def _crossed_equations(report: AxiomReport, mu: AlgebraMorphism, act: Action):
         def fmt(a, b):
             return _fmt_product(act.flavor, pidx, a, b)
 
-        bad = None
-        for x in range(D.dim):
-            ex = unit_vector(f, D.dim, x)
-            for l in range(L.dim):
-                lhs = mu.matrix.mul_vec(sp_to_dense(f, dl.pair(x, l), L.dim))
-                if not vec_eq(f, lhs, dprod.apply(ex, mu_cols[l])):
-                    bad = (x, l)
-                    break
-            if bad:
-                break
-        report.add(f"equivariance: mu({fmt('x', 'l')}) = {fmt('x', 'mu(l)')}",
-                   bad is None, bad)
-
+        # (name, src, tgt, left, right, out): out(src(e_i, e_j)) = tgt(left_i, right_j)
+        equations = [(f"equivariance: mu({fmt('x', 'l')}) = {fmt('x', 'mu(l)')}",
+                      dl, dprod, d_units, mu_cols, mu.matrix)]
         if act.flavor != "lie":
-            bad = None
-            for l in range(L.dim):
-                for x in range(D.dim):
-                    ex = unit_vector(f, D.dim, x)
-                    lhs = mu.matrix.mul_vec(sp_to_dense(f, ld.pair(l, x), L.dim))
-                    if not vec_eq(f, lhs, dprod.apply(mu_cols[l], ex)):
-                        bad = (l, x)
-                        break
-                if bad:
-                    break
-            report.add(
-                f"equivariance: mu({fmt('l', 'x')}) = {fmt('mu(l)', 'x')}",
-                bad is None, bad)
-
-        bad1 = bad2 = None
-        for l in range(L.dim):
-            el = unit_vector(f, L.dim, l)
-            for lp in range(L.dim):
-                elp = unit_vector(f, L.dim, lp)
-                mid = lprod.apply(el, elp)
-                if bad1 is None and not vec_eq(f, dl.apply(mu_cols[l], elp), mid):
-                    bad1 = (l, lp)
-                if bad2 is None and not vec_eq(f, mid, ld.apply(el, mu_cols[lp])):
-                    bad2 = (l, lp)
-            if bad1 and bad2:
-                break
-        lp_sym = "l'"
-        report.add(f"peiffer: {fmt('mu(l)', lp_sym)} = {fmt('l', lp_sym)}",
-                   bad1 is None, bad1)
-        report.add(f"peiffer: {fmt('l', lp_sym)} = {fmt('l', 'mu(' + lp_sym + ')')}",
-                   bad2 is None, bad2)
+            equations.append(
+                (f"equivariance: mu({fmt('l', 'x')}) = {fmt('mu(l)', 'x')}",
+                 ld, dprod, mu_cols, d_units, mu.matrix))
+        equations += [
+            (f"peiffer: {fmt('mu(l)', lp_sym)} = {fmt('l', lp_sym)}",
+             lprod, dl, mu_cols, l_units, None),
+            (f"peiffer: {fmt('l', lp_sym)} = {fmt('l', 'mu(' + lp_sym + ')')}",
+             lprod, ld, l_units, mu_cols, None)]
+        for name, src, tgt, left, right, out in equations:
+            bad = first_unintertwined(src, tgt, left, right, out)
+            report.add(name, bad is None, bad)
     return report
 
 
@@ -639,16 +531,6 @@ def check_xlb(xm: CrossedModule) -> AxiomReport:
     return xm.check()
 
 
-def check_xlie(xm: CrossedModule) -> AxiomReport:
-    _expect_xm_flavor(xm, "lie", "check_xlie")
-    return xm.check()
-
-
-def check_xas(xm: CrossedModule) -> AxiomReport:
-    _expect_xm_flavor(xm, "as", "check_xas")
-    return xm.check()
-
-
 # ---------------------------------------------------------------------------
 # morphisms of crossed modules
 
@@ -679,11 +561,9 @@ class XmodMorphism:
                   == self.beta.matrix.mul(self.source.mu.matrix))
         report.add("square: mu' . alpha = beta . mu", square, None)
 
-        f = self.source.actee.field
         act, act2 = self.source.action, self.target.action
-        D, L = self.source.actor, self.source.actee
-        a_cols = [self.alpha.matrix.col(j) for j in range(L.dim)]
-        b_cols = [self.beta.matrix.col(j) for j in range(D.dim)]
+        a_cols = [self.alpha.matrix.col(j) for j in range(self.source.actee.dim)]
+        b_cols = [self.beta.matrix.col(j) for j in range(self.source.actor.dim)]
         for pidx in range(product_arity(act.flavor)):
             dl, dl2 = act.cross(pidx, "DL"), act2.cross(pidx, "DL")
             ld, ld2 = act.cross(pidx, "LD"), act2.cross(pidx, "LD")
@@ -691,38 +571,17 @@ class XmodMorphism:
             def fmt(a, b):
                 return _fmt_product(act.flavor, pidx, a, b)
 
-            bad = None
-            for x in range(D.dim):
-                for l in range(L.dim):
-                    lhs = self.alpha.matrix.mul_vec(
-                        sp_to_dense(f, dl.pair(x, l), L.dim))
-                    if not vec_eq(f, lhs, dl2.apply(b_cols[x], a_cols[l])):
-                        bad = (x, l)
-                        break
-                if bad:
-                    break
-            report.add(
-                f"equivariant: alpha({fmt('x', 'l')}) = "
-                f"{fmt('beta(x)', 'alpha(l)')}", bad is None, bad)
-
+            equations = [(f"equivariant: alpha({fmt('x', 'l')}) = "
+                          f"{fmt('beta(x)', 'alpha(l)')}", dl, dl2, b_cols, a_cols)]
             if act.flavor != "lie":
-                bad = None
-                for l in range(L.dim):
-                    for x in range(D.dim):
-                        lhs = self.alpha.matrix.mul_vec(
-                            sp_to_dense(f, ld.pair(l, x), L.dim))
-                        if not vec_eq(f, lhs, ld2.apply(a_cols[l], b_cols[x])):
-                            bad = (l, x)
-                            break
-                    if bad:
-                        break
-                report.add(
-                    f"equivariant: alpha({fmt('l', 'x')}) = "
-                    f"{fmt('alpha(l)', 'beta(x)')}", bad is None, bad)
+                equations.append((f"equivariant: alpha({fmt('l', 'x')}) = "
+                                  f"{fmt('alpha(l)', 'beta(x)')}",
+                                  ld, ld2, a_cols, b_cols))
+            for name, src, tgt, left, right in equations:
+                bad = first_unintertwined(src, tgt, left, right,
+                                          self.alpha.matrix)
+                report.add(name, bad is None, bad)
         return report
-
-    def is_valid(self) -> bool:
-        return self.check().passed
 
     @classmethod
     def identity(cls, xm: CrossedModule) -> "XmodMorphism":
@@ -735,22 +594,16 @@ class XmodMorphism:
                             self.beta.compose(other.beta))
 
 
-def check_xmod_morphism(m: XmodMorphism) -> bool:
-    return m.check().passed
-
-
 # ---------------------------------------------------------------------------
 # the semidirect characterization of the crossed-module equations
 
 
-def _matrix_preserves(f, src_products, tgt_products, mat: Matrix):
+def _matrix_preserves(src_products, tgt_products, mat: Matrix):
     cols = [mat.col(j) for j in range(mat.cols)]
     for pidx, (ps, pt) in enumerate(zip(src_products, tgt_products)):
-        for i in range(mat.cols):
-            for j in range(mat.cols):
-                lhs = mat.mul_vec(sp_to_dense(f, ps.pair(i, j), mat.cols))
-                if not vec_eq(f, lhs, pt.apply(cols[i], cols[j])):
-                    return False, (pidx, i, j)
+        bad = first_unintertwined(ps, pt, cols, cols, mat)
+        if bad is not None:
+            return False, (pidx, *bad)
     return True, None
 
 
@@ -788,7 +641,7 @@ def semidirect_homomorphism_checks(xm, action=None) -> AxiomReport:
             ("(id,mu) : LxL -> LxD preserves products", map2, e_ll, e_ld),
             ("(l,x) -> (-l, mu(l)+x) : LxD -> LxD preserves products",
              map3, e_ld, e_ld)):
-        ok, where = _matrix_preserves(f, src, tgt, mat)
+        ok, where = _matrix_preserves(src, tgt, mat)
         report.add(name, ok, where)
     return report
 
@@ -918,76 +771,6 @@ def xmod_from_ideal(ambient: Algebra, ideal: Subspace, check=True) -> CrossedMod
     """Inclusion of an ideal with the ambient action as a crossed module."""
     act, l_incl, _ = action_from_ideal(ambient, ideal, check=check)
     return CrossedModule(l_incl, act, check=check)
-
-
-def action_from_morphism(fmor: AlgebraMorphism, check=True) -> Action:
-    """The source acts on the target through images: x acts as its image."""
-    D, L = fmor.source, fmor.target
-    f = D.field
-    fcols = [fmor.matrix.col(j) for j in range(D.dim)]
-    tensors = {}
-    for pidx, (dl_name, ld_name) in enumerate(_SLOT_BY_PIDX[D.flavor]):
-        prod = L.products()[pidx]
-        tensors[dl_name] = BilinearMap.from_function(
-            f, D.dim, L.dim, L.dim,
-            lambda x, l, prod=prod: sp_from_dense(
-                f, prod.apply(fcols[x], unit_vector(f, L.dim, l))))
-        if ld_name:
-            tensors[ld_name] = BilinearMap.from_function(
-                f, L.dim, D.dim, L.dim,
-                lambda l, x, prod=prod: sp_from_dense(
-                    f, prod.apply(unit_vector(f, L.dim, l), fcols[x])))
-    return make_action(D.flavor, D, L, tensors, check=check)
-
-
-def action_from_surjection_with_central_kernel(fmor: AlgebraMorphism,
-                                               check=True) -> Action:
-    """The target of a surjection acts on the source through any section.
-
-    Requires Ker fmor inside the annihilator of the source; that makes the
-    section choice irrelevant, and a second section is tried to confirm it.
-    """
-    L, D = fmor.source, fmor.target
-    f = L.field
-    if not fmor.is_surjective():
-        raise InvalidAction("morphism is not surjective")
-    ker = kernel_of(fmor)
-    if not ker.is_subspace_of(annihilator(L)):
-        raise InvalidAction("kernel does not annihilate the source")
-    sections = [[solve(fmor.matrix, unit_vector(f, D.dim, i))
-                 for i in range(D.dim)]]
-    if ker.dim > 0:
-        shift = list(ker.basis[0])
-        sections.append([vec_add(f, c, shift) for c in sections[0]])
-
-    def build(cols):
-        tensors = {}
-        for pidx, (dl_name, ld_name) in enumerate(_SLOT_BY_PIDX[L.flavor]):
-            prod = L.products()[pidx]
-            tensors[dl_name] = BilinearMap.from_function(
-                f, D.dim, L.dim, L.dim,
-                lambda x, l, prod=prod: sp_from_dense(
-                    f, prod.apply(cols[x], unit_vector(f, L.dim, l))))
-            if ld_name:
-                tensors[ld_name] = BilinearMap.from_function(
-                    f, L.dim, D.dim, L.dim,
-                    lambda l, x, prod=prod: sp_from_dense(
-                        f, prod.apply(unit_vector(f, L.dim, l), cols[x])))
-        return tensors
-
-    tensors = build(sections[0])
-    if len(sections) > 1 and build(sections[1]) != tensors:
-        raise InvalidAction("section choice changed the induced action")
-    return make_action(L.flavor, D, L, tensors, check=check)
-
-
-def action_from_bimodule(actor: Algebra, tensors, actee_dim=None, labels=None,
-                         check=True) -> Action:
-    """Wrap bimodule tensors as an action on an abelian actee."""
-    if actee_dim is None:
-        actee_dim = next(iter(tensors.values())).out_dim
-    actee = abelian_algebra(actor.flavor, actor.field, actee_dim, labels)
-    return make_action(actor.flavor, actor, actee, tensors, check=check)
 
 
 def action_by_ambient_products(actor_incl: AlgebraMorphism,

@@ -98,16 +98,6 @@ def check_cat1(c: Cat1) -> AxiomReport:
     return report
 
 
-def check_cat1_dias(c: Cat1) -> AxiomReport:
-    _expect_cat1_flavor(c, "dias", "check_cat1_dias")
-    return check_cat1(c)
-
-
-def check_cat1_lb(c: Cat1) -> AxiomReport:
-    _expect_cat1_flavor(c, "lb", "check_cat1_lb")
-    return check_cat1(c)
-
-
 def _expect_cat1_flavor(c, flavor, what):
     if c.flavor != flavor:
         raise InvalidCat1(f"{what} expects flavor {flavor!r}, got {c.flavor!r}")

@@ -8,7 +8,6 @@ stdout with sorted keys; human commentary goes to stderr.
 
 import argparse
 import json
-import os
 import sys
 
 from . import documents, fixtures
@@ -444,13 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        env_cap = os.environ.get("DIACAT_MAX_DIM")
-        if env_cap is not None and getattr(args, "cap", None) is None:
-            try:
-                args.cap = int(env_cap)
-            except ValueError:
-                raise ParseError(
-                    f"DIACAT_MAX_DIM must be an integer, got {env_cap!r}")
         return args.func(args)
     except (ResourceCapExceeded, SearchSpaceTooLarge) as exc:
         _err(f"resource cap exceeded: {exc}")

@@ -2,15 +2,16 @@
 
 Desk-scale guardrails: constructions refuse to allocate structure tensors
 above a dimension cap (the tensors grow cubically), and brute-force
-enumerations refuse above a candidate cap.  The dimension cap can be raised
-through the DIACAT_MAX_DIM environment variable.
+enumerations refuse above a candidate cap.  The DIACAT_MAX_DIM environment
+variable sets the dimension cap, and nothing else; the candidate cap is a
+per-call argument (``--cap`` on the command line).
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import ResourceCapExceeded
+from .errors import ParseError, ResourceCapExceeded
 from .fields import Field, Rationals
 
 DEFAULT_MAX_DIM_FP = 512
@@ -24,7 +25,8 @@ def max_dim(field: Field) -> int:
         try:
             return int(env)
         except ValueError:
-            pass  # ignore garbage, fall through to defaults
+            raise ParseError(
+                f"DIACAT_MAX_DIM must be an integer, got {env!r}") from None
     if isinstance(field, Rationals):
         return DEFAULT_MAX_DIM_Q
     return DEFAULT_MAX_DIM_FP

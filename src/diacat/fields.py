@@ -193,17 +193,3 @@ def GF(p: int) -> PrimeField:
     if p not in _gf_cache:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]
-
-
-def field_from_name(name, p=None) -> Field:
-    """Resolve the document encoding of a field ("Q", or "Fp" plus p)."""
-    if name == "Q":
-        return QQ
-    if name == "Fp":
-        if not isinstance(p, int):
-            raise ParseError('field "Fp" needs an integer "p" entry')
-        try:
-            return GF(p)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown field {name!r} (expected 'Q' or 'Fp')")

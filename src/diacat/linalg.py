@@ -93,9 +93,6 @@ class Matrix:
     def col(self, j):
         return [self.entries[i][j] for i in range(self.rows)]
 
-    def to_lists(self):
-        return [list(r) for r in self.entries]
-
     def is_zero(self):
         f = self.field
         return all(f.is_zero(a) for row in self.entries for a in row)
@@ -306,14 +303,6 @@ class Subspace:
             return None
         return [v[p] for p in self.pivots]
 
-    def from_coords(self, coeffs):
-        f = self.field
-        out = vec_zero(f, self.ambient_dim)
-        for c, row in zip(coeffs, self.basis):
-            if not f.is_zero(c):
-                out = vec_add(f, out, vec_scale(f, c, row))
-        return out
-
     def add(self, other: "Subspace") -> "Subspace":
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspace sum in different ambients")
@@ -324,21 +313,6 @@ class Subspace:
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         return all(other.contains(r) for r in self.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus-free route: x in both iff x = A^T a = B^T b; solve stacked kernel.
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        f = self.field
-        a = Matrix.from_rows(f, self.basis, self.ambient_dim).transpose()
-        b = Matrix.from_rows(f, other.basis, self.ambient_dim).transpose()
-        stacked = a.hstack(b.neg())
-        ker = kernel(stacked)
-        vecs = []
-        for row in ker.basis:
-            coeffs = row[:self.dim]
-            vecs.append(self.from_coords(coeffs))
-        return Subspace.span(f, vecs, self.ambient_dim)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -356,14 +330,6 @@ class Subspace:
 
 def span(field, vectors, ambient_dim) -> Subspace:
     return Subspace.span(field, vectors, ambient_dim)
-
-
-def member(s: Subspace, v) -> bool:
-    return s.contains(v)
-
-
-def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    return a.add(b)
 
 
 def kernel(m: Matrix) -> Subspace:

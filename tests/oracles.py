@@ -133,3 +133,131 @@ def all_tensors(p, n):
             c //= p
         yield [[tuple(digits[(i * n + j) * n + k] for k in range(n))
                 for j in range(n)] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# crossed modules: mixed axiom instances, equivariance and Peiffer equations
+#
+# A bilinear map is a dense table ``t[i][j]`` of length-``out`` tuples mod p,
+# as above.  Elements of the two-sorted structure are ``(sort, vector)``
+# pairs, sort "D" for the actor and "L" for the actee.
+
+
+def _apply(p, table, u, v, out_dim):
+    acc = [0] * out_dim
+    for i, a in enumerate(u):
+        if a % p:
+            for j, b in enumerate(v):
+                if b % p:
+                    for k, c in enumerate(table[i][j]):
+                        acc[k] = (acc[k] + a * b * c) % p
+    return acc
+
+
+def _unit(n, i):
+    return [1 if k == i else 0 for k in range(n)]
+
+
+def _first(dims, holds):
+    """First row-major index tuple over ``dims`` where ``holds`` is false."""
+    def walk(prefix):
+        if len(prefix) == len(dims):
+            return None if holds(*prefix) else tuple(prefix)
+        for i in range(dims[len(prefix)]):
+            bad = walk(prefix + [i])
+            if bad is not None:
+                return bad
+        return None
+    return walk([])
+
+
+# the axioms as (lhs, rhs) over a two-sorted product m(pidx, a, b) and a
+# same-sort difference s(a, b); dias index 0 is -|, index 1 is |-
+XMOD_AXIOMS = {
+    "dias": (
+        lambda m, s, x, y, z: (m(0, m(0, x, y), z), m(0, x, m(1, y, z))),
+        lambda m, s, x, y, z: (m(0, m(0, x, y), z), m(0, x, m(0, y, z))),
+        lambda m, s, x, y, z: (m(0, m(1, x, y), z), m(1, x, m(0, y, z))),
+        lambda m, s, x, y, z: (m(1, m(0, x, y), z), m(1, x, m(1, y, z))),
+        lambda m, s, x, y, z: (m(1, m(1, x, y), z), m(1, x, m(1, y, z))),
+    ),
+    "lb": (
+        lambda m, s, x, y, z: (m(0, x, m(0, y, z)),
+                               s(m(0, m(0, x, y), z), m(0, m(0, x, z), y))),
+    ),
+    "as": (
+        lambda m, s, x, y, z: (m(0, m(0, x, y), z), m(0, x, m(0, y, z))),
+    ),
+}
+# sort patterns with both sorts present, in (D, L)-lexicographic order
+XMOD_PATTERNS = ("DDL", "DLD", "DLL", "LDD", "LDL", "LLD")
+
+
+def xmod_expected_items(p, flavor, lprods, dprods, cross, mu_cols):
+    """Predict ``(passed, where)`` for every item of a crossed-module report.
+
+    ``lprods``/``dprods`` are the actee's and actor's product tables,
+    ``cross[pidx] = (dl, ld)`` the actor-on-actee and actee-on-actor tables
+    of product ``pidx``, and ``mu_cols[l]`` the image of actee basis vector
+    ``l`` in actor coordinates.  Items come in report order: mu preserves
+    each product; every axiom instance with both sorts, axiom by axiom and
+    pattern by pattern; then per product the two equivariance and the two
+    Peiffer equations.  ``where`` is the first failing basis pair or triple
+    in row-major order, in the local coordinates of each sort.
+    """
+    nl, nd = len(mu_cols), len(dprods[0])
+    items = []
+
+    def item(dims, holds):
+        bad = _first(dims, holds)
+        items.append((bad is None, bad))
+
+    for lp, dp in zip(lprods, dprods):
+        item((nl, nl), lambda i, j, lp=lp, dp=dp:
+             _matvec(p, mu_cols, lp[i][j], nd)
+             == _apply(p, dp, mu_cols[i], mu_cols[j], nd))
+
+    def m(pidx, a, b):
+        (sa, u), (sb, v) = a, b
+        if sa == sb == "D":
+            return ("D", _apply(p, dprods[pidx], u, v, nd))
+        if sa == sb == "L":
+            return ("L", _apply(p, lprods[pidx], u, v, nl))
+        dl, ld = cross[pidx]
+        return ("L", _apply(p, dl if sa == "D" else ld, u, v, nl))
+
+    def s(a, b):
+        assert a[0] == b[0]
+        return (a[0], [(x - y) % p for x, y in zip(a[1], b[1])])
+
+    dims = {"D": nd, "L": nl}
+    for axiom in XMOD_AXIOMS[flavor]:
+        for pat in XMOD_PATTERNS:
+            def holds(i, j, k, pat=pat, axiom=axiom):
+                x, y, z = ((srt, _unit(dims[srt], n))
+                           for srt, n in zip(pat, (i, j, k)))
+                lhs, rhs = axiom(m, s, x, y, z)
+                return lhs == rhs
+            item([dims[srt] for srt in pat], holds)
+
+    for pidx, (dl, ld) in enumerate(cross):
+        dp, lp = dprods[pidx], lprods[pidx]
+        item((nd, nl), lambda x, l, dl=dl, dp=dp:
+             _matvec(p, mu_cols, dl[x][l], nd)
+             == _apply(p, dp, _unit(nd, x), mu_cols[l], nd))
+        item((nl, nd), lambda l, x, ld=ld, dp=dp:
+             _matvec(p, mu_cols, ld[l][x], nd)
+             == _apply(p, dp, mu_cols[l], _unit(nd, x), nd))
+        item((nl, nl), lambda a, b, dl=dl, lp=lp:
+             _apply(p, dl, mu_cols[a], _unit(nl, b), nl) == list(lp[a][b]))
+        item((nl, nl), lambda a, b, ld=ld, lp=lp:
+             list(lp[a][b]) == _apply(p, ld, _unit(nl, a), mu_cols[b], nl))
+    return items
+
+
+def _matvec(p, cols, v, out_dim):
+    acc = [0] * out_dim
+    for c, col in zip(v, cols):
+        for k in range(out_dim):
+            acc[k] = (acc[k] + c * col[k]) % p
+    return acc
