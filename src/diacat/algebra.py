@@ -44,6 +44,12 @@ def sp_add_into(field, acc: dict, other: dict, scale=None):
             acc[k] = c
 
 
+def sp_add(field, a: dict, b: dict) -> dict:
+    out = dict(a)
+    sp_add_into(field, out, b)
+    return out
+
+
 def sp_sub(field, a: dict, b: dict) -> dict:
     out = dict(a)
     sp_add_into(field, out, b, field.neg(field.one()))
@@ -823,6 +829,32 @@ def leibniz_of_lie(p: LieAlgebra) -> LeibnizAlgebra:
     return LeibnizAlgebra(p.field, p.bracket, list(p.labels))
 
 
+def seed_span(field, seeds, n) -> Subspace:
+    """Span of the nonzero sparse seed vectors in field^n."""
+    return Subspace.span(field, [sp_to_dense(field, w, n) for w in seeds if w],
+                         n)
+
+
+def merge_seeds(d: Dialgebra) -> list:
+    """x -| y - x |- y on every basis pair: the ideal they generate merges
+    the two products."""
+    f = d.field
+    return [sp_sub(f, d.left.pair(i, j), d.right.pair(i, j))
+            for i in range(d.dim) for j in range(d.dim)]
+
+
+def square_seeds(g: LeibnizAlgebra) -> list:
+    """Polarized squares [x,x] and [x,y]+[y,x] on basis pairs, so that the
+    ideal they generate kills squares in characteristic 2 as well."""
+    f = g.field
+    out = []
+    for i in range(g.dim):
+        out.append(g.bracket.pair(i, i))
+        for j in range(i + 1, g.dim):
+            out.append(sp_add(f, g.bracket.pair(i, j), g.bracket.pair(j, i)))
+    return out
+
+
 def associative_quotient(d: Dialgebra):
     """Universal associative quotient: divide by the ideal forcing -| = |-.
 
@@ -830,13 +862,7 @@ def associative_quotient(d: Dialgebra):
     quotient viewed as a dialgebra).
     """
     f = d.field
-    seeds = []
-    for i in range(d.dim):
-        for j in range(d.dim):
-            w = sp_sub(f, d.left.pair(i, j), d.right.pair(i, j))
-            if w:
-                seeds.append(sp_to_dense(f, w, d.dim))
-    ideal = ideal_closure(d, Subspace.span(f, seeds, d.dim))
+    ideal = ideal_closure(d, seed_span(f, merge_seeds(d), d.dim))
     quot_dias, proj = quotient_algebra(d, ideal)
     if quot_dias.left != quot_dias.right:
         raise InvalidAlgebra("associative quotient failed to merge the products")
@@ -847,22 +873,11 @@ def associative_quotient(d: Dialgebra):
 def lie_quotient(g: LeibnizAlgebra):
     """Universal Lie quotient: divide by the ideal generated by squares.
 
-    The generating set is polarized ([x,x] together with [x,y]+[y,x]) so the
-    construction is correct in characteristic 2 as well.  Returns
-    (lie algebra, projection as a Leibniz morphism onto the quotient).
+    Returns (lie algebra, projection as a Leibniz morphism onto the
+    quotient).
     """
     f = g.field
-    seeds = []
-    for i in range(g.dim):
-        w = g.bracket.pair(i, i)
-        if w:
-            seeds.append(sp_to_dense(f, w, g.dim))
-        for j in range(i + 1, g.dim):
-            s = dict(g.bracket.pair(i, j))
-            sp_add_into(f, s, g.bracket.pair(j, i))
-            if s:
-                seeds.append(sp_to_dense(f, s, g.dim))
-    ideal = ideal_closure(g, Subspace.span(f, seeds, g.dim))
+    ideal = ideal_closure(g, seed_span(f, square_seeds(g), g.dim))
     quot_lb, proj = quotient_algebra(g, ideal)
     lie = LieAlgebra(f, quot_lb.bracket, list(quot_lb.labels))
     return lie, proj

@@ -98,11 +98,6 @@ def check_cat1(c: Cat1) -> AxiomReport:
     return report
 
 
-def _expect_cat1_flavor(c, flavor, what):
-    if c.flavor != flavor:
-        raise InvalidCat1(f"{what} expects flavor {flavor!r}, got {c.flavor!r}")
-
-
 def identity_cat1(alg: Algebra) -> Cat1:
     """E = base with s = t = id; both kernels vanish."""
     ident = Matrix.identity(alg.field, alg.dim)
@@ -125,35 +120,15 @@ def cat1_of_xmod(xm: CrossedModule, check=True) -> Cat1:
     return Cat1(E, d_sub, s_matrix, t_matrix, check=check)
 
 
-def xmod_of_cat1(c: Cat1, check=True) -> CrossedModule:
-    """Restrict t to Ker s; the base acts by the ambient products."""
+def xmod_of_cat1(c: Cat1, check=True, sigma=None) -> CrossedModule:
+    """Restrict t to Ker s; the base acts by the ambient products, through
+    ``sigma`` when given and the base inclusion otherwise."""
     kers = kernel_of(c.s)
     _L_alg, l_incl = induced_subalgebra(c.E, kers)
     mu = c.t.compose(l_incl)
-    act = action_by_ambient_products(c.incl, l_incl, check=check)
+    act = action_by_ambient_products(c.incl if sigma is None else sigma,
+                                     l_incl, check=check)
     return CrossedModule(mu, act, check=check)
-
-
-def xdias_to_cat1(xm: CrossedModule, check=True) -> Cat1:
-    if xm.flavor != "dias":
-        raise InvalidCrossedModule("xdias_to_cat1 expects a dialgebra crossed module")
-    return cat1_of_xmod(xm, check=check)
-
-
-def phi(c: Cat1, check=True) -> CrossedModule:
-    _expect_cat1_flavor(c, "dias", "phi")
-    return xmod_of_cat1(c, check=check)
-
-
-def cat1lb_of_xlb(xm: CrossedModule, check=True) -> Cat1:
-    if xm.flavor != "lb":
-        raise InvalidCrossedModule("cat1lb_of_xlb expects a Leibniz crossed module")
-    return cat1_of_xmod(xm, check=check)
-
-
-def xlb_of_cat1lb(c: Cat1, check=True) -> CrossedModule:
-    _expect_cat1_flavor(c, "lb", "xlb_of_cat1lb")
-    return xmod_of_cat1(c, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +340,4 @@ def xdias_to_internal(xm: CrossedModule, check=True) -> InternalCategory:
 
 def psi(ic: InternalCategory, check=True) -> CrossedModule:
     """Extract mu = t restricted to Ker s, acting through the unit section."""
-    c = ic.cat1
-    kers = kernel_of(c.s)
-    _L_alg, l_incl = induced_subalgebra(c.E, kers)
-    mu = c.t.compose(l_incl)
-    act = action_by_ambient_products(ic.sigma, l_incl, check=check)
-    return CrossedModule(mu, act, check=check)
+    return xmod_of_cat1(ic.cat1, check=check, sigma=ic.sigma)

@@ -9,33 +9,24 @@ stdout with sorted keys; human commentary goes to stderr.
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import documents, fixtures
-from .actions import semidirect
+from .actions import CrossedModule, semidirect
 from .cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
-                   cat1lb_of_xlb, check_internal_category, phi, psi,
-                   xdias_to_cat1, xdias_to_internal, xlb_of_cat1lb)
+                   cat1_of_xmod, check_internal_category, psi,
+                   xdias_to_internal, xmod_of_cat1)
 from .errors import (DiacatError, ParseError, ResourceCapExceeded,
                      SearchSpaceTooLarge)
-from .functors import (FUNCTOR_TAGS, apply_algebra_functor,
-                       apply_xmod_functor, check_parallelepiped, check_square,
-                       embed, find_xmod_isomorphism, inc_xas_to_xdias,
-                       inc_xlie_to_xlb, project, square_fixture_kind,
-                       square_flavors, square_ids, verify_adjunction_chain,
+from .functors import (FUNCTOR_TAGS, apply_functor, category, chain_pairs,
+                       check_parallelepiped, check_square,
+                       find_xmod_isomorphism, inc_xas_to_xdias,
+                       inc_xlie_to_xlb, square_fixture_kind, square_flavors,
+                       square_ids, verify_adjunction_chain,
                        verify_adjunction_ud, verify_adjunction_xud,
                        xmods_equal)
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_CAP = 0, 1, 2, 3
-
-_ALGEBRA_TAGS = {t for t, (s, d) in FUNCTOR_TAGS.items()
-                 if not s.startswith("X") and not d.startswith("X")}
-_XMOD_TAGS = {t for t, (s, d) in FUNCTOR_TAGS.items()
-              if s.startswith("X") and d.startswith("X")}
-_EMBED_TAGS = {t for t, (s, d) in FUNCTOR_TAGS.items()
-               if not s.startswith("X") and d.startswith("X")}
-_PROJECT_TAGS = {t for t, (s, d) in FUNCTOR_TAGS.items()
-                 if s.startswith("X") and not d.startswith("X")}
-_TRUNC_TAGS = {"Ud", "U", "XUd", "XU"}
 
 
 def _err(msg):
@@ -120,44 +111,39 @@ def cmd_check(args) -> int:
 # construct
 
 
-def _construct(kind, args):
-    def one(expected):
-        if len(args.inputs) != 1:
-            raise ParseError(f"construct {kind} takes exactly one input")
-        return _resolve(args.inputs[0], expected)
+# construction kinds beside the functor tags: source categories, builder
+_CONSTRUCTIONS = {
+    "semidirect": (("XDias", "XLb", "XAs", "XLie"),
+                   lambda xm: semidirect(xm.action)[0]),
+    "roundtrip-cat1": (("XDias", "XLb"),
+                       lambda xm: xmod_of_cat1(cat1_of_xmod(xm))),
+    "roundtrip-internal": (("XDias",),
+                           lambda xm: psi(xdias_to_internal(xm))),
+}
 
-    trunc = args.trunc
-    if kind in _TRUNC_TAGS and trunc is None:
-        raise ParseError(f"construct {kind} requires --trunc")
-    if kind == "semidirect":
-        xm = one("xmod")
-        return documents.algebra_to_document(semidirect(xm.action)[0])
-    if kind in _ALGEBRA_TAGS:
-        out = apply_algebra_functor(kind, one("algebra"), trunc)
-        return documents.algebra_to_document(out)
-    if kind in _EMBED_TAGS:
-        return documents.xmod_to_document(embed(kind, one("algebra")))
-    if kind in _PROJECT_TAGS:
-        return documents.algebra_to_document(project(kind, one("xmod")))
-    if kind in _XMOD_TAGS:
-        out = apply_xmod_functor(kind, one("xmod"), trunc)
+
+def _construct(kind, args):
+    if kind in FUNCTOR_TAGS:
+        fn = FUNCTOR_TAGS[kind]
+        if fn.truncated and args.trunc is None:
+            raise ParseError(f"construct {kind} requires --trunc")
+        sources = (fn.source,)
+        build = partial(apply_functor, kind, bound=args.trunc)
+    elif kind in _CONSTRUCTIONS:
+        sources, build = _CONSTRUCTIONS[kind]
+    else:
+        raise ParseError(f"unknown construction kind {kind!r}")
+    if len(args.inputs) != 1:
+        raise ParseError(f"construct {kind} takes exactly one input")
+    obj = _resolve(args.inputs[0],
+                   "xmod" if sources[0].startswith("X") else "algebra")
+    if category(obj) not in sources:
+        raise ParseError(f"construct {kind} takes an object of "
+                         f"{' or '.join(sources)}, got one of {category(obj)}")
+    out = build(obj)
+    if isinstance(out, CrossedModule):
         return documents.xmod_to_document(out)
-    if kind == "roundtrip-cat1":
-        xm = one("xmod")
-        if xm.flavor == "dias":
-            back = phi(xdias_to_cat1(xm))
-        elif xm.flavor == "lb":
-            back = xlb_of_cat1lb(cat1lb_of_xlb(xm))
-        else:
-            raise ParseError("roundtrip-cat1 needs a dias or lb crossed "
-                             "module")
-        return documents.xmod_to_document(back)
-    if kind == "roundtrip-internal":
-        xm = one("xmod")
-        if xm.flavor != "dias":
-            raise ParseError("roundtrip-internal needs a dias crossed module")
-        return documents.xmod_to_document(psi(xdias_to_internal(xm)))
-    raise ParseError(f"unknown construction kind {kind!r}")
+    return documents.algebra_to_document(out)
 
 
 def cmd_construct(args) -> int:
@@ -265,15 +251,10 @@ def _verify_adjunction(args, which, results):
         idx = which.split(":", 1)[1]
         if idx not in ("0", "1"):
             raise ParseError("adjunction:chain takes index 0 or 1")
-        i = int(idx)
-        letters = {"dias": ("U", "J", ""), "lb": ("U", "J", "'"),
-                   "as": ("G", "I", ""), "lie": ("G", "I", "'")}
         for flavor in ("dias", "lb", "as", "lie"):
             xname, aname = _CHAIN_FIXTURES[flavor]
             fix = [(fixtures.get(xname), fixtures.get(aname))]
-            pl, el, sfx = letters[flavor]
-            for pair in ((f"{pl}{i}{sfx}", f"{el}{i}{sfx}"),
-                         (f"{el}{i}{sfx}", f"{pl}{i + 1}{sfx}")):
+            for pair in chain_pairs(flavor, int(idx)):
                 rep = verify_adjunction_chain(pair, fix, cap=args.cap)
                 results.append({"check": f"adjunction:{pair[0]}-|{pair[1]}",
                                 "fixture": f"{xname} / {aname}",
@@ -294,18 +275,14 @@ def _as_dias_or_lb(xm):
 def _verify_cat1(args, results):
     for name, xm0 in _named_battery(args, "xmod", None):
         xm = _as_dias_or_lb(xm0)
-        if xm.flavor == "dias":
-            to_cat1, back_of = xdias_to_cat1, phi
-        else:
-            to_cat1, back_of = cat1lb_of_xlb, xlb_of_cat1lb
-        c = to_cat1(xm)
-        back = back_of(c)
+        c = cat1_of_xmod(xm)
+        back = xmod_of_cat1(c)
         ok_x = xmods_equal(xm, back)
         via = "equal"
         if not ok_x:
             ok_x = find_xmod_isomorphism(xm, back, cap=args.cap) is not None
             via = "isomorphism"
-        c2 = to_cat1(back)
+        c2 = cat1_of_xmod(back)
         h = cat1_decomposition_iso(c, c2)
         rep = cat1_isomorphism_report(c, c2, h)
         results.append({"check": "equivalence:cat1", "fixture": name,

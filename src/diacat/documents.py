@@ -8,20 +8,14 @@ reproduces ``x`` and ``emit`` is idempotent on parsed documents.
 
 import json
 
-from .actions import CrossedModule, make_action
-from .algebra import (Algebra, AlgebraMorphism, AssociativeAlgebra,
-                      BilinearMap, Dialgebra, LeibnizAlgebra, LieAlgebra,
-                      product_arity)
+from .actions import ACTION_CLASSES, CrossedModule
+from .algebra import Algebra, AlgebraMorphism, BilinearMap, make_algebra
 from .errors import ParseError
-from .fields import GF, QQ, PrimeField, Rationals
+from .fields import GF, QQ, Rationals
 from .linalg import Matrix
 
 _PRODUCT_KEYS = {"dias": ("left", "right"), "lb": ("bracket",),
                  "as": ("product",), "lie": ("bracket",)}
-_ACTION_KEYS = {"dias": ("dl_left", "ld_left", "dl_right", "ld_right"),
-                "lb": ("gq", "qg"), "as": ("ar", "ra"), "lie": ("pm",)}
-_ALGEBRA_CLASSES = {"dias": Dialgebra, "lb": LeibnizAlgebra,
-                    "as": AssociativeAlgebra, "lie": LieAlgebra}
 
 
 def field_to_document(field):
@@ -45,6 +39,17 @@ def field_from_document(doc):
     raise ParseError(f"unknown field descriptor {kind!r}")
 
 
+def _coeff(field, c, where):
+    if isinstance(c, int):
+        return field.of(c)
+    if isinstance(c, str):
+        try:
+            return field.parse(c)
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+    raise ParseError(f"{where}: coefficient must be a string or integer")
+
+
 def _triples_to_document(field, bmap: BilinearMap):
     return [[i, j, k, field.format(c)] for (i, j, k, c) in bmap.triples()]
 
@@ -62,17 +67,7 @@ def _triples_from_document(field, entries, left_dim, right_dim, out_dim, where):
         if not (0 <= i < left_dim and 0 <= j < right_dim and 0 <= k < out_dim):
             raise ParseError(f"{where}[{pos}]: index out of range "
                              f"for shape {left_dim}x{right_dim}->{out_dim}")
-        if isinstance(c, int):
-            coeff = field.of(c)
-        elif isinstance(c, str):
-            try:
-                coeff = field.parse(c)
-            except ParseError as exc:
-                raise ParseError(f"{where}[{pos}]: {exc}") from None
-        else:
-            raise ParseError(f"{where}[{pos}]: coefficient must be a string "
-                             "or integer")
-        triples.append((i, j, k, coeff))
+        triples.append((i, j, k, _coeff(field, c, f"{where}[{pos}]")))
     return BilinearMap.from_triples(field, left_dim, right_dim, out_dim,
                                     triples)
 
@@ -92,7 +87,7 @@ def algebra_from_document(doc, check=True) -> Algebra:
         raise ParseError("algebra document must be a JSON object")
     field = field_from_document(doc)
     flavor = doc.get("flavor")
-    if flavor not in _PRODUCT_KEYS:
+    if not isinstance(flavor, str) or flavor not in _PRODUCT_KEYS:
         raise ParseError(f"unknown flavor {flavor!r}")
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 0:
@@ -106,10 +101,7 @@ def algebra_from_document(doc, check=True) -> Algebra:
     maps = [_triples_from_document(field, doc.get(key, []), dim, dim, dim,
                                    f"products.{key}")
             for key in _PRODUCT_KEYS[flavor]]
-    cls = _ALGEBRA_CLASSES[flavor]
-    if flavor == "dias":
-        return cls(field, maps[0], maps[1], labels, check=check)
-    return cls(field, maps[0], labels, check=check)
+    return make_algebra(flavor, field, maps, labels, check=check)
 
 
 def _matrix_to_document(field, m: Matrix):
@@ -123,19 +115,8 @@ def _matrix_from_document(field, rows, nrows, ncols, where):
     for i, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == ncols):
             raise ParseError(f"{where}[{i}]: expected {ncols} entries")
-        vals = []
-        for j, c in enumerate(row):
-            if isinstance(c, int):
-                vals.append(field.of(c))
-            elif isinstance(c, str):
-                try:
-                    vals.append(field.parse(c))
-                except ParseError as exc:
-                    raise ParseError(f"{where}[{i}][{j}]: {exc}") from None
-            else:
-                raise ParseError(f"{where}[{i}][{j}]: coefficient must be a "
-                                 "string or integer")
-        out.append(vals)
+        out.append([_coeff(field, c, f"{where}[{i}][{j}]")
+                    for j, c in enumerate(row)])
     return Matrix.from_rows(field, out, ncols)
 
 
@@ -154,7 +135,7 @@ def xmod_from_document(doc, check=True) -> CrossedModule:
     if not isinstance(doc, dict):
         raise ParseError("crossed-module document must be a JSON object")
     flavor = doc.get("flavor")
-    if flavor not in _ACTION_KEYS:
+    if not isinstance(flavor, str) or flavor not in ACTION_CLASSES:
         raise ParseError(f"unknown flavor {flavor!r}")
     if "source" not in doc or "target" not in doc:
         raise ParseError("crossed-module document needs 'source' and 'target'")
@@ -170,31 +151,21 @@ def xmod_from_document(doc, check=True) -> CrossedModule:
     action_doc = doc.get("action")
     if not isinstance(action_doc, dict):
         raise ParseError("'action' must map slot names to triple lists")
-    slots = _ACTION_KEYS[flavor]
-    unknown = sorted(set(action_doc) - set(slots))
+    cls = ACTION_CLASSES[flavor]
+    unknown = sorted(set(action_doc) - set(cls.slot_names))
     if unknown:
         raise ParseError(f"unknown action slots {unknown} for flavor {flavor}")
-    sides = dict(zip(slots, _slot_shapes(flavor, actor.dim, actee.dim)))
     tensors = {}
-    for name in slots:
-        ldim, rdim = sides[name]
+    for name in cls.slot_names:
+        ldim, rdim = ((actor.dim, actee.dim) if cls.slot_sides[name] == "DL"
+                      else (actee.dim, actor.dim))
         tensors[name] = _triples_from_document(field,
                                                action_doc.get(name, []),
                                                ldim, rdim, actee.dim,
                                                f"action.{name}")
-    action = make_action(flavor, actor, actee, tensors, check=check)
+    action = cls(actor, actee, tensors, check=check)
     mu = AlgebraMorphism(actee, actor, mu_mat)
     return CrossedModule(mu, action, check=check)
-
-
-def _slot_shapes(flavor, nd, nl):
-    shapes = []
-    for name in _ACTION_KEYS[flavor]:
-        if name in ("dl_left", "dl_right", "gq", "ar", "pm"):
-            shapes.append((nd, nl))
-        else:
-            shapes.append((nl, nd))
-    return shapes
 
 
 def document_kind(doc) -> str:

@@ -3,26 +3,32 @@
 The algebra-level functors (leibnization, associative and Lie quotients,
 commutator bracket, inclusions, envelopes) are lifted here to crossed
 modules, together with the embeddings J/I of algebras as degenerate crossed
-modules and the projections U/G back down.  On top of those sit brute-force
+modules and the projections U/G back down.  ``FUNCTOR_TAGS`` is the one
+registry of their 36 tags: each carries its source and target category and
+its builder, for ``apply_functor`` and the CLI alike.  The two universal
+quotients (XAS, XLiel) share ``_crossed_quotient``, as the two envelopes
+share ``envelope._crossed_envelope``.  On top of those sit brute-force
 hom-set enumeration over finite fields, explicit adjunction bijections, and
 a registry of commuting-square checks with EQUAL / ISOMORPHIC verdicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import partial
 from itertools import product as iter_product
+from typing import Callable, NamedTuple
 
-from .actions import (Action, AssociativeAction, CrossedModule,
-                      DialgebraAction, LeibnizAction, LieAction, XmodMorphism,
+from .actions import (_SLOT_BY_PIDX, Action, CrossedModule, DialgebraAction,
+                      LeibnizAction, LieAction, XmodMorphism, make_action,
                       self_action, trivial_action)
-from .algebra import (Algebra, AlgebraMorphism, AssociativeAlgebra,
-                      AxiomReport, BilinearMap, LieAlgebra, abelian_algebra,
-                      associative_quotient, commutator_lie,
+from .algebra import (Algebra, AlgebraMorphism, AxiomReport, BilinearMap,
+                      abelian_algebra, associative_quotient, commutator_lie,
                       dialgebra_of_associative, ideal_closure, image_of,
                       kernel_of, leibnization, leibniz_of_lie, lie_quotient,
-                      product_arity, quotient_algebra, sp_add_into, sp_sub,
-                      sp_to_dense)
+                      make_algebra, merge_seeds, product_arity,
+                      quotient_algebra, seed_span, sp_add, sp_from_dense,
+                      sp_sub, square_seeds)
 from .cat1 import cat1_of_xmod
 from .config import DEFAULT_SEARCH_CAP
 from .envelope import (Envelope, XudResult, envelope_transpose,
@@ -32,34 +38,6 @@ from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
                      NotWellDefined, SearchSpaceTooLarge)
 from .linalg import (Matrix, QuotientMap, Subspace, inverse, kernel, solve,
                      unit_vector, vec_add, vec_eq, vec_is_zero, vec_scale)
-
-# ---------------------------------------------------------------------------
-# functor tag registry
-
-_ALG_CAT = {"dias": "Dias", "lb": "Lb", "as": "As", "lie": "Lie"}
-_XMOD_CAT = {"dias": "XDias", "lb": "XLb", "as": "XAs", "lie": "XLie"}
-
-FUNCTOR_TAGS = {
-    "LB": ("Dias", "Lb"), "AS": ("Dias", "As"),
-    "Liea": ("As", "Lie"), "Liel": ("Lb", "Lie"),
-    "Ud": ("Lb", "Dias"), "U": ("Lie", "As"),
-    "IncAsDias": ("As", "Dias"), "IncLieLb": ("Lie", "Lb"),
-    "XLB": ("XDias", "XLb"), "XAS": ("XDias", "XAs"),
-    "XLiea": ("XAs", "XLie"), "XLiel": ("XLb", "XLie"),
-    "XUd": ("XLb", "XDias"), "XU": ("XLie", "XAs"),
-    "IncXAsXDias": ("XAs", "XDias"), "IncXLieXLb": ("XLie", "XLb"),
-    "J0": ("Dias", "XDias"), "J1": ("Dias", "XDias"),
-    "J0'": ("Lb", "XLb"), "J1'": ("Lb", "XLb"),
-    "I0": ("As", "XAs"), "I1": ("As", "XAs"),
-    "I0'": ("Lie", "XLie"), "I1'": ("Lie", "XLie"),
-    "U0": ("XDias", "Dias"), "U1": ("XDias", "Dias"), "U2": ("XDias", "Dias"),
-    "U0'": ("XLb", "Lb"), "U1'": ("XLb", "Lb"), "U2'": ("XLb", "Lb"),
-    "G0": ("XAs", "As"), "G1": ("XAs", "As"), "G2": ("XAs", "As"),
-    "G0'": ("XLie", "Lie"), "G1'": ("XLie", "Lie"), "G2'": ("XLie", "Lie"),
-}
-
-assert len(FUNCTOR_TAGS) == 36
-
 
 # ---------------------------------------------------------------------------
 # crossed-module-level functors
@@ -113,6 +91,61 @@ def _assert_killed(f, mat: Matrix, sub: Subspace, what):
             raise NotWellDefined(f"{what} does not kill the defining ideal")
 
 
+def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, out_flavor,
+                      inclusion):
+    """Lift a universal quotient of algebras to crossed modules.
+
+    The actor is divided by ``actor_quotient``, the actee by the smallest
+    actor-stable ideal containing the sparse ``seeds``; the cross products
+    and mu pass to the quotients.  Returns the ``out_flavor`` crossed module
+    together with the projection pair, packaged as a crossed-module morphism
+    into its re-inclusion ``inclusion(out)``.
+    """
+    f = xm.actee.field
+    L, D, act = xm.actee, xm.actor, xm.action
+    D_q, proj_D = actor_quotient(D)
+    ideal = _action_closed_ideal(act, seed_span(f, seeds, L.dim))
+    quot, proj_L = quotient_algebra(L, ideal)
+    prods = quot.products()
+    assert all(p == prods[0] for p in prods)
+    L_q = make_algebra(out_flavor, f, prods[:1], list(quot.labels))
+    ker_D = kernel(proj_D.matrix)
+    secD = QuotientMap(D.dim, ker_D).section
+    secL = QuotientMap(L.dim, ideal).section
+    # representative independence on the actor side
+    dl, ld = act.cross(0, "DL"), act.cross(0, "LD")
+    for r in ker_D.basis:
+        for q in range(L.dim):
+            uq = unit_vector(f, L.dim, q)
+            if not (ideal.contains(dl.apply(list(r), uq))
+                    and ideal.contains(ld.apply(uq, list(r)))):
+                raise NotWellDefined(
+                    "cross products are not constant on actor classes")
+
+    def induced(t, actor_first):
+        def fn(a, b):
+            u, v = ((secD.col(a), secL.col(b)) if actor_first
+                    else (secL.col(a), secD.col(b)))
+            return sp_from_dense(f, proj_L.matrix.mul_vec(t.apply(u, v)))
+        left, right = (D_q.dim, L_q.dim) if actor_first else (L_q.dim, D_q.dim)
+        return BilinearMap.from_function(f, left, right, L_q.dim, fn)
+
+    tensors = {}
+    for pidx, (dl_name, ld_name) in enumerate(_SLOT_BY_PIDX[out_flavor]):
+        tensors[dl_name] = induced(act.cross(pidx, "DL"), True)
+        if ld_name:
+            tensors[ld_name] = induced(act.cross(pidx, "LD"), False)
+    mu_mat = proj_D.matrix.mul(xm.mu.matrix)
+    _assert_killed(f, mu_mat, ideal, "the induced structural morphism")
+    out = CrossedModule(AlgebraMorphism(L_q, D_q, mu_mat.mul(secL)),
+                        make_action(out_flavor, D_q, L_q, tensors))
+    inc = inclusion(out)
+    projs = XmodMorphism(xm, inc, AlgebraMorphism(L, inc.actee, proj_L.matrix),
+                         AlgebraMorphism(D, inc.actor, proj_D.matrix))
+    assert projs.check().passed
+    return out, projs
+
+
 def xas_of_xdias(xm: CrossedModule):
     """Associative crossed module: merge -| and |- by the universal quotients.
 
@@ -122,131 +155,33 @@ def xas_of_xdias(xm: CrossedModule):
     crossed-module morphism into the dialgebra re-inclusion of the result.
     """
     _expect_xm(xm, "dias", "xas_of_xdias")
-    f = xm.actee.field
-    L, D, act = xm.actee, xm.actor, xm.action
-    D_as, proj_D = associative_quotient(D)
+    f, act = xm.actee.field, xm.action
     dl_l, dl_r = act.cross(0, "DL"), act.cross(1, "DL")
     ld_l, ld_r = act.cross(0, "LD"), act.cross(1, "LD")
-    seeds = []
-    for i in range(L.dim):
-        for j in range(L.dim):
-            w = sp_sub(f, L.products()[0].pair(i, j), L.products()[1].pair(i, j))
-            if w:
-                seeds.append(sp_to_dense(f, w, L.dim))
-    for a in range(D.dim):
-        for q in range(L.dim):
-            w = sp_sub(f, dl_l.pair(a, q), dl_r.pair(a, q))
-            if w:
-                seeds.append(sp_to_dense(f, w, L.dim))
-            w = sp_sub(f, ld_l.pair(q, a), ld_r.pair(q, a))
-            if w:
-                seeds.append(sp_to_dense(f, w, L.dim))
-    ideal = _action_closed_ideal(act, Subspace.span(f, seeds, L.dim))
-    quot_dias, proj_L = quotient_algebra(L, ideal)
-    assert quot_dias.products()[0] == quot_dias.products()[1]
-    L_as = AssociativeAlgebra(f, quot_dias.products()[0],
-                              list(quot_dias.labels))
-    ker_D = kernel(proj_D.matrix)
-    secD = QuotientMap(D.dim, ker_D).section
-    secL = QuotientMap(L.dim, ideal).section
-    # representative independence on the actor side
-    for r in ker_D.basis:
-        for q in range(L.dim):
-            uq = unit_vector(f, L.dim, q)
-            for t, u, v in ((dl_l, list(r), uq), (ld_l, uq, list(r))):
-                if not ideal.contains(t.apply(u, v)):
-                    raise NotWellDefined(
-                        "cross products are not constant on actor classes")
-
-    def cross_fn(t, first_actor):
-        def fn(a, b):
-            if first_actor:
-                u, v = secD.col(a), secL.col(b)
-            else:
-                u, v = secL.col(a), secD.col(b)
-            return {k: c for k, c in
-                    enumerate(proj_L.matrix.mul_vec(t.apply(u, v)))
-                    if not f.is_zero(c)}
-        return fn
-
-    ar = BilinearMap.from_function(f, D_as.dim, L_as.dim, L_as.dim,
-                                   cross_fn(dl_l, True))
-    ra = BilinearMap.from_function(f, L_as.dim, D_as.dim, L_as.dim,
-                                   cross_fn(ld_l, False))
-    new_act = AssociativeAction(D_as, L_as, {"ar": ar, "ra": ra})
-    mu_mat = proj_D.matrix.mul(xm.mu.matrix)
-    _assert_killed(f, mu_mat, ideal, "the induced structural morphism")
-    out = CrossedModule(AlgebraMorphism(L_as, D_as, mu_mat.mul(secL)), new_act)
-    inc = inc_xas_to_xdias(out)
-    projs = XmodMorphism(xm, inc,
-                         AlgebraMorphism(xm.actee, inc.actee, proj_L.matrix),
-                         AlgebraMorphism(xm.actor, inc.actor, proj_D.matrix))
-    assert projs.check().passed
-    return out, projs
+    seeds = merge_seeds(xm.actee)
+    for a in range(xm.actor.dim):
+        for q in range(xm.actee.dim):
+            seeds.append(sp_sub(f, dl_l.pair(a, q), dl_r.pair(a, q)))
+            seeds.append(sp_sub(f, ld_l.pair(q, a), ld_r.pair(q, a)))
+    return _crossed_quotient(xm, associative_quotient, seeds, "as",
+                             inc_xas_to_xdias)
 
 
-def xliel_of_xlb_with_projection(xm: CrossedModule):
+def xliel_of_xlb(xm: CrossedModule) -> CrossedModule:
     """Lie crossed module of a Leibniz one by the square-killing quotients.
 
     Actor: quotient by polarized squares.  Actee: quotient by the
     actor-stable ideal of polarized squares plus the mixed symmetrizers
-    [q,x] + [x,q].  Returns (crossed module, projection pair)."""
+    [q,x] + [x,q]."""
     _expect_xm(xm, "lb", "xliel_of_xlb")
-    f = xm.actee.field
-    Q, G, act = xm.actee, xm.actor, xm.action
-    G_lie, proj_G = lie_quotient(G)
+    f, act = xm.actee.field, xm.action
     gq, qg = act.cross(0, "DL"), act.cross(0, "LD")
-    br = Q.products()[0]
-    seeds = []
-    for i in range(Q.dim):
-        w = br.pair(i, i)
-        if w:
-            seeds.append(sp_to_dense(f, w, Q.dim))
-        for j in range(i + 1, Q.dim):
-            s = dict(br.pair(i, j))
-            sp_add_into(f, s, br.pair(j, i))
-            if s:
-                seeds.append(sp_to_dense(f, s, Q.dim))
-    for q in range(Q.dim):
-        for a in range(G.dim):
-            s = dict(qg.pair(q, a))
-            sp_add_into(f, s, gq.pair(a, q))
-            if s:
-                seeds.append(sp_to_dense(f, s, Q.dim))
-    ideal = _action_closed_ideal(act, Subspace.span(f, seeds, Q.dim))
-    quot_lb, proj_Q = quotient_algebra(Q, ideal)
-    Q_lie = LieAlgebra(f, quot_lb.products()[0], list(quot_lb.labels))
-    ker_G = kernel(proj_G.matrix)
-    secG = QuotientMap(G.dim, ker_G).section
-    secQ = QuotientMap(Q.dim, ideal).section
-    for r in ker_G.basis:
-        for q in range(Q.dim):
-            uq = unit_vector(f, Q.dim, q)
-            if not (ideal.contains(gq.apply(list(r), uq))
-                    and ideal.contains(qg.apply(uq, list(r)))):
-                raise NotWellDefined(
-                    "cross brackets are not constant on actor classes")
-
-    def pm_fn(a, q):
-        w = proj_Q.matrix.mul_vec(gq.apply(secG.col(a), secQ.col(q)))
-        return {k: c for k, c in enumerate(w) if not f.is_zero(c)}
-
-    pm = BilinearMap.from_function(f, G_lie.dim, Q_lie.dim, Q_lie.dim, pm_fn)
-    new_act = LieAction(G_lie, Q_lie, {"pm": pm})
-    mu_mat = proj_G.matrix.mul(xm.mu.matrix)
-    _assert_killed(f, mu_mat, ideal, "the induced structural morphism")
-    out = CrossedModule(AlgebraMorphism(Q_lie, G_lie, mu_mat.mul(secQ)),
-                        new_act)
-    inc = inc_xlie_to_xlb(out)
-    projs = XmodMorphism(xm, inc,
-                         AlgebraMorphism(xm.actee, inc.actee, proj_Q.matrix),
-                         AlgebraMorphism(xm.actor, inc.actor, proj_G.matrix))
-    assert projs.check().passed
-    return out, projs
-
-
-def xliel_of_xlb(xm: CrossedModule) -> CrossedModule:
-    return xliel_of_xlb_with_projection(xm)[0]
+    seeds = square_seeds(xm.actee)
+    for q in range(xm.actee.dim):
+        for a in range(xm.actor.dim):
+            seeds.append(sp_add(f, qg.pair(q, a), gq.pair(a, q)))
+    return _crossed_quotient(xm, lie_quotient, seeds, "lie",
+                             inc_xlie_to_xlb)[0]
 
 
 def xliea_of_xas(xm: CrossedModule) -> CrossedModule:
@@ -283,74 +218,19 @@ def inc_xlie_to_xlb(xm: CrossedModule) -> CrossedModule:
     return CrossedModule(AlgebraMorphism(Q, G, xm.mu.matrix), act)
 
 
-def _require_bound(tag, bound):
-    if bound is None:
-        raise DiacatError(f"functor {tag} requires a truncation bound")
-    return bound
-
-
-def apply_xmod_functor(tag, xm, bound=None):
-    if tag == "XLB":
-        return xlb_of_xdias(xm)
-    if tag == "XAS":
-        return xas_of_xdias(xm)[0]
-    if tag == "XLiea":
-        return xliea_of_xas(xm)
-    if tag == "XLiel":
-        return xliel_of_xlb(xm)
-    if tag == "XUd":
-        return xud(xm, _require_bound(tag, bound))
-    if tag == "XU":
-        return xu(xm, _require_bound(tag, bound))
-    if tag == "IncXAsXDias":
-        return inc_xas_to_xdias(xm)
-    if tag == "IncXLieXLb":
-        return inc_xlie_to_xlb(xm)
-    raise DiacatError(f"unknown crossed-module functor tag {tag!r}")
-
-
-def apply_algebra_functor(tag, alg, bound=None):
-    if tag == "LB":
-        return leibnization(alg)
-    if tag == "AS":
-        return associative_quotient(alg)[0]
-    if tag == "Liea":
-        return commutator_lie(alg)
-    if tag == "Liel":
-        return lie_quotient(alg)[0]
-    if tag == "Ud":
-        return ud(alg, _require_bound(tag, bound)).algebra
-    if tag == "U":
-        return u_lie(alg, _require_bound(tag, bound)).algebra
-    if tag == "IncAsDias":
-        return dialgebra_of_associative(alg)
-    if tag == "IncLieLb":
-        return leibniz_of_lie(alg)
-    raise DiacatError(f"unknown algebra functor tag {tag!r}")
-
-
 # ---------------------------------------------------------------------------
 # embeddings and projections
-
-_EMBED_FLAVOR = {"J0": "dias", "J1": "dias", "J0'": "lb", "J1'": "lb",
-                 "I0": "as", "I1": "as", "I0'": "lie", "I1'": "lie"}
-_PROJECT_FLAVOR = {"U0": "dias", "U1": "dias", "U2": "dias",
-                   "U0'": "lb", "U1'": "lb", "U2'": "lb",
-                   "G0": "as", "G1": "as", "G2": "as",
-                   "G0'": "lie", "G1'": "lie", "G2'": "lie"}
 
 
 def embed(tag, a: Algebra) -> CrossedModule:
     """J/I embeddings: index 0 is the zero-source crossed module, index 1
     the identity crossed module with the self action."""
-    if tag not in _EMBED_FLAVOR:
-        raise DiacatError(f"unknown embedding tag {tag!r}")
-    flavor = _EMBED_FLAVOR[tag]
-    if a.flavor != flavor:
-        raise InvalidCrossedModule(f"{tag} expects a {flavor} algebra")
+    fn = _functor(tag, a)
+    if fn.target != "X" + fn.source:
+        raise DiacatError(f"{tag} is not an embedding")
     if tag[1] == "1":
         return CrossedModule(AlgebraMorphism.identity(a), self_action(a))
-    zero = abelian_algebra(flavor, a.field, 0)
+    zero = abelian_algebra(a.flavor, a.field, 0)
     mu = AlgebraMorphism(zero, a, Matrix.zero(a.field, a.dim, 0))
     return CrossedModule(mu, trivial_action(a, zero))
 
@@ -362,17 +242,113 @@ def cokernel_of_mu(xm: CrossedModule):
 
 def project(tag, xm: CrossedModule) -> Algebra:
     """U/G projections: index 0 the cokernel, 1 the actor, 2 the actee."""
-    if tag not in _PROJECT_FLAVOR:
-        raise DiacatError(f"unknown projection tag {tag!r}")
-    if xm.flavor != _PROJECT_FLAVOR[tag]:
-        raise InvalidCrossedModule(
-            f"{tag} expects a {_PROJECT_FLAVOR[tag]} crossed module")
+    fn = _functor(tag, xm)
+    if fn.source != "X" + fn.target:
+        raise DiacatError(f"{tag} is not a projection")
     idx = tag[1]
     if idx == "0":
         return cokernel_of_mu(xm)[0]
     if idx == "1":
         return xm.actor
     return xm.actee
+
+
+# ---------------------------------------------------------------------------
+# functor tag registry
+
+# letters of the projections and embeddings per flavor, and the tag suffix
+_CHAIN_LETTERS = {"dias": ("U", "J"), "lb": ("U", "J"),
+                  "as": ("G", "I"), "lie": ("G", "I")}
+_CHAIN_SUFFIX = {"dias": "", "lb": "'", "as": "", "lie": "'"}
+
+
+def _chain_tag(flavor, role, i):
+    """The projection (role 0, U/G) or embedding (role 1, J/I) tag at i."""
+    return f"{_CHAIN_LETTERS[flavor][role]}{i}{_CHAIN_SUFFIX[flavor]}"
+
+
+def chain_pairs(flavor, i):
+    """The adjoint pairs (U_i, J_i) and (J_i, U_{i+1}) of a flavor, each as
+    (left adjoint, right adjoint), with G/I letters for as and lie."""
+    proj, emb = _chain_tag(flavor, 0, i), _chain_tag(flavor, 1, i)
+    return (proj, emb), (emb, _chain_tag(flavor, 0, i + 1))
+
+
+def category(obj) -> str:
+    """The category of an algebra ("Dias", "Lb", "As", "Lie") or of a
+    crossed module ("XDias", "XLb", "XAs", "XLie")."""
+    prefix = "X" if isinstance(obj, CrossedModule) else ""
+    return prefix + obj.flavor.capitalize()
+
+
+class Functor(NamedTuple):
+    """A registered functor: source and target categories, and a builder
+    taking the input object, plus the truncation bound when ``truncated``."""
+
+    source: str
+    target: str
+    build: Callable
+    truncated: bool = False
+
+
+def _registry():
+    tags = {
+        "LB": Functor("Dias", "Lb", leibnization),
+        "AS": Functor("Dias", "As", lambda d: associative_quotient(d)[0]),
+        "Liea": Functor("As", "Lie", commutator_lie),
+        "Liel": Functor("Lb", "Lie", lambda g: lie_quotient(g)[0]),
+        "Ud": Functor("Lb", "Dias", lambda g, n: ud(g, n).algebra, True),
+        "U": Functor("Lie", "As", lambda p, n: u_lie(p, n).algebra, True),
+        "IncAsDias": Functor("As", "Dias", dialgebra_of_associative),
+        "IncLieLb": Functor("Lie", "Lb", leibniz_of_lie),
+        "XLB": Functor("XDias", "XLb", xlb_of_xdias),
+        "XAS": Functor("XDias", "XAs", lambda xm: xas_of_xdias(xm)[0]),
+        "XLiea": Functor("XAs", "XLie", xliea_of_xas),
+        "XLiel": Functor("XLb", "XLie", xliel_of_xlb),
+        "XUd": Functor("XLb", "XDias", xud, True),
+        "XU": Functor("XLie", "XAs", xu, True),
+        "IncXAsXDias": Functor("XAs", "XDias", inc_xas_to_xdias),
+        "IncXLieXLb": Functor("XLie", "XLb", inc_xlie_to_xlb),
+    }
+    for flavor in _CHAIN_LETTERS:
+        alg = flavor.capitalize()
+        for i in (0, 1):
+            tag = _chain_tag(flavor, 1, i)
+            tags[tag] = Functor(alg, "X" + alg, partial(embed, tag))
+        for i in (0, 1, 2):
+            tag = _chain_tag(flavor, 0, i)
+            tags[tag] = Functor("X" + alg, alg, partial(project, tag))
+    return tags
+
+
+# every tag with its source and target category and its builder
+FUNCTOR_TAGS = _registry()
+
+assert len(FUNCTOR_TAGS) == 36
+
+
+def _functor(tag, obj) -> Functor:
+    """The registered functor ``tag``; ``obj`` must lie in its source."""
+    fn = FUNCTOR_TAGS.get(tag)
+    if fn is None:
+        raise DiacatError(f"unknown functor tag {tag!r}")
+    if category(obj) != fn.source:
+        raise DiacatError(f"{tag} expects an object of {fn.source}, "
+                          f"got one of {category(obj)}")
+    return fn
+
+
+def apply_functor(tag, obj, bound=None):
+    """Apply a registered functor; the truncated ones need ``bound``."""
+    fn = _functor(tag, obj)
+    if not fn.truncated:
+        return fn.build(obj)
+    if bound is None:
+        raise DiacatError(f"functor {tag} requires a truncation bound")
+    return fn.build(obj, bound)
+
+
+apply_algebra_functor = apply_xmod_functor = apply_functor
 
 
 # ---------------------------------------------------------------------------
@@ -713,31 +689,17 @@ def verify_adjunction_xud(xlb: CrossedModule, xdias: CrossedModule,
 # ---------------------------------------------------------------------------
 # adjunction chains for the embeddings and projections
 
-_CHAIN_SUFFIX = {"dias": "", "lb": "'", "as": "", "lie": "'"}
-_CHAIN_LETTERS = {"dias": ("U", "J"), "lb": ("U", "J"),
-                  "as": ("G", "I"), "lie": ("G", "I")}
-
 
 def _chain_kind(tagpair):
-    a, b = tagpair
-    pa, pb = a.rstrip("'"), b.rstrip("'")
-    prime = a.endswith("'")
-    if prime != b.endswith("'"):
-        raise DiacatError(f"mismatched tag pair {tagpair!r}")
-    for flavor, (proj_l, emb_l) in _CHAIN_LETTERS.items():
-        if _CHAIN_SUFFIX[flavor] != ("'" if prime else ""):
-            continue
-        if pa[0] == proj_l and pb[0] == emb_l and pa[1] == pb[1] in "01":
-            return flavor, "proj-left", int(pa[1])
-        if pa[0] == emb_l and pb[0] == proj_l and pa[1] in "01" \
-                and int(pb[1]) == int(pa[1]) + 1:
-            return flavor, "emb-left", int(pa[1])
+    """(flavor, which adjoint is the projection, index) of a chain pair."""
+    for flavor in _CHAIN_LETTERS:
+        for i in (0, 1):
+            proj_left, emb_left = chain_pairs(flavor, i)
+            if tuple(tagpair) == proj_left:
+                return flavor, "proj-left", i
+            if tuple(tagpair) == emb_left:
+                return flavor, "emb-left", i
     raise DiacatError(f"unknown adjunction pair {tagpair!r}")
-
-
-def _embed_tag(flavor, i):
-    letter = _CHAIN_LETTERS[flavor][1]
-    return f"{letter}{i}{_CHAIN_SUFFIX[flavor]}"
 
 
 def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
@@ -756,8 +718,15 @@ def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
             raise InvalidCrossedModule(
                 f"fixture {n} does not match flavor {flavor!r}")
         prefix = f"[{n}] "
-        emb = embed(_embed_tag(flavor, i), alg)
+        emb = embed(_chain_tag(flavor, 1, i), alg)
         f = alg.field
+        # naturality in the algebra argument is checked along u
+        u = _pick_endo(alg, cap)
+        emb_u = XmodMorphism(
+            emb, emb,
+            AlgebraMorphism.identity(emb.actee) if i == 0
+            else AlgebraMorphism(emb.actee, emb.actee, u.matrix),
+            u)
         if kind == "proj-left":
             if i == 0:
                 coker, proj = cokernel_of_mu(xm)
@@ -794,13 +763,6 @@ def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
             report.add(prefix + "bijection onto the enumerated hom-set",
                        set(images) == target_keys
                        and len(images) == len(left.morphisms))
-            # naturality in the algebra argument: postcompose with u
-            u = _pick_endo(alg, cap)
-            emb_u = XmodMorphism(
-                emb, emb,
-                AlgebraMorphism.identity(emb.actee) if i == 0
-                else AlgebraMorphism(emb.actee, emb.actee, u.matrix),
-                u)
             natural = True
             for h in left:
                 lhs = fwd(AlgebraMorphism(h.source, alg,
@@ -852,12 +814,6 @@ def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
                     back_ok = False
                     break
             report.add(prefix + "section by the explicit inverse", back_ok)
-            u = _pick_endo(alg, cap)
-            emb_u = XmodMorphism(
-                emb, emb,
-                AlgebraMorphism.identity(emb.actee) if i == 0
-                else AlgebraMorphism(emb.actee, emb.actee, u.matrix),
-                u)
             natural = True
             for m in left:
                 lhs = fwd2(m.compose(emb_u)).matrix

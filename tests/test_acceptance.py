@@ -16,9 +16,9 @@ from diacat.algebra import (AlgebraMorphism, BilinearMap, Dialgebra,
                             check_dialgebra, check_leibniz, ideal_closure,
                             kernel_of)
 from diacat.cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
-                         cat1lb_of_xlb, check_internal_category, phi, psi,
-                         xdias_to_cat1, xdias_to_internal, xlb_of_cat1lb,
-                         xmod_isomorphism_report)
+                         cat1_of_xmod, check_internal_category, psi,
+                         xdias_to_internal, xmod_isomorphism_report,
+                         xmod_of_cat1)
 from diacat.envelope import ud, xu, xud, xud_full
 from diacat.fields import GF
 from diacat.functors import (apply_algebra_functor, check_parallelepiped,
@@ -165,10 +165,8 @@ def test_criterion_04_cat1_equivalence_round_trips():
     battery = _normalized_xmods()
     assert len(battery) >= 8
     for name, xm in battery:
-        to_cat1 = xdias_to_cat1 if xm.flavor == "dias" else cat1lb_of_xlb
-        back_of = phi if xm.flavor == "dias" else xlb_of_cat1lb
-        c = to_cat1(xm)
-        back = back_of(c)
+        c = cat1_of_xmod(xm)
+        back = xmod_of_cat1(c)
         if xmods_equal(xm, back):
             rep = xmod_isomorphism_report(
                 xm, back, AlgebraMorphism.identity(xm.actee),
@@ -178,7 +176,7 @@ def test_criterion_04_cat1_equivalence_round_trips():
             assert wit is not None, name
             rep = xmod_isomorphism_report(xm, back, wit.alpha, wit.beta)
         assert rep.passed, name
-        c2 = to_cat1(back)
+        c2 = cat1_of_xmod(back)
         h = cat1_decomposition_iso(c, c2)
         assert cat1_isomorphism_report(c, c2, h).passed, name
         if xm.flavor == "dias":

@@ -2,10 +2,9 @@ import pytest
 
 from diacat import fixtures
 from diacat.cat1 import (Cat1, cat1_decomposition_iso, cat1_isomorphism_report,
-                         cat1lb_of_xlb, check_cat1, check_internal_category,
-                         identity_cat1, phi, psi, xdias_to_cat1,
-                         xdias_to_internal, xlb_of_cat1lb,
-                         xmod_isomorphism_report)
+                         cat1_of_xmod, check_cat1, check_internal_category,
+                         identity_cat1, psi, xdias_to_internal,
+                         xmod_isomorphism_report, xmod_of_cat1)
 from diacat.errors import InvalidCat1
 from diacat.fields import GF
 from diacat.functors import find_xmod_isomorphism, xmods_equal
@@ -26,10 +25,10 @@ def test_identity_cat1_passes():
 
 def test_semidirect_model_is_cat1():
     for name in DIAS_XMODS:
-        c = xdias_to_cat1(fixtures.get(name))
+        c = cat1_of_xmod(fixtures.get(name))
         assert c.certificate is not None and c.certificate.passed, name
     for name in LB_XMODS:
-        c = cat1lb_of_xlb(fixtures.get(name))
+        c = cat1_of_xmod(fixtures.get(name))
         assert c.certificate.passed, name
 
 
@@ -49,7 +48,7 @@ def test_kernel_product_violation_is_rejected():
 def test_crossed_roundtrip_dias():
     for name in DIAS_XMODS:
         xm = fixtures.get(name)
-        back = phi(xdias_to_cat1(xm))
+        back = xmod_of_cat1(cat1_of_xmod(xm))
         assert xmods_equal(xm, back) or \
             find_xmod_isomorphism(xm, back) is not None, name
 
@@ -57,7 +56,7 @@ def test_crossed_roundtrip_dias():
 def test_crossed_roundtrip_lb():
     for name in LB_XMODS:
         xm = fixtures.get(name)
-        back = xlb_of_cat1lb(cat1lb_of_xlb(xm))
+        back = xmod_of_cat1(cat1_of_xmod(xm))
         assert xmods_equal(xm, back) or \
             find_xmod_isomorphism(xm, back) is not None, name
 
@@ -65,10 +64,8 @@ def test_crossed_roundtrip_lb():
 def test_cat1_roundtrip_with_decomposition_witness():
     for name in DIAS_XMODS + LB_XMODS:
         xm = fixtures.get(name)
-        to_cat1 = xdias_to_cat1 if xm.flavor == "dias" else cat1lb_of_xlb
-        back_of = phi if xm.flavor == "dias" else xlb_of_cat1lb
-        c = to_cat1(xm)
-        c2 = to_cat1(back_of(c))
+        c = cat1_of_xmod(xm)
+        c2 = cat1_of_xmod(xmod_of_cat1(c))
         h = cat1_decomposition_iso(c, c2)
         rep = cat1_isomorphism_report(c, c2, h)
         assert rep.passed, (name, rep.first_failure())
@@ -78,9 +75,9 @@ def test_decomposition_iso_on_identity_cat1():
     # identity cat-1 on a plain algebra decomposes with trivial kernel part
     alg = fixtures.get("leibniz-ff-e-f2")
     c = identity_cat1(alg)
-    xm = xlb_of_cat1lb(c)
+    xm = xmod_of_cat1(c)
     assert xm.actee.dim == 0 and xm.actor.dim == alg.dim
-    c2 = cat1lb_of_xlb(xm)
+    c2 = cat1_of_xmod(xm)
     h = cat1_decomposition_iso(c, c2)
     assert cat1_isomorphism_report(c, c2, h).passed
 

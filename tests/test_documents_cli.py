@@ -202,3 +202,13 @@ def test_cli_env_cap(monkeypatch):
     assert main(["verify", "adjunction:ud"]) == 3
     monkeypatch.setenv("DIACAT_MAX_DIM", "banana")
     assert main(["verify", "adjunction:ud"]) == 2
+
+
+def test_non_string_flavor_is_a_parse_error(tmp_path):
+    for name in ("leibniz-ff-e-f2", "xlb-ideal-e-f2"):
+        doc = fixtures.document(name)
+        doc["flavor"] = []
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        rc, text = _run_main(["check", str(path)])
+        assert (rc, text) == (2, ""), name

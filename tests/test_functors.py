@@ -23,7 +23,7 @@ F2 = GF(2)
 def test_functor_tag_registry_is_closed():
     assert len(FUNCTOR_TAGS) == 36
     cats = {"Dias", "Lb", "As", "Lie", "XDias", "XLb", "XAs", "XLie"}
-    for tag, (src, dst) in FUNCTOR_TAGS.items():
+    for tag, (src, dst, _build, _truncated) in FUNCTOR_TAGS.items():
         assert src in cats and dst in cats, tag
 
 

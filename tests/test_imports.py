@@ -1,0 +1,32 @@
+"""Every name a module of ``src/diacat`` imports is used in that module.
+
+``__init__.py`` is exempt: its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "diacat"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _unused_imports(tree) == []
