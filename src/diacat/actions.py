@@ -7,7 +7,12 @@ triples of the semidirect product L (+) D: the same axiom templates that
 certify the algebras run over its product tensors, with each variable
 ranging over the actee block or the actor block.  Hand-listing the 30
 dialgebra instances would invite a transcription slip; generating them
-cannot.
+cannot.  A Lie action has the two equations of the Jacobi identity with
+mixed sorts, run the same way.
+
+Actions are built in one way too: ``induced_action`` carries cross products
+along linear maps, whether they come from an ambient algebra (an ideal, a
+split extension, the kernel of a cat-1 structure) or pass to quotients.
 
 A crossed module bundles a morphism mu: L -> D with an action of D on L,
 subject to equivariance of mu and Peiffer-style identities.  The checker
@@ -24,9 +29,10 @@ from . import audit
 from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, LEIBNIZ_AXIOM, Algebra,
                       AlgebraMorphism, AxiomReport, BilinearMap,
                       _check_templates, abelian_algebra, annihilator,
-                      first_unintertwined, image_of, induced_subalgebra,
-                      is_ideal, kernel_of, make_algebra, product_arity,
-                      quotient_algebra, sp_from_dense, sp_sub)
+                      first_unintertwined, image_of, induced_bilinear,
+                      induced_subalgebra, is_ideal, kernel_of, make_algebra,
+                      product_arity, quotient_algebra, sp_cols,
+                      sp_from_dense, sp_to_dense)
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAction,
                      InvalidCrossedModule, LemmaViolation, NotAnIdeal)
 from .linalg import (Matrix, QuotientMap, Subspace, solve, unit_vector,
@@ -202,6 +208,23 @@ def self_action(alg: Algebra, check=True) -> Action:
     return make_action(alg.flavor, alg, alg, tensors, check=check)
 
 
+def induced_action(flavor, actor: Algebra, actee: Algebra, cross, actor_vecs,
+                   actee_vecs, back, check=True) -> Action:
+    """The ``flavor`` action of ``actor`` on ``actee`` carried along linear
+    maps: actor basis element x stands for the sparse vector
+    ``actor_vecs[x]``, actee basis element l for ``actee_vecs[l]``, they are
+    multiplied by ``cross(pidx, "DL"/"LD")``, and ``back`` expresses each
+    product in actee coordinates (see ``algebra.induced_bilinear``)."""
+    tensors = {}
+    for pidx, (dl_name, ld_name) in enumerate(_SLOT_BY_PIDX[flavor]):
+        tensors[dl_name] = induced_bilinear(cross(pidx, "DL"), actor_vecs,
+                                            actee_vecs, actee.dim, back)
+        if ld_name:
+            tensors[ld_name] = induced_bilinear(cross(pidx, "LD"), actee_vecs,
+                                                actor_vecs, actee.dim, back)
+    return make_action(flavor, actor, actee, tensors, check=check)
+
+
 # ---------------------------------------------------------------------------
 # mixed axiom instances
 
@@ -227,79 +250,48 @@ assert len(mixed_instances("lb")) == 6
 assert len(mixed_instances("as")) == 6
 
 
-def _check_on_semidirect(subject, act: Action) -> AxiomReport:
-    """Mixed instances as the mixed-sort basis triples of the semidirect
-    product: actee block [0, nl), actor block [nl, nl + nd)."""
+# the two equations of a Lie action, as (name, template, sorts); the
+# templates can only subtract, so the second is run as
+# [p,[m,m']] - [m,[p,m']] = [[p,m],m']
+LIE_ACTION_INSTANCES = (
+    ("[[p,p'],m] = [p,[p',m]] - [p',[p,m]]",
+     lambda m, s, x, y, z: (m(0, m(0, x, y), z),
+                            s(m(0, x, m(0, y, z)), m(0, y, m(0, x, z)))),
+     (ACTOR, ACTOR, ACTEE)),
+    ("[p,[m,m']] = [[p,m],m'] + [m,[p,m']]",
+     lambda m, s, x, y, z: (s(m(0, x, m(0, y, z)), m(0, y, m(0, x, z))),
+                            m(0, m(0, x, y), z)),
+     (ACTOR, ACTEE, ACTEE)),
+)
+
+
+def _check_on_semidirect(subject, act: Action, instances) -> AxiomReport:
+    """Two-sorted (name, fn, sorts) instances as basis triples of the
+    semidirect product: actee block [0, nl), actor block [nl, nl + nd)."""
     nl = act.actee.dim
     block = {ACTEE: range(nl), ACTOR: range(nl, nl + act.actor.dim)}
-    instances = [(name, fn, tuple(block[srt] for srt in pat))
-                 for name, fn, pat in mixed_instances(act.flavor)]
+    ranged = [(name, fn, tuple(block[srt] for srt in pat))
+              for name, fn, pat in instances]
     return _check_templates(AxiomReport(subject), _semidirect_products(act),
-                            instances)
+                            ranged)
 
 
 def check_dialgebra_action(act: Action) -> AxiomReport:
-    return _check_on_semidirect("dialgebra action", act)
+    return _check_on_semidirect("dialgebra action", act,
+                                mixed_instances("dias"))
 
 
 def check_leibniz_action(act: Action) -> AxiomReport:
-    return _check_on_semidirect("leibniz action", act)
+    return _check_on_semidirect("leibniz action", act, mixed_instances("lb"))
 
 
 def check_assoc_action(act: Action) -> AxiomReport:
-    return _check_on_semidirect("associative action", act)
+    return _check_on_semidirect("associative action", act,
+                                mixed_instances("as"))
 
 
 def check_lie_action(act: Action) -> AxiomReport:
-    """The two displayed equations, on all basis triples."""
-    report = AxiomReport("lie action")
-    f = act.field
-    P, M = act.actor, act.actee
-    pm = act.tensors["pm"]
-    pbr = P.products()[0]
-    mbr = M.products()[0]
-    one = f.one()
-
-    bad = None
-    for i in range(P.dim):
-        for j in range(P.dim):
-            pij = pbr.pair(i, j)
-            for k in range(M.dim):
-                m = {k: one}
-                lhs = pm.apply_sparse(pij, m)
-                rhs = sp_sub(f, pm.apply_sparse({i: one}, pm.apply_sparse({j: one}, m)),
-                             pm.apply_sparse({j: one}, pm.apply_sparse({i: one}, m)))
-                if lhs != rhs:
-                    bad = (i, j, k)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report.add("[[p,p'],m] = [p,[p',m]] - [p',[p,m]]", bad is None, bad)
-
-    bad = None
-    for i in range(P.dim):
-        p = {i: one}
-        for k in range(M.dim):
-            for l in range(M.dim):
-                lhs = pm.apply_sparse(p, mbr.pair(k, l))
-                rhs = dict(mbr.apply_sparse(pm.apply_sparse(p, {k: one}), {l: one}))
-                for key, c in mbr.apply_sparse({k: one}, pm.apply_sparse(p, {l: one})).items():
-                    s = f.add(rhs.get(key, f.zero()), c)
-                    if f.is_zero(s):
-                        rhs.pop(key, None)
-                    else:
-                        rhs[key] = s
-                if lhs != rhs:
-                    bad = (i, k, l)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report.add("[p,[m,m']] = [[p,m],m'] + [m,[p,m']]", bad is None, bad)
-    return report
+    return _check_on_semidirect("lie action", act, LIE_ACTION_INSTANCES)
 
 
 ACTION_CHECKERS = {"dias": check_dialgebra_action, "lb": check_leibniz_action,
@@ -363,43 +355,10 @@ def semidirect(act: Action, check=True, labels=None):
                 raise InvalidAction(
                     f"semidirect {tag} is not a morphism: "
                     f"{rep.first_failure().name}", rep)
-        recovered = action_from_splitting(E, act.actee, act.actor, inj, split,
-                                          check=False)
+        recovered = action_by_ambient_products(split, inj, check=False)
         if not recovered.same_tensors(act):
             raise InvalidAction("splitting does not recover the action")
     return E, inj, proj, split
-
-
-def action_from_splitting(E: Algebra, actee: Algebra, actor: Algebra,
-                          inj: AlgebraMorphism, split: AlgebraMorphism,
-                          check=True) -> Action:
-    """Action of ``actor`` on ``actee`` carried by a split exact sequence.
-
-    ``inj`` embeds the actee as the kernel of the projection; ``split`` is a
-    section of it.  Cross products are taken in ``E`` and expressed back in
-    actee coordinates; a product falling outside the embedded kernel raises.
-    """
-    f = E.field
-    inj_cols = [inj.matrix.col(j) for j in range(actee.dim)]
-    sec_cols = [split.matrix.col(j) for j in range(actor.dim)]
-
-    def back(u):
-        c = solve(inj.matrix, u)
-        if c is None:
-            raise InvalidAction("product leaves the embedded kernel")
-        return sp_from_dense(f, c)
-
-    tensors = {}
-    for pidx, (dl_name, ld_name) in enumerate(_SLOT_BY_PIDX[E.flavor]):
-        prod = E.products()[pidx]
-        tensors[dl_name] = BilinearMap.from_function(
-            f, actor.dim, actee.dim, actee.dim,
-            lambda x, l, prod=prod: back(prod.apply(sec_cols[x], inj_cols[l])))
-        if ld_name:
-            tensors[ld_name] = BilinearMap.from_function(
-                f, actee.dim, actor.dim, actee.dim,
-                lambda l, x, prod=prod: back(prod.apply(inj_cols[l], sec_cols[x])))
-    return make_action(E.flavor, actor, actee, tensors, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -513,22 +472,6 @@ def crossed_equations_report(mu: AlgebraMorphism, act: Action) -> AxiomReport:
     taken as given.  This is the exact content mirrored by the semidirect
     homomorphism characterization."""
     return crossed_module_report(mu, act, include_action=False)
-
-
-def _expect_xm_flavor(xm: CrossedModule, flavor, what):
-    if xm.flavor != flavor:
-        raise InvalidCrossedModule(
-            f"{what} expects flavor {flavor!r}, got {xm.flavor!r}")
-
-
-def check_xdias(xm: CrossedModule) -> AxiomReport:
-    _expect_xm_flavor(xm, "dias", "check_xdias")
-    return xm.check()
-
-
-def check_xlb(xm: CrossedModule) -> AxiomReport:
-    _expect_xm_flavor(xm, "lb", "check_xlb")
-    return xm.check()
 
 
 # ---------------------------------------------------------------------------
@@ -689,31 +632,18 @@ def lemma_crossed_checks(xm: CrossedModule) -> AxiomReport:
     report.add("Im mu acts trivially on Ker mu", bad is None, bad)
 
     if report.passed:
-        kalg = abelian_algebra(flavor, f, ker.dim)
-        qalg, _ = quotient_algebra(D, im)
-        qm = QuotientMap(D.dim, im)
-        tensors = {}
-        for pidx, (dl_name, ld_name) in enumerate(_SLOT_BY_PIDX[flavor]):
-            dl = act.cross(pidx, "DL")
-            ld = act.cross(pidx, "LD")
+        def into_kernel(u):
+            c = ker.coords(sp_to_dense(f, u, L.dim))
+            if c is None:
+                raise LemmaViolation("action does not preserve Ker mu", report)
+            return sp_from_dense(f, c)
 
-            def into_kernel(u):
-                c = ker.coords(u)
-                if c is None:
-                    raise LemmaViolation(
-                        "action does not preserve Ker mu", report)
-                return sp_from_dense(f, c)
-
-            tensors[dl_name] = BilinearMap.from_function(
-                f, qm.dim, ker.dim, ker.dim,
-                lambda q, k, dl=dl: into_kernel(
-                    dl.apply(qm.section.col(q), kbasis[k])))
-            if ld_name:
-                tensors[ld_name] = BilinearMap.from_function(
-                    f, ker.dim, qm.dim, ker.dim,
-                    lambda k, q, ld=ld: into_kernel(
-                        ld.apply(kbasis[k], qm.section.col(q))))
-        induced = make_action(flavor, qalg, kalg, tensors, check=False)
+        induced = induced_action(
+            flavor, quotient_algebra(D, im)[0],
+            abelian_algebra(flavor, f, ker.dim), act.cross,
+            sp_cols(QuotientMap(D.dim, im).section),
+            [sp_from_dense(f, r) for r in ker.basis], into_kernel,
+            check=False)
         report.extend(induced.check(), "induced bimodule: ")
 
     if not report.passed:
@@ -728,48 +658,13 @@ def lemma_crossed_checks(xm: CrossedModule) -> AxiomReport:
 # action builders
 
 
-def action_from_ideal(ambient: Algebra, ideal: Subspace, actor=None,
-                      check=True):
-    """Ambient products give an action of a subalgebra on an ideal.
-
-    Returns ``(action, actee_inclusion, actor_inclusion)``; with ``actor``
-    omitted the whole ambient algebra acts.
-    """
-    if not is_ideal(ambient, ideal):
-        raise NotAnIdeal("the designated actee subspace is not an ideal")
-    f = ambient.field
-    actee_alg, l_incl = induced_subalgebra(ambient, ideal)
-    if actor is None:
-        actor_alg, d_incl = ambient, AlgebraMorphism.identity(ambient)
-        actor_cols = [unit_vector(f, ambient.dim, i) for i in range(ambient.dim)]
-    else:
-        actor_alg, d_incl = induced_subalgebra(ambient, actor)
-        actor_cols = [d_incl.matrix.col(j) for j in range(actor_alg.dim)]
-    actee_cols = [l_incl.matrix.col(j) for j in range(actee_alg.dim)]
-
-    def back(u):
-        c = ideal.coords(u)
-        if c is None:
-            raise NotAnIdeal("products leave the actee subspace")
-        return sp_from_dense(f, c)
-
-    tensors = {}
-    for pidx, (dl_name, ld_name) in enumerate(_SLOT_BY_PIDX[ambient.flavor]):
-        prod = ambient.products()[pidx]
-        tensors[dl_name] = BilinearMap.from_function(
-            f, actor_alg.dim, actee_alg.dim, actee_alg.dim,
-            lambda x, l, prod=prod: back(prod.apply(actor_cols[x], actee_cols[l])))
-        if ld_name:
-            tensors[ld_name] = BilinearMap.from_function(
-                f, actee_alg.dim, actor_alg.dim, actee_alg.dim,
-                lambda l, x, prod=prod: back(prod.apply(actee_cols[l], actor_cols[x])))
-    act = make_action(ambient.flavor, actor_alg, actee_alg, tensors, check=check)
-    return act, l_incl, d_incl
-
-
 def xmod_from_ideal(ambient: Algebra, ideal: Subspace, check=True) -> CrossedModule:
     """Inclusion of an ideal with the ambient action as a crossed module."""
-    act, l_incl, _ = action_from_ideal(ambient, ideal, check=check)
+    if not is_ideal(ambient, ideal):
+        raise NotAnIdeal("the designated actee subspace is not an ideal")
+    _, l_incl = induced_subalgebra(ambient, ideal)
+    act = action_by_ambient_products(AlgebraMorphism.identity(ambient), l_incl,
+                                     check=check)
     return CrossedModule(l_incl, act, check=check)
 
 
@@ -785,26 +680,15 @@ def action_by_ambient_products(actor_incl: AlgebraMorphism,
     E = actor_incl.target
     if not (actee_incl.target is E or actee_incl.target.same_structure(E)):
         raise DimensionMismatch("embeddings land in different ambients")
-    actor_alg = actor_incl.source
-    actee_alg = actee_incl.source
     f = E.field
-    acols = [actor_incl.matrix.col(j) for j in range(actor_alg.dim)]
-    lcols = [actee_incl.matrix.col(j) for j in range(actee_alg.dim)]
 
-    def back(u):
-        c = solve(actee_incl.matrix, u)
+    def back(w):
+        c = solve(actee_incl.matrix, sp_to_dense(f, w, E.dim))
         if c is None:
             raise InvalidAction("ambient product leaves the actee image")
         return sp_from_dense(f, c)
 
-    tensors = {}
-    for pidx, (dl_name, ld_name) in enumerate(_SLOT_BY_PIDX[E.flavor]):
-        prod = E.products()[pidx]
-        tensors[dl_name] = BilinearMap.from_function(
-            f, actor_alg.dim, actee_alg.dim, actee_alg.dim,
-            lambda x, l, prod=prod: back(prod.apply(acols[x], lcols[l])))
-        if ld_name:
-            tensors[ld_name] = BilinearMap.from_function(
-                f, actee_alg.dim, actor_alg.dim, actee_alg.dim,
-                lambda l, x, prod=prod: back(prod.apply(lcols[l], acols[x])))
-    return make_action(E.flavor, actor_alg, actee_alg, tensors, check=check)
+    return induced_action(E.flavor, actor_incl.source, actee_incl.source,
+                          lambda pidx, side: E.products()[pidx],
+                          sp_cols(actor_incl.matrix),
+                          sp_cols(actee_incl.matrix), back, check=check)

@@ -24,7 +24,7 @@ from .config import guard_dim
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAlgebra,
                      NotAnIdeal, NotClosed)
 from .fields import Field
-from .linalg import Matrix, Subspace, vec_eq, vec_zero
+from .linalg import Matrix, QuotientMap, Subspace, vec_eq, vec_zero
 
 # ---------------------------------------------------------------------------
 # sparse vectors
@@ -65,6 +65,16 @@ def sp_to_dense(field, d: dict, n) -> list:
     for k, c in d.items():
         out[k] = c
     return out
+
+
+def sp_cols(m: Matrix) -> list:
+    """The columns of ``m`` as sparse vectors."""
+    return [sp_from_dense(m.field, m.col(j)) for j in range(m.cols)]
+
+
+def sp_mat_vec(m: Matrix, w: dict) -> dict:
+    """``m`` applied to the sparse vector ``w``."""
+    return sp_from_dense(m.field, m.mul_vec(sp_to_dense(m.field, w, m.cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +197,20 @@ class BilinearMap:
     def __repr__(self):
         return (f"BilinearMap({self.field}, {self.left_dim}x{self.right_dim}"
                 f"->{self.out_dim}, {sum(len(c) for r in self.table for c in r)} nz)")
+
+
+def induced_bilinear(prod: BilinearMap, lefts, rights, out_dim,
+                     back) -> BilinearMap:
+    """The map (a, b) -> back(prod(lefts[a], rights[b])) on sparse vectors.
+
+    ``lefts`` and ``rights`` are sparse vectors in the two arguments of
+    ``prod``; ``back`` carries a sparse product to sparse ``out_dim``
+    coordinates, raising when it has none.  Products pass to quotients and
+    subspaces, and actions along embeddings, through this one map.
+    """
+    return BilinearMap.from_function(
+        prod.field, len(lefts), len(rights), out_dim,
+        lambda a, b: back(prod.apply_sparse(lefts[a], rights[b])))
 
 
 def sp_mul_right(prod: BilinearMap, w: dict, k: int) -> dict:
@@ -456,11 +480,6 @@ class Dialgebra(Algebra):
     def check(self):
         return check_dialgebra(self.left, self.right)
 
-    @classmethod
-    def zero_algebra(cls, field, dim, labels=None):
-        z = BilinearMap.zero(field, dim)
-        return cls(field, z, BilinearMap.zero(field, dim), labels)
-
 
 class LeibnizAlgebra(Algebra):
     flavor = "lb"
@@ -476,10 +495,6 @@ class LeibnizAlgebra(Algebra):
 
     def check(self):
         return check_leibniz(self.bracket)
-
-    @classmethod
-    def zero_algebra(cls, field, dim, labels=None):
-        return cls(field, BilinearMap.zero(field, dim), labels)
 
 
 class AssociativeAlgebra(Algebra):
@@ -585,9 +600,6 @@ class AlgebraMorphism:
 
     def is_morphism(self) -> bool:
         return self.check().passed
-
-    def is_surjective(self):
-        return self.matrix.rank() == self.target.dim
 
     def is_bijective(self):
         return self.source.dim == self.target.dim and self.matrix.rank() == self.source.dim
@@ -715,20 +727,13 @@ def quotient_algebra(alg: Algebra, ideal: Subspace, labels=None):
     if not is_ideal(alg, ideal):
         raise NotAnIdeal(f"subspace of dim {ideal.dim} is not an ideal")
     f = alg.field
-    qm = linalg.quotient_basis(alg.dim, ideal)
-    qdim = qm.dim
-    sec = qm.section_cols
-
-    def induced(prod):
-        def fn(a, b):
-            w = prod.pair(sec[a], sec[b])
-            out = qm.project.mul_vec(sp_to_dense(f, w, alg.dim))
-            return sp_from_dense(f, out)
-        return BilinearMap.from_function(f, qdim, qdim, qdim, fn)
-
-    prods = [induced(p) for p in alg.products()]
+    qm = QuotientMap(alg.dim, ideal)
+    units = sp_cols(qm.section)
+    prods = [induced_bilinear(p, units, units, qm.dim,
+                              lambda w: sp_mat_vec(qm.project, w))
+             for p in alg.products()]
     if labels is None:
-        labels = [alg.labels[c] for c in sec]
+        labels = [alg.labels[c] for c in qm.section_cols]
     quot = make_algebra(alg.flavor, f, prods, labels)
     proj = AlgebraMorphism(alg, quot, qm.project)
     return quot, proj
@@ -737,21 +742,17 @@ def quotient_algebra(alg: Algebra, ideal: Subspace, labels=None):
 def induced_subalgebra(alg: Algebra, sub: Subspace, labels=None):
     """Structure induced on a product-closed subspace; returns (algebra, inclusion)."""
     f = alg.field
-    k = sub.dim
+    basis = [sp_from_dense(f, r) for r in sub.basis]
 
-    def fn_for(prod):
-        def fn(a, b):
-            u = sp_from_dense(f, sub.basis[a])
-            v = sp_from_dense(f, sub.basis[b])
-            w = sp_to_dense(f, prod.apply_sparse(u, v), alg.dim)
-            coords = sub.coords(w)
-            if coords is None:
-                raise NotClosed(
-                    f"subspace not closed: product of basis {a},{b} escapes")
-            return sp_from_dense(f, coords)
-        return fn
+    def back(w):
+        coords = sub.coords(sp_to_dense(f, w, alg.dim))
+        if coords is None:
+            raise NotClosed("subspace not closed: a product of basis "
+                            "vectors escapes")
+        return sp_from_dense(f, coords)
 
-    prods = [BilinearMap.from_function(f, k, k, k, fn_for(p)) for p in alg.products()]
+    prods = [induced_bilinear(p, basis, basis, sub.dim, back)
+             for p in alg.products()]
     subalg = make_algebra(alg.flavor, f, prods, labels)
     incl = AlgebraMorphism(subalg, alg,
                            Matrix.from_cols(f, [list(r) for r in sub.basis], alg.dim))

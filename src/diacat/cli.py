@@ -372,6 +372,18 @@ def cmd_fixtures(args) -> int:
 # entry point
 
 
+def _trunc(text) -> int:
+    """A truncation bound: an integer of at least 1."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {bound}")
+    return bound
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="diacat",
@@ -392,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("kind")
     k.add_argument("inputs", nargs="*",
                    help="fixture names or document paths")
-    k.add_argument("--trunc", type=int, default=None,
+    k.add_argument("--trunc", type=_trunc, default=None,
                    help="nilpotency bound for enveloping constructions")
     k.add_argument("--out", help="write the document here instead of stdout")
     k.add_argument("--verbose", action="store_true")
@@ -403,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("fixtures", nargs="*",
                    help="fixture names or document paths; default: bundled "
                         "battery")
-    v.add_argument("--trunc", type=int, default=2)
+    v.add_argument("--trunc", type=_trunc, default=2)
     v.add_argument("--cap", type=int, default=None,
                    help="override the search-space cap")
     v.add_argument("--verbose", action="store_true")

@@ -79,8 +79,9 @@ class FreeDialgebra(Dialgebra):
     """Truncated free dialgebra on ``generators`` letters."""
 
     def __init__(self, field, generators: int, bound: int, check=True):
-        if generators < 1 or bound < 1:
-            raise DimensionMismatch("need at least one generator and length 1")
+        if generators < 0 or bound < 1:
+            raise DimensionMismatch(
+                "need a nonnegative generator count and length bound >= 1")
         dim = sum(length * generators ** length for length in range(1, bound + 1))
         guard_dim(field, dim)
         words = dialgebra_words(generators, bound)
@@ -114,8 +115,9 @@ class TensorAlgebra(AssociativeAlgebra):
     """Truncated tensor algebra: nonempty words, concatenation, overflow 0."""
 
     def __init__(self, field, generators: int, bound: int, check=True):
-        if generators < 1 or bound < 1:
-            raise DimensionMismatch("need at least one generator and length 1")
+        if generators < 0 or bound < 1:
+            raise DimensionMismatch(
+                "need a nonnegative generator count and length bound >= 1")
         dim = sum(generators ** length for length in range(1, bound + 1))
         guard_dim(field, dim)
         words = []

@@ -19,15 +19,15 @@ from functools import partial
 from itertools import product as iter_product
 from typing import Callable, NamedTuple
 
-from .actions import (_SLOT_BY_PIDX, Action, CrossedModule, DialgebraAction,
-                      LeibnizAction, LieAction, XmodMorphism, make_action,
-                      self_action, trivial_action)
-from .algebra import (Algebra, AlgebraMorphism, AxiomReport, BilinearMap,
-                      abelian_algebra, associative_quotient, commutator_lie,
+from .actions import (Action, CrossedModule, DialgebraAction, LeibnizAction,
+                      LieAction, XmodMorphism, induced_action, self_action,
+                      semidirect, trivial_action)
+from .algebra import (Algebra, AlgebraMorphism, AxiomReport, abelian_algebra,
+                      associative_quotient, commutator_lie,
                       dialgebra_of_associative, ideal_closure, image_of,
                       kernel_of, leibnization, leibniz_of_lie, lie_quotient,
                       make_algebra, merge_seeds, product_arity,
-                      quotient_algebra, seed_span, sp_add, sp_from_dense,
+                      quotient_algebra, seed_span, sp_add, sp_cols, sp_mat_vec,
                       sp_sub, square_seeds)
 from .cat1 import cat1_of_xmod
 from .config import DEFAULT_SEARCH_CAP
@@ -62,27 +62,15 @@ def xlb_of_xdias(xm: CrossedModule) -> CrossedModule:
 
 
 def _action_closed_ideal(act: Action, seed: Subspace) -> Subspace:
-    """Smallest subspace containing the seed that is an ideal of the actee
-    and stable under every cross product with the actor."""
-    f = act.actee.field
-    na = act.actor.dim
-    cur = seed
-    while True:
-        nxt = ideal_closure(act.actee, cur)
-        vecs = [list(r) for r in nxt.basis]
-        extra = list(vecs)
-        for pidx in range(product_arity(act.flavor)):
-            for side in ("DL", "LD"):
-                t = act.cross(pidx, side)
-                for v in vecs:
-                    for a in range(na):
-                        ua = unit_vector(f, na, a)
-                        extra.append(t.apply(ua, v) if side == "DL"
-                                     else t.apply(v, ua))
-        grown = Subspace.span(f, extra, act.actee.dim)
-        if grown.dim == cur.dim:
-            return grown
-        cur = grown
+    """Smallest ideal of the actee that contains the seed and is stable
+    under every cross product with the actor: the ideal the seed generates
+    in the semidirect product, which lies in the actee block."""
+    f = act.field
+    nl, nd = act.actee.dim, act.actor.dim
+    pad = [f.zero()] * nd
+    closed = ideal_closure(semidirect(act, check=False)[0], Subspace.span(
+        f, [list(r) + pad for r in seed.basis], nl + nd))
+    return Subspace.span(f, [r[:nl] for r in closed.basis], nl)
 
 
 def _assert_killed(f, mat: Matrix, sub: Subspace, what):
@@ -110,8 +98,7 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, out_flavor,
     assert all(p == prods[0] for p in prods)
     L_q = make_algebra(out_flavor, f, prods[:1], list(quot.labels))
     ker_D = kernel(proj_D.matrix)
-    secD = QuotientMap(D.dim, ker_D).section
-    secL = QuotientMap(L.dim, ideal).section
+    qm_D, qm_L = QuotientMap(D.dim, ker_D), QuotientMap(L.dim, ideal)
     # representative independence on the actor side
     dl, ld = act.cross(0, "DL"), act.cross(0, "LD")
     for r in ker_D.basis:
@@ -122,23 +109,13 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, out_flavor,
                 raise NotWellDefined(
                     "cross products are not constant on actor classes")
 
-    def induced(t, actor_first):
-        def fn(a, b):
-            u, v = ((secD.col(a), secL.col(b)) if actor_first
-                    else (secL.col(a), secD.col(b)))
-            return sp_from_dense(f, proj_L.matrix.mul_vec(t.apply(u, v)))
-        left, right = (D_q.dim, L_q.dim) if actor_first else (L_q.dim, D_q.dim)
-        return BilinearMap.from_function(f, left, right, L_q.dim, fn)
-
-    tensors = {}
-    for pidx, (dl_name, ld_name) in enumerate(_SLOT_BY_PIDX[out_flavor]):
-        tensors[dl_name] = induced(act.cross(pidx, "DL"), True)
-        if ld_name:
-            tensors[ld_name] = induced(act.cross(pidx, "LD"), False)
     mu_mat = proj_D.matrix.mul(xm.mu.matrix)
     _assert_killed(f, mu_mat, ideal, "the induced structural morphism")
-    out = CrossedModule(AlgebraMorphism(L_q, D_q, mu_mat.mul(secL)),
-                        make_action(out_flavor, D_q, L_q, tensors))
+    act_q = induced_action(out_flavor, D_q, L_q, act.cross,
+                           sp_cols(qm_D.section), sp_cols(qm_L.section),
+                           lambda w: sp_mat_vec(proj_L.matrix, w))
+    out = CrossedModule(AlgebraMorphism(L_q, D_q, mu_mat.mul(qm_L.section)),
+                        act_q)
     inc = inclusion(out)
     projs = XmodMorphism(xm, inc, AlgebraMorphism(L, inc.actee, proj_L.matrix),
                          AlgebraMorphism(D, inc.actor, proj_D.matrix))

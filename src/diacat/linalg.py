@@ -164,10 +164,6 @@ class Matrix:
                     out[i] = f.add(out[i], f.mul(a, c))
         return out
 
-    def transpose(self):
-        return Matrix(self.field, [[self.entries[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)], self.cols, self.rows)
-
     def vstack(self, other):
         self._check_field(other)
         if self.cols != other.cols:
@@ -441,7 +437,3 @@ class QuotientMap:
     @property
     def dim(self):
         return len(self.section_cols)
-
-
-def quotient_basis(ambient_dim: int, sub: Subspace) -> QuotientMap:
-    return QuotientMap(ambient_dim, sub)

@@ -139,18 +139,23 @@ def all_tensors(p, n):
 # crossed modules: mixed axiom instances, equivariance and Peiffer equations
 #
 # A bilinear map is a dense table ``t[i][j]`` of length-``out`` tuples mod p,
-# as above.  Elements of the two-sorted structure are ``(sort, vector)``
-# pairs, sort "D" for the actor and "L" for the actee.
+# as above; ``p=None`` means plain integers, for rational fixtures whose
+# tables are integral.  Elements of the two-sorted structure are
+# ``(sort, vector)`` pairs, sort "D" for the actor and "L" for the actee.
+
+
+def _red(p, x):
+    return x % p if p else x
 
 
 def _apply(p, table, u, v, out_dim):
     acc = [0] * out_dim
     for i, a in enumerate(u):
-        if a % p:
+        if _red(p, a):
             for j, b in enumerate(v):
-                if b % p:
+                if _red(p, b):
                     for k, c in enumerate(table[i][j]):
-                        acc[k] = (acc[k] + a * b * c) % p
+                        acc[k] = _red(p, acc[k] + a * b * c)
     return acc
 
 
@@ -204,9 +209,19 @@ def xmod_expected_items(p, flavor, lprods, dprods, cross, mu_cols):
     pattern by pattern; then per product the two equivariance and the two
     Peiffer equations.  ``where`` is the first failing basis pair or triple
     in row-major order, in the local coordinates of each sort.
+
+    For ``lie`` the one cross table is ``cross[0] = (pm, None)``, and the
+    reverse product is [m,p] = -[p,m].  Its action items are the two
+    equations of a Lie action, [[p,p'],m] = [p,[p',m]] - [p',[p,m]] on
+    (D, D, L) and [p,[m,m']] = [[p,m],m'] + [m,[p,m']] on (D, L, L); it has
+    one equivariance equation, mu([p,m]) = [p,mu(m)].
     """
     nl, nd = len(mu_cols), len(dprods[0])
     items = []
+    if flavor == "lie":
+        pm = cross[0][0]
+        cross = [(pm, [[tuple(_red(p, -c) for c in pm[x][l])
+                        for x in range(nd)] for l in range(nl)])]
 
     def item(dims, holds):
         bad = _first(dims, holds)
@@ -228,26 +243,44 @@ def xmod_expected_items(p, flavor, lprods, dprods, cross, mu_cols):
 
     def s(a, b):
         assert a[0] == b[0]
-        return (a[0], [(x - y) % p for x, y in zip(a[1], b[1])])
+        return (a[0], [_red(p, x - y) for x, y in zip(a[1], b[1])])
+
+    def add(a, b):
+        assert a[0] == b[0]
+        return (a[0], [_red(p, x + y) for x, y in zip(a[1], b[1])])
+
+    if flavor == "lie":
+        instances = [
+            ("DDL", lambda x, y, z: (m(0, m(0, x, y), z),
+                                     s(m(0, x, m(0, y, z)),
+                                       m(0, y, m(0, x, z))))),
+            ("DLL", lambda x, y, z: (m(0, x, m(0, y, z)),
+                                     add(m(0, m(0, x, y), z),
+                                         m(0, y, m(0, x, z))))),
+        ]
+    else:
+        instances = [(pat, lambda x, y, z, axiom=axiom: axiom(m, s, x, y, z))
+                     for axiom in XMOD_AXIOMS[flavor]
+                     for pat in XMOD_PATTERNS]
 
     dims = {"D": nd, "L": nl}
-    for axiom in XMOD_AXIOMS[flavor]:
-        for pat in XMOD_PATTERNS:
-            def holds(i, j, k, pat=pat, axiom=axiom):
-                x, y, z = ((srt, _unit(dims[srt], n))
-                           for srt, n in zip(pat, (i, j, k)))
-                lhs, rhs = axiom(m, s, x, y, z)
-                return lhs == rhs
-            item([dims[srt] for srt in pat], holds)
+    for pat, equation in instances:
+        def holds(i, j, k, pat=pat, equation=equation):
+            x, y, z = ((srt, _unit(dims[srt], n))
+                       for srt, n in zip(pat, (i, j, k)))
+            lhs, rhs = equation(x, y, z)
+            return lhs == rhs
+        item([dims[srt] for srt in pat], holds)
 
     for pidx, (dl, ld) in enumerate(cross):
         dp, lp = dprods[pidx], lprods[pidx]
         item((nd, nl), lambda x, l, dl=dl, dp=dp:
              _matvec(p, mu_cols, dl[x][l], nd)
              == _apply(p, dp, _unit(nd, x), mu_cols[l], nd))
-        item((nl, nd), lambda l, x, ld=ld, dp=dp:
-             _matvec(p, mu_cols, ld[l][x], nd)
-             == _apply(p, dp, mu_cols[l], _unit(nd, x), nd))
+        if flavor != "lie":
+            item((nl, nd), lambda l, x, ld=ld, dp=dp:
+                 _matvec(p, mu_cols, ld[l][x], nd)
+                 == _apply(p, dp, mu_cols[l], _unit(nd, x), nd))
         item((nl, nl), lambda a, b, dl=dl, lp=lp:
              _apply(p, dl, mu_cols[a], _unit(nl, b), nl) == list(lp[a][b]))
         item((nl, nl), lambda a, b, ld=ld, lp=lp:
@@ -259,5 +292,5 @@ def _matvec(p, cols, v, out_dim):
     acc = [0] * out_dim
     for c, col in zip(v, cols):
         for k in range(out_dim):
-            acc[k] = (acc[k] + c * col[k]) % p
+            acc[k] = _red(p, acc[k] + c * col[k])
     return acc

@@ -2,7 +2,7 @@ import pytest
 
 from diacat import fixtures
 from diacat.actions import (CrossedModule, XmodMorphism,
-                            action_by_ambient_products, check_xdias,
+                            action_by_ambient_products,
                             crossed_equations_report, lemma_crossed_checks,
                             make_action, self_action, semidirect,
                             semidirect_homomorphism_checks, trivial_action,
@@ -61,7 +61,7 @@ def test_xmod_from_ideal_free_dialgebra():
     xm = xmod_from_ideal(d, ideal)
     assert xm.flavor == "dias"
     assert xm.actee.dim == 2 and xm.actor.dim == 3
-    assert check_xdias(xm).passed
+    assert xm.check().passed
 
 
 def test_semidirect_homomorphism_checks_on_battery():

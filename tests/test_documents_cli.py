@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from diacat import documents, fixtures
+from diacat.algebra import abelian_algebra
 from diacat.cli import main
 from diacat.errors import ParseError
 from diacat.fields import GF, QQ
@@ -137,6 +138,16 @@ def test_cli_construct_dims_and_trunc(tmp_path):
     written = json.loads(out.read_text())
     xm = documents.xmod_from_document(written)
     assert xm.check().passed
+
+
+def test_cli_construct_envelope_of_zero_leibniz_document(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(documents.algebra_to_document(
+        abelian_algebra("lb", GF(2), 0))))
+    rc, text = _run_main(["construct", "Ud", str(path), "--trunc", "2"])
+    assert rc == 0
+    doc = json.loads(text)
+    assert doc["flavor"] == "dias" and doc["dim"] == 0
 
 
 def test_cli_construct_roundtrips():

@@ -6,9 +6,9 @@ from diacat.envelope import (Word, envelope_functor_morphism,
                              envelope_transpose, free_dialgebra,
                              nilpotent_of_class, tensor_algebra, u_lie, ud,
                              xu, xu_full, xud, xud_full)
-from diacat.errors import NotWellDefined
+from diacat.errors import DimensionMismatch, NotWellDefined
 from diacat.fields import GF, QQ
-from diacat.functors import apply_algebra_functor
+from diacat.functors import apply_algebra_functor, apply_functor
 from diacat.linalg import Matrix, vec_eq, vec_sub
 
 F2 = GF(2)
@@ -127,3 +127,21 @@ def test_xud_of_identity_xmod_has_identity_shape():
     assert out.actee.dim == out.actor.dim == 2
     from diacat.linalg import inverse
     assert inverse(out.mu.matrix) is not None
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=str)
+def test_envelopes_of_the_zero_algebra(field):
+    for flavor, tag, xtag, embeddings in (("lb", "Ud", "XUd", ("J0'", "J1'")),
+                                          ("lie", "U", "XU", ("I0'", "I1'"))):
+        zero = abelian_algebra(flavor, field, 0)
+        env = apply_functor(tag, zero, 2)
+        assert env.dim == 0 and env.field == field
+        assert env.flavor == ("dias" if flavor == "lb" else "as")
+        for emb in embeddings:
+            out = apply_functor(xtag, apply_functor(emb, zero), 2)
+            assert (out.actee.dim, out.actor.dim) == (0, 0)
+            assert out.flavor == env.flavor
+    with pytest.raises(DimensionMismatch):
+        free_dialgebra(field, 0, 0)
+    with pytest.raises(DimensionMismatch):
+        tensor_algebra(field, 1, 0)

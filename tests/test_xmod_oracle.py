@@ -4,7 +4,10 @@ Every bundled dias, lb and as crossed module is perturbed in one entry of
 one tensor (a product of either algebra, an action tensor, or mu), rebuilt
 without certification, and its full report compared item by item with
 ``oracles.xmod_expected_items``: the verdict and the located basis pair or
-triple of each morphism, action, equivariance and Peiffer item.
+triple of each morphism, action, equivariance and Peiffer item.  Lie
+crossed modules get the same treatment: the identity crossed module of each
+bundled Lie algebra, XLiea of each bundled associative crossed module, and
+the bundled Lie crossed module.
 """
 
 import random
@@ -12,6 +15,7 @@ import random
 from diacat import fixtures
 from diacat.actions import crossed_module_report, make_action
 from diacat.algebra import AlgebraMorphism, BilinearMap, make_algebra
+from diacat.functors import apply_functor, embed
 from diacat.linalg import Matrix
 
 import oracles
@@ -21,6 +25,20 @@ PERTURBATIONS = 30
 
 XMOD_NAMES = [name for name, xm in fixtures.by_kind("xmod")
               if xm.flavor in ("dias", "lb", "as")]
+
+SLOTS = {"dias": (("dl_left", "ld_left"), ("dl_right", "ld_right")),
+         "lb": (("gq", "qg"),), "as": (("ar", "ra"),), "lie": (("pm", None),)}
+
+
+def _lie_cases():
+    cases = [(name, xm) for name, xm in fixtures.by_kind("xmod")
+             if xm.flavor == "lie"]
+    cases += [(f"I1' {name}", embed("I1'", alg))
+              for name, alg in fixtures.by_kind("algebra")
+              if alg.flavor == "lie"]
+    cases += [(f"XLiea {name}", apply_functor("XLiea", xm))
+              for name, xm in fixtures.by_kind("xmod") if xm.flavor == "as"]
+    return cases
 
 
 def _dense(bmap):
@@ -47,20 +65,21 @@ def _state(xm):
 
 
 def _perturb(rng, state, p):
-    """Add a nonzero residue to one entry of one nonempty tensor."""
+    """Add a nonzero residue to one entry of one nonempty tensor; over Q
+    (``p`` None) a small nonzero integer."""
     keys = [k for k, t in state.items() if t and t[0]
             and (k == "mu" or t[0][0])]
     key = rng.choice(sorted(keys, key=repr))
     t = state[key]
     i = rng.randrange(len(t))
     j = rng.randrange(len(t[i]))
-    bump = rng.randrange(1, p)
+    bump = rng.randrange(1, p) if p else rng.choice((-1, 1, 2))
     if key == "mu":
-        t[i][j] = (t[i][j] + bump) % p
+        t[i][j] = oracles._red(p, t[i][j] + bump)
     else:
         k = rng.randrange(len(t[i][j]))
         cell = list(t[i][j])
-        cell[k] = (cell[k] + bump) % p
+        cell[k] = oracles._red(p, cell[k] + bump)
         t[i][j] = tuple(cell)
 
 
@@ -78,21 +97,19 @@ def _rebuild(xm, state):
         tensors[name] = _sparse(f, state[("act", name)], old.right_dim, nl)
     act = make_action(flavor, D, L, tensors, check=False)
     mu = AlgebraMorphism(L, D, Matrix(
-        f, [[state["mu"][l][x] for l in range(nl)] for x in range(nd)],
+        f, [[f.of(state["mu"][l][x]) for l in range(nl)] for x in range(nd)],
         nd, nl))
     return mu, act
 
 
 def _predict(xm, state):
-    flavor = xm.flavor
-    slots = {"dias": (("dl_left", "ld_left"), ("dl_right", "ld_right")),
-             "lb": (("gq", "qg"),), "as": (("ar", "ra"),)}[flavor]
+    slots = SLOTS[xm.flavor]
     arity = len(slots)
     return oracles.xmod_expected_items(
-        xm.actee.field.p, flavor,
+        getattr(xm.actee.field, "p", None), xm.flavor,
         [state[("L", i)] for i in range(arity)],
         [state[("D", i)] for i in range(arity)],
-        [(state[("act", dl)], state[("act", ld)]) for dl, ld in slots],
+        [(state[("act", dl)], state.get(("act", ld))) for dl, ld in slots],
         state["mu"])
 
 
@@ -100,15 +117,16 @@ def _category(name):
     return name.split(":")[0].split(" ")[0]
 
 
-def test_located_failures_match_oracle():
+def _failing_categories(cases):
+    """Compare every perturbed report with the oracle; the categories of
+    the items that failed somewhere."""
     failing = set()
-    for name in XMOD_NAMES:
-        xm = fixtures.get(name)
+    for name, xm in cases:
         rng = random.Random(f"{SEED}:{name}")
         for trial in range(PERTURBATIONS + 1):
             state = _state(xm)
             if trial:
-                _perturb(rng, state, xm.actee.field.p)
+                _perturb(rng, state, getattr(xm.actee.field, "p", None))
             mu, act = _rebuild(xm, state)
             report = crossed_module_report(mu, act)
             got = [(it.passed, it.where) for it in report.items]
@@ -116,5 +134,16 @@ def test_located_failures_match_oracle():
             assert report.passed or trial, name
             failing.update(_category(it.name) for it in report.items
                            if not it.passed)
+    return failing
+
+
+def test_located_failures_match_oracle():
+    failing = _failing_categories(
+        [(name, fixtures.get(name)) for name in XMOD_NAMES])
     # the perturbations reach every kind of item
+    assert failing >= {"mu", "action", "equivariance", "peiffer"}, failing
+
+
+def test_lie_located_failures_match_oracle():
+    failing = _failing_categories(_lie_cases())
     assert failing >= {"mu", "action", "equivariance", "peiffer"}, failing
