@@ -35,7 +35,7 @@ from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, LEIBNIZ_AXIOM, Algebra,
                       sp_from_dense, sp_to_dense)
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAction,
                      InvalidCrossedModule, LemmaViolation, NotAnIdeal)
-from .linalg import (Matrix, QuotientMap, Subspace, solve, unit_vector,
+from .linalg import (Matrix, QuotientMap, Subspace, solver, unit_vector,
                      vec_is_zero)
 
 ACTOR = "D"
@@ -675,15 +675,17 @@ def action_by_ambient_products(actor_incl: AlgebraMorphism,
 
     The actee image must absorb products with the actor image; each cross
     product is computed in the ambient and pulled back through the actee
-    embedding, which must be injective.
+    embedding, which must be injective, by one echelon form of the embedding
+    per call.
     """
     E = actor_incl.target
     if not (actee_incl.target is E or actee_incl.target.same_structure(E)):
         raise DimensionMismatch("embeddings land in different ambients")
     f = E.field
+    pull_back = solver(actee_incl.matrix)
 
     def back(w):
-        c = solve(actee_incl.matrix, sp_to_dense(f, w, E.dim))
+        c = pull_back(sp_to_dense(f, w, E.dim))
         if c is None:
             raise InvalidAction("ambient product leaves the actee image")
         return sp_from_dense(f, c)

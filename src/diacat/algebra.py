@@ -13,6 +13,14 @@ Structure tensors are stored sparsely (basis products as dicts), because at
 desk scale they are overwhelmingly zero.  Constructors check the axioms and
 attach the report as a certificate; pass ``check=False`` only when the caller
 re-certifies immediately afterwards.
+
+Every basis triple is certified, but not one at a time: ``_check_templates``
+evaluates each axiom once per slab ``x = e_i``, with y and z ranging over
+all basis vectors at once, and multiplies only along the nonzero cells of
+the products.  A free dialgebra, about 98% zero products, is checked at the
+cost of its nonzero products rather than of its n^3 triples.  A failing
+axiom is located at its row-major first violated triple, found in the first
+slab where the two sides differ, and the later slabs are skipped.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .config import guard_dim
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAlgebra,
                      NotAnIdeal, NotClosed)
 from .fields import Field
-from .linalg import Matrix, QuotientMap, Subspace, vec_eq, vec_zero
+from .linalg import Matrix, QuotientMap, Subspace, vec_zero
 
 # ---------------------------------------------------------------------------
 # sparse vectors
@@ -301,9 +309,9 @@ class AxiomReport:
 # ---------------------------------------------------------------------------
 # axiom templates
 #
-# A template maps a "mul" callback (prod_index, x, y) -> element and a "sub"
-# callback (x, y) -> x - y to a pair of elements that the axiom equates.  The
-# same templates drive the plain algebra checkers and, on the mixed-sort
+# A template maps a product callback m(pidx, a, b) and a difference callback
+# s(a, b) on three variables to the pair of elements that the axiom equates.
+# The same templates drive the plain algebra checkers and, on the mixed-sort
 # triples of a semidirect product, the action checkers.
 
 DIAS_AXIOMS = (
@@ -329,43 +337,177 @@ ASSOC_AXIOM = ("assoc: (xy)z = x(yz)",
 
 
 # ---------------------------------------------------------------------------
-# flavor checkers (single sort)
+# the slab engine
+
+
+_J, _K = 1, 2                       # axis bits: depends on j, on k
+
+
+class _Slab:
+    """A template value on one slab ``x = e_i``: the sparse vectors it takes
+    at the basis pairs (j, k) of the two range variables, zeros left out.
+    ``axes`` has bit ``_J`` or ``_K`` set when the value depends on j or k;
+    keys hold None in place of an index it does not depend on.  ``fixed``
+    marks values that do not depend on i."""
+
+    __slots__ = ("axes", "cells", "fixed", "index")
+
+    def __init__(self, axes, cells, fixed):
+        self.axes = axes
+        self.cells = cells
+        self.fixed = fixed
+        self.index = None
+
+
+def _inverted(v: _Slab) -> dict:
+    """{coordinate: [(key, coefficient)]} over the cells of ``v``, built
+    once per value."""
+    if v.index is None:
+        v.index = {}
+        for key, w in v.cells.items():
+            for r, c in w.items():
+                v.index.setdefault(r, []).append((key, c))
+    return v.index
+
+
+def _same_variables(a: _Slab, b: _Slab):
+    if a.axes != b.axes:
+        raise ValueError("template terms that are compared or subtracted "
+                         "must involve the same variables")
+
+
+def _supports(prod: BilinearMap):
+    """Row and column support lists of a square ``prod``: rows[i] lists
+    (j, cell) and cols[j] lists (i, cell) over the nonzero cells."""
+    rows = [[(j, cell) for j, cell in enumerate(row) if cell]
+            for row in prod.table]
+    cols = [[(i, cell) for i, cell in enumerate(col) if cell]
+            for col in zip(*prod.table)]
+    return rows, cols
 
 
 def _check_templates(report, products, instances):
     """Run (name, fn, (xs, ys, zs)) instances over the basis triples of
-    xs x ys x zs in row-major order, with early exit.  A violation is
-    located relative to the start of each range."""
-    f = products[0].field
+    xs x ys x zs, with a violation located relative to the start of each
+    range.
 
-    def sub(a, b):
-        return sp_sub(f, a, b)
+    Each instance is evaluated once per slab: ``fn`` gets ``x = e_i`` for
+    one i of xs and the two range variables ``y = e_j`` (j in ys) and
+    ``z = e_k`` (k in zs) at once, as ``_Slab`` values.  A product walks
+    only the nonzero cells, from the factor with fewer cells through the
+    row or column support lists of the product, so a slab costs what its
+    nonzero products cost.  Values that do not depend on i are computed once
+    per call.  The slabs are compared in order of i, and ``where`` is the
+    least (j, k) at which the two sides differ in the first slab that
+    differs: the row-major first violated triple.  Later slabs are not
+    evaluated.
+
+    Templates must be multilinear: no product repeats a variable, and the
+    terms that are compared or subtracted involve the same variables.
+    """
+    f = products[0].field
+    f_mul, f_add, f_is_zero = f.mul, f.add, f.is_zero
+    one = f.one()
+    supports = [_supports(p) for p in products]
+    # values that do not depend on i, keyed by operation and operand ids;
+    # each entry keeps its operands alive, so the ids stay unique
+    memo: dict = {}
 
     def mul(pidx, a, b):
-        prod = products[pidx]
-        if isinstance(a, int):
-            if isinstance(b, int):
-                return dict(prod.pair(a, b))
-            return sp_mul_left(prod, a, b)
-        if isinstance(b, int):
-            return sp_mul_right(prod, a, b)
-        return prod.apply_sparse(a, b)
+        fixed = a.fixed and b.fixed
+        if fixed:
+            hit = memo.get((pidx, id(a), id(b)))
+            if hit is not None:
+                return hit[2]
+        if a.axes & b.axes:
+            raise ValueError("a template product repeats a variable")
+        # drive the factor with fewer cells through its support lists and
+        # look the other one up by coordinate
+        rows, cols = supports[pidx]
+        if len(a.cells) <= len(b.cells):
+            drive, other, supp = a, b, rows
+        else:
+            drive, other, supp = b, a, cols
+        idx = _inverted(other)
+        cells: dict = {}
+        cancelled = False
+        for (jd, kd), u in drive.cells.items():
+            for r, cu in u.items():
+                for c, cell in supp[r]:
+                    hits = idx.get(c)
+                    if not hits:
+                        continue
+                    for (jo, ko), cv in hits:
+                        key = (jo if jd is None else jd,
+                               ko if kd is None else kd)
+                        acc = cells.get(key)
+                        if acc is None:
+                            acc = cells[key] = {}
+                        scale = f_mul(cu, cv)
+                        for t, v in cell.items():
+                            if scale != one:
+                                v = f_mul(scale, v)
+                            if t in acc:
+                                v = f_add(acc[t], v)
+                                if f_is_zero(v):
+                                    del acc[t]
+                                    cancelled = True
+                                    continue
+                            acc[t] = v
+        if cancelled:
+            cells = {key: w for key, w in cells.items() if w}
+        out = _Slab(a.axes | b.axes, cells, fixed)
+        if fixed:
+            memo[(pidx, id(a), id(b))] = (a, b, out)
+        return out
 
+    def sub(a, b):
+        fixed = a.fixed and b.fixed
+        if fixed:
+            hit = memo.get(("s", id(a), id(b)))
+            if hit is not None:
+                return hit[2]
+        _same_variables(a, b)
+        cells = dict(a.cells)
+        for key, w in b.cells.items():
+            d = sp_sub(f, cells.get(key, {}), w)
+            if d:
+                cells[key] = d
+            else:
+                del cells[key]
+        out = _Slab(a.axes, cells, fixed)
+        if fixed:
+            memo[("s", id(a), id(b))] = (a, b, out)
+        return out
+
+    ranges: dict = {}
     for name, fn, (xs, ys, zs) in instances:
         violation = None
-        for i in xs:
-            for j in ys:
-                for k in zs:
-                    lhs, rhs = fn(mul, sub, i, j, k)
-                    if lhs != rhs:
-                        violation = (i - xs.start, j - ys.start, k - zs.start)
-                        break
-                if violation:
+        if xs and ys and zs:
+            if (ys, zs) not in ranges:
+                ranges[(ys, zs)] = (
+                    _Slab(_J, {(j, None): {j: one} for j in ys}, True),
+                    _Slab(_K, {(None, k): {k: one} for k in zs}, True))
+            y, z = ranges[(ys, zs)]
+            for i in xs:
+                x = _Slab(0, {(None, None): {i: one}}, False)
+                lhs, rhs = fn(mul, sub, x, y, z)
+                _same_variables(lhs, rhs)
+                lc, rc = lhs.cells, rhs.cells
+                if lc != rc:
+                    # None: the sides agree in not depending on that index
+                    j, k = min(key for key in lc.keys() | rc.keys()
+                               if lc.get(key) != rc.get(key))
+                    violation = (i - xs.start,
+                                 0 if j is None else j - ys.start,
+                                 0 if k is None else k - zs.start)
                     break
-            if violation:
-                break
         report.add(name, violation is None, violation)
     return report
+
+
+# ---------------------------------------------------------------------------
+# flavor checkers (single sort)
 
 
 def _whole(templates, n):
@@ -617,14 +759,18 @@ def first_unintertwined(src: BilinearMap, tgt: BilinearMap, left, right,
     ``left`` and ``right`` are dense vectors, one per basis element of the
     corresponding argument of ``src``; ``out`` defaults to the identity.
     Morphisms, equivariance and Peiffer identities are all this equation.
+    Both sides are sparse: ``left`` and ``right`` are made sparse once, and
+    ``out`` is applied only to nonzero basis products.
     """
     f = src.field
-    for i, u in enumerate(left):
-        for j, v in enumerate(right):
-            lhs = sp_to_dense(f, src.pair(i, j), src.out_dim)
-            if out is not None:
-                lhs = out.mul_vec(lhs)
-            if not vec_eq(f, lhs, tgt.apply(u, v)):
+    lefts = [sp_from_dense(f, u) for u in left]
+    rights = [sp_from_dense(f, v) for v in right]
+    for i, u in enumerate(lefts):
+        for j, v in enumerate(rights):
+            lhs = src.pair(i, j)
+            if lhs and out is not None:
+                lhs = sp_mat_vec(out, lhs)
+            if lhs != tgt.apply_sparse(u, v):
                 return (i, j)
     return None
 
@@ -705,15 +851,16 @@ def ideal_closure(alg: Algebra, seed: Subspace) -> Subspace:
 
 
 def is_ideal(alg: Algebra, s: Subspace) -> bool:
+    """Whether ``s`` absorbs every product with a basis vector, on either
+    side; zero products lie in every subspace and are not looked up."""
     f = alg.field
     for prod in alg.products():
         for r in s.basis:
             sr = sp_from_dense(f, r)
             for j in range(alg.dim):
-                if not s.contains(sp_to_dense(f, sp_mul_right(prod, sr, j), alg.dim)):
-                    return False
-                if not s.contains(sp_to_dense(f, sp_mul_left(prod, j, sr), alg.dim)):
-                    return False
+                for w in (sp_mul_right(prod, sr, j), sp_mul_left(prod, j, sr)):
+                    if w and not s.contains(sp_to_dense(f, w, alg.dim)):
+                        return False
     return True
 
 

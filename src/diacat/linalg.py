@@ -385,6 +385,34 @@ def solve(m: Matrix, b) -> Optional[list]:
     return x
 
 
+def solver(m: Matrix):
+    """``b -> solve(m, b)`` for many right-hand sides from one echelon form.
+
+    The RREF of ``m`` beside the identity records the row operations that
+    reduce ``m``; applied to b they give the pivot values of the solution,
+    and b lies in the column space iff they zero it below the rank.
+    """
+    f = m.field
+    r, _ = rref(m.hstack(Matrix.identity(f, m.rows)))
+    leads = []
+    for row in r.entries:
+        lead = next((j for j in range(m.cols) if not f.is_zero(row[j])), None)
+        if lead is None:
+            break
+        leads.append(lead)
+    ops = Matrix(f, [row[m.cols:] for row in r.entries], m.rows, m.rows)
+
+    def solve_for(b) -> Optional[list]:
+        rb = ops.mul_vec(list(b))
+        if not vec_is_zero(f, rb[len(leads):]):
+            return None
+        x = vec_zero(f, m.cols)
+        for t, lead in enumerate(leads):
+            x[lead] = rb[t]
+        return x
+    return solve_for
+
+
 def inverse(m: Matrix) -> Optional[Matrix]:
     if m.rows != m.cols:
         return None

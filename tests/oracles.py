@@ -294,3 +294,52 @@ def _matvec(p, cols, v, out_dim):
         for k in range(out_dim):
             acc[k] = _red(p, acc[k] + c * col[k])
     return acc
+
+
+# ---------------------------------------------------------------------------
+# single-sort algebras: every item of the flavor's checker, triple by triple
+
+
+def algebra_violations(p, flavor, tables):
+    """Every violating basis pair or triple of each item of the flavor's
+    checker, in report order, each list in row-major order.
+
+    ``tables`` are the flavor's product tables as above (for ``dias`` the
+    -| table first).  Items: d1-d5 for ``dias``, the Leibniz identity for
+    ``lb``, associativity for ``as``; for ``lie`` the alternating pairs
+    (i, i), the antisymmetry pairs (i, j) with i < j, then the Leibniz
+    identity.
+    """
+    n = len(tables[0])
+    out = []
+    if flavor == "lie":
+        br = tables[0]
+        out.append([(i, i) for i in range(n)
+                    if any(_red(p, c) for c in br[i][i])])
+        out.append([(i, j) for i in range(n) for j in range(i + 1, n)
+                    if any(_red(p, a + b) for a, b in zip(br[i][j], br[j][i]))])
+
+    def m(pidx, a, b):
+        return _apply(p, tables[pidx], a, b, n)
+
+    def s(a, b):
+        return [_red(p, x - y) for x, y in zip(a, b)]
+
+    units = [_unit(n, i) for i in range(n)]
+    for axiom in XMOD_AXIOMS["lb" if flavor == "lie" else flavor]:
+        bad = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    lhs, rhs = axiom(m, s, units[i], units[j], units[k])
+                    if lhs != rhs:
+                        bad.append((i, j, k))
+        out.append(bad)
+    return out
+
+
+def algebra_expected_items(p, flavor, tables):
+    """Predict ``(passed, where)`` for every item of the single-sort
+    checker of ``flavor``: ``where`` is the row-major first failure."""
+    return [(not bad, bad[0] if bad else None)
+            for bad in algebra_violations(p, flavor, tables)]

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diacat import fixtures
-from diacat.algebra import (BilinearMap, LieAlgebra, abelian_algebra,
+from diacat.algebra import (AxiomReport, BilinearMap, LieAlgebra,
+                            _check_templates, abelian_algebra,
                             annihilator, associative_quotient, check_dialgebra,
                             check_leibniz, commutator_lie, ideal_closure,
                             induced_subalgebra, is_ideal, lie_quotient,
@@ -28,6 +29,19 @@ def test_ffe_is_leibniz_but_not_lie():
     assert g.check().passed
     with pytest.raises(InvalidAlgebra):
         LieAlgebra(QQ, g.bracket, labels=g.labels)
+
+
+def test_templates_must_be_multilinear():
+    """A template that repeats a variable in a product, or compares terms
+    in different variables, is refused instead of being misread."""
+    prod = BilinearMap.zero(F2, 2)
+    for fn in (lambda m, s, x, y, z: (m(0, y, y), m(0, x, z)),
+               lambda m, s, x, y, z: (m(0, x, y), m(0, x, z)),
+               lambda m, s, x, y, z: (s(m(0, x, y), m(0, x, z)),
+                                      m(0, x, y))):
+        with pytest.raises(ValueError):
+            _check_templates(AxiomReport("t"), [prod],
+                             [("t", fn, (range(2),) * 3)])
 
 
 def test_invalid_dialgebra_is_located():

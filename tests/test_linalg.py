@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from diacat.errors import ParseError
 from diacat.fields import GF, QQ
 from diacat.linalg import (Matrix, QuotientMap, Subspace, inverse, kernel,
-                           rref, solve, span, vec_eq, vec_is_zero)
+                           rref, solve, solver, span, vec_eq, vec_is_zero)
 
 F2 = GF(2)
 F5 = GF(5)
@@ -101,6 +101,21 @@ def test_solve_is_sound(m, b):
         # b must lie outside the column span
         from diacat.linalg import image
         assert not image(m).contains(b)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(_f5_matrix(), st.lists(st.lists(_f5_scalar, min_size=3, max_size=3),
+                              min_size=1, max_size=4))
+def test_solver_agrees_with_solve(m, bs):
+    """One echelon form answers every right-hand side as ``solve`` does,
+    inconsistent ones included."""
+    solve_for = solver(m)
+    for b in bs:
+        rhs = (b + [0] * m.rows)[: m.rows]
+        assert solve_for(rhs) == solve(m, rhs)
+        # a right-hand side in the column space is always solved
+        image = m.mul_vec((b + [0] * m.cols)[: m.cols])
+        assert solve_for(image) == solve(m, image) is not None
 
 
 @settings(max_examples=40, derandomize=True)
