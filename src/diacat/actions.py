@@ -35,8 +35,7 @@ from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, LEIBNIZ_AXIOM, Algebra,
                       sp_from_dense, sp_to_dense)
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAction,
                      InvalidCrossedModule, LemmaViolation, NotAnIdeal)
-from .linalg import (Matrix, QuotientMap, Subspace, solver, unit_vector,
-                     vec_is_zero)
+from .linalg import Matrix, QuotientMap, Subspace, solver, unit_vector
 
 ACTOR = "D"
 ACTEE = "L"
@@ -613,21 +612,15 @@ def lemma_crossed_checks(xm: CrossedModule) -> AxiomReport:
     im = image_of(mu)
     report.add("Im mu is an ideal of the actor", is_ideal(D, im), None)
 
-    kbasis = [list(r) for r in ker.basis]
-    ibasis = [list(r) for r in im.basis]
+    zero = BilinearMap.zero(f, im.dim, ker.dim, L.dim)
     bad = None
     for pidx in range(product_arity(flavor)):
-        dl = act.cross(pidx, "DL")
-        ld = act.cross(pidx, "LD")
-        for gi, g in enumerate(ibasis):
-            for ki, k in enumerate(kbasis):
-                if (not vec_is_zero(f, dl.apply(g, k))
-                        or not vec_is_zero(f, ld.apply(k, g))):
-                    bad = (pidx, gi, ki)
-                    break
-            if bad:
-                break
-        if bad:
+        hits = [first_unintertwined(zero, tgt, im.basis, ker.basis)
+                for tgt in (act.cross(pidx, "DL"),
+                            act.cross(pidx, "LD").transpose_args())]
+        hits = [h for h in hits if h is not None]
+        if hits:
+            bad = (pidx, *min(hits))
             break
     report.add("Im mu acts trivially on Ker mu", bad is None, bad)
 

@@ -21,10 +21,18 @@ the products.  A free dialgebra, about 98% zero products, is checked at the
 cost of its nonzero products rather than of its n^3 triples.  A failing
 axiom is located at its row-major first violated triple, found in the first
 slab where the two sides differ, and the later slabs are skipped.
+
+Ideals are closed by one pass.  ``ideal_closure`` keeps a worklist: each
+new direction is multiplied by the basis once, on both sides, and the
+residuals that escape the ideal found so far become the next frontier.
+``is_ideal`` is the same pass over the whole basis of a subspace, stopped
+at the first escape, so the check ``quotient_algebra`` runs on its ideal
+is the pass that builds ideals, not a second kind of check.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from . import linalg
@@ -219,29 +227,6 @@ def induced_bilinear(prod: BilinearMap, lefts, rights, out_dim,
     return BilinearMap.from_function(
         prod.field, len(lefts), len(rights), out_dim,
         lambda a, b: back(prod.apply_sparse(lefts[a], rights[b])))
-
-
-def sp_mul_right(prod: BilinearMap, w: dict, k: int) -> dict:
-    """Product w * b_k for sparse w."""
-    f = prod.field
-    out: dict = {}
-    for m, c in w.items():
-        cell = prod.table[m][k]
-        if cell:
-            sp_add_into(f, out, cell, c)
-    return out
-
-
-def sp_mul_left(prod: BilinearMap, i: int, w: dict) -> dict:
-    """Product b_i * w for sparse w."""
-    f = prod.field
-    row = prod.table[i]
-    out: dict = {}
-    for m, c in w.items():
-        cell = row[m]
-        if cell:
-            sp_add_into(f, out, cell, c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -811,57 +796,70 @@ def annihilator(alg: Algebra) -> Subspace:
     return linalg.kernel(Matrix.from_rows(f, rows, n))
 
 
+def _products(alg: Algebra, lefts, rights):
+    """The nonzero sparse products u*v, u in ``lefts`` and v in ``rights``
+    (sparse vectors), under every product of the flavor."""
+    for prod in alg.products():
+        for u in lefts:
+            for v in rights:
+                w = prod.apply_sparse(u, v)
+                if w:
+                    yield w
+
+
+def _sparse_basis(s: Subspace) -> list:
+    return [sp_from_dense(s.field, r) for r in s.basis]
+
+
 def multiply_subspaces(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all basis products a*b under every product of the flavor."""
     f = alg.field
-    vecs = []
-    for prod in alg.products():
-        for u in a.basis:
-            su = sp_from_dense(f, u)
-            for v in b.basis:
-                sv = sp_from_dense(f, v)
-                w = prod.apply_sparse(su, sv)
-                if w:
-                    vecs.append(sp_to_dense(f, w, alg.dim))
-    return Subspace.span(f, vecs, alg.dim)
+    return Subspace.span(f, [sp_to_dense(f, w, alg.dim) for w in
+                             _products(alg, _sparse_basis(a), _sparse_basis(b))],
+                         alg.dim)
+
+
+def _escapes(alg: Algebra, s: Subspace, frontier):
+    """Residuals modulo ``s`` of the products of the ``frontier`` vectors
+    with every basis vector, on both sides, that do not lie in ``s``."""
+    f = alg.field
+    units = [{j: f.one()} for j in range(alg.dim)]
+    for w in chain(_products(alg, frontier, units),
+                   _products(alg, units, frontier)):
+        r = s.reduce(sp_to_dense(f, w, alg.dim))
+        if not linalg.vec_is_zero(f, r):
+            yield r
 
 
 def ideal_closure(alg: Algebra, seed: Subspace) -> Subspace:
-    """Smallest two-sided ideal containing the seed (fixpoint of one-step span)."""
+    """Smallest two-sided ideal containing the seed.
+
+    A worklist: the frontier starts as the seed, each frontier vector is
+    multiplied by the basis once on both sides, and the products that
+    escape the ideal found so far span the next frontier.  The pass ends
+    when nothing escapes; every direction of the result has then been
+    multiplied once, which is what ``is_ideal`` checks.
+    """
     f = alg.field
     if seed.ambient_dim != alg.dim:
         raise DimensionMismatch("seed not in the algebra's ambient space")
-    current = seed
-    while True:
-        vecs = list(current.basis)
-        for prod in alg.products():
-            for r in current.basis:
-                sr = sp_from_dense(f, r)
-                for j in range(alg.dim):
-                    w = sp_mul_right(prod, sr, j)
-                    if w:
-                        vecs.append(sp_to_dense(f, w, alg.dim))
-                    w = sp_mul_left(prod, j, sr)
-                    if w:
-                        vecs.append(sp_to_dense(f, w, alg.dim))
-        nxt = Subspace.span(f, vecs, alg.dim)
-        if nxt.dim == current.dim:
-            return nxt
-        current = nxt
+    current, frontier = seed, _sparse_basis(seed)
+    while frontier:
+        grown = Subspace.span(f, list(current.basis) + list(
+            _escapes(alg, current, frontier)), alg.dim)
+        # the rows at new pivots span the new directions beside ``current``
+        old = set(current.pivots)
+        frontier = [sp_from_dense(f, r)
+                    for r, p in zip(grown.basis, grown.pivots) if p not in old]
+        current = grown
+    return current
 
 
 def is_ideal(alg: Algebra, s: Subspace) -> bool:
     """Whether ``s`` absorbs every product with a basis vector, on either
-    side; zero products lie in every subspace and are not looked up."""
-    f = alg.field
-    for prod in alg.products():
-        for r in s.basis:
-            sr = sp_from_dense(f, r)
-            for j in range(alg.dim):
-                for w in (sp_mul_right(prod, sr, j), sp_mul_left(prod, j, sr)):
-                    if w and not s.contains(sp_to_dense(f, w, alg.dim)):
-                        return False
-    return True
+    side: ``ideal_closure``'s pass over the whole basis of ``s``, stopped
+    at the first escape."""
+    return next(_escapes(alg, s, _sparse_basis(s)), None) is None
 
 
 def quotient_algebra(alg: Algebra, ideal: Subspace, labels=None):
@@ -889,7 +887,7 @@ def quotient_algebra(alg: Algebra, ideal: Subspace, labels=None):
 def induced_subalgebra(alg: Algebra, sub: Subspace, labels=None):
     """Structure induced on a product-closed subspace; returns (algebra, inclusion)."""
     f = alg.field
-    basis = [sp_from_dense(f, r) for r in sub.basis]
+    basis = _sparse_basis(sub)
 
     def back(w):
         coords = sub.coords(sp_to_dense(f, w, alg.dim))
@@ -934,20 +932,16 @@ def direct_sum(a: Algebra, b: Algebra, check=False) -> Algebra:
 def derived_tower_nilpotent(alg: Algebra, bound: int) -> bool:
     """True iff every (bound+1)-fold product vanishes (any bracketing)."""
     f = alg.field
-    full = Subspace.full(f, alg.dim)
-    # layer[k] = span of all k-fold products; computed by bilinear convolution
-    layers = {1: full}
+    # layers[k] spans all k-fold products: the products of layers i and k - i
+    layers = {1: _sparse_basis(Subspace.full(f, alg.dim))}
     for k in range(2, bound + 2):
-        vecs = []
-        for i in range(1, k):
-            j = k - i
-            if i in layers and j in layers and layers[i].dim and layers[j].dim:
-                s = multiply_subspaces(alg, layers[i], layers[j])
-                vecs.extend(s.basis)
-        layers[k] = Subspace.span(f, vecs, alg.dim)
-        if layers[k].dim == 0:
+        layer = Subspace.span(
+            f, [sp_to_dense(f, w, alg.dim) for i in range(1, k)
+                for w in _products(alg, layers[i], layers[k - i])], alg.dim)
+        if layer.dim == 0:
             return True
-    return layers[bound + 1].dim == 0
+        layers[k] = _sparse_basis(layer)
+    return alg.dim == 0
 
 
 # ---------------------------------------------------------------------------

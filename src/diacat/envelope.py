@@ -21,9 +21,8 @@ from typing import NamedTuple
 
 from .actions import CrossedModule, lemma_crossed_checks
 from .algebra import (Algebra, AlgebraMorphism, AssociativeAlgebra,
-                      BilinearMap, Dialgebra, LeibnizAlgebra,
-                      derived_tower_nilpotent, ideal_closure, kernel_of,
-                      multiply_subspaces, quotient_algebra)
+                      BilinearMap, Dialgebra, LeibnizAlgebra, ideal_closure,
+                      kernel_of, multiply_subspaces, quotient_algebra)
 from .cat1 import Cat1, cat1_of_xmod, xmod_of_cat1
 from .config import guard_dim
 from .errors import DimensionMismatch, InvalidCrossedModule, NotWellDefined
@@ -315,11 +314,6 @@ def envelope_functor_morphism(env_src: Envelope, env_tgt: Envelope,
     if check and out.matrix.mul(env_src.eta) != env_tgt.eta.mul(f_mor.matrix):
         raise NotWellDefined("envelope of a morphism is not natural on generators")
     return out
-
-
-def nilpotent_of_class(alg: Algebra, bound: int) -> bool:
-    """True iff all (bound+1)-fold products vanish."""
-    return derived_tower_nilpotent(alg, bound)
 
 
 # ---------------------------------------------------------------------------

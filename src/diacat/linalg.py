@@ -200,50 +200,46 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols}: [{body}])"
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form; returns (matrix, rank)."""
-    f = m.field
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivot_row = 0
+def _rref(field, rows, ncols):
+    """Reduce ``rows`` in place to reduced row echelon form, looking for
+    pivots in the first ``ncols`` columns only; returns the pivot columns.
+
+    The nonzero rows come first, one per pivot, and row operations act on
+    whole rows, so columns past ``ncols`` record them.
+    """
+    f = field
+    nrows = len(rows)
+    pivots = []
     for col in range(ncols):
-        if pivot_row >= nrows:
+        pr = len(pivots)
+        if pr >= nrows:
             break
         sel = None
-        for r in range(pivot_row, nrows):
+        for r in range(pr, nrows):
             if not f.is_zero(rows[r][col]):
                 sel = r
                 break
         if sel is None:
             continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = f.inv(rows[pivot_row][col])
-        rows[pivot_row] = [f.mul(inv, a) for a in rows[pivot_row]]
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        inv = f.inv(rows[pr][col])
+        prow = rows[pr] = [f.mul(inv, a) for a in rows[pr]]
         for r in range(nrows):
-            if r == pivot_row:
+            if r == pr:
                 continue
             c = rows[r][col]
             if f.is_zero(c):
                 continue
-            prow = rows[pivot_row]
             rows[r] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[r], prow)]
-        pivot_row += 1
-    return Matrix(f, rows, nrows, ncols), pivot_row
+        pivots.append(col)
+    return pivots
 
 
-def _rref_rows(field, vectors, ambient_dim):
-    """RREF of a list of vectors; returns (nonzero rows, pivot columns)."""
-    if not vectors:
-        return [], []
-    m, rank = rref(Matrix.from_rows(field, vectors, ambient_dim))
-    rows = [list(m.entries[i]) for i in range(rank)]
-    pivots = []
-    for r in rows:
-        for j, a in enumerate(r):
-            if not field.is_zero(a):
-                pivots.append(j)
-                break
-    return rows, pivots
+def rref(m: Matrix):
+    """Reduced row echelon form; returns (matrix, rank)."""
+    rows = [list(r) for r in m.entries]
+    rank = len(_rref(m.field, rows, m.cols))
+    return Matrix(m.field, rows, m.rows, m.cols), rank
 
 
 class Subspace:
@@ -263,8 +259,8 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length != ambient dimension")
-        rows, pivots = _rref_rows(field, vectors, ambient_dim)
-        return cls(field, ambient_dim, rows, pivots)
+        pivots = _rref(field, vectors, ambient_dim)
+        return cls(field, ambient_dim, vectors[:len(pivots)], pivots)
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -331,23 +327,17 @@ def span(field, vectors, ambient_dim) -> Subspace:
 def kernel(m: Matrix) -> Subspace:
     """Right null space of m."""
     f = m.field
-    r, rank = rref(m)
-    pivots = []
-    row_idx = 0
-    pivot_of_col = {}
-    for i in range(rank):
-        for j in range(m.cols):
-            if not f.is_zero(r.entries[i][j]):
-                pivots.append(j)
-                pivot_of_col[j] = i
-                break
-    free_cols = [j for j in range(m.cols) if j not in pivot_of_col]
+    rows = [list(r) for r in m.entries]
+    pivots = _rref(f, rows, m.cols)
+    piv = set(pivots)
     vecs = []
-    for fc in free_cols:
+    for fc in range(m.cols):
+        if fc in piv:
+            continue
         v = vec_zero(f, m.cols)
         v[fc] = f.one()
-        for pc, prow in pivot_of_col.items():
-            v[pc] = f.neg(r.entries[prow][fc])
+        for row, pc in zip(rows, pivots):
+            v[pc] = f.neg(row[fc])
         vecs.append(v)
     return Subspace.span(f, vecs, m.cols)
 
@@ -359,56 +349,40 @@ def image(m: Matrix) -> Subspace:
 def solve(m: Matrix, b) -> Optional[list]:
     """One solution x of m x = b, or None."""
     f = m.field
-    aug = m.hstack(Matrix.from_cols(f, [list(b)], m.rows))
-    r, rank = rref(aug)
+    rows = [list(row) + [b[i]] for i, row in enumerate(m.entries)]
+    pivots = _rref(f, rows, m.cols + 1)
     # inconsistent iff a pivot lands in the last column
-    for i in range(rank):
-        lead = None
-        for j in range(aug.cols):
-            if not f.is_zero(r.entries[i][j]):
-                lead = j
-                break
-        if lead == m.cols:
-            return None
+    if pivots and pivots[-1] == m.cols:
+        return None
     x = vec_zero(f, m.cols)
-    row_i = 0
-    for i in range(rank):
-        lead = None
-        for j in range(m.cols):
-            if not f.is_zero(r.entries[i][j]):
-                lead = j
-                break
-        if lead is None:
-            continue
-        x[lead] = r.entries[i][m.cols]
-        row_i += 1
+    for row, p in zip(rows, pivots):
+        x[p] = row[m.cols]
     return x
 
 
 def solver(m: Matrix):
     """``b -> solve(m, b)`` for many right-hand sides from one echelon form.
 
-    The RREF of ``m`` beside the identity records the row operations that
-    reduce ``m``; applied to b they give the pivot values of the solution,
-    and b lies in the column space iff they zero it below the rank.
+    ``[m | I]`` is reduced with pivots sought in ``m`` only, so its right
+    half records the row operations that reduce ``m``; applied to b they
+    give the pivot values of the solution, and b lies in the column space
+    iff they zero it below the rank.  ``solve`` stays separate: for one
+    right-hand side of a tall system, reducing ``[m | b]`` is far cheaper
+    than ``[m | I]``.
     """
     f = m.field
-    r, _ = rref(m.hstack(Matrix.identity(f, m.rows)))
-    leads = []
-    for row in r.entries:
-        lead = next((j for j in range(m.cols) if not f.is_zero(row[j])), None)
-        if lead is None:
-            break
-        leads.append(lead)
-    ops = Matrix(f, [row[m.cols:] for row in r.entries], m.rows, m.rows)
+    rows = [list(r) + list(e) for r, e in
+            zip(m.entries, Matrix.identity(f, m.rows).entries)]
+    pivots = _rref(f, rows, m.cols)
+    ops = Matrix(f, [row[m.cols:] for row in rows], m.rows, m.rows)
 
     def solve_for(b) -> Optional[list]:
         rb = ops.mul_vec(list(b))
-        if not vec_is_zero(f, rb[len(leads):]):
+        if not vec_is_zero(f, rb[len(pivots):]):
             return None
         x = vec_zero(f, m.cols)
-        for t, lead in enumerate(leads):
-            x[lead] = rb[t]
+        for t, p in enumerate(pivots):
+            x[p] = rb[t]
         return x
     return solve_for
 
@@ -416,15 +390,11 @@ def solver(m: Matrix):
 def inverse(m: Matrix) -> Optional[Matrix]:
     if m.rows != m.cols:
         return None
-    f = m.field
-    aug = m.hstack(Matrix.identity(f, m.rows))
-    r, rank = rref(aug)
-    if rank < m.rows:
+    rows = [list(r) + list(e) for r, e in
+            zip(m.entries, Matrix.identity(m.field, m.rows).entries)]
+    if len(_rref(m.field, rows, m.cols)) < m.rows:
         return None
-    left = [row[:m.cols] for row in r.entries[:m.rows]]
-    if Matrix(f, left) != Matrix.identity(f, m.rows):
-        return None
-    return Matrix(f, [row[m.cols:] for row in r.entries[:m.rows]])
+    return Matrix(m.field, [row[m.cols:] for row in rows])
 
 
 class QuotientMap:

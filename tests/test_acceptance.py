@@ -21,7 +21,7 @@ from diacat.cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
                          xmod_of_cat1)
 from diacat.envelope import ud, xu, xud, xud_full
 from diacat.fields import GF
-from diacat.functors import (apply_algebra_functor, check_parallelepiped,
+from diacat.functors import (apply_functor, check_parallelepiped,
                              check_square, embed, find_xmod_isomorphism,
                              inc_xas_to_xdias, inc_xlie_to_xlb,
                              verify_adjunction_chain, verify_adjunction_ud,
@@ -84,7 +84,7 @@ def test_criterion_02_leibnization_always_leibniz():
         for a, b in valid:
             d = Dialgebra(F2, _bm(n, tables[a]), _bm(n, tables[b]),
                           check=False)
-            g = apply_algebra_functor("LB", d)
+            g = apply_functor("LB", d)
             assert check_leibniz(g.bracket).passed, (n, a, b)
             lb_table = oracles.leibnization_table(2, n, tables[a], tables[b])
             assert oracles.leibniz_table_ok(2, n, lb_table), (n, a, b)

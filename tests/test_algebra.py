@@ -68,8 +68,8 @@ def test_bilinear_triples_round_trip():
 
 def test_leibnization_of_free_dialgebra():
     d = fixtures.get("free-dias-1-2")
-    from diacat.functors import apply_algebra_functor
-    g = apply_algebra_functor("LB", d)
+    from diacat.functors import apply_functor
+    g = apply_functor("LB", d)
     assert g.check().passed
     assert check_leibniz(g.bracket).passed
 

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from diacat import fixtures
+from diacat.algebra import BilinearMap, make_algebra
 from diacat.cat1 import (Cat1, cat1_decomposition_iso, cat1_isomorphism_report,
                          cat1_of_xmod, check_cat1, check_internal_category,
                          identity_cat1, psi, xdias_to_internal,
@@ -8,7 +11,7 @@ from diacat.cat1 import (Cat1, cat1_decomposition_iso, cat1_isomorphism_report,
 from diacat.errors import InvalidCat1
 from diacat.fields import GF
 from diacat.functors import find_xmod_isomorphism, xmods_equal
-from diacat.linalg import Matrix, Subspace
+from diacat.linalg import Matrix, Subspace, kernel
 
 F2 = GF(2)
 
@@ -108,3 +111,45 @@ def test_internal_composition_agrees_on_units():
     rep = check_internal_category(ic)
     names = [it.name for it in rep.items]
     assert any("unit" in n or "sigma" in n for n in names)
+
+
+def _kernel_products_by_double_loop(c):
+    """(passed, where) of every kernel-product item, by a dense double loop."""
+    f = c.E.field
+    kers, kert = kernel(c.s.matrix), kernel(c.t.matrix)
+    out = []
+    for prod in c.E.products():
+        for a, b in ((kers, kert), (kert, kers)):
+            bad = next(((i, j) for i, u in enumerate(a.basis)
+                        for j, v in enumerate(b.basis)
+                        if any(not f.is_zero(x)
+                               for x in prod.apply(list(u), list(v)))), None)
+            out.append((bad is None, bad))
+    return out
+
+
+def test_kernel_products_match_double_loop_on_perturbed_models():
+    # one product entry of E with an actee index is changed, so the base
+    # subalgebra and its induced structure stay as they were
+    rng = random.Random(20261021)
+    failures = 0
+    for name, xm in fixtures.by_kind("xmod"):
+        c = cat1_of_xmod(xm)
+        f, n, nl = c.E.field, c.E.dim, xm.actee.dim
+        for _ in range(6 if nl else 1):
+            prods = [list(p.triples()) for p in c.E.products()]
+            if nl:
+                i, j = rng.randrange(n), rng.randrange(nl)
+                if rng.random() < 0.5:
+                    i, j = j, i
+                rng.choice(prods).append((i, j, rng.randrange(n), f.one()))
+            E = make_algebra(c.flavor, f, [
+                BilinearMap.from_triples(f, n, n, n, t) for t in prods],
+                list(c.E.labels), check=False)
+            perturbed = Cat1(E, c.d_sub, c.s.matrix, c.t.matrix, check=False)
+            got = [(it.passed, it.where) for it in check_cat1(perturbed).items
+                   if it.name.endswith(" = 0")]
+            expected = _kernel_products_by_double_loop(perturbed)
+            assert got == expected, name
+            failures += sum(not ok for ok, _ in got)
+    assert failures

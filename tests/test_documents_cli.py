@@ -223,3 +223,16 @@ def test_non_string_flavor_is_a_parse_error(tmp_path):
         path.write_text(json.dumps(doc))
         rc, text = _run_main(["check", str(path)])
         assert (rc, text) == (2, ""), name
+
+
+def test_construct_on_input_failing_its_axioms_exits_1(tmp_path, capsys):
+    # the fixture fails the Leibniz axioms after LB, the document already
+    # fails the dialgebra axioms when it is read
+    path = tmp_path / "bad.json"
+    assert main(["fixtures", "emit", "dias-not-assoc-1",
+                 "--out", str(path)]) == 0
+    for source in ("dias-not-assoc-1", str(path)):
+        capsys.readouterr()
+        assert main(["construct", "LB", source]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("failure: "), source

@@ -1,14 +1,14 @@
 import pytest
 
 from diacat import fixtures
-from diacat.algebra import abelian_algebra
+from diacat.algebra import abelian_algebra, derived_tower_nilpotent
 from diacat.envelope import (Word, envelope_functor_morphism,
                              envelope_transpose, free_dialgebra,
-                             nilpotent_of_class, tensor_algebra, u_lie, ud,
-                             xu, xu_full, xud, xud_full)
+                             tensor_algebra, u_lie, ud, xu, xu_full, xud,
+                             xud_full)
 from diacat.errors import DimensionMismatch, NotWellDefined
 from diacat.fields import GF, QQ
-from diacat.functors import apply_algebra_functor, apply_functor
+from diacat.functors import apply_functor
 from diacat.linalg import Matrix, vec_eq, vec_sub
 
 F2 = GF(2)
@@ -23,8 +23,8 @@ def test_free_objects_frozen_dims():
 
 def test_free_dialgebra_is_nilpotent_of_bound():
     d = free_dialgebra(F2, 1, 2)
-    assert nilpotent_of_class(d, 2)
-    assert not nilpotent_of_class(d, 1)
+    assert derived_tower_nilpotent(d, 2)
+    assert not derived_tower_nilpotent(d, 1)
 
 
 def test_ud_frozen_dims():
@@ -50,7 +50,7 @@ def test_ud_satisfies_truncated_universal_property():
     g = fixtures.get("leibniz-ff-e-f2")
     env = ud(g, 2)
     d = fixtures.get("free-dias-1-2-f2")
-    lb_d = apply_algebra_functor("LB", d)
+    lb_d = apply_functor("LB", d)
     # e -> x-|x - x|-x and f -> x is a bracket morphism g -> LB(D)
     phi = Matrix.from_cols(F2, [[F2.zero(), F2.one(), F2.one()],
                                 [F2.one(), F2.zero(), F2.zero()]], 3)

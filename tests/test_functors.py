@@ -4,8 +4,7 @@ from diacat import fixtures
 from diacat.algebra import abelian_algebra
 from diacat.errors import DiacatError, SearchSpaceTooLarge
 from diacat.fields import GF, QQ
-from diacat.functors import (FUNCTOR_TAGS, algebras_equal,
-                             apply_algebra_functor, apply_xmod_functor,
+from diacat.functors import (FUNCTOR_TAGS, algebras_equal, apply_functor,
                              check_parallelepiped, check_square,
                              cokernel_of_mu, embed, enumerate_generated_homs,
                              enumerate_homs, enumerate_xmod_homs,
@@ -29,20 +28,20 @@ def test_functor_tag_registry_is_closed():
 
 def test_algebra_functors_flavor_contract():
     d = fixtures.get("free-dias-1-2-f2")
-    assert apply_algebra_functor("LB", d).flavor == "lb"
-    assert apply_algebra_functor("AS", d).flavor == "as"
-    a = apply_algebra_functor("AS", d)
-    assert apply_algebra_functor("Liea", a).flavor == "lie"
-    g = apply_algebra_functor("LB", d)
-    assert apply_algebra_functor("Liel", g).flavor == "lie"
-    lie = apply_algebra_functor("Liel", g)
-    assert apply_algebra_functor("IncLieLb", lie).flavor == "lb"
-    assert apply_algebra_functor("IncAsDias", a).flavor == "dias"
+    assert apply_functor("LB", d).flavor == "lb"
+    assert apply_functor("AS", d).flavor == "as"
+    a = apply_functor("AS", d)
+    assert apply_functor("Liea", a).flavor == "lie"
+    g = apply_functor("LB", d)
+    assert apply_functor("Liel", g).flavor == "lie"
+    lie = apply_functor("Liel", g)
+    assert apply_functor("IncLieLb", lie).flavor == "lb"
+    assert apply_functor("IncAsDias", a).flavor == "dias"
 
 
 def test_leibnization_bracket_values():
     d = fixtures.get("free-dias-1-2-f2")
-    g = apply_algebra_functor("LB", d)
+    g = apply_functor("LB", d)
     # [x, x] = x -| x - x |- x: components on basis {x, x-|x, x|-x}
     out = dict(g.bracket.pair(0, 0))
     assert out == {1: F2.one(), 2: F2.one()}
@@ -53,7 +52,7 @@ def test_crossed_leibnization_matches_algebra_level():
     xlb = xlb_of_xdias(xm)
     assert xlb.flavor == "lb"
     assert algebras_equal(xlb.actor,
-                          apply_algebra_functor("LB", xm.actor))
+                          apply_functor("LB", xm.actor))
     assert xlb.check().passed
 
 
@@ -227,12 +226,12 @@ def test_iso_search_positive_and_negative():
 
 def test_apply_xmod_functor_tags():
     xm = fixtures.get("xdias-ideal-incl-f2")
-    assert apply_xmod_functor("XLB", xm).flavor == "lb"
-    assert apply_xmod_functor("XAS", xm).flavor == "as"
+    assert apply_functor("XLB", xm).flavor == "lb"
+    assert apply_functor("XAS", xm).flavor == "as"
     xlb = fixtures.get("xlb-ideal-e-f2")
-    assert apply_xmod_functor("XLiel", xlb).flavor == "lie"
-    assert apply_xmod_functor("XUd", xlb, 2).flavor == "dias"
+    assert apply_functor("XLiel", xlb).flavor == "lie"
+    assert apply_functor("XUd", xlb, 2).flavor == "dias"
     xlie = fixtures.get("xlie-abelian-pair-f2")
-    assert apply_xmod_functor("XU", xlie, 2).flavor == "as"
+    assert apply_functor("XU", xlie, 2).flavor == "as"
     with pytest.raises(DiacatError):
-        apply_xmod_functor("XUd", xlb)  # missing bound
+        apply_functor("XUd", xlb)  # missing bound

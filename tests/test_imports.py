@@ -30,3 +30,37 @@ def _unused_imports(tree):
 def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unused_imports(tree) == []
+
+
+ROOT = SRC.parents[1]
+SCANNED = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
+
+
+def _references(tree):
+    """Names a module uses: loaded names, attributes, imported names, and the
+    dotted parts of string constants (the benchmark's tracer names the
+    functions it wraps in strings)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_every_public_definition_is_referenced():
+    used = set()
+    for path in SCANNED:
+        used |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    dead = [(path.name, node.name)
+            for path in MODULES
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used]
+    assert dead == []
