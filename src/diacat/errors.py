@@ -66,9 +66,11 @@ class NotWellDefined(DiacatError):
 
 
 class SearchSpaceTooLarge(DiacatError):
+    """A search tested one candidate more than its cap allows."""
+
     def __init__(self, cardinality, cap):
         super().__init__(
-            f"refusing enumeration of {cardinality} candidates (cap {cap})")
+            f"search stopped at candidate {cardinality} (cap {cap})")
         self.cardinality = cardinality
         self.cap = cap
 

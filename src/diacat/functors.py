@@ -7,9 +7,11 @@ modules and the projections U/G back down.  ``FUNCTOR_TAGS`` is the one
 registry of their 36 tags: each carries its source and target category and
 its builder, for ``apply_functor`` and the CLI alike.  The two universal
 quotients (XAS, XLiel) share ``_crossed_quotient``, as the two envelopes
-share ``envelope._crossed_envelope``.  On top of those sit brute-force
-hom-set enumeration over finite fields, explicit adjunction bijections, and
-a registry of commuting-square checks with EQUAL / ISOMORPHIC verdicts.
+share ``envelope._crossed_envelope``.  On top of those sit hom-set
+enumeration over finite fields, explicit adjunction bijections, and a
+registry of commuting-square checks with EQUAL / ISOMORPHIC verdicts.
+Every hom-set comes from one column-by-column search, ``_search``, in one
+canonical order: lexicographic in the columns.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .envelope import (Envelope, XudResult, envelope_transpose, u_lie, ud, xu,
 from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
                      NotWellDefined, SearchSpaceTooLarge)
 from .linalg import (Matrix, QuotientMap, Subspace, inverse, kernel, solve,
-                     unit_vector, vec_add, vec_eq, vec_is_zero, vec_scale)
+                     unit_vector, vec_add, vec_is_zero, vec_scale, vec_sub,
+                     vec_zero)
 
 # ---------------------------------------------------------------------------
 # crossed-module-level functors
@@ -329,190 +332,183 @@ def apply_functor(tag, obj, bound=None):
 # hom-set enumeration
 
 
-@dataclass
-class HomSet:
-    source: object
-    target: object
-    morphisms: list
-    complete: bool
+def _intertwined(src, tgt, lefts, rights, outs, width):
+    """The equations ``phi(src(e_i, e_j)) = tgt(c_lefts[i], c_rights[j])``
+    of every basis pair (see ``_residual``), where the unknown phi sends e_s
+    to column ``outs[s]`` of length ``width``."""
+    eye = Matrix.identity(src.field, width)
+    bil = not tgt.is_zero()
+    for i, u in enumerate(lefts):
+        for j, v in enumerate(rights):
+            lin = {outs[s]: eye.scale(c) for s, c in src.pair(i, j).items()}
+            if lin or bil:
+                yield lin, (tgt, u, v) if bil else None, width
 
-    def __len__(self):
-        return len(self.morphisms)
 
-    def __iter__(self):
-        return iter(self.morphisms)
+def _residual(f, eq, cols):
+    """``sum_s lin[s] c_s - bil[0](c_u, c_v)`` at the columns ``cols``, for
+    the equation ``eq = (lin, bil, rows)`` that it is zero: ``lin`` maps
+    column indices to matrices with ``rows`` rows, and ``bil = (map, u, v)``
+    or None for a zero right side."""
+    lin, bil, rows = eq
+    r = vec_zero(f, rows)
+    for s, m in lin.items():
+        r = vec_add(f, r, m.mul_vec(cols[s]))
+    if bil:
+        r = vec_sub(f, r, bil[0].apply(cols[bil[1]], cols[bil[2]]))
+    return r
 
 
-def _field_elements(field):
+def _affine_set(f, width, equations, cols):
+    """``(part, basis)`` of the values c of the next column, of length
+    ``width``, that solve the equations (each affine in c given the prefix
+    ``cols``), or None.  ``basis`` is the canonical RREF basis of the
+    homogeneous solutions and ``part`` is reduced by it, so the point
+    ``part + sum t_i basis_i`` has t_i at the i-th pivot: scanning the t's
+    in lexicographic order scans the points in lexicographic order."""
+    def residuals(c):
+        return [x for eq in equations for x in _residual(f, eq, cols + [c])]
+    at_zero = residuals(vec_zero(f, width))
+    system = Matrix.from_cols(
+        f, [vec_sub(f, residuals(unit_vector(f, width, r)), at_zero)
+            for r in range(width)], len(at_zero))
+    part = solve(system, vec_scale(f, f.neg(f.one()), at_zero))
+    if part is None:
+        return None
+    null = kernel(system)
+    return null.reduce(part), null.basis
+
+
+def _search(f, widths, equations, cap, prefix=()):
+    """Every assignment of the unknown columns c_k in F^widths[k] that
+    satisfies the equations, as lists of columns in lexicographic order,
+    after the columns of ``prefix``, which are fixed and numbered first.
+
+    The columns are fixed one at a time, depth first.  Each equation is
+    handled at the last column it involves, which must follow the prefix:
+    the ones linear in it (all but ``bil = (map, k, k)``) cut out an affine
+    set, whose points are tried in lexicographic order; only the quadratic
+    ones are evaluated per point.
+    The ``cap + 1``-th point tried raises ``SearchSpaceTooLarge``.
+    """
+    cap = DEFAULT_SEARCH_CAP if cap is None else cap
     try:
-        return list(field.elements())
+        elems = list(f.elements())
     except NotImplementedError as exc:
         raise DiacatError(str(exc)) from exc
+    n0 = len(prefix)
+    linear = [[] for _ in widths]
+    quadratic = [[] for _ in widths]
+    for eq in equations:
+        lin, bil, _ = eq
+        k = max(set(lin) | set(bil[1:] if bil else ()))
+        quad = bil is not None and bil[1] == bil[2] == k
+        (quadratic if quad else linear)[k - n0].append(eq)
+    cols = list(prefix)
+    scanned = 0
+
+    def recurse(k):
+        nonlocal scanned
+        if k == len(widths):
+            yield list(cols)
+            return
+        affine = _affine_set(f, widths[k], linear[k], cols)
+        if affine is None:
+            return
+        part, basis = affine
+        for coeffs in iter_product(elems, repeat=len(basis)):
+            scanned += 1
+            if scanned > cap:
+                raise SearchSpaceTooLarge(scanned, cap)
+            c = part
+            for t, b in zip(coeffs, basis):
+                if not f.is_zero(t):
+                    c = vec_add(f, c, vec_scale(f, t, b))
+            cols.append(c)
+            if all(vec_is_zero(f, _residual(f, eq, cols))
+                   for eq in quadratic[k]):
+                yield from recurse(k + 1)
+            cols.pop()
+
+    return recurse(0)
 
 
-def _prefix_ok(f, prods_a, prods_b, cols, out_dim):
-    # check every basis product whose value is supported on the chosen prefix
-    k = len(cols)
-    for pa, pb in zip(prods_a, prods_b):
-        for i1 in range(k):
-            for i2 in range(k):
-                w = pa.pair(i1, i2)
-                if any(idx >= k for idx, c in w.items() if not f.is_zero(c)):
-                    continue
-                lhs = [f.zero()] * out_dim
-                for idx, c in w.items():
-                    lhs = vec_add(f, lhs, vec_scale(f, c, cols[idx]))
-                if not vec_eq(f, lhs, pb.apply(cols[i1], cols[i2])):
-                    return False
-    return True
+def enumerate_homs(a: Algebra, b: Algebra, cap=None) -> list:
+    """All flavor morphisms a -> b over a finite field, in canonical order:
+    lexicographic in the columns of the matrix, first column first.
 
-
-def enumerate_homs(a: Algebra, b: Algebra, cap=None) -> HomSet:
-    """All flavor morphisms a -> b over a finite field, in canonical order.
-
-    Candidate matrices are built column by column with early rejection of
-    prefixes that already violate a product constraint.
+    One ``_search`` over the columns, under the product equations
+    ``phi(e_i e_j) = phi(e_i) phi(e_j)``.
     """
     if a.flavor != b.flavor:
         raise DiacatError("hom enumeration needs algebras of one flavor")
     if a.field != b.field:
         raise FieldMismatch("hom enumeration needs a common field")
-    cap = DEFAULT_SEARCH_CAP if cap is None else cap
-    f = a.field
-    elems = _field_elements(f)
-    total = len(elems) ** (a.dim * b.dim)
-    if total > cap:
-        raise SearchSpaceTooLarge(total, cap)
-    prods_a, prods_b = a.products(), b.products()
-    found = []
-    cols: list = []
-
-    def recurse(j):
-        if j == a.dim:
-            found.append(AlgebraMorphism(a, b, Matrix.from_cols(f, list(cols),
-                                                                b.dim)))
-            return
-        for cand in iter_product(elems, repeat=b.dim):
-            cols.append(list(cand))
-            if _prefix_ok(f, prods_a, prods_b, cols, b.dim):
-                recurse(j + 1)
-            cols.pop()
-
-    recurse(0)
-    return HomSet(a, b, found, True)
+    cols = range(a.dim)
+    equations = [eq for sp, tp in zip(a.products(), b.products())
+                 for eq in _intertwined(sp, tp, cols, cols, cols, b.dim)]
+    return [AlgebraMorphism(a, b, Matrix.from_cols(a.field, c, b.dim))
+            for c in _search(a.field, [b.dim] * a.dim, equations, cap)]
 
 
-def enumerate_generated_homs(env: Envelope, target: Algebra, cap=None) -> HomSet:
+def enumerate_generated_homs(env: Envelope, target: Algebra, cap=None) -> list:
     """All morphisms out of an envelope, by scanning generator images.
 
-    Complete because a morphism out of the envelope is determined by its
-    values on generators (every word is an iterated product of them).
+    One ``_search`` over the generator images with no equations, so every
+    matrix is scanned in the canonical order of ``enumerate_homs``; each is
+    kept when ``envelope_transpose`` extends it.  Complete because a
+    morphism out of the envelope is determined by its values on generators
+    (every word is an iterated product of them), and independent of the
+    bracket-morphism condition the adjunction checks it against.
     """
-    cap = DEFAULT_SEARCH_CAP if cap is None else cap
     f = env.algebra.field
-    elems = _field_elements(f)
-    g, n = env.source.dim, target.dim
-    total = len(elems) ** (g * n)
-    if total > cap:
-        raise SearchSpaceTooLarge(total, cap)
+    n = target.dim
     found = []
-    for flat in iter_product(elems, repeat=g * n):
-        phi = Matrix.from_cols(
-            f, [list(flat[j * n:(j + 1) * n]) for j in range(g)], n)
+    for c in _search(f, [n] * env.source.dim, [], cap):
         try:
-            found.append(envelope_transpose(env, target, phi))
+            found.append(envelope_transpose(env, target,
+                                            Matrix.from_cols(f, c, n)))
         except NotWellDefined:
             continue
-    return HomSet(env.algebra, target, found, True)
+    return found
 
 
-def _alpha_solutions(x: CrossedModule, y: CrossedModule, beta, cap):
-    """Matrices alpha satisfying the linear crossed-morphism constraints
-    (structural square and both equivariances) for a fixed beta."""
-    f = x.actee.field
-    m, mp = x.actee.dim, y.actee.dim
-    if m == 0:
-        yield Matrix.zero(f, mp, 0)
-        return
-    if mp == 0:
-        if beta.matrix.mul(x.mu.matrix).is_zero():
-            yield Matrix.zero(f, 0, m)
-        return
-    unknowns = m * mp  # alpha[r][j] at position j * mp + r
-    rows, rhs = [], []
-    mu2_rows = [y.mu.matrix.row(t) for t in range(y.actor.dim)]
-    for j in range(m):
-        target_col = beta.matrix.mul_vec(x.mu.matrix.col(j))
-        for t in range(y.actor.dim):
-            row = [f.zero()] * unknowns
-            for r in range(mp):
-                row[j * mp + r] = mu2_rows[t][r]
-            rows.append(row)
-            rhs.append(target_col[t])
-    b_cols = [beta.matrix.col(i) for i in range(x.actor.dim)]
-    for pidx in range(product_arity(x.flavor)):
-        sides = ("DL",) if x.flavor == "lie" else ("DL", "LD")
-        for side in sides:
-            t_src = x.action.cross(pidx, side)
-            t_tgt = y.action.cross(pidx, side)
-            for a in range(x.actor.dim):
-                w_cols = [t_tgt.apply(b_cols[a], unit_vector(f, mp, r))
-                          if side == "DL" else
-                          t_tgt.apply(unit_vector(f, mp, r), b_cols[a])
-                          for r in range(mp)]
-                for q in range(m):
-                    v = (t_src.pair(a, q) if side == "DL"
-                         else t_src.pair(q, a))
-                    for t in range(mp):
-                        row = [f.zero()] * unknowns
-                        for idx, c in v.items():
-                            row[idx * mp + t] = f.add(row[idx * mp + t], c)
-                        for r in range(mp):
-                            row[q * mp + r] = f.sub(row[q * mp + r],
-                                                    w_cols[r][t])
-                        rows.append(row)
-                        rhs.append(f.zero())
-    if rows:
-        system = Matrix.from_rows(f, rows, unknowns)
-        part = solve(system, rhs)
-        if part is None:
-            return
-        null = kernel(system)
-    else:
-        part = [f.zero()] * unknowns
-        null = Subspace.full(f, unknowns)
-    count = len(_field_elements(f)) ** null.dim
-    if count > cap:
-        raise SearchSpaceTooLarge(count, cap)
-    elems = _field_elements(f)
-    for coeffs in iter_product(elems, repeat=null.dim):
-        vec = list(part)
-        for c, bvec in zip(coeffs, null.basis):
-            vec = vec_add(f, vec, vec_scale(f, c, list(bvec)))
-        cols = [vec[j * mp:(j + 1) * mp] for j in range(m)]
-        yield Matrix.from_cols(f, cols, mp)
+def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> list:
+    """All crossed-module morphisms x -> y over a finite field, in the
+    lexicographic order of (beta, alpha).
 
-
-def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> HomSet:
-    """All crossed-module morphisms x -> y over a finite field.
-
-    Actor maps are enumerated directly; for each one the compatible actee
-    maps form an affine space (the square and equivariance constraints are
-    linear), which is enumerated and filtered by the product condition.
+    For each actor map beta from ``enumerate_homs``, one ``_search`` over
+    the columns of alpha, after those of beta, under the actee products,
+    the square ``mu' alpha = beta mu`` and the equivariances.
     """
     if x.flavor != y.flavor:
         raise InvalidCrossedModule("crossed modules of different flavors")
-    cap = DEFAULT_SEARCH_CAP if cap is None else cap
+    f = x.actee.field
+    nd, m = x.actor.dim, x.actee.dim
+    wd, wl = y.actor.dim, y.actee.dim
+    betas, alphas = range(nd), range(nd, nd + m)
+    equations = [eq for sp, tp in zip(x.actee.products(), y.actee.products())
+                 for eq in _intertwined(sp, tp, alphas, alphas, alphas, wl)]
+    mu, mu2 = x.mu.matrix, y.mu.matrix
+    eye = Matrix.identity(f, wd)
+    for j in range(m):
+        lin = {s: eye.scale(f.neg(c)) for s, c in enumerate(mu.col(j))}
+        lin[nd + j] = mu2
+        equations.append((lin, None, wd))
+    sides = ("DL",) if x.flavor == "lie" else ("DL", "LD")
+    for pidx in range(product_arity(x.flavor)):
+        for side in sides:
+            src, tgt = x.action.cross(pidx, side), y.action.cross(pidx, side)
+            lefts, rights = (betas, alphas) if side == "DL" else (alphas, betas)
+            equations.extend(_intertwined(src, tgt, lefts, rights, alphas, wl))
     found = []
     for beta in enumerate_homs(x.actor, y.actor, cap):
-        for alpha_mat in _alpha_solutions(x, y, beta, cap):
-            alpha = AlgebraMorphism(x.actee, y.actee, alpha_mat)
-            if not alpha.is_morphism():
-                continue
-            m = XmodMorphism(x, y, alpha, beta)
-            if m.check().passed:
-                found.append(m)
-    return HomSet(x, y, found, True)
+        prefix = [beta.matrix.col(i) for i in range(nd)]
+        for c in _search(f, [wl] * m, equations, cap, prefix):
+            alpha = AlgebraMorphism(x.actee, y.actee,
+                                    Matrix.from_cols(f, c[nd:], wl))
+            found.append(XmodMorphism(x, y, alpha, beta))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +517,8 @@ def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> HomSet:
 
 @dataclass
 class BijectionReport:
-    left: HomSet
-    right: HomSet
+    left: list
+    right: list
     items: AxiomReport
 
     @property
@@ -536,7 +532,6 @@ class BijectionReport:
 def verify_adjunction_ud(g, d, bound: int, cap=None) -> BijectionReport:
     """Bijection between morphisms out of the envelope and bracket
     morphisms into the leibnization, by restriction to generators."""
-    cap = DEFAULT_SEARCH_CAP if cap is None else cap
     if not derived_tower_nilpotent(d, bound):
         raise NotWellDefined("target dialgebra is not nilpotent within the bound")
     env = ud(g, bound)
@@ -555,7 +550,7 @@ def verify_adjunction_ud(g, d, bound: int, cap=None) -> BijectionReport:
             ok_defined = False
         images.add(img)
     report.add("restriction to generators is a bracket morphism", ok_defined)
-    report.add("restriction map injective", len(images) == len(left.morphisms))
+    report.add("restriction map injective", len(images) == len(left))
     report.add("restriction map surjective",
                all(m.matrix in images for m in right))
     roundtrip = True
@@ -618,7 +613,6 @@ def verify_adjunction_xud(xlb: CrossedModule, xdias: CrossedModule,
     """Crossed-module envelope adjunction, verified against enumeration."""
     _expect_xm(xlb, "lb", "verify_adjunction_xud")
     _expect_xm(xdias, "dias", "verify_adjunction_xud")
-    cap = DEFAULT_SEARCH_CAP if cap is None else cap
     c_t = cat1_of_xmod(xdias)
     if not derived_tower_nilpotent(c_t.E, bound):
         raise NotWellDefined(
@@ -640,7 +634,7 @@ def verify_adjunction_xud(xlb: CrossedModule, xdias: CrossedModule,
             ok = False
         images.add(key)
     report.add("transpose lands in the enumerated morphisms", ok)
-    report.add("transpose injective", len(images) == len(right.morphisms))
+    report.add("transpose injective", len(images) == len(right))
     report.add("transpose surjective", images == left_index)
     unit_actee, unit_actor = xud_unit_maps(r)
     roundtrip = True
@@ -679,7 +673,6 @@ def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
     hom-sets are enumerated, the explicit bijection is applied elementwise,
     and one naturality square is spot-checked.
     """
-    cap = DEFAULT_SEARCH_CAP if cap is None else cap
     flavor, kind, i = _chain_kind(tagpair)
     report = AxiomReport(f"adjunction {tagpair[0]} -| {tagpair[1]}")
     for n, (xm, alg) in enumerate(fixtures):
@@ -731,7 +724,7 @@ def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
             report.add(prefix + "transposes are valid crossed morphisms", ok)
             report.add(prefix + "bijection onto the enumerated hom-set",
                        set(images) == target_keys
-                       and len(images) == len(left.morphisms))
+                       and len(images) == len(left))
             natural = True
             for h in left:
                 lhs = fwd(AlgebraMorphism(h.source, alg,
@@ -775,7 +768,7 @@ def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
             right_keys = {h.matrix for h in right}
             report.add(prefix + "restriction is a bijection",
                        fwd_keys == right_keys
-                       and len(fwd_keys) == len(left.morphisms))
+                       and len(fwd_keys) == len(left))
             back_ok = True
             for h in right:
                 m = back2(h)
@@ -799,7 +792,7 @@ def _pick_endo(alg, cap):
     for m in endos:
         if m.matrix != Matrix.identity(alg.field, alg.dim):
             return m
-    return endos.morphisms[0]
+    return endos[0]
 
 
 # ---------------------------------------------------------------------------

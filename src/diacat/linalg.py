@@ -348,6 +348,8 @@ def image(m: Matrix) -> Subspace:
 
 def solve(m: Matrix, b) -> Optional[list]:
     """One solution x of m x = b, or None."""
+    if len(b) != m.rows:
+        raise DimensionMismatch("right-hand side length != matrix rows")
     f = m.field
     rows = [list(row) + [b[i]] for i, row in enumerate(m.entries)]
     pivots = _rref(f, rows, m.cols + 1)

@@ -5,6 +5,8 @@ over every vector, not just basis elements.  No diacat data structures are
 used, so agreement with the library checkers is meaningful evidence.
 """
 
+import itertools
+
 
 def bilinear_ext(p, n, table):
     """Full multiplication table of the bilinear extension.
@@ -343,3 +345,59 @@ def algebra_expected_items(p, flavor, tables):
     checker of ``flavor``: ``where`` is the row-major first failure."""
     return [(not bad, bad[0] if bad else None)
             for bad in algebra_violations(p, flavor, tables)]
+
+
+# ---------------------------------------------------------------------------
+# hom-sets: every matrix, each condition expanded on basis pairs
+
+
+def _matrices(p, m, n):
+    """Every n x m matrix mod p as its list of m columns, in the canonical
+    order: the flat tuple of the columns, first column first, coordinate
+    0 most significant."""
+    for flat in itertools.product(range(p), repeat=m * n):
+        yield [list(flat[j * n:(j + 1) * n]) for j in range(m)]
+
+
+def _intertwines(p, src, tgt, left, right, out, out_dim):
+    """``out(src(e_i, e_j)) == tgt(left[i], right[j])`` for every basis
+    pair; ``out`` is a list of columns."""
+    return all(_matvec(p, out, src[i][j], out_dim)
+               == _apply(p, tgt, u, v, out_dim)
+               for i, u in enumerate(left) for j, v in enumerate(right))
+
+
+def algebra_homs(p, src, tgt, m, n):
+    """Every morphism between algebras of dims m and n with product tables
+    ``src`` and ``tgt`` (one per product), as its columns, in canonical
+    order."""
+    return [cols for cols in _matrices(p, m, n)
+            if all(_intertwines(p, s, t, cols, cols, cols, n)
+                   for s, t in zip(src, tgt))]
+
+
+def xmod_homs(p, flavor, x, y):
+    """Every crossed-module morphism x -> y as a set of ``(alpha columns,
+    beta columns)`` tuples.  A crossed module is ``(lprods, dprods, cross,
+    mu_cols)`` as in ``xmod_expected_items``, with ``cross[pidx] = (dl,
+    ld)`` and ``ld`` None for ``lie``.  beta runs over the actor
+    morphisms, alpha over every matrix; alpha must preserve the actee
+    products, and the pair the square mu' alpha = beta mu and the
+    equivariances alpha(x.l) = beta(x).alpha(l), alpha(l.x) =
+    alpha(l).beta(x)."""
+    (xl, xd, xc, xmu), (yl, yd, yc, ymu) = x, y
+    ml, nl, md, nd = len(xmu), len(ymu), len(xd[0]), len(yd[0])
+    out = set()
+    for beta in algebra_homs(p, xd, yd, md, nd):
+        for alpha in _matrices(p, ml, nl):
+            ok = (all(_intertwines(p, s, t, alpha, alpha, alpha, nl)
+                      for s, t in zip(xl, yl))
+                  and all(_matvec(p, ymu, alpha[j], nd)
+                          == _matvec(p, beta, xmu[j], nd) for j in range(ml)))
+            for (dl, ld), (dl2, ld2) in zip(xc, yc):
+                ok = ok and _intertwines(p, dl, dl2, beta, alpha, alpha, nl)
+                if flavor != "lie":
+                    ok = ok and _intertwines(p, ld, ld2, alpha, beta, alpha, nl)
+            if ok:
+                out.add((tuple(map(tuple, alpha)), tuple(map(tuple, beta))))
+    return out

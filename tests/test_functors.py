@@ -1,7 +1,7 @@
 import pytest
 
 from diacat import fixtures
-from diacat.algebra import abelian_algebra
+from diacat.algebra import BilinearMap, abelian_algebra, make_algebra
 from diacat.errors import DiacatError, SearchSpaceTooLarge
 from diacat.fields import GF, QQ
 from diacat.functors import (FUNCTOR_TAGS, algebras_equal, apply_functor,
@@ -17,6 +17,7 @@ from diacat.functors import (FUNCTOR_TAGS, algebras_equal, apply_functor,
                              xmods_equal)
 
 F2 = GF(2)
+F3 = GF(3)
 
 
 def test_functor_tag_registry_is_closed():
@@ -105,6 +106,29 @@ def test_enumerate_homs_cap():
     g = fixtures.get("leibniz-ff-e-f2")
     with pytest.raises(SearchSpaceTooLarge):
         enumerate_homs(g, g, 3)
+
+
+def test_cap_counts_the_candidates_the_search_tests():
+    """3^9 matrices, but the bracket fixes the image of z = [x, y] once
+    those of x and y are chosen: 27 + 729 + 729 candidates are tested."""
+    h = make_algebra("lie", F3, [BilinearMap.from_triples(
+        F3, 3, 3, 3, [(0, 1, 2, 1), (1, 0, 2, -1)])])
+    assert len(enumerate_homs(h, h, 10_000)) == 729
+    assert len(enumerate_homs(h, h, 1485)) == 729
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        enumerate_homs(h, h, 1484)
+    assert (exc.value.cardinality, exc.value.cap) == (1485, 1484)
+
+
+def test_cap_counts_every_column_an_unconstrained_search_tests():
+    """With no equation to cut the search, the one-column prefixes count
+    too: 4 + 16 candidates for the 16 maps of an abelian F2^2, so a cap
+    of 16, which let the parent scan all 16 matrices, now refuses."""
+    ab = abelian_algebra("lie", F2, 2)
+    assert len(enumerate_homs(ab, ab, 20)) == 16
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        enumerate_homs(ab, ab, 16)
+    assert (exc.value.cardinality, exc.value.cap) == (17, 16)
 
 
 def test_enumerate_homs_rejects_infinite_field():

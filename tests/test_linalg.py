@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diacat.errors import ParseError
+from diacat.errors import DimensionMismatch, ParseError
 from diacat.fields import GF, QQ
 from diacat.linalg import (Matrix, QuotientMap, Subspace, inverse, kernel,
                            rref, solve, solver, span, vec_eq, vec_is_zero)
@@ -40,6 +40,15 @@ def test_solve_and_kernel_fixed():
     k = kernel(m)
     assert k.dim == 1
     assert vec_eq(F2, list(k.basis[0]), [F2.one(), F2.one(), F2.one()])
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    m = _mat(GF(3), [[1]])
+    for b in ([], [1, 1]):
+        with pytest.raises(DimensionMismatch):
+            solve(m, b)
+        with pytest.raises(DimensionMismatch):
+            solver(m)(b)
 
 
 def test_inverse_and_singular():
