@@ -10,15 +10,21 @@ dialgebra instances would invite a transcription slip; generating them
 cannot.  A Lie action has the two equations of the Jacobi identity with
 mixed sorts, run the same way.
 
-Actions are built in one way too: ``induced_action`` carries cross products
-along linear maps, whether they come from an ambient algebra (an ideal, a
-split extension, the kernel of a cat-1 structure) or pass to quotients.
+``Action`` is one class for all four flavors; its flavor is the actor's.
+Its tensor slots, their shapes and ``cross`` come from ``algebra.FLAVORS``:
+each product has an actor-on-actee slot and, except for Lie, an
+actee-on-actor slot; where that slot is missing, the reverse cross product
+is the negated transpose.  ``Action.from_cross`` fills the slots from a
+``cross(pidx, side)`` callback, and ``induced_action`` carries cross
+products along linear maps with it, whether they come from an ambient
+algebra (an ideal, a split extension, the kernel of a cat-1 structure) or
+pass to quotients.
 
 A crossed module bundles a morphism mu: L -> D with an action of D on L,
-subject to equivariance of mu and Peiffer-style identities.  The checker
-reports every equation separately, and ``semidirect_homomorphism_checks``
-confirms the equivalent characterization through maps between semidirect
-products.
+subject to equivariance of mu and Peiffer-style identities; the equation
+of a missing slot is skipped.  The checker reports every equation
+separately, and ``semidirect_homomorphism_checks`` confirms the equivalent
+characterization through maps between semidirect products.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from . import audit
-from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, LEIBNIZ_AXIOM, Algebra,
-                      AlgebraMorphism, AxiomReport, BilinearMap,
+from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, FLAVORS, LEIBNIZ_AXIOM,
+                      Algebra, AlgebraMorphism, AxiomReport, BilinearMap,
                       _check_templates, abelian_algebra, annihilator,
                       first_unintertwined, image_of, induced_bilinear,
                       induced_subalgebra, is_ideal, kernel_of, make_algebra,
@@ -40,67 +46,83 @@ from .linalg import Matrix, QuotientMap, Subspace, solver, unit_vector
 ACTOR = "D"
 ACTEE = "L"
 
-# tensor slot names per product index: (actor-on-actee, actee-on-actor);
-# the Lie actee-on-actor product is determined by antisymmetry, hence None
-_SLOT_BY_PIDX = {
-    "dias": (("dl_left", "ld_left"), ("dl_right", "ld_right")),
-    "lb": (("gq", "qg"),),
-    "as": (("ar", "ra"),),
-    "lie": (("pm", None),),
-}
+
+def action_slots(flavor):
+    """(slot name, product index, side) of every action tensor of the
+    flavor, in ``FLAVORS`` order; side "DL" has the actor on the left."""
+    return [(name, pidx, side)
+            for pidx, p in enumerate(FLAVORS[flavor])
+            for name, side in zip(p.slots, ("DL", "LD")) if name]
+
+
+def tensor_shape(side, actor: Algebra, actee: Algebra) -> tuple:
+    """(left, right, out) dimensions of an action tensor on ``side``."""
+    if side == "DL":
+        return actor.dim, actee.dim, actee.dim
+    return actee.dim, actor.dim, actee.dim
 
 
 # ---------------------------------------------------------------------------
-# action classes
+# actions
 
 
 class Action:
     """Cross products of one algebra on another of the same flavor.
 
-    ``cross(pidx, side)`` returns the tensor for product ``pidx`` with the
-    actor on the left (side "DL") or on the right (side "LD").
+    ``tensors`` maps the flavor's action slots (``action_slots``) to
+    tensors.  ``cross(pidx, side)`` returns the tensor for product ``pidx``
+    with the actor on the left (side "DL") or on the right (side "LD"); a
+    product without an actee-on-actor slot takes the negated transpose of
+    its actor-on-actee tensor there.
     """
 
-    flavor: str = ""
-    slot_names: tuple = ()
-    slot_sides: dict = {}
-
     def __init__(self, actor: Algebra, actee: Algebra, tensors, check=True):
-        if actor.flavor != self.flavor or actee.flavor != self.flavor:
-            raise InvalidAction(
-                f"{type(self).__name__} needs two {self.flavor} algebras, "
-                f"got {actor.flavor}/{actee.flavor}")
+        if actor.flavor != actee.flavor:
+            raise InvalidAction(f"actor and actee of different flavors "
+                                f"{actor.flavor}/{actee.flavor}")
         if actor.field != actee.field:
             raise FieldMismatch("actor and actee over different fields")
         self.actor = actor
         self.actee = actee
         self.tensors = {}
-        for name in self.slot_names:
+        for name, _, side in action_slots(actor.flavor):
             t = tensors.get(name)
             if t is None:
                 raise DimensionMismatch(f"missing action tensor {name!r}")
-            side = self.slot_sides[name]
-            want = ((actor.dim, actee.dim) if side == "DL"
-                    else (actee.dim, actor.dim))
-            if (t.left_dim, t.right_dim, t.out_dim) != (*want, actee.dim):
+            want = tensor_shape(side, actor, actee)
+            if (t.left_dim, t.right_dim, t.out_dim) != want:
                 raise DimensionMismatch(
                     f"tensor {name!r} has shape "
                     f"{(t.left_dim, t.right_dim, t.out_dim)}, "
-                    f"expected {(*want, actee.dim)}")
+                    f"expected {want}")
             if t.field != actor.field:
                 raise FieldMismatch(f"tensor {name!r} over the wrong field")
             self.tensors[name] = t
-        self._cross = self._build_cross()
+        self._cross = {"DL": [], "LD": []}
+        for p in FLAVORS[actor.flavor]:
+            dl = self.tensors[p.slots[0]]
+            self._cross["DL"].append(dl)
+            self._cross["LD"].append(self.tensors[p.slots[1]] if p.slots[1]
+                                     else dl.transpose_args().negate())
         self.certificate = None
         if check:
             self.certify()
 
+    @classmethod
+    def from_cross(cls, actor: Algebra, actee: Algebra, cross,
+                   check=True) -> "Action":
+        """The action whose tensor for product ``pidx`` on ``side`` is
+        ``cross(pidx, side)``, asked only for the flavor's slots."""
+        return cls(actor, actee, {name: cross(pidx, side) for name, pidx, side
+                                  in action_slots(actor.flavor)}, check=check)
+
+    @property
+    def flavor(self):
+        return self.actor.flavor
+
     @property
     def field(self):
         return self.actor.field
-
-    def _build_cross(self):
-        raise NotImplementedError
 
     def cross(self, pidx, side) -> BilinearMap:
         return self._cross[side][pidx]
@@ -119,109 +141,37 @@ class Action:
         return report
 
     def same_tensors(self, other: "Action") -> bool:
-        return (self.flavor == other.flavor
-                and all(self.tensors[n] == other.tensors[n]
-                        for n in self.slot_names))
-
-    def __getattr__(self, name):
-        tensors = self.__dict__.get("tensors")
-        if tensors is not None and name in tensors:
-            return tensors[name]
-        raise AttributeError(name)
+        return self.flavor == other.flavor and self.tensors == other.tensors
 
     def __repr__(self):
-        return (f"<{type(self).__name__} {self.actor.dim}-dim actor on "
+        return (f"<Action {self.flavor} {self.actor.dim}-dim actor on "
                 f"{self.actee.dim}-dim actee>")
 
 
-class DialgebraAction(Action):
-    flavor = "dias"
-    slot_names = ("dl_left", "ld_left", "dl_right", "ld_right")
-    slot_sides = {"dl_left": "DL", "ld_left": "LD",
-                  "dl_right": "DL", "ld_right": "LD"}
-
-    def _build_cross(self):
-        t = self.tensors
-        return {"DL": [t["dl_left"], t["dl_right"]],
-                "LD": [t["ld_left"], t["ld_right"]]}
-
-
-class LeibnizAction(Action):
-    flavor = "lb"
-    slot_names = ("gq", "qg")
-    slot_sides = {"gq": "DL", "qg": "LD"}
-
-    def _build_cross(self):
-        return {"DL": [self.tensors["gq"]], "LD": [self.tensors["qg"]]}
-
-
-class AssociativeAction(Action):
-    flavor = "as"
-    slot_names = ("ar", "ra")
-    slot_sides = {"ar": "DL", "ra": "LD"}
-
-    def _build_cross(self):
-        return {"DL": [self.tensors["ar"]], "LD": [self.tensors["ra"]]}
-
-
-class LieAction(Action):
-    """One tensor [p,m]; the reverse product is its negated transpose."""
-
-    flavor = "lie"
-    slot_names = ("pm",)
-    slot_sides = {"pm": "DL"}
-
-    def _build_cross(self):
-        pm = self.tensors["pm"]
-        return {"DL": [pm], "LD": [pm.transpose_args().negate()]}
-
-
-ACTION_CLASSES = {"dias": DialgebraAction, "lb": LeibnizAction,
-                  "lie": LieAction, "as": AssociativeAction}
-
-
-def make_action(flavor, actor, actee, tensors, check=True) -> Action:
-    return ACTION_CLASSES[flavor](actor, actee, tensors, check=check)
-
-
 def trivial_action(actor: Algebra, actee: Algebra, check=True) -> Action:
-    f = actor.field
-    cls = ACTION_CLASSES[actor.flavor]
-    tensors = {}
-    for name in cls.slot_names:
-        if cls.slot_sides[name] == "DL":
-            tensors[name] = BilinearMap.zero(f, actor.dim, actee.dim, actee.dim)
-        else:
-            tensors[name] = BilinearMap.zero(f, actee.dim, actor.dim, actee.dim)
-    return cls(actor, actee, tensors, check=check)
+    return Action.from_cross(
+        actor, actee, lambda pidx, side: BilinearMap.zero(
+            actor.field, *tensor_shape(side, actor, actee)), check=check)
 
 
 def self_action(alg: Algebra, check=True) -> Action:
     """An algebra acting on itself by its own products."""
     prods = alg.products()
-    tensors = {}
-    for pidx, (dl_name, ld_name) in enumerate(_SLOT_BY_PIDX[alg.flavor]):
-        tensors[dl_name] = prods[pidx]
-        if ld_name:
-            tensors[ld_name] = prods[pidx]
-    return make_action(alg.flavor, alg, alg, tensors, check=check)
+    return Action.from_cross(alg, alg, lambda pidx, side: prods[pidx],
+                             check=check)
 
 
-def induced_action(flavor, actor: Algebra, actee: Algebra, cross, actor_vecs,
+def induced_action(actor: Algebra, actee: Algebra, cross, actor_vecs,
                    actee_vecs, back, check=True) -> Action:
-    """The ``flavor`` action of ``actor`` on ``actee`` carried along linear
-    maps: actor basis element x stands for the sparse vector
-    ``actor_vecs[x]``, actee basis element l for ``actee_vecs[l]``, they are
-    multiplied by ``cross(pidx, "DL"/"LD")``, and ``back`` expresses each
-    product in actee coordinates (see ``algebra.induced_bilinear``)."""
-    tensors = {}
-    for pidx, (dl_name, ld_name) in enumerate(_SLOT_BY_PIDX[flavor]):
-        tensors[dl_name] = induced_bilinear(cross(pidx, "DL"), actor_vecs,
-                                            actee_vecs, actee.dim, back)
-        if ld_name:
-            tensors[ld_name] = induced_bilinear(cross(pidx, "LD"), actee_vecs,
-                                                actor_vecs, actee.dim, back)
-    return make_action(flavor, actor, actee, tensors, check=check)
+    """The action of ``actor`` on ``actee`` carried along linear maps:
+    actor basis element x stands for the sparse vector ``actor_vecs[x]``,
+    actee basis element l for ``actee_vecs[l]``, they are multiplied by
+    ``cross(pidx, "DL"/"LD")``, and ``back`` expresses each product in
+    actee coordinates (see ``algebra.induced_bilinear``)."""
+    vecs = {"DL": (actor_vecs, actee_vecs), "LD": (actee_vecs, actor_vecs)}
+    return Action.from_cross(
+        actor, actee, lambda pidx, side: induced_bilinear(
+            cross(pidx, side), *vecs[side], actee.dim, back), check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +365,6 @@ class CrossedModule:
                 f"{self.actor.dim}>")
 
 
-def _fmt_product(flavor, pidx, a, b):
-    if flavor == "dias":
-        return f"{a} {'-|' if pidx == 0 else '|-'} {b}"
-    if flavor == "as":
-        return f"{a}*{b}"
-    return f"[{a},{b}]"
-
-
 def _crossed_equations(report: AxiomReport, mu: AlgebraMorphism, act: Action):
     f = mu.source.field
     L, D = mu.source, mu.target
@@ -430,19 +372,17 @@ def _crossed_equations(report: AxiomReport, mu: AlgebraMorphism, act: Action):
     d_units = [unit_vector(f, D.dim, x) for x in range(D.dim)]
     l_units = [unit_vector(f, L.dim, l) for l in range(L.dim)]
     lp_sym = "l'"
-    for pidx in range(product_arity(act.flavor)):
+    for pidx, p in enumerate(FLAVORS[act.flavor]):
         dl = act.cross(pidx, "DL")
         ld = act.cross(pidx, "LD")
         lprod = L.products()[pidx]
         dprod = D.products()[pidx]
-
-        def fmt(a, b):
-            return _fmt_product(act.flavor, pidx, a, b)
+        fmt = p.form.format
 
         # (name, src, tgt, left, right, out): out(src(e_i, e_j)) = tgt(left_i, right_j)
         equations = [(f"equivariance: mu({fmt('x', 'l')}) = {fmt('x', 'mu(l)')}",
                       dl, dprod, d_units, mu_cols, mu.matrix)]
-        if act.flavor != "lie":
+        if p.slots[1]:
             equations.append(
                 (f"equivariance: mu({fmt('l', 'x')}) = {fmt('mu(l)', 'x')}",
                  ld, dprod, mu_cols, d_units, mu.matrix))
@@ -506,16 +446,14 @@ class XmodMorphism:
         act, act2 = self.source.action, self.target.action
         a_cols = [self.alpha.matrix.col(j) for j in range(self.source.actee.dim)]
         b_cols = [self.beta.matrix.col(j) for j in range(self.source.actor.dim)]
-        for pidx in range(product_arity(act.flavor)):
+        for pidx, p in enumerate(FLAVORS[act.flavor]):
             dl, dl2 = act.cross(pidx, "DL"), act2.cross(pidx, "DL")
             ld, ld2 = act.cross(pidx, "LD"), act2.cross(pidx, "LD")
-
-            def fmt(a, b):
-                return _fmt_product(act.flavor, pidx, a, b)
+            fmt = p.form.format
 
             equations = [(f"equivariant: alpha({fmt('x', 'l')}) = "
                           f"{fmt('beta(x)', 'alpha(l)')}", dl, dl2, b_cols, a_cols)]
-            if act.flavor != "lie":
+            if p.slots[1]:
                 equations.append((f"equivariant: alpha({fmt('l', 'x')}) = "
                                   f"{fmt('alpha(l)', 'beta(x)')}",
                                   ld, ld2, a_cols, b_cols))
@@ -632,7 +570,7 @@ def lemma_crossed_checks(xm: CrossedModule) -> AxiomReport:
             return sp_from_dense(f, c)
 
         induced = induced_action(
-            flavor, quotient_algebra(D, im)[0],
+            quotient_algebra(D, im)[0],
             abelian_algebra(flavor, f, ker.dim), act.cross,
             sp_cols(QuotientMap(D.dim, im).section),
             [sp_from_dense(f, r) for r in ker.basis], into_kernel,
@@ -683,7 +621,7 @@ def action_by_ambient_products(actor_incl: AlgebraMorphism,
             raise InvalidAction("ambient product leaves the actee image")
         return sp_from_dense(f, c)
 
-    return induced_action(E.flavor, actor_incl.source, actee_incl.source,
+    return induced_action(actor_incl.source, actee_incl.source,
                           lambda pidx, side: E.products()[pidx],
                           sp_cols(actor_incl.matrix),
                           sp_cols(actee_incl.matrix), back, check=check)

@@ -9,6 +9,11 @@ Four flavors are supported:
 * ``as``   -- associative algebras,
 * ``lie``  -- Lie algebras: alternating bracket plus the same identity.
 
+``FLAVORS`` is the one place where a flavor is defined: for each of its
+products the attribute and document key, the name and infix form used in
+reports, and the pair of action slots.  ``Algebra`` stores its products
+under those keys, and the four flavor classes only set ``flavor``.
+
 Structure tensors are stored sparsely (basis products as dicts), because at
 desk scale they are overwhelmingly zero.  Constructors check the axioms and
 attach the report as a certificate; pass ``check=False`` only when the caller
@@ -33,7 +38,7 @@ is the pass that builds ideals, not a second kind of check.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linalg
 from .config import guard_dim
@@ -551,12 +556,49 @@ def check_lie(bracket: BilinearMap) -> AxiomReport:
 # algebra classes
 
 
+class Product(NamedTuple):
+    """One product of a flavor, as ``FLAVORS`` lists it."""
+
+    key: str        # attribute of the algebra and key in its document
+    name: str       # name in morphism reports: "preserves <name>"
+    form: str       # infix form in report items, filled by str.format
+    slots: tuple    # action slots: (actor on actee, actee on actor)
+
+
+# Every per-flavor fact, written once: the products of each flavor in
+# order.  An actee-on-actor slot of None means that cross product is the
+# negated transpose of the actor-on-actee one (Lie antisymmetry).
+FLAVORS = {
+    "dias": (Product("left", "-|", "{} -| {}", ("dl_left", "ld_left")),
+             Product("right", "|-", "{} |- {}", ("dl_right", "ld_right"))),
+    "lb": (Product("bracket", "bracket", "[{},{}]", ("gq", "qg")),),
+    "as": (Product("product", "product", "{}*{}", ("ar", "ra")),),
+    "lie": (Product("bracket", "bracket", "[{},{}]", ("pm", None)),),
+}
+
+CHECKERS = {"dias": check_dialgebra, "lb": check_leibniz,
+            "as": check_associative, "lie": check_lie}
+
+
 class Algebra:
-    """Base: structure constants plus a validity certificate."""
+    """Structure constants plus a validity certificate.
+
+    A flavor class only sets ``flavor``.  Its constructor takes the
+    flavor's products in ``FLAVORS`` order, then optional labels, e.g.
+    ``Dialgebra(field, left, right, labels)``, and stores each product
+    under its key, so ``d.left`` and ``g.bracket`` are plain attributes.
+    """
 
     flavor = "?"
 
-    def __init__(self, field: Field, dim: int, labels=None):
+    def __init__(self, field: Field, *args, labels=None, check=True):
+        keys = [p.key for p in FLAVORS[self.flavor]]
+        if len(args) == len(keys) + 1 and labels is None:
+            *args, labels = args
+        if len(args) != len(keys):
+            raise TypeError(f"{type(self).__name__} takes the products "
+                            f"{', '.join(keys)} and optional labels")
+        dim = args[0].left_dim
         guard_dim(field, dim)
         self.field = field
         self.dim = dim
@@ -565,13 +607,17 @@ class Algebra:
         if len(labels) != dim:
             raise DimensionMismatch("label count != dim")
         self.labels = list(labels)
+        for key, prod in zip(keys, args):
+            setattr(self, key, prod)
         self.certificate: Optional[AxiomReport] = None
+        if check:
+            self.certify()
 
     def products(self) -> list[BilinearMap]:
-        raise NotImplementedError
+        return [getattr(self, p.key) for p in FLAVORS[self.flavor]]
 
     def check(self) -> AxiomReport:
-        raise NotImplementedError
+        return CHECKERS[self.flavor](*self.products())
 
     def certify(self):
         report = self.check()
@@ -593,82 +639,29 @@ class Algebra:
 class Dialgebra(Algebra):
     flavor = "dias"
 
-    def __init__(self, field, left: BilinearMap, right: BilinearMap,
-                 labels=None, check=True):
-        super().__init__(field, left.left_dim, labels)
-        self.left = left
-        self.right = right
-        if check:
-            self.certify()
-
-    def products(self):
-        return [self.left, self.right]
-
-    def check(self):
-        return check_dialgebra(self.left, self.right)
-
 
 class LeibnizAlgebra(Algebra):
     flavor = "lb"
-
-    def __init__(self, field, bracket: BilinearMap, labels=None, check=True):
-        super().__init__(field, bracket.left_dim, labels)
-        self.bracket = bracket
-        if check:
-            self.certify()
-
-    def products(self):
-        return [self.bracket]
-
-    def check(self):
-        return check_leibniz(self.bracket)
 
 
 class AssociativeAlgebra(Algebra):
     flavor = "as"
 
-    def __init__(self, field, product: BilinearMap, labels=None, check=True):
-        super().__init__(field, product.left_dim, labels)
-        self.product = product
-        if check:
-            self.certify()
-
-    def products(self):
-        return [self.product]
-
-    def check(self):
-        return check_associative(self.product)
-
 
 class LieAlgebra(Algebra):
     flavor = "lie"
 
-    def __init__(self, field, bracket: BilinearMap, labels=None, check=True):
-        super().__init__(field, bracket.left_dim, labels)
-        self.bracket = bracket
-        if check:
-            self.certify()
 
-    def products(self):
-        return [self.bracket]
-
-    def check(self):
-        return check_lie(self.bracket)
-
-
-FLAVOR_CLASSES = {"dias": Dialgebra, "lb": LeibnizAlgebra,
-                  "as": AssociativeAlgebra, "lie": LieAlgebra}
+FLAVOR_CLASSES = {cls.flavor: cls for cls in (
+    Dialgebra, LeibnizAlgebra, AssociativeAlgebra, LieAlgebra)}
 
 
 def make_algebra(flavor, field, products, labels=None, check=True) -> Algebra:
-    cls = FLAVOR_CLASSES[flavor]
-    if flavor == "dias":
-        return cls(field, products[0], products[1], labels, check=check)
-    return cls(field, products[0], labels, check=check)
+    return FLAVOR_CLASSES[flavor](field, *products, labels, check=check)
 
 
 def product_arity(flavor) -> int:
-    return 2 if flavor == "dias" else 1
+    return len(FLAVORS[flavor])
 
 
 def abelian_algebra(flavor, field, dim, labels=None) -> Algebra:
@@ -719,10 +712,10 @@ class AlgebraMorphism:
     def check(self) -> AxiomReport:
         report = AxiomReport("morphism")
         cols = [self.matrix.col(j) for j in range(self.source.dim)]
-        for name, sp, tp in zip(_product_names(self.source.flavor),
-                                self.source.products(), self.target.products()):
+        for p, sp, tp in zip(FLAVORS[self.source.flavor],
+                             self.source.products(), self.target.products()):
             bad = first_unintertwined(sp, tp, cols, cols, self.matrix)
-            report.add(f"preserves {name}", bad is None, bad)
+            report.add(f"preserves {p.name}", bad is None, bad)
         return report
 
     def is_morphism(self) -> bool:
@@ -758,14 +751,6 @@ def first_unintertwined(src: BilinearMap, tgt: BilinearMap, left, right,
             if lhs != tgt.apply_sparse(u, v):
                 return (i, j)
     return None
-
-
-def _product_names(flavor):
-    if flavor == "dias":
-        return ["-|", "|-"]
-    if flavor == "as":
-        return ["product"]
-    return ["bracket"]
 
 
 def kernel_of(f: AlgebraMorphism) -> Subspace:

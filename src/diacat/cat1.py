@@ -12,11 +12,11 @@ round-trip isomorphisms.
 
 from __future__ import annotations
 
-from .actions import (CrossedModule, XmodMorphism, _fmt_product,
-                      action_by_ambient_products, semidirect)
-from .algebra import (Algebra, AlgebraMorphism, AxiomReport, BilinearMap,
-                      direct_sum, first_unintertwined, induced_subalgebra,
-                      kernel_of, multiply_subspaces, product_arity)
+from .actions import (CrossedModule, XmodMorphism, action_by_ambient_products,
+                      semidirect)
+from .algebra import (FLAVORS, Algebra, AlgebraMorphism, AxiomReport,
+                      BilinearMap, direct_sum, first_unintertwined,
+                      induced_subalgebra, kernel_of, multiply_subspaces)
 from .errors import (DimensionMismatch, InvalidCat1, InvalidCrossedModule,
                      InvalidInternalCategory)
 from .linalg import (Matrix, Subspace, kernel, unit_vector, vec_add, vec_eq,
@@ -80,14 +80,13 @@ def check_cat1(c: Cat1) -> AxiomReport:
 
     kers = kernel_of(c.s)
     kert = kernel_of(c.t)
-    for pidx in range(product_arity(c.flavor)):
-        prod = c.E.products()[pidx]
+    for p, prod in zip(FLAVORS[c.flavor], c.E.products()):
         for a, b, aname, bname in ((kers, kert, "Ker s", "Ker t"),
                                    (kert, kers, "Ker t", "Ker s")):
             bad = first_unintertwined(
                 BilinearMap.zero(c.E.field, a.dim, b.dim, c.E.dim), prod,
                 a.basis, b.basis)
-            report.add(f"{_fmt_product(c.flavor, pidx, aname, bname)} = 0",
+            report.add(f"{p.form.format(aname, bname)} = 0",
                        bad is None, bad)
     return report
 

@@ -13,6 +13,7 @@ from functools import partial
 
 from . import documents, fixtures
 from .actions import CrossedModule, semidirect
+from .algebra import FLAVORS
 from .cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
                    cat1_of_xmod, check_internal_category, psi,
                    xdias_to_internal, xmod_of_cat1)
@@ -372,16 +373,19 @@ def cmd_fixtures(args) -> int:
 # entry point
 
 
-def _trunc(text) -> int:
-    """A truncation bound: an integer of at least 1."""
-    try:
-        bound = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not an integer: {text!r}") from None
-    if bound < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {bound}")
-    return bound
+def _at_least(minimum):
+    """An argparse type: an integer of at least ``minimum``."""
+    def parse(text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="validate a document against its "
                                      "flavor's axioms")
     c.add_argument("path")
-    c.add_argument("--flavor-override", choices=["dias", "lb", "as", "lie"])
+    c.add_argument("--flavor-override", choices=list(FLAVORS))
     c.add_argument("--verbose", action="store_true")
     c.set_defaults(func=cmd_check)
 
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("kind")
     k.add_argument("inputs", nargs="*",
                    help="fixture names or document paths")
-    k.add_argument("--trunc", type=_trunc, default=None,
+    k.add_argument("--trunc", type=_at_least(1), default=None,
                    help="nilpotency bound for enveloping constructions")
     k.add_argument("--out", help="write the document here instead of stdout")
     k.add_argument("--verbose", action="store_true")
@@ -415,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("fixtures", nargs="*",
                    help="fixture names or document paths; default: bundled "
                         "battery")
-    v.add_argument("--trunc", type=_trunc, default=2)
-    v.add_argument("--cap", type=int, default=None,
+    v.add_argument("--trunc", type=_at_least(1), default=2)
+    v.add_argument("--cap", type=_at_least(0), default=None,
                    help="override the search-space cap")
     v.add_argument("--verbose", action="store_true")
     v.set_defaults(func=cmd_verify)

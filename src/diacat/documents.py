@@ -4,18 +4,21 @@ Documents are plain dicts with string coefficients so that exact values
 survive serialization.  Emission is canonical: triples sorted by index,
 keys sorted by the JSON dumper, one trailing newline.  ``parse(emit(x))``
 reproduces ``x`` and ``emit`` is idempotent on parsed documents.
+
+Product keys and action slot names are read from ``algebra.FLAVORS``.  A
+key that belongs to another flavor is an input error, not a product read
+as zero: an algebra document with ``left``/``right`` does not parse as
+``lb``, while ``lb`` and ``lie`` share the key ``bracket``.
 """
 
 import json
 
-from .actions import ACTION_CLASSES, CrossedModule
-from .algebra import Algebra, AlgebraMorphism, BilinearMap, make_algebra
+from .actions import Action, CrossedModule, action_slots, tensor_shape
+from .algebra import (FLAVORS, Algebra, AlgebraMorphism, BilinearMap,
+                      make_algebra)
 from .errors import ParseError
 from .fields import GF, QQ, Rationals
 from .linalg import Matrix
-
-_PRODUCT_KEYS = {"dias": ("left", "right"), "lb": ("bracket",),
-                 "as": ("product",), "lie": ("bracket",)}
 
 
 def field_to_document(field):
@@ -77,8 +80,8 @@ def algebra_to_document(alg: Algebra) -> dict:
     doc["flavor"] = alg.flavor
     doc["dim"] = alg.dim
     doc["basis"] = list(alg.labels)
-    for key, bmap in zip(_PRODUCT_KEYS[alg.flavor], alg.products()):
-        doc[key] = _triples_to_document(alg.field, bmap)
+    for p, bmap in zip(FLAVORS[alg.flavor], alg.products()):
+        doc[p.key] = _triples_to_document(alg.field, bmap)
     return doc
 
 
@@ -87,8 +90,14 @@ def algebra_from_document(doc, check=True) -> Algebra:
         raise ParseError("algebra document must be a JSON object")
     field = field_from_document(doc)
     flavor = doc.get("flavor")
-    if not isinstance(flavor, str) or flavor not in _PRODUCT_KEYS:
+    if not isinstance(flavor, str) or flavor not in FLAVORS:
         raise ParseError(f"unknown flavor {flavor!r}")
+    keys = [p.key for p in FLAVORS[flavor]]
+    foreign = sorted({p.key for spec in FLAVORS.values() for p in spec}
+                     .intersection(doc).difference(keys))
+    if foreign:
+        raise ParseError(f"keys {foreign} are products of another flavor, "
+                         f"not of {flavor}")
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 0:
         raise ParseError("'dim' must be a non-negative integer")
@@ -100,7 +109,7 @@ def algebra_from_document(doc, check=True) -> Algebra:
                              "dimension")
     maps = [_triples_from_document(field, doc.get(key, []), dim, dim, dim,
                                    f"products.{key}")
-            for key in _PRODUCT_KEYS[flavor]]
+            for key in keys]
     return make_algebra(flavor, field, maps, labels, check=check)
 
 
@@ -126,8 +135,8 @@ def xmod_to_document(xm: CrossedModule) -> dict:
            "source": algebra_to_document(xm.actee),
            "target": algebra_to_document(xm.actor),
            "mu": _matrix_to_document(field, xm.mu.matrix),
-           "action": {name: _triples_to_document(field, xm.action.tensors[name])
-                      for name in xm.action.slot_names}}
+           "action": {name: _triples_to_document(field, t)
+                      for name, t in xm.action.tensors.items()}}
     return doc
 
 
@@ -135,7 +144,7 @@ def xmod_from_document(doc, check=True) -> CrossedModule:
     if not isinstance(doc, dict):
         raise ParseError("crossed-module document must be a JSON object")
     flavor = doc.get("flavor")
-    if not isinstance(flavor, str) or flavor not in ACTION_CLASSES:
+    if not isinstance(flavor, str) or flavor not in FLAVORS:
         raise ParseError(f"unknown flavor {flavor!r}")
     if "source" not in doc or "target" not in doc:
         raise ParseError("crossed-module document needs 'source' and 'target'")
@@ -151,19 +160,16 @@ def xmod_from_document(doc, check=True) -> CrossedModule:
     action_doc = doc.get("action")
     if not isinstance(action_doc, dict):
         raise ParseError("'action' must map slot names to triple lists")
-    cls = ACTION_CLASSES[flavor]
-    unknown = sorted(set(action_doc) - set(cls.slot_names))
+    slots = action_slots(flavor)
+    unknown = sorted(set(action_doc) - {name for name, _, _ in slots})
     if unknown:
         raise ParseError(f"unknown action slots {unknown} for flavor {flavor}")
     tensors = {}
-    for name in cls.slot_names:
-        ldim, rdim = ((actor.dim, actee.dim) if cls.slot_sides[name] == "DL"
-                      else (actee.dim, actor.dim))
-        tensors[name] = _triples_from_document(field,
-                                               action_doc.get(name, []),
-                                               ldim, rdim, actee.dim,
-                                               f"action.{name}")
-    action = cls(actor, actee, tensors, check=check)
+    for name, _, side in slots:
+        tensors[name] = _triples_from_document(
+            field, action_doc.get(name, []),
+            *tensor_shape(side, actor, actee), f"action.{name}")
+    action = Action(actor, actee, tensors, check=check)
     mu = AlgebraMorphism(actee, actor, mu_mat)
     return CrossedModule(mu, action, check=check)
 

@@ -22,7 +22,8 @@ from typing import NamedTuple
 from .actions import CrossedModule, lemma_crossed_checks
 from .algebra import (Algebra, AlgebraMorphism, AssociativeAlgebra,
                       BilinearMap, Dialgebra, LeibnizAlgebra, ideal_closure,
-                      kernel_of, multiply_subspaces, quotient_algebra)
+                      kernel_of, multiply_subspaces, quotient_algebra,
+                      seed_span, sp_sub)
 from .cat1 import Cat1, cat1_of_xmod, xmod_of_cat1
 from .config import guard_dim
 from .errors import DimensionMismatch, InvalidCrossedModule, NotWellDefined
@@ -169,7 +170,6 @@ class Envelope:
 
     ``eta`` maps generators to classes of length-1 words; ``proj`` is the
     projection from the free object; ``relations`` is the ideal divided out.
-    Iterating yields (algebra, eta, proj).
     """
 
     source: Algebra
@@ -179,71 +179,38 @@ class Envelope:
     proj: AlgebraMorphism
     relations: Subspace
 
-    def __iter__(self):
-        return iter((self.algebra, self.eta, self.proj))
-
     @property
     def free(self):
         return self.proj.source
 
 
 def ud(g: LeibnizAlgebra, bound: int) -> Envelope:
-    """Truncated enveloping dialgebra: one relation per generator pair
-    identifies the bracket with the difference of the two products."""
-    f = g.field
-    free = free_dialgebra(f, g.dim, bound)
-    bracket = g.products()[0]
-    rels = []
-    for i in range(g.dim):
-        wi = free.word_index[Word((), i, ())]
-        for j in range(g.dim):
-            wj = free.word_index[Word((), j, ())]
-            vec = [f.zero()] * free.dim
-            for k, c in bracket.pair(i, j).items():
-                wk = free.word_index[Word((), k, ())]
-                vec[wk] = f.add(vec[wk], c)
-            for idx, c in free.products()[0].pair(wi, wj).items():
-                vec[idx] = f.sub(vec[idx], c)
-            for idx, c in free.products()[1].pair(wj, wi).items():
-                vec[idx] = f.add(vec[idx], c)
-            rels.append(vec)
-    return _envelope_from_relations(g, bound, free, rels)
+    """Truncated enveloping dialgebra: [x,y] = x -| y - y |- x on
+    generators."""
+    return _envelope(g, bound, free_dialgebra(g.field, g.dim, bound))
 
 
 def u_lie(p: Algebra, bound: int) -> Envelope:
     """Truncated enveloping associative algebra of a Lie algebra:
     commutators of generators are identified with their brackets."""
-    f = p.field
-    free = tensor_algebra(f, p.dim, bound)
-    bracket = p.products()[0]
-    prod = free.products()[0]
-    rels = []
-    for i in range(p.dim):
-        wi = free.word_index[(i,)]
-        for j in range(p.dim):
-            wj = free.word_index[(j,)]
-            vec = [f.zero()] * free.dim
-            for idx, c in prod.pair(wi, wj).items():
-                vec[idx] = f.add(vec[idx], c)
-            for idx, c in prod.pair(wj, wi).items():
-                vec[idx] = f.sub(vec[idx], c)
-            for k, c in bracket.pair(i, j).items():
-                wk = free.word_index[(k,)]
-                vec[wk] = f.sub(vec[wk], c)
-            rels.append(vec)
-    return _envelope_from_relations(p, bound, free, rels)
+    return _envelope(p, bound, tensor_algebra(p.field, p.dim, bound))
 
 
-def _envelope_from_relations(source, bound, free, rels) -> Envelope:
+def _envelope(source: Algebra, bound: int, free: Algebra) -> Envelope:
+    """``free`` divided by the ideal of the relations
+    [e_i,e_j] - (e_i * e_j - e_j *' e_i), one per generator pair, where
+    * is the first and *' the last product of ``free``.  Generator i is
+    basis word i of either free object."""
     f = free.field
-    ideal = ideal_closure(free, Subspace.span(f, rels, free.dim))
+    first, last = free.products()[0], free.products()[-1]
+    bracket = source.products()[0]
+    n = source.dim
+    rels = [sp_sub(f, bracket.pair(i, j),
+                   sp_sub(f, first.pair(i, j), last.pair(j, i)))
+            for i in range(n) for j in range(n)]
+    ideal = ideal_closure(free, seed_span(f, rels, free.dim))
     alg, proj = quotient_algebra(free, ideal)
-    if isinstance(free, FreeDialgebra):
-        gen_word = lambda i: free.word_index[Word((), i, ())]
-    else:
-        gen_word = lambda i: free.word_index[(i,)]
-    eta_cols = [proj.matrix.col(gen_word(i)) for i in range(source.dim)]
-    eta = Matrix.from_cols(f, eta_cols, alg.dim)
+    eta = Matrix.from_cols(f, [proj.matrix.col(i) for i in range(n)], alg.dim)
     return Envelope(source, bound, alg, eta, proj, ideal)
 
 
@@ -336,10 +303,6 @@ class XudResult:
     env_big: Envelope
     env_base: Envelope
     pi: AlgebraMorphism
-    uds: AlgebraMorphism
-    udt: AlgebraMorphism
-    udsigma: AlgebraMorphism
-    lb_cat1: Cat1
     base_bridge: Matrix
     unit_actee: Matrix
 
@@ -387,8 +350,7 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
         assert coords is not None  # actee generators land in Ker s-bar
         unit_cols.append(coords)
     unit_actee = Matrix.from_cols(f, unit_cols, kers_bar.dim)
-    return XudResult(out, cat1, env_big, env_base, pi, uds, udt, udsigma,
-                     c, bridge, unit_actee)
+    return XudResult(out, cat1, env_big, env_base, pi, bridge, unit_actee)
 
 
 def xud_full(xlb: CrossedModule, bound: int) -> XudResult:

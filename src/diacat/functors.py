@@ -21,16 +21,15 @@ from functools import partial
 from itertools import product as iter_product
 from typing import Callable, NamedTuple
 
-from .actions import (Action, CrossedModule, DialgebraAction, LeibnizAction,
-                      LieAction, XmodMorphism, induced_action, self_action,
-                      semidirect, trivial_action)
+from .actions import (Action, CrossedModule, XmodMorphism, action_slots,
+                      induced_action, self_action, semidirect, trivial_action)
 from .algebra import (Algebra, AlgebraMorphism, AxiomReport, abelian_algebra,
                       associative_quotient, commutator_lie,
                       derived_tower_nilpotent, dialgebra_of_associative,
                       ideal_closure, image_of, kernel_of, leibnization,
                       leibniz_of_lie, lie_quotient, make_algebra, merge_seeds,
-                      product_arity, quotient_algebra, seed_span, sp_add,
-                      sp_cols, sp_mat_vec, sp_sub, square_seeds)
+                      quotient_algebra, seed_span, sp_add, sp_cols,
+                      sp_mat_vec, sp_sub, square_seeds)
 from .cat1 import cat1_of_xmod
 from .config import DEFAULT_SEARCH_CAP
 from .envelope import (Envelope, XudResult, envelope_transpose, u_lie, ud, xu,
@@ -59,7 +58,8 @@ def xlb_of_xdias(xm: CrossedModule) -> CrossedModule:
     D = leibnization(xm.actor)
     gq = act.cross(0, "DL").subtract(act.cross(1, "LD").transpose_args())
     qg = act.cross(0, "LD").subtract(act.cross(1, "DL").transpose_args())
-    new_act = LeibnizAction(D, L, {"gq": gq, "qg": qg})
+    cross = {"DL": gq, "LD": qg}
+    new_act = Action.from_cross(D, L, lambda pidx, side: cross[side])
     return CrossedModule(AlgebraMorphism(L, D, xm.mu.matrix), new_act)
 
 
@@ -81,15 +81,14 @@ def _assert_killed(f, mat: Matrix, sub: Subspace, what):
             raise NotWellDefined(f"{what} does not kill the defining ideal")
 
 
-def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, out_flavor,
-                      inclusion):
+def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
     """Lift a universal quotient of algebras to crossed modules.
 
     The actor is divided by ``actor_quotient``, the actee by the smallest
     actor-stable ideal containing the sparse ``seeds``; the cross products
-    and mu pass to the quotients.  Returns the ``out_flavor`` crossed module
-    together with the projection pair, packaged as a crossed-module morphism
-    into its re-inclusion ``inclusion(out)``.
+    and mu pass to the quotients.  Returns the crossed module, of the
+    quotient actor's flavor, together with the projection pair, packaged
+    as a crossed-module morphism into its re-inclusion ``inclusion(out)``.
     """
     f = xm.actee.field
     L, D, act = xm.actee, xm.actor, xm.action
@@ -98,7 +97,7 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, out_flavor,
     quot, proj_L = quotient_algebra(L, ideal)
     prods = quot.products()
     assert all(p == prods[0] for p in prods)
-    L_q = make_algebra(out_flavor, f, prods[:1], list(quot.labels))
+    L_q = make_algebra(D_q.flavor, f, prods[:1], list(quot.labels))
     ker_D = kernel(proj_D.matrix)
     qm_D, qm_L = QuotientMap(D.dim, ker_D), QuotientMap(L.dim, ideal)
     # representative independence on the actor side
@@ -113,7 +112,7 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, out_flavor,
 
     mu_mat = proj_D.matrix.mul(xm.mu.matrix)
     _assert_killed(f, mu_mat, ideal, "the induced structural morphism")
-    act_q = induced_action(out_flavor, D_q, L_q, act.cross,
+    act_q = induced_action(D_q, L_q, act.cross,
                            sp_cols(qm_D.section), sp_cols(qm_L.section),
                            lambda w: sp_mat_vec(proj_L.matrix, w))
     out = CrossedModule(AlgebraMorphism(L_q, D_q, mu_mat.mul(qm_L.section)),
@@ -142,7 +141,7 @@ def xas_of_xdias(xm: CrossedModule):
         for q in range(xm.actee.dim):
             seeds.append(sp_sub(f, dl_l.pair(a, q), dl_r.pair(a, q)))
             seeds.append(sp_sub(f, ld_l.pair(q, a), ld_r.pair(q, a)))
-    return _crossed_quotient(xm, associative_quotient, seeds, "as",
+    return _crossed_quotient(xm, associative_quotient, seeds,
                              inc_xas_to_xdias)
 
 
@@ -159,8 +158,7 @@ def xliel_of_xlb(xm: CrossedModule) -> CrossedModule:
     for q in range(xm.actee.dim):
         for a in range(xm.actor.dim):
             seeds.append(sp_add(f, qg.pair(q, a), gq.pair(a, q)))
-    return _crossed_quotient(xm, lie_quotient, seeds, "lie",
-                             inc_xlie_to_xlb)[0]
+    return _crossed_quotient(xm, lie_quotient, seeds, inc_xlie_to_xlb)[0]
 
 
 def xliea_of_xas(xm: CrossedModule) -> CrossedModule:
@@ -172,7 +170,7 @@ def xliea_of_xas(xm: CrossedModule) -> CrossedModule:
     ar, ra = xm.action.cross(0, "DL"), xm.action.cross(0, "LD")
     pm = ar.subtract(ra.transpose_args())
     return CrossedModule(AlgebraMorphism(R, A, xm.mu.matrix),
-                         LieAction(A, R, {"pm": pm}))
+                         Action.from_cross(A, R, lambda pidx, side: pm))
 
 
 def inc_xas_to_xdias(xm: CrossedModule) -> CrossedModule:
@@ -180,9 +178,7 @@ def inc_xas_to_xdias(xm: CrossedModule) -> CrossedModule:
     _expect_xm(xm, "as", "inc_xas_to_xdias")
     L = dialgebra_of_associative(xm.actee)
     D = dialgebra_of_associative(xm.actor)
-    ar, ra = xm.action.cross(0, "DL"), xm.action.cross(0, "LD")
-    act = DialgebraAction(D, L, {"dl_left": ar, "ld_left": ra,
-                                 "dl_right": ar, "ld_right": ra})
+    act = Action.from_cross(D, L, lambda pidx, side: xm.action.cross(0, side))
     return CrossedModule(AlgebraMorphism(L, D, xm.mu.matrix), act)
 
 
@@ -191,9 +187,7 @@ def inc_xlie_to_xlb(xm: CrossedModule) -> CrossedModule:
     _expect_xm(xm, "lie", "inc_xlie_to_xlb")
     Q = leibniz_of_lie(xm.actee)
     G = leibniz_of_lie(xm.actor)
-    pm = xm.action.cross(0, "DL")
-    act = LeibnizAction(G, Q, {"gq": pm,
-                               "qg": pm.transpose_args().negate()})
+    act = Action.from_cross(G, Q, xm.action.cross)
     return CrossedModule(AlgebraMorphism(Q, G, xm.mu.matrix), act)
 
 
@@ -495,12 +489,10 @@ def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> list:
         lin = {s: eye.scale(f.neg(c)) for s, c in enumerate(mu.col(j))}
         lin[nd + j] = mu2
         equations.append((lin, None, wd))
-    sides = ("DL",) if x.flavor == "lie" else ("DL", "LD")
-    for pidx in range(product_arity(x.flavor)):
-        for side in sides:
-            src, tgt = x.action.cross(pidx, side), y.action.cross(pidx, side)
-            lefts, rights = (betas, alphas) if side == "DL" else (alphas, betas)
-            equations.extend(_intertwined(src, tgt, lefts, rights, alphas, wl))
+    for _, pidx, side in action_slots(x.flavor):
+        src, tgt = x.action.cross(pidx, side), y.action.cross(pidx, side)
+        lefts, rights = (betas, alphas) if side == "DL" else (alphas, betas)
+        equations.extend(_intertwined(src, tgt, lefts, rights, alphas, wl))
     found = []
     for beta in enumerate_homs(x.actor, y.actor, cap):
         prefix = [beta.matrix.col(i) for i in range(nd)]

@@ -1,10 +1,10 @@
 import pytest
 
 from diacat import fixtures
-from diacat.actions import (CrossedModule, XmodMorphism,
+from diacat.actions import (Action, CrossedModule, XmodMorphism,
                             action_by_ambient_products,
                             crossed_equations_report, lemma_crossed_checks,
-                            make_action, self_action, semidirect,
+                            self_action, semidirect,
                             semidirect_homomorphism_checks, trivial_action,
                             xmod_from_ideal)
 from diacat.algebra import AlgebraMorphism, BilinearMap, abelian_algebra
@@ -40,7 +40,7 @@ def test_invalid_action_is_rejected():
                                               [(1, 0, 0, F2.one())]),
                "qg": BilinearMap.from_triples(F2, 1, 2, 1, [])}
     with pytest.raises(InvalidAction):
-        make_action("lb", g, ab, tensors).certify()
+        Action(g, ab, tensors).certify()
 
 
 def test_semidirect_split_exact_sequence():

@@ -119,6 +119,24 @@ def test_cli_check_flavor_override(tmp_path):
     assert json.loads(text)["flavor"] == "lb"
 
 
+@pytest.mark.parametrize("name, override, keys", [
+    ("free-dias-1-2-f2", "lb", "['left', 'right']"),
+    ("as-nilp-2-f2", "lie", "['product']"),
+    ("leibniz-ff-e-f2", "dias", "['bracket']"),
+    ("xdias-zero-f2", "as", "['left', 'right']"),
+])
+def test_cli_check_override_never_drops_another_flavors_products(
+        tmp_path, capsys, name, override, keys):
+    # read under the override, these products would count as zero and pass
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(fixtures.document(name)))
+    capsys.readouterr()
+    rc = main(["check", str(path), "--flavor-override", override])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert f"keys {keys} are products of another flavor" in err
+
+
 def test_cli_construct_dims_and_trunc(tmp_path):
     rc, text = _run_main(["construct", "Ud", "leibniz-ff-e-f2",
                           "--trunc", "2"])

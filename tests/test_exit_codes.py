@@ -1,9 +1,10 @@
 """The exit-code contract of the command line: 0 pass, 1 mathematical
 failure, 2 input error, 3 resource cap, and nothing on stdout for 2 or 3.
 
-Truncation bounds below 1 are input errors.  A seeded fuzzer mutates every
-bundled fixture document one JSON value at a time and runs ``check`` and one
-``construct`` per document kind on it in-process.
+Truncation bounds below 1 and search caps below 0 are input errors.  A
+seeded fuzzer mutates every bundled fixture document one JSON value at a
+time and runs ``check`` and one ``construct`` per document kind on it
+in-process.
 """
 
 import contextlib
@@ -48,6 +49,21 @@ def _run(argv):
 def test_truncation_below_one_is_an_input_error(argv):
     rc, out, err = _run(argv)
     assert (rc, out) == (2, ""), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "adjunction:ud", "--cap", "-1"],
+    ["verify", "square:LbDias-XUd-J0", "--cap", "-1"],
+], ids=" ".join)
+def test_cap_below_zero_is_an_input_error(argv):
+    rc, out, err = _run(argv)
+    assert (rc, out) == (2, ""), err
+    assert "must be at least 0" in err
+
+
+def test_cap_zero_refuses_every_search():
+    rc, out, err = _run(["verify", "adjunction:ud", "--cap", "0"])
+    assert (rc, out) == (3, ""), err
 
 
 def _paths(node, prefix=()):

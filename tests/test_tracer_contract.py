@@ -8,6 +8,10 @@ from the tracer's source, without importing it.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -39,3 +43,38 @@ def test_every_traced_span_resolves():
 def test_whole_traced_modules_import():
     for modname in _literal("WHOLE_MODULES"):
         importlib.import_module(f"diacat.{modname}")
+
+
+# builds one certified algebra and one certified crossed module per flavor
+# under the installed tracer and prints the names of the recorded spans
+_TRACED_BUILD = """
+import json
+from tracer import Tracer, install
+tracer = Tracer()
+install(tracer)
+from diacat.actions import CrossedModule, self_action
+from diacat.algebra import (AlgebraMorphism, BilinearMap, make_algebra,
+                            product_arity)
+from diacat.fields import GF
+for flavor in ("dias", "lb", "as", "lie"):
+    zero = BilinearMap.zero(GF(2), 2)
+    alg = make_algebra(flavor, GF(2), [zero] * product_arity(flavor))
+    CrossedModule(AlgebraMorphism.identity(alg), self_action(alg))
+print(json.dumps(sorted({span[3] for span in tracer.spans})))
+"""
+
+
+def test_every_checker_is_traced():
+    # the tracer reaches module-level names and dict entries only; a checker
+    # called some other way would drop out of the triple counters silently
+    root = TRACER.parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    run = subprocess.run([sys.executable, "-c", _TRACED_BUILD], env=env,
+                         capture_output=True, text=True, check=True)
+    names = set(json.loads(run.stdout))
+    checkers = [f"{mod}.{name}" for mod, name, group in _literal("SPANS")
+                if group in ("algebra.check", "actions.check")
+                and name.startswith("check_")]
+    assert len(checkers) == 8
+    assert not set(checkers) - names, sorted(set(checkers) - names)

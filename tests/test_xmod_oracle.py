@@ -13,7 +13,7 @@ the bundled Lie crossed module.
 import random
 
 from diacat import fixtures
-from diacat.actions import crossed_module_report, make_action
+from diacat.actions import Action, crossed_module_report
 from diacat.algebra import AlgebraMorphism, BilinearMap, make_algebra
 from diacat.functors import apply_functor, embed
 from diacat.linalg import Matrix
@@ -95,7 +95,7 @@ def _rebuild(xm, state):
     tensors = {}
     for name, old in xm.action.tensors.items():
         tensors[name] = _sparse(f, state[("act", name)], old.right_dim, nl)
-    act = make_action(flavor, D, L, tensors, check=False)
+    act = Action(D, L, tensors, check=False)
     mu = AlgebraMorphism(L, D, Matrix(
         f, [[f.of(state["mu"][l][x]) for l in range(nl)] for x in range(nd)],
         nd, nl))
