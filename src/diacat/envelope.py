@@ -140,7 +140,6 @@ class TensorAlgebra(AssociativeAlgebra):
         self.generators = generators
         self.bound = bound
         self.words = words
-        self.word_index = index
 
 
 _FREE_CACHE: dict = {}

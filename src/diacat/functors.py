@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product as iter_product
 from typing import Callable, NamedTuple
 
 from .actions import (Action, CrossedModule, XmodMorphism, action_slots,
@@ -36,7 +35,7 @@ from .envelope import (Envelope, XudResult, envelope_transpose, u_lie, ud, xu,
                        xu_full, xud, xud_full)
 from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
                      NotWellDefined, SearchSpaceTooLarge)
-from .linalg import (Matrix, QuotientMap, Subspace, inverse, kernel, solve,
+from .linalg import (Matrix, QuotientMap, Subspace, _rref, inverse, kernel,
                      unit_vector, vec_add, vec_is_zero, vec_scale, vec_sub,
                      vec_zero)
 
@@ -359,18 +358,63 @@ def _affine_set(f, width, equations, cols):
     ``cols``), or None.  ``basis`` is the canonical RREF basis of the
     homogeneous solutions and ``part`` is reduced by it, so the point
     ``part + sum t_i basis_i`` has t_i at the i-th pivot: scanning the t's
-    in lexicographic order scans the points in lexicographic order."""
-    def residuals(c):
-        return [x for eq in equations for x in _residual(f, eq, cols + [c])]
-    at_zero = residuals(vec_zero(f, width))
-    system = Matrix.from_cols(
-        f, [vec_sub(f, residuals(unit_vector(f, width, r)), at_zero)
-            for r in range(width)], len(at_zero))
-    part = solve(system, vec_scale(f, f.neg(f.one()), at_zero))
-    if part is None:
+    in lexicographic order scans the points in lexicographic order.
+
+    The system ``M c = b`` is read off the equations: each one's block of
+    M is ``lin[k]`` less the bilinear side with c in its slot, and b is
+    minus its residual at c = 0.  One reduction of ``[M | b]``, with M's
+    columns in reverse order, gives both answers: its free columns are the
+    pivots of the kernel's canonical basis, and its particular solution is
+    zero there, so already reduced.
+    """
+    k, zero, one = len(cols), f.zero(), f.one()
+    at_zero = cols + [vec_zero(f, width)]
+    rows = []
+    for eq in equations:
+        lin, bil, nrows = eq
+        block = ([list(r) for r in lin[k].entries] if k in lin
+                 else [[zero] * width for _ in range(nrows)])
+        if bil and k in bil[1:]:
+            table, u, v = bil[0].table, bil[1], bil[2]
+            if u == k:      # c on the left: column i of T(., c_v)
+                cells = ((i, cv, table[i][j]) for i in range(width)
+                         for j, cv in enumerate(cols[v]))
+            else:           # c on the right: column j of T(c_u, .)
+                cells = ((j, cu, table[i][j]) for i, cu in enumerate(cols[u])
+                         for j in range(width))
+            for col, c, cell in cells:
+                if cell and not f.is_zero(c):
+                    for r, a in cell.items():
+                        block[r][col] = f.sub(block[r][col], f.mul(a, c))
+        for brow, r0 in zip(block, _residual(f, eq, at_zero)):
+            rows.append(brow[::-1] + [f.neg(r0)])
+    pivots = _rref(f, rows, width + 1)
+    if pivots and pivots[-1] == width:
         return None
-    null = kernel(system)
-    return null.reduce(part), null.basis
+    last = width - 1
+    part = vec_zero(f, width)
+    for row, p in zip(rows, pivots):
+        part[last - p] = row[width]
+    basis = []
+    for j in sorted(set(range(width)) - set(pivots), reverse=True):
+        b = vec_zero(f, width)
+        b[last - j] = one
+        for row, p in zip(rows, pivots):
+            b[last - p] = f.neg(row[j])
+        basis.append(b)
+    return part, basis
+
+
+def _points(f, part, scaled):
+    """``part + sum t_i b_i`` over the t's in lexicographic order, depth
+    first, from ``scaled[i]``, the multiples ``t b_i`` in field order: one
+    vector addition per point."""
+    if not scaled:
+        yield part
+        return
+    head, rest = scaled[0], scaled[1:]
+    for tb in head:
+        yield from _points(f, vec_add(f, part, tb), rest)
 
 
 def _search(f, widths, equations, cap, prefix=()):
@@ -381,8 +425,9 @@ def _search(f, widths, equations, cap, prefix=()):
     The columns are fixed one at a time, depth first.  Each equation is
     handled at the last column it involves, which must follow the prefix:
     the ones linear in it (all but ``bil = (map, k, k)``) cut out an affine
-    set, whose points are tried in lexicographic order; only the quadratic
-    ones are evaluated per point.
+    set, one reduction per prefix (``_affine_set``), whose points are built
+    incrementally in lexicographic order; only the quadratic ones are
+    evaluated per point.
     The ``cap + 1``-th point tried raises ``SearchSpaceTooLarge``.
     """
     cap = DEFAULT_SEARCH_CAP if cap is None else cap
@@ -410,14 +455,11 @@ def _search(f, widths, equations, cap, prefix=()):
         if affine is None:
             return
         part, basis = affine
-        for coeffs in iter_product(elems, repeat=len(basis)):
+        scaled = [[vec_scale(f, t, b) for t in elems] for b in basis]
+        for c in _points(f, part, scaled):
             scanned += 1
             if scanned > cap:
                 raise SearchSpaceTooLarge(scanned, cap)
-            c = part
-            for t, b in zip(coeffs, basis):
-                if not f.is_zero(t):
-                    c = vec_add(f, c, vec_scale(f, t, b))
             cols.append(c)
             if all(vec_is_zero(f, _residual(f, eq, cols))
                    for eq in quadratic[k]):

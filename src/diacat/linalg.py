@@ -82,10 +82,13 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field, cols, nrows=None):
-        cols = [list(c) for c in cols]
+        cols = list(cols)
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
-        return cls(field, [[c[i] for c in cols] for i in range(nrows)], nrows, len(cols))
+        if any(len(c) != nrows for c in cols):
+            raise DimensionMismatch("matrix column length != row count")
+        rows = list(zip(*cols)) if cols else [()] * nrows
+        return cls(field, rows, nrows, len(cols))
 
     def row(self, i):
         return list(self.entries[i])

@@ -4,7 +4,9 @@ failure, 2 input error, 3 resource cap, and nothing on stdout for 2 or 3.
 Truncation bounds below 1 and search caps below 0 are input errors.  A
 seeded fuzzer mutates every bundled fixture document one JSON value at a
 time and runs ``check`` and one ``construct`` per document kind on it
-in-process.
+in-process.  A Hypothesis strategy also draws whole documents (field,
+flavor, dims, sparse tensors, ``mu`` and action slots, each sometimes out
+of range or of another flavor) and runs ``check`` on them.
 """
 
 import contextlib
@@ -14,8 +16,11 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diacat import documents, fixtures
+from diacat.actions import action_slots
+from diacat.algebra import FLAVORS
 from diacat.cli import main
 
 SEED = 20261018
@@ -125,3 +130,76 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path):
                 seen.add((argv[0], rc))
     # the mutations reach accepted, rejected and failing documents alike
     assert {("check", 0), ("check", 1), ("check", 2)} <= seen, seen
+
+
+GOOD_FIELDS = ({"field": "Fp", "p": 2}, {"field": "Fp", "p": 3},
+               {"field": "Fp", "p": 5}, {"field": "Q"})
+BAD_FIELDS = ({"field": "Fp", "p": 4}, {"field": "Fp"}, {"field": "R"})
+GOOD_COEFFS = st.one_of(st.integers(-3, 3),
+                        st.sampled_from(["0", "1", "-1", "2", "1/2"]))
+BAD_COEFFS = st.sampled_from(["1/0", "x", 1.5, None])
+
+
+@st.composite
+def _whole_documents(draw):
+    """A whole algebra or crossed-module document.  Half of them are well
+    formed; in the other half any part may be malformed: the field, a
+    coefficient, an index one past its range, the action slots of another
+    flavor."""
+    bad = draw(st.booleans())
+    field = draw(st.sampled_from(GOOD_FIELDS + (BAD_FIELDS if bad else ())))
+    flavor = draw(st.sampled_from(sorted(FLAVORS)))
+    coeffs = st.one_of(GOOD_COEFFS, BAD_COEFFS) if bad else GOOD_COEFFS
+
+    def triples(left, right, out):
+        if not bad and 0 in (left, right, out):
+            return []
+        return draw(st.lists(st.tuples(
+            *(st.integers(0, n - 1 + bad) for n in (left, right, out)),
+            coeffs).map(list), max_size=4))
+
+    def algebra():
+        dim = draw(st.integers(0, 3))
+        doc = dict(field, flavor=flavor, dim=dim)
+        for p in FLAVORS[flavor]:
+            doc[p.key] = triples(dim, dim, dim)
+        return doc
+
+    if draw(st.booleans()):
+        return algebra()
+    source, target = algebra(), algebra()
+    m, n = source["dim"], target["dim"]
+    slots = action_slots(draw(st.sampled_from(sorted(FLAVORS))) if bad
+                         else flavor)
+    shapes = {"DL": (n, m, m), "LD": (m, n, m)}
+    return {"flavor": flavor, "source": source, "target": target,
+            "mu": draw(st.lists(st.lists(coeffs, min_size=m, max_size=m),
+                                min_size=n, max_size=n)),
+            "action": {name: triples(*shapes[side])
+                       for name, _, side in slots if draw(st.booleans())}}
+
+
+def test_whole_generated_documents_keep_the_exit_code_contract(tmp_path):
+    path = tmp_path / "doc.json"
+    seen = set()
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_whole_documents())
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        try:
+            rc, out, err = _run(["check", str(path)])
+        except Exception as exc:  # noqa: BLE001 - the contract
+            pytest.fail(f"{exc!r}\n{doc}")
+        assert rc in (0, 1, 2), (rc, err, doc)
+        assert "Traceback" not in err, (err, doc)
+        if rc == 2:
+            assert out == "", (err, doc)
+        seen.add((documents.document_kind(doc), rc))
+
+    check()
+    # whole documents reach every outcome, for both kinds
+    assert seen == {(kind, rc) for kind in ("algebra", "xmod")
+                    for rc in (0, 1, 2)}, seen

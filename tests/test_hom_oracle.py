@@ -6,8 +6,8 @@ the equivariances.  ``enumerate_homs`` must give the oracle's list in the
 oracle's order (the canonical order is part of its contract), and
 ``enumerate_xmod_homs`` the oracle's set.
 
-The seeded inputs are over F2 and F3:
-- abelian algebras of dims 0-3;
+The seeded inputs are:
+- abelian algebras of dims 0-3 over F2, F3 and F5, as are the next two;
 - 2-step-nilpotent algebras whose last basis vector spans the products,
   so that the column of a morphism there is fixed by slicing;
 - the same tables with one entry perturbed, and dense random tables, which
@@ -16,16 +16,26 @@ The seeded inputs are over F2 and F3:
   linear systems with a nonzero right side);
 - every bundled crossed module, one perturbation of each, and the
   embeddings of the bundled algebras.
+
+The per-prefix linear system of the search, ``_affine_set``, is also
+compared with the route it replaced (the matrix from residuals at the unit
+vectors, then ``solve`` and ``kernel``) on seeded systems over F2, F3 and
+F5, one test per slot of the new column in the bilinear side, so that a
+wrong slot is named by the failing test.
 """
 
 import random
+
+import pytest
 
 from diacat import fixtures
 from diacat.actions import CrossedModule
 from diacat.algebra import BilinearMap, make_algebra, product_arity
 from diacat.fields import GF
-from diacat.functors import (FUNCTOR_TAGS, category, embed, enumerate_homs,
-                             enumerate_xmod_homs)
+from diacat.functors import (FUNCTOR_TAGS, _affine_set, _residual, category,
+                             embed, enumerate_homs, enumerate_xmod_homs)
+from diacat.linalg import (Matrix, kernel, solve, unit_vector, vec_scale,
+                           vec_sub, vec_zero)
 
 import oracles
 from test_xmod_oracle import _dense, _perturb, _rebuild, _state
@@ -33,7 +43,7 @@ from test_xmod_oracle import _dense, _perturb, _rebuild, _state
 SEED = 20261021
 FLAVORS = ("dias", "lb", "as", "lie")
 # the largest |F|^(m n) scanned by the oracle per field
-SPACE = {2: 512, 3: 729}
+SPACE = {2: 512, 3: 729, 5: 625}
 PAIRS = 10
 # e0 e1 = 2 e0 + e1 into e1 e0 = 2 e0 + e1, one product, over F3: given the
 # image of e0, that of e1 solves a singular system with a nonzero right
@@ -165,3 +175,76 @@ def test_enumerate_xmod_homs_matches_oracle_as_sets():
             beyond_zero += len(want) > 1
     # the zero morphism is always there; most pairs have more
     assert compared >= 300 and beyond_zero >= 200, (compared, beyond_zero)
+
+
+def _reference_affine_set(f, width, equations, cols):
+    """The solve/kernel route: M from the residuals at the zero and unit
+    vectors, three reductions (solve, kernel, and the span in kernel)."""
+    def residuals(c):
+        return [x for eq in equations for x in _residual(f, eq, cols + [c])]
+    at_zero = residuals(vec_zero(f, width))
+    system = Matrix.from_cols(
+        f, [vec_sub(f, residuals(unit_vector(f, width, r)), at_zero)
+            for r in range(width)], len(at_zero))
+    part = solve(system, vec_scale(f, f.neg(f.one()), at_zero))
+    if part is None:
+        return None
+    null = kernel(system)
+    return null.reduce(part), null.basis
+
+
+def _sparse_matrix(rng, f, rows, cols):
+    return Matrix(f, [[rng.choice((0, 0, rng.randrange(f.p)))
+                       for _ in range(cols)] for _ in range(rows)], rows, cols)
+
+
+def _system(rng, f, slot):
+    """A seeded system for the column after a random prefix: equations
+    whose bilinear side has that column on the left, on the right or in
+    neither slot, mixed with equations with no bilinear side."""
+    widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    k = len(widths)
+    widths.append(rng.randint(1, 4))
+    cols = [[rng.randrange(f.p) for _ in range(w)] for w in widths[:k]]
+    equations = []
+    for _ in range(rng.randint(1, 4)):
+        rows = rng.randint(1, 3)
+        lin = {s: _sparse_matrix(rng, f, rows, widths[s])
+               for s in range(k + 1) if rng.random() < 0.5}
+        bil = None
+        if rng.random() < 0.7:
+            u, v = rng.randrange(k), rng.randrange(k)
+            u, v = {"left": (k, v), "right": (u, k), "neither": (u, v)}[slot]
+            bil = (BilinearMap.from_triples(
+                f, widths[u], widths[v], rows,
+                [(i, j, r, rng.randrange(1, f.p))
+                 for i in range(widths[u]) for j in range(widths[v])
+                 for r in range(rows) if rng.random() < 0.4]), u, v)
+        if k in lin or (bil and k in bil[1:]):
+            equations.append((lin, bil, rows))
+    return widths[k], equations, cols
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("slot", ["left", "right", "neither"])
+def test_affine_set_matches_the_solve_kernel_route(slot, p):
+    f = GF(p)
+    rng = random.Random(f"{SEED}:{slot}:{p}")
+    outcomes = set()
+    for _ in range(150):
+        width, equations, cols = _system(rng, f, slot)
+        want = _reference_affine_set(f, width, equations, cols)
+        got = _affine_set(f, width, equations, cols)
+        if want is None:
+            assert got is None, (width, equations, cols)
+            outcomes.add("inconsistent")
+            continue
+        assert got is not None, (width, equations, cols)
+        part, basis = got
+        assert part == list(want[0]), (width, equations, cols)
+        assert [list(b) for b in basis] == [list(b) for b in want[1]], \
+            (width, equations, cols)
+        outcomes.add("free" if basis else "unique")
+        if any(part):
+            outcomes.add("offset")
+    assert outcomes == {"inconsistent", "free", "unique", "offset"}, outcomes

@@ -51,6 +51,17 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
             solver(m)(b)
 
 
+def test_from_cols_rejects_a_column_of_the_wrong_length():
+    f = GF(3)
+    for cols in ([[1, 2, 0], [1, 1]], [[1, 2], [1]]):
+        with pytest.raises(DimensionMismatch):
+            Matrix.from_cols(f, cols, 2)
+    m = Matrix.from_cols(f, [[1, 2], [0, 1], [2, 2]], 2)
+    assert (m.rows, m.cols) == (2, 3)
+    assert m.entries == ((1, 0, 2), (2, 1, 2))
+    assert Matrix.from_cols(f, [], 2).entries == ((), ())
+
+
 def test_inverse_and_singular():
     m = _mat(QQ, [[2, 1], [1, 1]])
     mi = inverse(m)
