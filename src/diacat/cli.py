@@ -273,16 +273,20 @@ def _as_dias_or_lb(xm):
     return xm
 
 
+def _roundtrip(xm, back, cap):
+    """Whether a round trip came back to ``xm``, and how: ``"equal"`` for
+    tensor-identical, else ``"isomorphism"``, found by a search."""
+    if xmods_equal(xm, back):
+        return True, "equal"
+    return find_xmod_isomorphism(xm, back, cap=cap) is not None, "isomorphism"
+
+
 def _verify_cat1(args, results):
     for name, xm0 in _named_battery(args, "xmod", None):
         xm = _as_dias_or_lb(xm0)
         c = cat1_of_xmod(xm)
         back = xmod_of_cat1(c)
-        ok_x = xmods_equal(xm, back)
-        via = "equal"
-        if not ok_x:
-            ok_x = find_xmod_isomorphism(xm, back, cap=args.cap) is not None
-            via = "isomorphism"
+        ok_x, via = _roundtrip(xm, back, args.cap)
         c2 = cat1_of_xmod(back)
         h = cat1_decomposition_iso(c, c2)
         rep = cat1_isomorphism_report(c, c2, h)
@@ -298,11 +302,7 @@ def _verify_internal(args, results):
         ic = xdias_to_internal(xm)
         struct = check_internal_category(ic)
         back = psi(ic)
-        ok = xmods_equal(xm, back)
-        via = "equal"
-        if not ok:
-            ok = find_xmod_isomorphism(xm, back, cap=args.cap) is not None
-            via = "isomorphism"
+        ok, via = _roundtrip(xm, back, args.cap)
         results.append({"check": "equivalence:internal", "fixture": name,
                         "passed": ok and struct.passed, "roundtrip": via,
                         "structure": _report_items(struct)})

@@ -8,10 +8,12 @@ registry of their 36 tags: each carries its source and target category and
 its builder, for ``apply_functor`` and the CLI alike.  The two universal
 quotients (XAS, XLiel) share ``_crossed_quotient``, as the two envelopes
 share ``envelope._crossed_envelope``.  On top of those sit hom-set
-enumeration over finite fields, explicit adjunction bijections, and a
-registry of commuting-square checks with EQUAL / ISOMORPHIC verdicts.
-Every hom-set comes from one column-by-column search, ``_search``, in one
-canonical order: lexicographic in the columns.
+enumeration over finite fields, explicit adjunction bijections, and the
+commuting squares of the prism: ``_SQUARES`` holds each one, per fixture
+flavor, as two paths of registered tags whose composites ``check_square``
+compares, with EQUAL / ISOMORPHIC verdicts.  Every hom-set comes from one
+column-by-column search, ``_search``, in one canonical order:
+lexicographic in the columns.
 """
 
 from __future__ import annotations
@@ -888,15 +890,14 @@ class CommutativityReport:
         return self.expected == "ISOMORPHIC" and self.verdict == "ISOMORPHIC"
 
 
-def _verdict(square_id, expected, o1, o2, witnesses, detail=""):
+def _verdict(square_id, expected, o1, o2, witnesses):
     equal = xmods_equal(o1, o2) if isinstance(o1, CrossedModule) \
         else algebras_equal(o1, o2)
     if equal:
-        return CommutativityReport(square_id, expected, "EQUAL", None, detail)
+        return CommutativityReport(square_id, expected, "EQUAL")
     if expected == "EQUAL":
-        return CommutativityReport(
-            square_id, expected, "FAIL", None,
-            detail + " composites are not tensor-identical")
+        return CommutativityReport(square_id, expected, "FAIL", None,
+                                   " composites are not tensor-identical")
     for build in witnesses:
         try:
             w = build()
@@ -907,25 +908,85 @@ def _verdict(square_id, expected, o1, o2, witnesses, detail=""):
         good = _is_xmod_iso(w) if isinstance(w, XmodMorphism) \
             else _is_algebra_iso(w)
         if good:
-            return CommutativityReport(square_id, expected, "ISOMORPHIC", w,
-                                       detail)
+            return CommutativityReport(square_id, expected, "ISOMORPHIC", w)
     return CommutativityReport(square_id, expected, "FAIL", None,
-                               detail + " no isomorphism witness found")
+                               " no isomorphism witness found")
 
 
-def _quotient_comparison_witness(d, p_from, p_to, from_alg, to_alg):
-    """Map classes of one canonical quotient of d to classes of another."""
+def _quotient_witness(d, bound, o1, o2):
+    """Map classes of the associative quotient of d to classes of the Lie
+    quotient of its leibnization."""
+    p_from = associative_quotient(d)[1]
+    p_to = lie_quotient(leibnization(d))[1]
     sec = QuotientMap(d.dim, kernel(p_from.matrix)).section
-    return AlgebraMorphism(from_alg, to_alg, p_to.matrix.mul(sec))
+    return AlgebraMorphism(o1, o2, p_to.matrix.mul(sec))
 
 
-def _envelope_identity_witness(r: XudResult, o2: CrossedModule):
+def _envelope_witness(alg, bound, o1, o2):
+    """The identity crossed module of alg (J1' or I1') sent through the
+    crossed envelope, mapped by the inverse of its base bridge onto the
+    identity crossed module of alg's envelope."""
+    full = xu_full if alg.flavor == "lie" else xud_full
+    r = full(embed(_chain_tag(alg.flavor, 1, 1), alg), bound)
     inv_bridge = inverse(r.base_bridge)
     assert inv_bridge is not None
-    alpha = AlgebraMorphism(r.xmod.actee, o2.actee,
-                            inv_bridge.mul(r.xmod.mu.matrix))
-    beta = AlgebraMorphism(r.xmod.actor, o2.actor, inv_bridge)
-    return XmodMorphism(r.xmod, o2, alpha, beta)
+    alpha = AlgebraMorphism(o1.actee, o2.actee, inv_bridge.mul(o1.mu.matrix))
+    beta = AlgebraMorphism(o1.actor, o2.actor, inv_bridge)
+    return XmodMorphism(o1, o2, alpha, beta)
+
+
+class Square(NamedTuple):
+    """One row of a commuting square, for fixtures of one flavor: the
+    expected verdict and the two composites as paths of ``FUNCTOR_TAGS``
+    tags, applied left to right.  ``witness(fixture, bound, o1, o2)``
+    builds the canonical isomorphism from the first composite to the
+    second, tried before the search when they differ."""
+
+    expected: str
+    first: tuple
+    second: tuple
+    witness: Callable = None
+
+
+def _square_table():
+    eq, iso = "EQUAL", "ISOMORPHIC"
+    table = {
+        "2.8-outer": {"dias": Square(iso, ("AS", "Liea"), ("LB", "Liel"),
+                                     _quotient_witness)},
+        "2.8-inner": {"as": Square(eq, ("IncAsDias", "LB"),
+                                   ("Liea", "IncLieLb"))},
+        # the base faces, on crossed modules
+        "base-XLiea": {"as": Square(eq, ("XLiea", "IncXLieXLb"),
+                                    ("IncXAsXDias", "XLB"))},
+        "base-XUd-XU": {"lb": Square(iso, ("XUd", "XAS"), ("XLiel", "XU"))},
+    }
+    for i in (0, 1):
+        J, Jp, I, Ip = f"J{i}", f"J{i}'", f"I{i}", f"I{i}'"
+        # the envelope squares hold up to isomorphism on J1'/I1' only
+        env, witness = (iso, _envelope_witness) if i else (eq, None)
+        table[f"LbDias-J{i}"] = {"dias": Square(eq, (J, "XLB"), ("LB", Jp))}
+        table[f"LbDias-XUd-J{i}"] = {
+            "lb": Square(env, (Jp, "XUd"), ("Ud", J), witness)}
+        table[f"AsLie-I{i}"] = {
+            "as": Square(eq, (I, "XLiea"), ("Liea", Ip)),
+            "lie": Square(env, (Ip, "XU"), ("U", I), witness)}
+        table[f"AsDias-I{i}"] = {
+            "dias": Square(eq, (J, "XAS"), ("AS", I)),
+            "as": Square(eq, (I, "IncXAsXDias"), ("IncAsDias", J))}
+        table[f"LieLb-I{i}"] = {
+            "lb": Square(eq, (Jp, "XLiel"), ("Liel", Ip)),
+            "lie": Square(eq, (Ip, "IncXLieXLb"), ("IncLieLb", Jp))}
+    return table
+
+
+# every square: for each fixture flavor it takes, its one row
+_SQUARES = _square_table()
+
+
+def _rows(square_id):
+    if square_id not in _SQUARES:
+        raise DiacatError(f"unknown square id {square_id!r}")
+    return _SQUARES[square_id]
 
 
 def square_ids():
@@ -933,150 +994,39 @@ def square_ids():
 
 
 def square_flavors(square_id):
-    if square_id not in _SQUARES:
-        raise DiacatError(f"unknown square id {square_id!r}")
-    return sorted(_SQUARES[square_id])
+    return sorted(_rows(square_id))
 
 
 def square_fixture_kind(square_id):
-    if square_id not in _SQUARES:
-        raise DiacatError(f"unknown square id {square_id!r}")
-    return "xmod" if square_id.startswith("base-") else "algebra"
+    row = next(iter(_rows(square_id).values()))
+    source = FUNCTOR_TAGS[row.first[0]].source
+    return "xmod" if source.startswith("X") else "algebra"
 
 
 def check_square(square_id, fixture, bound: int = 2, cap=None) -> CommutativityReport:
     """Evaluate both composite images of a registered square on a fixture.
 
     Verdicts: EQUAL for tensor-identical composites, ISOMORPHIC when a
-    verified witness exists, FAIL otherwise.  ``passed`` demands the
-    registered strength (EQUAL satisfies an ISOMORPHIC expectation)."""
-    if square_id not in _SQUARES:
-        raise DiacatError(f"unknown square id {square_id!r}")
-    by_flavor = _SQUARES[square_id]
-    flavor = fixture.flavor
-    if flavor not in by_flavor:
+    verified witness exists (the row's canonical one, then a search), FAIL
+    otherwise.  ``passed`` demands the registered strength (EQUAL satisfies
+    an ISOMORPHIC expectation)."""
+    rows = _rows(square_id)
+    if fixture.flavor not in rows:
         raise DiacatError(
             f"square {square_id} takes fixtures of flavor "
-            f"{sorted(by_flavor)}, got {flavor!r}")
-    expected, evaluator = by_flavor[flavor]
-    return evaluator(fixture, expected, bound, cap)
-
-
-def _sq_28_outer(d, expected, bound, cap):
-    asq, proj_as = associative_quotient(d)
-    lieq, proj_lb = lie_quotient(leibnization(d))
-    o1 = commutator_lie(asq)
-    o2 = lieq
-
-    def canonical():
-        return _quotient_comparison_witness(d, proj_lb, proj_as, o2, o1)
-
-    def search():
-        return find_algebra_isomorphism(o2, o1, cap)
-
-    return _verdict("2.8-outer", expected, o1, o2, [canonical, search])
-
-
-def _sq_28_inner(a, expected, bound, cap):
-    o1 = leibnization(dialgebra_of_associative(a))
-    o2 = leibniz_of_lie(commutator_lie(a))
-    return _verdict("2.8-inner", expected, o1, o2, [])
-
-
-def _sq_lbdias_j(i):
-    def run(d, expected, bound, cap):
-        o1 = xlb_of_xdias(embed(f"J{i}", d))
-        o2 = embed(f"J{i}'", leibnization(d))
-        return _verdict(f"LbDias-J{i}", expected, o1, o2, [])
-    return run
-
-
-def _sq_lbdias_xud_j(i):
-    def run(g, expected, bound, cap):
-        r = xud_full(embed(f"J{i}'", g), bound)
-        o1 = r.xmod
-        o2 = embed(f"J{i}", ud(g, bound).algebra)
-        return _verdict(f"LbDias-XUd-J{i}", expected, o1, o2,
-                        [lambda: _envelope_identity_witness(r, o2),
-                         lambda: find_xmod_isomorphism(o1, o2, cap)])
-    return run
-
-
-def _sq_aslie_i(i):
-    def run(fix, expected, bound, cap):
-        if fix.flavor == "as":
-            o1 = xliea_of_xas(embed(f"I{i}", fix))
-            o2 = embed(f"I{i}'", commutator_lie(fix))
-            return _verdict(f"AsLie-I{i}", expected, o1, o2, [])
-        r = xu_full(embed(f"I{i}'", fix), bound)
-        o1 = r.xmod
-        o2 = embed(f"I{i}", u_lie(fix, bound).algebra)
-        return _verdict(f"AsLie-I{i}", expected, o1, o2,
-                        [lambda: _envelope_identity_witness(r, o2),
-                         lambda: find_xmod_isomorphism(o1, o2, cap)])
-    return run
-
-
-def _sq_asdias_i(i):
-    def run(fix, expected, bound, cap):
-        if fix.flavor == "dias":
-            o1 = xas_of_xdias(embed(f"J{i}", fix))[0]
-            o2 = embed(f"I{i}", associative_quotient(fix)[0])
-        else:
-            o1 = inc_xas_to_xdias(embed(f"I{i}", fix))
-            o2 = embed(f"J{i}", dialgebra_of_associative(fix))
-        return _verdict(f"AsDias-I{i}", expected, o1, o2, [])
-    return run
-
-
-def _sq_lielb_i(i):
-    def run(fix, expected, bound, cap):
-        if fix.flavor == "lb":
-            o1 = xliel_of_xlb(embed(f"J{i}'", fix))
-            o2 = embed(f"I{i}'", lie_quotient(fix)[0])
-        else:
-            o1 = inc_xlie_to_xlb(embed(f"I{i}'", fix))
-            o2 = embed(f"J{i}'", leibniz_of_lie(fix))
-        return _verdict(f"LieLb-I{i}", expected, o1, o2, [])
-    return run
-
-
-def _sq_base_xliea(xm, expected, bound, cap):
-    # inclusion direction of the base face, an equality of functors on XAs
-    o1 = inc_xlie_to_xlb(xliea_of_xas(xm))
-    o2 = xlb_of_xdias(inc_xas_to_xdias(xm))
-    return _verdict("base-XLiea", expected, o1, o2, [])
-
-
-def _sq_base_xud_xu(xm, expected, bound, cap):
-    o1 = xas_of_xdias(xud(xm, bound))[0]
-    o2 = xu(xliel_of_xlb(xm), bound)
-    return _verdict("base-XUd-XU", expected, o1, o2,
-                    [lambda: find_xmod_isomorphism(o1, o2, cap)])
-
-
-_SQUARES = {
-    "2.8-outer": {"dias": ("ISOMORPHIC", _sq_28_outer)},
-    "2.8-inner": {"as": ("EQUAL", _sq_28_inner)},
-    "LbDias-J0": {"dias": ("EQUAL", _sq_lbdias_j(0))},
-    "LbDias-J1": {"dias": ("EQUAL", _sq_lbdias_j(1))},
-    "LbDias-XUd-J0": {"lb": ("EQUAL", _sq_lbdias_xud_j(0))},
-    "LbDias-XUd-J1": {"lb": ("ISOMORPHIC", _sq_lbdias_xud_j(1))},
-    "AsLie-I0": {"as": ("EQUAL", _sq_aslie_i(0)),
-                 "lie": ("EQUAL", _sq_aslie_i(0))},
-    "AsLie-I1": {"as": ("EQUAL", _sq_aslie_i(1)),
-                 "lie": ("ISOMORPHIC", _sq_aslie_i(1))},
-    "AsDias-I0": {"dias": ("EQUAL", _sq_asdias_i(0)),
-                  "as": ("EQUAL", _sq_asdias_i(0))},
-    "AsDias-I1": {"dias": ("EQUAL", _sq_asdias_i(1)),
-                  "as": ("EQUAL", _sq_asdias_i(1))},
-    "LieLb-I0": {"lb": ("EQUAL", _sq_lielb_i(0)),
-                 "lie": ("EQUAL", _sq_lielb_i(0))},
-    "LieLb-I1": {"lb": ("EQUAL", _sq_lielb_i(1)),
-                 "lie": ("EQUAL", _sq_lielb_i(1))},
-    "base-XLiea": {"as": ("EQUAL", _sq_base_xliea)},
-    "base-XUd-XU": {"lb": ("ISOMORPHIC", _sq_base_xud_xu)},
-}
+            f"{sorted(rows)}, got {fixture.flavor!r}")
+    row = rows[fixture.flavor]
+    o1, o2 = fixture, fixture
+    for tag in row.first:
+        o1 = apply_functor(tag, o1, bound)
+    for tag in row.second:
+        o2 = apply_functor(tag, o2, bound)
+    find = find_xmod_isomorphism if isinstance(o1, CrossedModule) \
+        else find_algebra_isomorphism
+    witnesses = [partial(find, o1, o2, cap)]
+    if row.witness is not None:
+        witnesses.insert(0, partial(row.witness, fixture, bound, o1, o2))
+    return _verdict(square_id, row.expected, o1, o2, witnesses)
 
 
 # ---------------------------------------------------------------------------

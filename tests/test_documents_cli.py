@@ -179,6 +179,23 @@ def test_cli_construct_roundtrips():
     assert rc == 0
 
 
+def test_roundtrip_reports_equal_then_isomorphism():
+    from diacat.algebra import BilinearMap, make_algebra
+    from diacat.cli import _roundtrip
+    from diacat.functors import embed
+
+    def lb(triples):
+        return make_algebra("lb", GF(2), [BilinearMap.from_triples(
+            GF(2), 2, 2, 2, triples)])
+
+    # [e0, e0] = e1 and [e1, e1] = e0: isomorphic by the swap, not equal
+    x = embed("J1'", lb([(0, 0, 1, 1)]))
+    y = embed("J1'", lb([(1, 1, 0, 1)]))
+    assert _roundtrip(x, x, None) == (True, "equal")
+    assert _roundtrip(x, y, None) == (True, "isomorphism")
+    assert _roundtrip(x, embed("J1'", lb([])), None) == (False, "isomorphism")
+
+
 def test_cli_verify_exit_codes():
     assert _run_main(["verify", "square:LbDias-XUd-J0"])[0] == 0
     assert _run_main(["verify", "equivalence:internal"])[0] == 0

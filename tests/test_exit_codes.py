@@ -6,7 +6,8 @@ seeded fuzzer mutates every bundled fixture document one JSON value at a
 time and runs ``check`` and one ``construct`` per document kind on it
 in-process.  A Hypothesis strategy also draws whole documents (field,
 flavor, dims, sparse tensors, ``mu`` and action slots, each sometimes out
-of range or of another flavor) and runs ``check`` on them.
+of range or of another flavor) and runs ``check`` on them.  Another draws
+``verify`` and ``construct`` command lines over the bundled fixtures.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from diacat import documents, fixtures
 from diacat.actions import action_slots
 from diacat.algebra import FLAVORS
 from diacat.cli import main
+from diacat.functors import FUNCTOR_TAGS, category, square_ids
 
 SEED = 20261018
 MUTATIONS = 60
@@ -203,3 +205,71 @@ def test_whole_generated_documents_keep_the_exit_code_contract(tmp_path):
     # whole documents reach every outcome, for both kinds
     assert seen == {(kind, rc) for kind in ("algebra", "xmod")
                     for rc in (0, 1, 2)}, seen
+
+
+BATTERIES = ([f"square:{sq}" for sq in square_ids()]
+             + ["adjunction:ud", "adjunction:xud", "adjunction:chain:0",
+                "adjunction:chain:1", "equivalence:cat1",
+                "equivalence:internal", "parallelepiped"])
+KINDS = sorted(FUNCTOR_TAGS) + ["semidirect", "roundtrip-cat1",
+                                "roundtrip-internal"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A ``verify`` or ``construct`` command line: a battery or a kind,
+    sometimes an unknown one; fixture names, sometimes none, two or one
+    that does not exist; ``--trunc`` and ``--cap`` mostly in range, some
+    just below it.  ``construct`` mostly gets a tag whose source category
+    fits its one fixture.  ``--trunc`` stays at most 3, where the bundled
+    envelopes are cheap."""
+    names = st.sampled_from(fixtures.names() + ["no-such-fixture"])
+    if draw(st.booleans()):
+        argv = ["verify", draw(st.sampled_from(
+            BATTERIES + ["square:no-such-square", "adjunction:chain:2"]))]
+        argv += [draw(names) for _ in range(draw(st.sampled_from(
+            [0, 0, 1, 1, 2])))]
+        cap = draw(st.sampled_from([None, None, -1, 0, 1, 64, 4096]))
+        if cap is not None:
+            argv += ["--cap", str(cap)]
+    else:
+        inputs = [draw(names) for _ in range(draw(st.sampled_from(
+            [1, 1, 1, 1, 0, 2])))]
+        kinds = KINDS + ["no-such-kind"]
+        if len(inputs) == 1 and inputs[0] in fixtures.names() \
+                and draw(st.integers(0, 3)):
+            source = category(fixtures.get(inputs[0]))
+            kinds = [tag for tag, fn in sorted(FUNCTOR_TAGS.items())
+                     if fn.source == source]
+        argv = ["construct", draw(st.sampled_from(kinds))] + inputs
+    trunc = draw(st.sampled_from([None, 1, 2, 3, None, 1, 2, 3, -1, 0]))
+    if trunc is not None:
+        argv += ["--trunc", str(trunc)]
+    return argv
+
+
+def test_generated_command_lines_keep_the_exit_code_contract():
+    seen = set()
+
+    @settings(max_examples=100, derandomize=True, database=None,
+              deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_command_lines())
+    def check(argv):
+        try:
+            rc, out, err = _run(argv)
+        except Exception as exc:  # noqa: BLE001 - the contract
+            pytest.fail(f"{exc!r}\n{argv}")
+        assert rc in (0, 1, 2, 3), (rc, err, argv)
+        assert "Traceback" not in err, (err, argv)
+        if rc in (2, 3):
+            assert out == "", (err, argv)
+        if argv[0] == "verify" and out:
+            assert json.loads(out)["passed"] == (rc == 0), (err, argv)
+        seen.add((argv[0], rc))
+
+    check()
+    # the drawn command lines pass, fail, refuse input and hit the cap
+    assert {rc for _, rc in seen} == {0, 1, 2, 3}, seen
+    assert {("verify", 0), ("verify", 2), ("verify", 3), ("construct", 0),
+            ("construct", 2)} <= seen, seen
