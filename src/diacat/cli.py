@@ -4,6 +4,9 @@ diagrams and adjunctions, and emit the bundled fixture corpus.
 Exit codes are a stable contract: 0 pass, 1 mathematical failure,
 2 input error, 3 resource cap exceeded.  Machine-readable JSON goes to
 stdout with sorted keys; human commentary goes to stderr.
+
+Handlers import what they run, so ``check`` never loads the functor,
+envelope and cat1 modules.
 """
 
 import argparse
@@ -11,21 +14,10 @@ import json
 import sys
 from functools import partial
 
-from . import documents, fixtures
-from .actions import CrossedModule, semidirect
+from . import documents
 from .algebra import FLAVORS
-from .cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
-                   cat1_of_xmod, check_internal_category, psi,
-                   xdias_to_internal, xmod_of_cat1)
 from .errors import (DiacatError, ParseError, ResourceCapExceeded,
                      SearchSpaceTooLarge)
-from .functors import (FUNCTOR_TAGS, apply_functor, category, chain_pairs,
-                       check_parallelepiped, check_square,
-                       find_xmod_isomorphism, inc_xas_to_xdias,
-                       inc_xlie_to_xlb, square_fixture_kind, square_flavors,
-                       square_ids, verify_adjunction_chain,
-                       verify_adjunction_ud, verify_adjunction_xud,
-                       xmods_equal)
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_CAP = 0, 1, 2, 3
 
@@ -56,6 +48,7 @@ def _write_or_print(doc, out_path):
 
 def _resolve(spec, kind=None, check=True):
     """A fixture name or a document path, to a live object."""
+    from . import fixtures
     if spec in fixtures.names():
         fx = fixtures.info(spec)
         if kind is not None and fx.kind != kind:
@@ -112,26 +105,27 @@ def cmd_check(args) -> int:
 # construct
 
 
-# construction kinds beside the functor tags: source categories, builder
-_CONSTRUCTIONS = {
-    "semidirect": (("XDias", "XLb", "XAs", "XLie"),
-                   lambda xm: semidirect(xm.action)[0]),
-    "roundtrip-cat1": (("XDias", "XLb"),
-                       lambda xm: xmod_of_cat1(cat1_of_xmod(xm))),
-    "roundtrip-internal": (("XDias",),
-                           lambda xm: psi(xdias_to_internal(xm))),
-}
-
-
 def _construct(kind, args):
+    from .actions import CrossedModule, semidirect
+    from .cat1 import cat1_of_xmod, psi, xdias_to_internal, xmod_of_cat1
+    from .functors import FUNCTOR_TAGS, apply_functor, category
+    # construction kinds beside the functor tags: source categories, builder
+    constructions = {
+        "semidirect": (("XDias", "XLb", "XAs", "XLie"),
+                       lambda xm: semidirect(xm.action)[0]),
+        "roundtrip-cat1": (("XDias", "XLb"),
+                           lambda xm: xmod_of_cat1(cat1_of_xmod(xm))),
+        "roundtrip-internal": (("XDias",),
+                               lambda xm: psi(xdias_to_internal(xm))),
+    }
     if kind in FUNCTOR_TAGS:
         fn = FUNCTOR_TAGS[kind]
         if fn.truncated and args.trunc is None:
             raise ParseError(f"construct {kind} requires --trunc")
         sources = (fn.source,)
         build = partial(apply_functor, kind, bound=args.trunc)
-    elif kind in _CONSTRUCTIONS:
-        sources, build = _CONSTRUCTIONS[kind]
+    elif kind in constructions:
+        sources, build = constructions[kind]
     else:
         raise ParseError(f"unknown construction kind {kind!r}")
     if len(args.inputs) != 1:
@@ -167,6 +161,7 @@ def cmd_construct(args) -> int:
 
 
 def _battery(kind, flavors=None):
+    from . import fixtures
     out = []
     for name, obj in fixtures.by_kind(kind):
         if flavors is None or obj.flavor in flavors:
@@ -189,6 +184,8 @@ def _named_battery(args, kind, flavors):
 
 
 def _verify_square(args, square_id, results):
+    from .functors import (check_square, square_fixture_kind, square_flavors,
+                           square_ids)
     if square_id not in square_ids():
         raise ParseError(f"unknown square id {square_id!r}; known: "
                          + ", ".join(sorted(square_ids())))
@@ -226,11 +223,21 @@ _CHAIN_FIXTURES = {
 
 
 def _verify_adjunction(args, which, results):
+    from .fixtures import get
+    from .functors import (chain_pairs, verify_adjunction_chain,
+                           verify_adjunction_ud, verify_adjunction_xud)
+    idx = which.split(":", 1)[1] if which.startswith("chain:") else None
+    if which not in ("ud", "xud") and idx is None:
+        raise ParseError(f"unknown adjunction battery {which!r}")
+    if idx not in (None, "0", "1"):
+        raise ParseError("adjunction:chain takes index 0 or 1")
+    if args.fixtures:
+        raise ParseError(f"adjunction:{which} runs its bundled pairs and "
+                         "takes no fixture names")
     if which == "ud":
         for gname, dname in _UD_PAIRS:
-            rep = verify_adjunction_ud(fixtures.get(gname),
-                                       fixtures.get(dname),
-                                       args.trunc, cap=args.cap)
+            rep = verify_adjunction_ud(get(gname), get(dname), args.trunc,
+                                       cap=args.cap)
             results.append({"check": "adjunction:ud",
                             "fixture": f"{gname} / {dname}",
                             "passed": rep.passed,
@@ -239,33 +246,27 @@ def _verify_adjunction(args, which, results):
         return
     if which == "xud":
         for xname, dname in _XUD_PAIRS:
-            rep = verify_adjunction_xud(fixtures.get(xname),
-                                        fixtures.get(dname),
-                                        args.trunc, cap=args.cap)
+            rep = verify_adjunction_xud(get(xname), get(dname), args.trunc,
+                                        cap=args.cap)
             results.append({"check": "adjunction:xud",
                             "fixture": f"{xname} / {dname}",
                             "passed": rep.passed,
                             "cardinality": len(rep.left),
                             "items": _report_items(rep.items)})
         return
-    if which.startswith("chain:"):
-        idx = which.split(":", 1)[1]
-        if idx not in ("0", "1"):
-            raise ParseError("adjunction:chain takes index 0 or 1")
-        for flavor in ("dias", "lb", "as", "lie"):
-            xname, aname = _CHAIN_FIXTURES[flavor]
-            fix = [(fixtures.get(xname), fixtures.get(aname))]
-            for pair in chain_pairs(flavor, int(idx)):
-                rep = verify_adjunction_chain(pair, fix, cap=args.cap)
-                results.append({"check": f"adjunction:{pair[0]}-|{pair[1]}",
-                                "fixture": f"{xname} / {aname}",
-                                "passed": rep.passed,
-                                "items": _report_items(rep)})
-        return
-    raise ParseError(f"unknown adjunction battery {which!r}")
+    for flavor in ("dias", "lb", "as", "lie"):
+        xname, aname = _CHAIN_FIXTURES[flavor]
+        fix = [(get(xname), get(aname))]
+        for pair in chain_pairs(flavor, int(idx)):
+            rep = verify_adjunction_chain(pair, fix, cap=args.cap)
+            results.append({"check": f"adjunction:{pair[0]}-|{pair[1]}",
+                            "fixture": f"{xname} / {aname}",
+                            "passed": rep.passed,
+                            "items": _report_items(rep)})
 
 
 def _as_dias_or_lb(xm):
+    from .functors import inc_xas_to_xdias, inc_xlie_to_xlb
     if xm.flavor == "as":
         return inc_xas_to_xdias(xm)
     if xm.flavor == "lie":
@@ -276,12 +277,15 @@ def _as_dias_or_lb(xm):
 def _roundtrip(xm, back, cap):
     """Whether a round trip came back to ``xm``, and how: ``"equal"`` for
     tensor-identical, else ``"isomorphism"``, found by a search."""
+    from .functors import find_xmod_isomorphism, xmods_equal
     if xmods_equal(xm, back):
         return True, "equal"
     return find_xmod_isomorphism(xm, back, cap=cap) is not None, "isomorphism"
 
 
 def _verify_cat1(args, results):
+    from .cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
+                       cat1_of_xmod, xmod_of_cat1)
     for name, xm0 in _named_battery(args, "xmod", None):
         xm = _as_dias_or_lb(xm0)
         c = cat1_of_xmod(xm)
@@ -297,6 +301,7 @@ def _verify_cat1(args, results):
 
 
 def _verify_internal(args, results):
+    from .cat1 import check_internal_category, psi, xdias_to_internal
     for name, xm0 in _named_battery(args, "xmod", {"dias", "as"}):
         xm = _as_dias_or_lb(xm0)
         ic = xdias_to_internal(xm)
@@ -309,6 +314,7 @@ def _verify_internal(args, results):
 
 
 def _verify_parallelepiped(args, results):
+    from .functors import check_parallelepiped
     battery = _named_battery(args, "xmod", {"lb", "lie"})
     for name, xm in battery:
         rep = check_parallelepiped(xm, bound=args.trunc, cap=args.cap)
@@ -353,6 +359,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from . import fixtures
     if args.action == "list":
         for name in fixtures.names():
             fx = fixtures.info(name)

@@ -8,17 +8,24 @@ reproduces ``x`` and ``emit`` is idempotent on parsed documents.
 Product keys and action slot names are read from ``algebra.FLAVORS``.  A
 key that belongs to another flavor is an input error, not a product read
 as zero: an algebra document with ``left``/``right`` does not parse as
-``lb``, while ``lb`` and ``lie`` share the key ``bracket``.
+``lb``, while ``lb`` and ``lie`` share the key ``bracket``.  Action slot
+names differ between every two flavors, so a crossed-module document never
+reads under another flavor.  Only crossed-module documents load ``actions``.
 """
 
-import json
+from __future__ import annotations
 
-from .actions import Action, CrossedModule, action_slots, tensor_shape
+import json
+from typing import TYPE_CHECKING
+
 from .algebra import (FLAVORS, Algebra, AlgebraMorphism, BilinearMap,
                       make_algebra)
 from .errors import ParseError
 from .fields import GF, QQ, Rationals
 from .linalg import Matrix
+
+if TYPE_CHECKING:
+    from .actions import CrossedModule
 
 
 def field_to_document(field):
@@ -141,6 +148,7 @@ def xmod_to_document(xm: CrossedModule) -> dict:
 
 
 def xmod_from_document(doc, check=True) -> CrossedModule:
+    from .actions import Action, CrossedModule, action_slots, tensor_shape
     if not isinstance(doc, dict):
         raise ParseError("crossed-module document must be a JSON object")
     flavor = doc.get("flavor")
@@ -161,7 +169,15 @@ def xmod_from_document(doc, check=True) -> CrossedModule:
     if not isinstance(action_doc, dict):
         raise ParseError("'action' must map slot names to triple lists")
     slots = action_slots(flavor)
-    unknown = sorted(set(action_doc) - {name for name, _, _ in slots})
+    owner = {name: f for f in FLAVORS for name, _, _ in action_slots(f)}
+    foreign = sorted(n for n in action_doc if owner.get(n, flavor) != flavor)
+    if foreign:
+        raise ParseError(
+            f"action slots {foreign} belong to flavor "
+            f"{', '.join(sorted({owner[name] for name in foreign}))}, not "
+            f"{flavor}: a crossed-module document cannot be re-read under "
+            "another flavor")
+    unknown = sorted(set(action_doc) - set(owner))
     if unknown:
         raise ParseError(f"unknown action slots {unknown} for flavor {flavor}")
     tensors = {}

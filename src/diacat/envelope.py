@@ -16,7 +16,6 @@ pipeline through the semidirect model and its kernel-product quotient.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .actions import CrossedModule, lemma_crossed_checks
@@ -163,8 +162,7 @@ def tensor_algebra(field, generators: int, bound: int) -> TensorAlgebra:
 # enveloping quotients
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """A truncated enveloping algebra with its defining data.
 
     ``eta`` maps generators to classes of length-1 words; ``proj`` is the
@@ -286,8 +284,7 @@ def envelope_functor_morphism(env_src: Envelope, env_tgt: Envelope,
 # crossed-module-level envelopes
 
 
-@dataclass(frozen=True)
-class XudResult:
+class XudResult(NamedTuple):
     """Full record of the crossed-module enveloping pipeline.
 
     ``xmod`` is the resulting crossed module and ``cat1`` its retraction

@@ -5,26 +5,25 @@ finite-field entries keep dimensions small enough for exhaustive hom-set
 enumeration; the rational entries exercise exact fraction arithmetic.
 One deliberately invalid algebra is included as a negative example for
 the checkers (marked ``valid=False``).
+
+Builders import ``envelope`` and ``functors`` only when they run.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import documents
 from .actions import CrossedModule, trivial_action, xmod_from_ideal
 from .algebra import (AlgebraMorphism, AssociativeAlgebra, BilinearMap,
                       Dialgebra, LeibnizAlgebra, LieAlgebra, abelian_algebra,
                       dialgebra_of_associative)
-from .envelope import free_dialgebra
 from .errors import DiacatError
 from .fields import GF, QQ
-from .functors import embed
 from .linalg import Matrix, Subspace
 
 F2 = GF(2)
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     kind: str  # "algebra" | "xmod"
     valid: bool
@@ -61,8 +60,18 @@ def _bad_dias():
     return Dialgebra(QQ, left, right, ["e"], check=False)
 
 
+def _free_dialgebra(field):
+    from .envelope import free_dialgebra
+    return free_dialgebra(field, 1, 2)
+
+
+def _embed(tag, alg):
+    from .functors import embed
+    return embed(tag, alg)
+
+
 def _free_deg2_ideal(field):
-    d = free_dialgebra(field, 1, 2)
+    d = _free_dialgebra(field)
     sub = Subspace.span(field, [[0, 1, 0], [0, 0, 1]], 3)
     return xmod_from_ideal(d, sub)
 
@@ -77,11 +86,11 @@ def _xlie_abelian_pair():
 _register("free-dias-1-2", "algebra",
           "free dialgebra on one generator over Q, truncated at word "
           "length 2 (dimension 3)",
-          lambda: free_dialgebra(QQ, 1, 2))
+          lambda: _free_dialgebra(QQ))
 _register("free-dias-1-2-f2", "algebra",
           "free dialgebra on one generator over F2, truncated at word "
           "length 2",
-          lambda: free_dialgebra(F2, 1, 2))
+          lambda: _free_dialgebra(F2))
 _register("dias-abelian-2-f2", "algebra",
           "two-dimensional dialgebra over F2 with both products zero",
           lambda: abelian_algebra("dias", F2, 2, ["a", "b"]))
@@ -126,18 +135,18 @@ _register("xdias-ideal-incl-f2", "xmod",
 _register("xdias-zero-f2", "xmod",
           "zero crossed module over the free dialgebra on one generator "
           "over F2 (trivial source, trivial action)",
-          lambda: embed("J0", free_dialgebra(F2, 1, 2)))
+          lambda: _embed("J0", _free_dialgebra(F2)))
 _register("xlb-ident-ff-e-f2", "xmod",
           "identity crossed module of the [f,f] = e Leibniz algebra over "
           "F2, acting on itself by brackets",
-          lambda: embed("J1'", _ffe(F2)))
+          lambda: _embed("J1'", _ffe(F2)))
 _register("xlb-zero-ff-e-f2", "xmod",
           "zero crossed module over the [f,f] = e Leibniz algebra over F2",
-          lambda: embed("J0'", _ffe(F2)))
+          lambda: _embed("J0'", _ffe(F2)))
 _register("xlb-ident-abelian-1-f2", "xmod",
           "identity crossed module of the one-dimensional abelian Leibniz "
           "algebra over F2",
-          lambda: embed("J1'", abelian_algebra("lb", F2, 1, ["x"])))
+          lambda: _embed("J1'", abelian_algebra("lb", F2, 1, ["x"])))
 _register("xlb-ideal-e-f2", "xmod",
           "inclusion of the bracket-generated ideal span{e} into the "
           "[f,f] = e Leibniz algebra over F2",
@@ -149,7 +158,7 @@ _register("xlie-abelian-pair-f2", "xmod",
 _register("xas-ident-nilp2-f2", "xmod",
           "identity crossed module of the nilpotent associative algebra "
           "t*t = t2 over F2",
-          lambda: embed("I1", _nilp2(F2)))
+          lambda: _embed("I1", _nilp2(F2)))
 
 
 def names():

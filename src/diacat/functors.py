@@ -18,7 +18,6 @@ lexicographic in the columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -551,8 +550,7 @@ def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> list:
 # adjunction verification
 
 
-@dataclass
-class BijectionReport:
+class BijectionReport(NamedTuple):
     left: list
     right: list
     items: AxiomReport
@@ -875,8 +873,7 @@ def find_xmod_isomorphism(x, y, cap=None):
     return None
 
 
-@dataclass
-class CommutativityReport:
+class CommutativityReport(NamedTuple):
     square_id: str
     expected: str
     verdict: str

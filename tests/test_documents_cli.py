@@ -137,6 +137,24 @@ def test_cli_check_override_never_drops_another_flavors_products(
     assert f"keys {keys} are products of another flavor" in err
 
 
+@pytest.mark.parametrize("name, override, slots, owner", [
+    ("xlb-ideal-e-f2", "lie", "['gq', 'qg']", "lb"),
+    ("xlie-abelian-pair-f2", "lb", "['pm']", "lie"),
+])
+def test_cli_check_override_of_a_crossed_module_names_its_slots(
+        tmp_path, capsys, name, override, slots, owner):
+    # lb and lie share the product key, so only the action slots differ
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(fixtures.document(name)))
+    capsys.readouterr()
+    rc = main(["check", str(path), "--flavor-override", override])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert (f"action slots {slots} belong to flavor {owner}, not "
+            f"{override}: a crossed-module document cannot be re-read under "
+            "another flavor") in err
+
+
 def test_cli_construct_dims_and_trunc(tmp_path):
     rc, text = _run_main(["construct", "Ud", "leibniz-ff-e-f2",
                           "--trunc", "2"])
@@ -205,6 +223,11 @@ def test_cli_verify_exit_codes():
     # wrong-kind or wrong-flavor explicit fixture
     assert main(["verify", "square:2.8-outer", "leibniz-ff-e-f2"]) == 2
     assert main(["verify", "parallelepiped", "free-dias-1-2"]) == 2
+    # the adjunction batteries run fixed pairs and take no fixture names
+    for which in ("ud", "xud", "chain:0", "chain:1"):
+        for name in ("no-such-fixture", "leibniz-ff-e-f2"):
+            assert _run_main(["verify", f"adjunction:{which}",
+                              name]) == (2, "")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

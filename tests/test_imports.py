@@ -1,9 +1,17 @@
 """Every name a module of ``src/diacat`` imports is used in that module.
 
 ``__init__.py`` is exempt: its imports are the package's re-exports.
+
+Each subcommand loads only the modules it runs: a fresh interpreter that
+imports the command line, or checks one document, leaves the functor,
+envelope and cat1 stack unloaded, and no path loads ``dataclasses``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +85,36 @@ def test_every_private_definition_is_referenced_in_src():
     dead = [(path.name, name) for path in MODULES for name in _definitions(path)
             if name.startswith("_") and name not in used]
     assert dead == []
+
+
+# id: (what the fresh interpreter runs, the fixture whose document DOC
+# names, modules it must not load)
+STACK = ["diacat.functors", "diacat.envelope", "diacat.cat1",
+         "diacat.fixtures"]
+CHECK = "from diacat.cli import main; main(['check', DOC])"
+BUDGETS = {
+    "import-cli": ("import diacat.cli", None,
+                   STACK + ["diacat.actions", "dataclasses"]),
+    "check-algebra": (CHECK, "leibniz-ff-e-f2",
+                      STACK + ["diacat.actions", "diacat.audit",
+                               "dataclasses"]),
+    "check-xmod": (CHECK, "xlb-ideal-e-f2", STACK),
+    "import-functors": ("import diacat.functors", None, ["dataclasses"]),
+}
+
+
+@pytest.mark.parametrize("run", BUDGETS)
+def test_fresh_interpreter_loads_only_what_it_runs(tmp_path, run):
+    from diacat import fixtures
+    code, fixture, banned = BUDGETS[run]
+    doc = tmp_path / "doc.json"
+    if fixture is not None:
+        doc.write_text(json.dumps(fixtures.document(fixture)))
+    loaded = tmp_path / "modules.json"
+    script = (f"import json, sys\nDOC = {str(doc)!r}\n{code}\n"
+              f"json.dump(sorted(sys.modules), open({str(loaded)!r}, 'w'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                   capture_output=True)
+    assert sorted(set(banned) & set(json.loads(loaded.read_text()))) == []

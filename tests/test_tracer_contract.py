@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -78,3 +80,32 @@ def test_every_checker_is_traced():
                 and name.startswith("check_")]
     assert len(checkers) == 8
     assert not set(checkers) - names, sorted(set(checkers) - names)
+
+
+# one job of each kind: (command line, spans it must record); DOC is the
+# path of an lb document
+TRACED_JOBS = {
+    "verify": (["verify", "square:LieLb-I1"], ["functors.check_square"]),
+    "construct": (["construct", "Ud", "leibniz-ff-e-f2", "--trunc", "2"],
+                  ["envelope.ud"]),
+    "check": (["check", "DOC"], ["algebra.check_leibniz",
+                                 "documents.loads_document"]),
+}
+
+
+@pytest.mark.parametrize("job", TRACED_JOBS)
+def test_tracer_wraps_what_each_subcommand_imports(tmp_path, job):
+    # the command line imports its modules inside each handler; the spans
+    # show that every handler calls the functions install rebound
+    from diacat import fixtures
+    argv, expected = TRACED_JOBS[job]
+    doc = tmp_path / "lb.json"
+    doc.write_text(json.dumps(fixtures.document("leibniz-ff-e-f2")))
+    argv = [str(doc) if a == "DOC" else a for a in argv]
+    out = tmp_path / "trace.json"
+    root = TRACER.parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    subprocess.run([sys.executable, str(TRACER), str(out), "1", "--", *argv],
+                   env=env, capture_output=True, check=True)
+    names = {span[3] for span in json.loads(out.read_text())["spans"]}
+    assert not set(expected) - names, sorted(names)
