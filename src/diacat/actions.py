@@ -41,7 +41,7 @@ from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, FLAVORS, LEIBNIZ_AXIOM,
                       sp_from_dense, sp_to_dense)
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAction,
                      InvalidCrossedModule, LemmaViolation, NotAnIdeal)
-from .linalg import Matrix, QuotientMap, Subspace, solver, unit_vector
+from .linalg import Matrix, QuotientMap, Subspace, unit_vector
 
 ACTOR = "D"
 ACTEE = "L"
@@ -604,19 +604,23 @@ def action_by_ambient_products(actor_incl: AlgebraMorphism,
                                check=True) -> Action:
     """Action through two embeddings into a common ambient algebra.
 
-    The actee image must absorb products with the actor image; each cross
-    product is computed in the ambient and pulled back through the actee
-    embedding, which must be injective, by one echelon form of the embedding
-    per call.
+    The actee image must absorb products with the actor image.  Each cross
+    product is computed in the ambient and pulled back to the canonical
+    coordinates of the actee image, so the actee embedding's columns must
+    be that basis, as for ``induced_subalgebra``'s inclusion.
     """
     E = actor_incl.target
     if not (actee_incl.target is E or actee_incl.target.same_structure(E)):
         raise DimensionMismatch("embeddings land in different ambients")
     f = E.field
-    pull_back = solver(actee_incl.matrix)
+    actee_image = image_of(actee_incl)
+    m = actee_incl.matrix
+    if actee_image.basis != tuple(tuple(m.col(j)) for j in range(m.cols)):
+        raise InvalidAction("the actee embedding's columns are not the "
+                            "canonical basis of its image")
 
     def back(w):
-        c = pull_back(sp_to_dense(f, w, E.dim))
+        c = actee_image.coords(sp_to_dense(f, w, E.dim))
         if c is None:
             raise InvalidAction("ambient product leaves the actee image")
         return sp_from_dense(f, c)

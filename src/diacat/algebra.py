@@ -31,8 +31,9 @@ Ideals are closed by one pass.  ``ideal_closure`` keeps a worklist: each
 new direction is multiplied by the basis once, on both sides, and the
 residuals that escape the ideal found so far become the next frontier.
 ``is_ideal`` is the same pass over the whole basis of a subspace, stopped
-at the first escape, so the check ``quotient_algebra`` runs on its ideal
-is the pass that builds ideals, not a second kind of check.
+at the first escape.  ``quotient_algebra`` divides by the ideal its
+argument generates, so a seed is closed once and an ideal is passed over
+once: the pass that builds ideals is also the one that certifies them.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import NamedTuple, Optional
 from . import linalg
 from .config import guard_dim
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAlgebra,
-                     NotAnIdeal, NotClosed)
+                     NotClosed)
 from .fields import Field
 from .linalg import Matrix, QuotientMap, Subspace, vec_zero
 
@@ -811,7 +812,7 @@ def _escapes(alg: Algebra, s: Subspace, frontier):
     units = [{j: f.one()} for j in range(alg.dim)]
     for w in chain(_products(alg, frontier, units),
                    _products(alg, units, frontier)):
-        r = s.reduce(sp_to_dense(f, w, alg.dim))
+        r = s.reduce(w)
         if not linalg.vec_is_zero(f, r):
             yield r
 
@@ -830,8 +831,10 @@ def ideal_closure(alg: Algebra, seed: Subspace) -> Subspace:
         raise DimensionMismatch("seed not in the algebra's ambient space")
     current, frontier = seed, _sparse_basis(seed)
     while frontier:
-        grown = Subspace.span(f, list(current.basis) + list(
-            _escapes(alg, current, frontier)), alg.dim)
+        escaped = list(_escapes(alg, current, frontier))
+        if not escaped:
+            break
+        grown = Subspace.span(f, list(current.basis) + escaped, alg.dim)
         # the rows at new pivots span the new directions beside ``current``
         old = set(current.pivots)
         frontier = [sp_from_dense(f, r)
@@ -847,15 +850,24 @@ def is_ideal(alg: Algebra, s: Subspace) -> bool:
     return next(_escapes(alg, s, _sparse_basis(s)), None) is None
 
 
-def quotient_algebra(alg: Algebra, ideal: Subspace, labels=None):
-    """Quotient by a two-sided ideal; returns (algebra, projection morphism).
+class Quotient(tuple):
+    """A quotient ``(algebra, projection)`` with its ``ideal`` divided out."""
+
+    def __new__(cls, algebra, projection, ideal):
+        self = super().__new__(cls, (algebra, projection))
+        self.ideal = ideal
+        return self
+
+
+def quotient_algebra(alg: Algebra, seed: Subspace, labels=None) -> Quotient:
+    """Quotient by ``ideal_closure(alg, seed)``, whose one pass on a seed
+    that is already an ideal is the ``is_ideal`` check.
 
     Quotient coordinates are the classes of the non-pivot standard basis
     vectors, so quotienting by the zero ideal reproduces the original
     structure constants on the nose.
     """
-    if not is_ideal(alg, ideal):
-        raise NotAnIdeal(f"subspace of dim {ideal.dim} is not an ideal")
+    ideal = ideal_closure(alg, seed)
     f = alg.field
     qm = QuotientMap(alg.dim, ideal)
     units = sp_cols(qm.section)
@@ -865,8 +877,7 @@ def quotient_algebra(alg: Algebra, ideal: Subspace, labels=None):
     if labels is None:
         labels = [alg.labels[c] for c in qm.section_cols]
     quot = make_algebra(alg.flavor, f, prods, labels)
-    proj = AlgebraMorphism(alg, quot, qm.project)
-    return quot, proj
+    return Quotient(quot, AlgebraMorphism(alg, quot, qm.project), ideal)
 
 
 def induced_subalgebra(alg: Algebra, sub: Subspace, labels=None):
@@ -982,29 +993,29 @@ def square_seeds(g: LeibnizAlgebra) -> list:
     return out
 
 
-def associative_quotient(d: Dialgebra):
+def associative_quotient(d: Dialgebra) -> Quotient:
     """Universal associative quotient: divide by the ideal forcing -| = |-.
 
     Returns (associative algebra, projection as a dialgebra morphism onto the
-    quotient viewed as a dialgebra).
+    quotient viewed as a dialgebra), with that ideal.
     """
     f = d.field
-    ideal = ideal_closure(d, seed_span(f, merge_seeds(d), d.dim))
-    quot_dias, proj = quotient_algebra(d, ideal)
+    quot = quotient_algebra(d, seed_span(f, merge_seeds(d), d.dim))
+    quot_dias, proj = quot
     if quot_dias.left != quot_dias.right:
         raise InvalidAlgebra("associative quotient failed to merge the products")
     asq = AssociativeAlgebra(f, quot_dias.left, list(quot_dias.labels))
-    return asq, proj
+    return Quotient(asq, proj, quot.ideal)
 
 
-def lie_quotient(g: LeibnizAlgebra):
+def lie_quotient(g: LeibnizAlgebra) -> Quotient:
     """Universal Lie quotient: divide by the ideal generated by squares.
 
     Returns (lie algebra, projection as a Leibniz morphism onto the
-    quotient).
+    quotient), with that ideal.
     """
     f = g.field
-    ideal = ideal_closure(g, seed_span(f, square_seeds(g), g.dim))
-    quot_lb, proj = quotient_algebra(g, ideal)
+    quot = quotient_algebra(g, seed_span(f, square_seeds(g), g.dim))
+    quot_lb, proj = quot
     lie = LieAlgebra(f, quot_lb.bracket, list(quot_lb.labels))
-    return lie, proj
+    return Quotient(lie, proj, quot.ideal)

@@ -20,13 +20,12 @@ from typing import NamedTuple
 
 from .actions import CrossedModule, lemma_crossed_checks
 from .algebra import (Algebra, AlgebraMorphism, AssociativeAlgebra,
-                      BilinearMap, Dialgebra, LeibnizAlgebra, ideal_closure,
-                      kernel_of, multiply_subspaces, quotient_algebra,
-                      seed_span, sp_sub)
+                      BilinearMap, Dialgebra, LeibnizAlgebra, kernel_of,
+                      multiply_subspaces, quotient_algebra, seed_span, sp_sub)
 from .cat1 import Cat1, cat1_of_xmod, xmod_of_cat1
 from .config import guard_dim
 from .errors import DimensionMismatch, InvalidCrossedModule, NotWellDefined
-from .linalg import Matrix, QuotientMap, Subspace, vec_is_zero
+from .linalg import Matrix, QuotientMap, Subspace, image, vec_is_zero
 
 
 class Word(NamedTuple):
@@ -205,10 +204,9 @@ def _envelope(source: Algebra, bound: int, free: Algebra) -> Envelope:
     rels = [sp_sub(f, bracket.pair(i, j),
                    sp_sub(f, first.pair(i, j), last.pair(j, i)))
             for i in range(n) for j in range(n)]
-    ideal = ideal_closure(free, seed_span(f, rels, free.dim))
-    alg, proj = quotient_algebra(free, ideal)
+    alg, proj = quot = quotient_algebra(free, seed_span(f, rels, free.dim))
     eta = Matrix.from_cols(f, [proj.matrix.col(i) for i in range(n)], alg.dim)
-    return Envelope(source, bound, alg, eta, proj, ideal)
+    return Envelope(source, bound, alg, eta, proj, quot.ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +313,12 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
     ks = kernel_of(uds)
     kt = kernel_of(udt)
     x = multiply_subspaces(big, ks, kt).add(multiply_subspaces(big, kt, ks))
-    xc = ideal_closure(big, x)
+    quot, pi = q = quotient_algebra(big, x)
+    xc = q.ideal
     if xc.dim > x.dim:
         warnings.warn(
             "kernel-product subspace was not an ideal "
             f"(dim {x.dim} -> {xc.dim}); using the closure")
-    quot, pi = quotient_algebra(big, xc)
     for r in xc.basis:
         # s and t must factor through the quotient
         assert vec_is_zero(f, uds.matrix.mul_vec(list(r)))
@@ -329,9 +327,8 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
     sbar = uds.matrix.mul(qm.section)
     tbar = udt.matrix.mul(qm.section)
     incl_bar = pi.matrix.mul(udsigma.matrix)
-    assert incl_bar.rank() == env_base.algebra.dim
-    d_sub = Subspace.span(f, [incl_bar.col(i) for i in range(incl_bar.cols)],
-                          quot.dim)
+    d_sub = image(incl_bar)
+    assert d_sub.dim == env_base.algebra.dim
     bridge = Matrix.from_cols(
         f, [d_sub.coords(incl_bar.col(i)) for i in range(incl_bar.cols)],
         d_sub.dim)
@@ -340,11 +337,9 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
     lemma_crossed_checks(out)
     kers_bar = kernel_of(cat1.s)
     eta_classes = pi.matrix.mul(env_big.eta)
-    unit_cols = []
-    for q in range(xm.actee.dim):
-        coords = kers_bar.coords(eta_classes.col(q))
-        assert coords is not None  # actee generators land in Ker s-bar
-        unit_cols.append(coords)
+    unit_cols = [kers_bar.coords(eta_classes.col(i))
+                 for i in range(xm.actee.dim)]
+    assert None not in unit_cols  # actee generators land in Ker s-bar
     unit_actee = Matrix.from_cols(f, unit_cols, kers_bar.dim)
     return XudResult(out, cat1, env_big, env_base, pi, bridge, unit_actee)
 

@@ -36,7 +36,7 @@ from .envelope import (Envelope, XudResult, envelope_transpose, u_lie, ud, xu,
                        xu_full, xud, xud_full)
 from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
                      NotWellDefined, SearchSpaceTooLarge)
-from .linalg import (Matrix, QuotientMap, Subspace, _rref, inverse, kernel,
+from .linalg import (Matrix, QuotientMap, Subspace, _solutions, inverse,
                      unit_vector, vec_add, vec_is_zero, vec_scale, vec_sub,
                      vec_zero)
 
@@ -92,17 +92,16 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
     """
     f = xm.actee.field
     L, D, act = xm.actee, xm.actor, xm.action
-    D_q, proj_D = actor_quotient(D)
+    D_q, proj_D = q_D = actor_quotient(D)
     ideal = _action_closed_ideal(act, seed_span(f, seeds, L.dim))
     quot, proj_L = quotient_algebra(L, ideal)
     prods = quot.products()
     assert all(p == prods[0] for p in prods)
     L_q = make_algebra(D_q.flavor, f, prods[:1], list(quot.labels))
-    ker_D = kernel(proj_D.matrix)
-    qm_D, qm_L = QuotientMap(D.dim, ker_D), QuotientMap(L.dim, ideal)
+    qm_D, qm_L = QuotientMap(D.dim, q_D.ideal), QuotientMap(L.dim, ideal)
     # representative independence on the actor side
     dl, ld = act.cross(0, "DL"), act.cross(0, "LD")
-    for r in ker_D.basis:
+    for r in q_D.ideal.basis:
         for q in range(L.dim):
             uq = unit_vector(f, L.dim, q)
             if not (ideal.contains(dl.apply(list(r), uq))
@@ -363,12 +362,10 @@ def _affine_set(f, width, equations, cols):
 
     The system ``M c = b`` is read off the equations: each one's block of
     M is ``lin[k]`` less the bilinear side with c in its slot, and b is
-    minus its residual at c = 0.  One reduction of ``[M | b]``, with M's
-    columns in reverse order, gives both answers: its free columns are the
-    pivots of the kernel's canonical basis, and its particular solution is
-    zero there, so already reduced.
+    minus its residual at c = 0.  One reduction of ``[M | b]``
+    (``linalg._solutions``) gives both answers.
     """
-    k, zero, one = len(cols), f.zero(), f.one()
+    k, zero = len(cols), f.zero()
     at_zero = cols + [vec_zero(f, width)]
     rows = []
     for eq in equations:
@@ -388,22 +385,9 @@ def _affine_set(f, width, equations, cols):
                     for r, a in cell.items():
                         block[r][col] = f.sub(block[r][col], f.mul(a, c))
         for brow, r0 in zip(block, _residual(f, eq, at_zero)):
-            rows.append(brow[::-1] + [f.neg(r0)])
-    pivots = _rref(f, rows, width + 1)
-    if pivots and pivots[-1] == width:
-        return None
-    last = width - 1
-    part = vec_zero(f, width)
-    for row, p in zip(rows, pivots):
-        part[last - p] = row[width]
-    basis = []
-    for j in sorted(set(range(width)) - set(pivots), reverse=True):
-        b = vec_zero(f, width)
-        b[last - j] = one
-        for row, p in zip(rows, pivots):
-            b[last - p] = f.neg(row[j])
-        basis.append(b)
-    return part, basis
+            rows.append(brow + [f.neg(r0)])
+    sol = _solutions(f, rows, width)
+    return None if sol is None else (sol[0], sol[2])
 
 
 def _points(f, part, scaled):
@@ -913,9 +897,8 @@ def _verdict(square_id, expected, o1, o2, witnesses):
 def _quotient_witness(d, bound, o1, o2):
     """Map classes of the associative quotient of d to classes of the Lie
     quotient of its leibnization."""
-    p_from = associative_quotient(d)[1]
+    sec = QuotientMap(d.dim, associative_quotient(d).ideal).section
     p_to = lie_quotient(leibnization(d))[1]
-    sec = QuotientMap(d.dim, kernel(p_from.matrix)).section
     return AlgebraMorphism(o1, o2, p_to.matrix.mul(sec))
 
 

@@ -3,6 +3,11 @@
 Vectors are plain lists/tuples of scalars; every container knows its field.
 Subspaces are stored through their reduced row echelon basis, so structural
 equality of ``Subspace`` values is equality of subspaces.
+
+Every echelon form comes from ``_rref``.  ``Subspace._residual`` answers
+every question about a vector modulo a subspace from its pivot rows, and
+``_solutions`` reads a null space's canonical basis, and a solution reduced
+by it, off one reduction with the columns reversed.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ class Matrix:
     def __init__(self, field: Field, entries: Sequence[Sequence], rows=None, cols=None):
         self.field = field
         ents = tuple(tuple(row) for row in entries)
-        if rows is None:
-            rows = len(ents)
+        if rows is not None and rows != len(ents):
+            raise DimensionMismatch("matrix row count != number of rows")
+        rows = len(ents)
         if cols is None:
             cols = len(ents[0]) if ents else 0
         for row in ents:
@@ -248,13 +254,22 @@ def rref(m: Matrix):
 class Subspace:
     """Subspace of field^n held by its canonical (RREF) basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_free", "_images")
 
     def __init__(self, field, ambient_dim, basis, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = tuple(tuple(r) for r in basis)
         self.pivots = tuple(pivots)
+        free = self._free = tuple(sorted(set(range(ambient_dim))
+                                         - set(self.pivots)))
+        # the residual of e_k over ``_free``, sparse: 1 at its own place for
+        # a non-pivot k, minus the pivot row's non-pivot part for a pivot k
+        self._images = {c: ((t, field.one()),) for t, c in enumerate(free)}
+        for p, row in zip(self.pivots, self.basis):
+            self._images[p] = tuple((t, field.neg(row[c]))
+                                    for t, c in enumerate(free)
+                                    if not field.is_zero(row[c]))
 
     @classmethod
     def span(cls, field, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
@@ -278,25 +293,33 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def reduce(self, v):
-        """Residual of v after eliminating along the basis."""
+    def _residual(self, v) -> list:
+        """The residual of v, dense or a sparse dict, at the non-pivot
+        columns ``_free`` in order: v[c] - sum_p v[p] row_p[c] at column c.
+        It is zero at the pivots: the coefficient of row p in v is v[p]."""
         f = self.field
-        v = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if f.is_zero(c):
+        images = self._images
+        out = [f.zero()] * len(self._free)
+        for k, a in (v.items() if isinstance(v, dict) else enumerate(v)):
+            if f.is_zero(a):
                 continue
-            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
+            for t, b in images[k]:
+                out[t] = f.add(out[t], f.mul(a, b))
+        return out
+
+    def reduce(self, v):
+        """Residual of v, dense or a sparse dict, as a dense vector."""
+        out = vec_zero(self.field, self.ambient_dim)
+        for c, a in zip(self._free, self._residual(v)):
+            out[c] = a
+        return out
 
     def contains(self, v) -> bool:
-        return vec_is_zero(self.field, self.reduce(v))
+        return vec_is_zero(self.field, self._residual(v))
 
     def coords(self, v) -> Optional[list]:
         """Coefficients of v in the canonical basis, or None if outside."""
-        if not self.contains(v):
-            return None
-        return [v[p] for p in self.pivots]
+        return [v[p] for p in self.pivots] if self.contains(v) else None
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -327,22 +350,42 @@ def span(field, vectors, ambient_dim) -> Subspace:
     return Subspace.span(field, vectors, ambient_dim)
 
 
+def _solutions(field, rows, width):
+    """Solve ``rows = [M | b]``, M of ``width`` columns, by reducing them
+    in place with M's columns reversed: None if inconsistent, else
+    ``(part, free, basis)``.  ``basis`` is the canonical basis of M's null
+    space, with pivots ``free``, and ``part`` a solution zero there.
+
+    Reversed, a row has entries only at free columns before its pivot, so
+    c_j = 1 at one free j, 0 at the others, is a null vector in canonical
+    form: the basis needs no second reduction.
+    """
+    last = width - 1
+    for i, r in enumerate(rows):
+        rows[i] = r[:width][::-1] + r[width:]
+    pivots = [last - p for p in _rref(field, rows, width)]
+    # past the rank the M part of a row is zero, and so must its b be
+    if not vec_is_zero(field, [row[width] for row in rows[len(pivots):]]):
+        return None
+    part = vec_zero(field, width)
+    for row, p in zip(rows, pivots):
+        part[p] = row[width]
+    free = sorted(set(range(width)) - set(pivots))
+    basis = []
+    for j in free:
+        b = vec_zero(field, width)
+        b[j] = field.one()
+        for row, p in zip(rows, pivots):
+            b[p] = field.neg(row[last - j])
+        basis.append(b)
+    return part, free, basis
+
+
 def kernel(m: Matrix) -> Subspace:
     """Right null space of m."""
-    f = m.field
-    rows = [list(r) for r in m.entries]
-    pivots = _rref(f, rows, m.cols)
-    piv = set(pivots)
-    vecs = []
-    for fc in range(m.cols):
-        if fc in piv:
-            continue
-        v = vec_zero(f, m.cols)
-        v[fc] = f.one()
-        for row, pc in zip(rows, pivots):
-            v[pc] = f.neg(row[fc])
-        vecs.append(v)
-    return Subspace.span(f, vecs, m.cols)
+    rows = [list(r) + [m.field.zero()] for r in m.entries]
+    _, free, basis = _solutions(m.field, rows, m.cols)
+    return Subspace(m.field, m.cols, basis, free)
 
 
 def image(m: Matrix) -> Subspace:
@@ -365,33 +408,6 @@ def solve(m: Matrix, b) -> Optional[list]:
     return x
 
 
-def solver(m: Matrix):
-    """``b -> solve(m, b)`` for many right-hand sides from one echelon form.
-
-    ``[m | I]`` is reduced with pivots sought in ``m`` only, so its right
-    half records the row operations that reduce ``m``; applied to b they
-    give the pivot values of the solution, and b lies in the column space
-    iff they zero it below the rank.  ``solve`` stays separate: for one
-    right-hand side of a tall system, reducing ``[m | b]`` is far cheaper
-    than ``[m | I]``.
-    """
-    f = m.field
-    rows = [list(r) + list(e) for r, e in
-            zip(m.entries, Matrix.identity(f, m.rows).entries)]
-    pivots = _rref(f, rows, m.cols)
-    ops = Matrix(f, [row[m.cols:] for row in rows], m.rows, m.rows)
-
-    def solve_for(b) -> Optional[list]:
-        rb = ops.mul_vec(list(b))
-        if not vec_is_zero(f, rb[len(pivots):]):
-            return None
-        x = vec_zero(f, m.cols)
-        for t, p in enumerate(pivots):
-            x[p] = rb[t]
-        return x
-    return solve_for
-
-
 def inverse(m: Matrix) -> Optional[Matrix]:
     if m.rows != m.cols:
         return None
@@ -407,33 +423,22 @@ class QuotientMap:
 
     ``section_cols`` are the non-pivot standard basis indices; their classes
     form the quotient basis.  ``project`` is the (n-dim(S)) x n matrix of the
-    canonical projection; ``section`` embeds quotient coordinates back as the
-    corresponding standard basis vectors.  project . section = identity and
-    the kernel of project is exactly S.
+    canonical projection, whose column j is S's residual of e_j;
+    ``section`` embeds quotient coordinates back as the corresponding
+    standard basis vectors.  project . section = identity and the kernel of
+    project is exactly S.
     """
 
-    __slots__ = ("field", "ambient_dim", "sub", "section_cols", "section", "project")
+    __slots__ = ("section_cols", "section", "project")
 
     def __init__(self, ambient_dim: int, sub: Subspace):
         if sub.ambient_dim != ambient_dim:
             raise DimensionMismatch("subspace not in the requested ambient")
         f = sub.field
-        self.field = f
-        self.ambient_dim = ambient_dim
-        self.sub = sub
-        piv = set(sub.pivots)
-        self.section_cols = [j for j in range(ambient_dim) if j not in piv]
-        qdim = len(self.section_cols)
-        z, o = f.zero(), f.one()
-        proj_rows = []
-        for c in self.section_cols:
-            row = [z] * ambient_dim
-            row[c] = o
-            for prow, p in zip(sub.basis, sub.pivots):
-                if not f.is_zero(prow[c]):
-                    row[p] = f.neg(prow[c])
-            proj_rows.append(row)
-        self.project = Matrix(f, proj_rows, qdim, ambient_dim)
+        self.section_cols = list(sub._free)
+        self.project = Matrix.from_cols(
+            f, [sub._residual({j: f.one()}) for j in range(ambient_dim)],
+            self.dim)
         sec_cols = [unit_vector(f, ambient_dim, c) for c in self.section_cols]
         self.section = Matrix.from_cols(f, sec_cols, ambient_dim)
 

@@ -105,6 +105,19 @@ def test_action_by_ambient_products_matches_fixture():
     assert xm.actor.dim == 3 and xm.actee.dim == 2
 
 
+def test_action_by_ambient_products_rejects_a_non_canonical_actee_basis():
+    xm = fixtures.get("xdias-ideal-incl-f2")
+    incl = xm.mu.matrix
+    action_by_ambient_products(AlgebraMorphism.identity(xm.actor), xm.mu)
+    # the same ideal, its two basis columns swapped: pulling back through
+    # the canonical basis would read its coordinates in the wrong order
+    swapped = AlgebraMorphism(xm.actee, xm.actor, Matrix.from_cols(
+        F2, [incl.col(1), incl.col(0)], incl.rows))
+    with pytest.raises(InvalidAction, match="canonical basis"):
+        action_by_ambient_products(AlgebraMorphism.identity(xm.actor),
+                                   swapped)
+
+
 def test_xmod_morphism_identity_and_compose():
     xm = fixtures.get("xlb-ident-ff-e-f2")
     ident = XmodMorphism.identity(xm)

@@ -6,14 +6,22 @@ Seeded seeds and subspaces in free dialgebras, tensor algebras and
 fixpoint of the one-step span (the seed plus its products with every basis
 vector on both sides), ``is_ideal`` must hold exactly on the subspaces the
 closure leaves unchanged, and ``multiply_subspaces`` must equal the span of
-the basis-pair products.
+the basis-pair products.  ``quotient_algebra`` must divide by the closure
+of its argument, and close each seed of the paper's quotients in one pass,
+with no second ideal check.
 """
 
+import hashlib
+import json
 import random
 
-from diacat.algebra import (BilinearMap, abelian_algebra, ideal_closure,
-                            is_ideal, make_algebra, multiply_subspaces)
-from diacat.envelope import free_dialgebra, tensor_algebra
+from diacat import algebra, fixtures
+from diacat.algebra import (BilinearMap, abelian_algebra, associative_quotient,
+                            ideal_closure, is_ideal, lie_quotient,
+                            make_algebra, multiply_subspaces, quotient_algebra)
+from diacat.documents import algebra_to_document
+from diacat.envelope import (free_dialgebra, tensor_algebra, u_lie, ud,
+                             xud_full)
 from diacat.fields import GF, QQ
 from diacat.linalg import Subspace, unit_vector
 
@@ -105,3 +113,59 @@ def test_closure_ideal_check_and_products_match_direct_spans():
                         == _basis_products(alg, a, b)), (alg, a, b)
     # both verdicts of the ideal check are exercised
     assert ideals and escapes
+
+
+def test_quotient_divides_by_the_closure_of_its_argument():
+    rng = random.Random(f"{SEED}:quotient")
+    for field in FIELDS:
+        for alg in _algebras(field, rng):
+            for s in _subspaces(alg, rng)[:4]:
+                quot, proj = q = quotient_algebra(alg, s)
+                assert q.ideal == _one_step_fixpoint(alg, s), (alg, s)
+                assert quot.dim == alg.dim - q.ideal.dim
+
+
+def _digest(quot, proj):
+    f = proj.matrix.field
+    matrix = [[f.format(a) for a in row] for row in proj.matrix.entries]
+    text = json.dumps([algebra_to_document(quot), matrix], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _env(build, name, bound):
+    env = build(fixtures.get(name), bound)
+    return env.algebra, env.proj
+
+
+def _xud(name, bound):
+    r = xud_full(fixtures.get(name), bound)
+    return r.pi.target, r.pi
+
+
+# each seeded quotient and the digest of its (document with labels,
+# projection matrix), recorded when every quotient re-checked its ideal
+SEEDED_QUOTIENTS = {
+    "ud": (lambda: _env(ud, "leibniz-ff-e-f2", 3), "ddaaa1d04438ec4d"),
+    "u_lie": (lambda: _env(u_lie, "lie-heis-3-q", 2), "e341dd80182f0ad3"),
+    "xud_full": (lambda: _xud("xlb-ideal-e-f2", 2), "0ac16f6a9433aa0f"),
+    "associative_quotient": (
+        lambda: associative_quotient(fixtures.get("free-dias-1-2-f2")),
+        "2e8d9e5315264986"),
+    "lie_quotient": (lambda: lie_quotient(fixtures.get("leibniz-ff-e-f2")),
+                     "80622c6c47e66c34"),
+}
+
+
+def test_seeded_quotients_close_their_seed_once(monkeypatch):
+    # the closure's last round is the ideal check; a second is_ideal pass
+    # on the finished ideal would show up here
+    calls = []
+
+    def counted(alg, s, check=algebra.is_ideal):
+        calls.append(s.dim)
+        return check(alg, s)
+
+    monkeypatch.setattr(algebra, "is_ideal", counted)
+    for name, (build, digest) in SEEDED_QUOTIENTS.items():
+        assert _digest(*build()) == digest, name
+        assert not calls, (name, calls)
