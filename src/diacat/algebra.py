@@ -694,6 +694,14 @@ class AlgebraMorphism:
         self.matrix = matrix
 
     @classmethod
+    def _prechecked(cls, source, target, matrix):
+        """A morphism whose flavors, field and shape the caller has already
+        checked, once for a whole hom-set."""
+        m = cls.__new__(cls)
+        m.source, m.target, m.matrix = source, target, matrix
+        return m
+
+    @classmethod
     def identity(cls, alg):
         return cls(alg, alg, Matrix.identity(alg.field, alg.dim))
 

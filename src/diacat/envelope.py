@@ -289,7 +289,9 @@ class XudResult(NamedTuple):
     model on the quotient ``env_big``/X.  ``base_bridge`` rewrites envelope
     coordinates of the base into the canonical coordinates of the embedded
     base subalgebra; ``unit_actee`` sends the input actee to Ker s-bar
-    coordinates of the classes of its length-1 words.
+    coordinates of the classes of its length-1 words.  ``ideal`` is the
+    kernel-product ideal that ``pi`` divides out, and ``section`` embeds
+    the quotient's coordinates back into ``env_big``.
     """
 
     xmod: CrossedModule
@@ -299,6 +301,8 @@ class XudResult(NamedTuple):
     pi: AlgebraMorphism
     base_bridge: Matrix
     unit_actee: Matrix
+    ideal: Subspace
+    section: Matrix
 
 
 def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
@@ -341,7 +345,8 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
                  for i in range(xm.actee.dim)]
     assert None not in unit_cols  # actee generators land in Ker s-bar
     unit_actee = Matrix.from_cols(f, unit_cols, kers_bar.dim)
-    return XudResult(out, cat1, env_big, env_base, pi, bridge, unit_actee)
+    return XudResult(out, cat1, env_big, env_base, pi, bridge, unit_actee,
+                     xc, qm.section)
 
 
 def xud_full(xlb: CrossedModule, bound: int) -> XudResult:

@@ -37,8 +37,7 @@ from .envelope import (Envelope, XudResult, envelope_transpose, u_lie, ud, xu,
 from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
                      NotWellDefined, SearchSpaceTooLarge)
 from .linalg import (Matrix, QuotientMap, Subspace, _solutions, inverse,
-                     unit_vector, vec_add, vec_is_zero, vec_scale, vec_sub,
-                     vec_zero)
+                     unit_vector, vec_add, vec_is_zero, vec_scale, vec_zero)
 
 # ---------------------------------------------------------------------------
 # crossed-module-level functors
@@ -342,13 +341,22 @@ def _residual(f, eq, cols):
     """``sum_s lin[s] c_s - bil[0](c_u, c_v)`` at the columns ``cols``, for
     the equation ``eq = (lin, bil, rows)`` that it is zero: ``lin`` maps
     column indices to matrices with ``rows`` rows, and ``bil = (map, u, v)``
-    or None for a zero right side."""
+    or None for a zero right side.  The bilinear side is read straight off
+    the map's table on the dense columns, skipping zero entries."""
     lin, bil, rows = eq
     r = vec_zero(f, rows)
     for s, m in lin.items():
         r = vec_add(f, r, m.mul_vec(cols[s]))
     if bil:
-        r = vec_sub(f, r, bil[0].apply(cols[bil[1]], cols[bil[2]]))
+        table, cv = bil[0].table, cols[bil[2]]
+        for i, a in enumerate(cols[bil[1]]):
+            if f.is_zero(a):
+                continue
+            for cell, b in zip(table[i], cv):
+                if cell and not f.is_zero(b):
+                    ab = f.mul(a, b)
+                    for t, c in cell.items():
+                        r[t] = f.sub(r[t], f.mul(ab, c))
     return r
 
 
@@ -390,29 +398,46 @@ def _affine_set(f, width, equations, cols):
     return None if sol is None else (sol[0], sol[2])
 
 
-def _points(f, part, scaled):
-    """``part + sum t_i b_i`` over the t's in lexicographic order, depth
-    first, from ``scaled[i]``, the multiples ``t b_i`` in field order: one
-    vector addition per point."""
+def _points(f, part, scaled, listed):
+    """The points ``part + sum t_i b_i``, as tuples, over the t's in
+    lexicographic order, depth first, from ``scaled[i]``, the multiples
+    ``t b_i`` in field order: one vector addition per point.
+
+    Each point is appended to ``listed`` as it is yielded.  That list is
+    the search's slot for the depth: it holds only points already tried,
+    and a later visit with the same key scans it instead of this
+    generator.
+    """
     if not scaled:
-        yield part
+        point = tuple(part)
+        listed.append(point)
+        yield point
         return
     head, rest = scaled[0], scaled[1:]
     for tb in head:
-        yield from _points(f, vec_add(f, part, tb), rest)
+        yield from _points(f, vec_add(f, part, tb), rest, listed)
 
 
 def _search(f, widths, equations, cap, prefix=()):
     """Every assignment of the unknown columns c_k in F^widths[k] that
-    satisfies the equations, as lists of columns in lexicographic order,
-    after the columns of ``prefix``, which are fixed and numbered first.
+    satisfies the equations, as lists of column tuples in lexicographic
+    order, after the columns of ``prefix``, which are fixed and numbered
+    first.
 
     The columns are fixed one at a time, depth first.  Each equation is
     handled at the last column it involves, which must follow the prefix:
     the ones linear in it (all but ``bil = (map, k, k)``) cut out an affine
-    set, one reduction per prefix (``_affine_set``), whose points are built
-    incrementally in lexicographic order; only the quadratic ones are
-    evaluated per point.
+    set (``_affine_set``); only the quadratic ones are evaluated per point,
+    on every point of every visit.
+    The affine set at depth k depends only on the earlier columns that its
+    equations read, so each depth keeps one slot: the key is the values of
+    those columns, the value the set's points in lexicographic order
+    (``_points``).  A visit with the slot's key scans the list again; any
+    other visit solves afresh and replaces it.  A column whose equations
+    read nothing (every column between abelian algebras) has its points
+    built once per search.  The list is filled as its points are tried, so
+    the slots never hold a point the search has not tried, and a search
+    the cap refuses has built at most ``cap + 1``.
     The ``cap + 1``-th point tried raises ``SearchSpaceTooLarge``.
     """
     cap = DEFAULT_SEARCH_CAP if cap is None else cap
@@ -423,12 +448,19 @@ def _search(f, widths, equations, cap, prefix=()):
     n0 = len(prefix)
     linear = [[] for _ in widths]
     quadratic = [[] for _ in widths]
+    reads = [set() for _ in widths]
     for eq in equations:
         lin, bil, _ = eq
-        k = max(set(lin) | set(bil[1:] if bil else ()))
-        quad = bil is not None and bil[1] == bil[2] == k
-        (quadratic if quad else linear)[k - n0].append(eq)
-    cols = list(prefix)
+        used = set(lin) | set(bil[1:] if bil else ())
+        k = max(used)
+        if bil is not None and bil[1] == bil[2] == k:
+            quadratic[k - n0].append(eq)
+        else:
+            linear[k - n0].append(eq)
+            reads[k - n0] |= used - {k}
+    reads = [sorted(r) for r in reads]
+    slots = [(None, ())] * len(widths)
+    cols = [tuple(c) for c in prefix]
     scanned = 0
 
     def recurse(k):
@@ -436,19 +468,30 @@ def _search(f, widths, equations, cap, prefix=()):
         if k == len(widths):
             yield list(cols)
             return
-        affine = _affine_set(f, widths[k], linear[k], cols)
-        if affine is None:
-            return
-        part, basis = affine
-        scaled = [[vec_scale(f, t, b) for t in elems] for b in basis]
-        for c in _points(f, part, scaled):
+        key = [cols[i] for i in reads[k]]
+        if slots[k][0] == key:
+            points = slots[k][1]
+        else:
+            listed = []
+            slots[k] = (key, listed)
+            affine = _affine_set(f, widths[k], linear[k], cols)
+            if affine is None:
+                return
+            part, basis = affine
+            scaled = [[vec_scale(f, t, b) for t in elems] for b in basis]
+            points = _points(f, part, scaled, listed)
+        quad, last = quadratic[k], k + 1 == len(widths)
+        for c in points:
             scanned += 1
             if scanned > cap:
                 raise SearchSpaceTooLarge(scanned, cap)
             cols.append(c)
-            if all(vec_is_zero(f, _residual(f, eq, cols))
-                   for eq in quadratic[k]):
-                yield from recurse(k + 1)
+            if not quad or all(vec_is_zero(f, _residual(f, eq, cols))
+                               for eq in quad):
+                if last:
+                    yield list(cols)
+                else:
+                    yield from recurse(k + 1)
             cols.pop()
 
     return recurse(0)
@@ -468,8 +511,10 @@ def enumerate_homs(a: Algebra, b: Algebra, cap=None) -> list:
     cols = range(a.dim)
     equations = [eq for sp, tp in zip(a.products(), b.products())
                  for eq in _intertwined(sp, tp, cols, cols, cols, b.dim)]
-    return [AlgebraMorphism(a, b, Matrix.from_cols(a.field, c, b.dim))
-            for c in _search(a.field, [b.dim] * a.dim, equations, cap)]
+    # every column has b.dim entries, so each matrix is b.dim x a.dim
+    f = a.field
+    return [AlgebraMorphism._prechecked(a, b, Matrix.from_cols(f, c, b.dim))
+            for c in _search(f, [b.dim] * a.dim, equations, cap)]
 
 
 def enumerate_generated_homs(env: Envelope, target: Algebra, cap=None) -> list:
@@ -521,11 +566,12 @@ def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> list:
         lefts, rights = (betas, alphas) if side == "DL" else (alphas, betas)
         equations.extend(_intertwined(src, tgt, lefts, rights, alphas, wl))
     found = []
+    # enumerate_homs checks the actors' field, which each actee shares
     for beta in enumerate_homs(x.actor, y.actor, cap):
         prefix = [beta.matrix.col(i) for i in range(nd)]
         for c in _search(f, [wl] * m, equations, cap, prefix):
-            alpha = AlgebraMorphism(x.actee, y.actee,
-                                    Matrix.from_cols(f, c[nd:], wl))
+            alpha = AlgebraMorphism._prechecked(
+                x.actee, y.actee, Matrix.from_cols(f, c[nd:], wl))
             found.append(XmodMorphism(x, y, alpha, beta))
     return found
 
@@ -599,9 +645,8 @@ def xud_transpose(r: XudResult, target: CrossedModule,
     f = c_t.E.field
     h = _block_diag(f, alpha, beta)
     k = envelope_transpose(r.env_big, c_t.E, h)
-    xc = kernel_of(r.pi)
-    _assert_killed(f, k.matrix, xc, "the enveloped block map")
-    kbar = k.matrix.mul(QuotientMap(r.env_big.algebra.dim, xc).section)
+    _assert_killed(f, k.matrix, r.ideal, "the enveloped block map")
+    kbar = k.matrix.mul(r.section)
     nl, nd = target.actee.dim, target.actor.dim
     kers_bar = kernel_of(r.cat1.s)
     a_cols, b_cols = [], []

@@ -88,13 +88,18 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field, cols, nrows=None):
+        """The matrix with columns ``cols``, each of length ``nrows``: one
+        transpose, whose rows need no second check."""
         cols = list(cols)
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
-        if any(len(c) != nrows for c in cols):
+        if set(map(len, cols)) - {nrows}:
             raise DimensionMismatch("matrix column length != row count")
-        rows = list(zip(*cols)) if cols else [()] * nrows
-        return cls(field, rows, nrows, len(cols))
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols = field, nrows, len(cols)
+        # zip of no columns would give no rows, not ``nrows`` empty ones
+        m.entries = tuple(zip(*cols)) if cols else ((),) * nrows
+        return m
 
     def row(self, i):
         return list(self.entries[i])
@@ -423,24 +428,32 @@ class QuotientMap:
 
     ``section_cols`` are the non-pivot standard basis indices; their classes
     form the quotient basis.  ``project`` is the (n-dim(S)) x n matrix of the
-    canonical projection, whose column j is S's residual of e_j;
+    canonical projection, whose column j is S's residual of e_j, built on
+    its first read;
     ``section`` embeds quotient coordinates back as the corresponding
     standard basis vectors.  project . section = identity and the kernel of
     project is exactly S.
     """
 
-    __slots__ = ("section_cols", "section", "project")
+    __slots__ = ("section_cols", "section", "_sub", "_project")
 
     def __init__(self, ambient_dim: int, sub: Subspace):
         if sub.ambient_dim != ambient_dim:
             raise DimensionMismatch("subspace not in the requested ambient")
         f = sub.field
         self.section_cols = list(sub._free)
-        self.project = Matrix.from_cols(
-            f, [sub._residual({j: f.one()}) for j in range(ambient_dim)],
-            self.dim)
+        self._sub, self._project = sub, None
         sec_cols = [unit_vector(f, ambient_dim, c) for c in self.section_cols]
         self.section = Matrix.from_cols(f, sec_cols, ambient_dim)
+
+    @property
+    def project(self) -> Matrix:
+        if self._project is None:
+            sub, f = self._sub, self._sub.field
+            self._project = Matrix.from_cols(
+                f, [sub._residual({j: f.one()})
+                    for j in range(sub.ambient_dim)], self.dim)
+        return self._project
 
     @property
     def dim(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from diacat import fixtures
@@ -129,6 +131,22 @@ def test_cap_counts_every_column_an_unconstrained_search_tests():
     with pytest.raises(SearchSpaceTooLarge) as exc:
         enumerate_homs(ab, ab, 16)
     assert (exc.value.cardinality, exc.value.cap) == (17, 16)
+
+
+def test_a_refused_search_builds_at_most_cap_plus_one_points():
+    """2^18 points in the one column of an abelian F2 -> F2^18 search: a
+    cap of 1000 stops it at the 1001st point tried, and the list the search
+    keeps for reuse holds only points it tried, so memory stays small."""
+    src, tgt = abelian_algebra("lie", F2, 1), abelian_algebra("lie", F2, 18)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge) as exc:
+            enumerate_homs(src, tgt, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.cardinality, exc.value.cap) == (1001, 1000)
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_enumerate_homs_rejects_infinite_field():

@@ -17,6 +17,15 @@ The seeded inputs are:
 - every bundled crossed module, one perturbation of each, and the
   embeddings of the bundled algebras.
 
+The search keeps one list of points per depth, keyed on the earlier
+columns that the depth's linear equations read.  Sources with a product
+``[e_i, e_i] = e_j + e_k``, j < i < k, make column k read column j but not
+column k - 1, so a slot keyed on too little, or on the column before
+alone, gives wrong points; into a non-abelian target every column reads
+the one before it.  These cases are compared with the oracle in order too,
+and the number of affine sets solved is counted where the slots must be
+reused.
+
 The per-prefix linear system of the search, ``_affine_set``, is also
 compared with the route it replaced (the matrix from residuals at the unit
 vectors, then ``solve`` and ``kernel``) on seeded systems over F2, F3 and
@@ -28,9 +37,10 @@ import random
 
 import pytest
 
-from diacat import fixtures
+from diacat import fixtures, functors
 from diacat.actions import CrossedModule
-from diacat.algebra import BilinearMap, make_algebra, product_arity
+from diacat.algebra import (BilinearMap, abelian_algebra, make_algebra,
+                            product_arity)
 from diacat.fields import GF
 from diacat.functors import (FUNCTOR_TAGS, _affine_set, _residual, category,
                              embed, enumerate_homs, enumerate_xmod_homs)
@@ -131,6 +141,70 @@ def test_enumerate_homs_matches_oracle_in_order():
                 sliced += 1 < len(want) < p ** (m * n)
     # many hom-sets are proper subsets of all matrices, with more than zero
     assert sliced >= 20, sliced
+
+
+def _squares(n, squares):
+    """The one lb table of dim n with ``[e_i, e_i] = sum e_outs`` for each
+    ``i: outs`` of ``squares``, and no other product: the equation of that
+    pair is solved at column max(outs) and reads the other columns of
+    ``outs`` only."""
+    t = _zero(n)
+    for i, outs in squares.items():
+        for k in outs:
+            t[i][i][k] = 1
+    return [t]
+
+
+# (p, source, target): column 2 reads column 0; the same with
+# [e0, e0] = e1 added, which into an abelian target fixes column 1 at zero,
+# so that a key on column 1 alone would match across values of column 0;
+# column 3 reads column 1.  Each goes into an abelian target, where no other
+# equation reads anything, and into [e0, e0] = e1, where every column also
+# reads the one before it.
+SKIPPING = [(p, _squares(n, squares), tgt)
+            for p, n, squares in ((3, 3, {1: (0, 2)}),
+                                  (3, 3, {0: (1,), 1: (0, 2)}),
+                                  (2, 4, {2: (1, 3)}))
+            for tgt in ([_zero(2)], _squares(2, {0: (1,)}))]
+
+
+@pytest.mark.parametrize("p,src,tgt", SKIPPING,
+                         ids=[f"{case}-{tgt}" for case in
+                              ("f3-col0", "f3-col0-fixed-col1", "f2-col1")
+                              for tgt in ("abelian", "nonabelian")])
+def test_slots_follow_the_columns_the_equations_read(p, src, tgt):
+    m, n = len(src[0]), len(tgt[0])
+    want = oracles.algebra_homs(p, src, tgt, m, n)
+    got = enumerate_homs(_algebra(GF(p), "lb", src),
+                         _algebra(GF(p), "lb", tgt))
+    assert [_columns(h.matrix) for h in got] == want
+    assert 1 < len(want) < p ** (m * n), len(want)
+
+
+def test_affine_sets_are_solved_once_per_key(monkeypatch):
+    """Into an abelian target with no equations, each column's points are
+    built once per search: one affine set per column.  With
+    ``[e1, e1] = e0 + e2`` into abelian F3^2, column 2 reads column 0 only,
+    so its set is solved once for each of the 9 values of column 0 and
+    reused while column 1 runs through its 9."""
+    calls = []
+    real = functors._affine_set
+
+    def counted(f, width, equations, cols):
+        calls.append(len(cols))
+        return real(f, width, equations, cols)
+
+    monkeypatch.setattr(functors, "_affine_set", counted)
+    f = GF(3)
+    homs = enumerate_homs(abelian_algebra("lb", f, 2),
+                          abelian_algebra("lb", f, 3))
+    assert len(homs) == 3 ** 6
+    assert calls == [0, 1]
+    calls.clear()
+    homs = enumerate_homs(_algebra(f, "lb", _squares(3, {1: (0, 2)})),
+                          abelian_algebra("lb", f, 2))
+    assert len(homs) == 81
+    assert calls == [0, 1] + [2] * 9
 
 
 def _crossed_modules():
