@@ -41,7 +41,7 @@ from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, FLAVORS, LEIBNIZ_AXIOM,
                       sp_from_dense, sp_to_dense)
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAction,
                      InvalidCrossedModule, LemmaViolation, NotAnIdeal)
-from .linalg import Matrix, QuotientMap, Subspace, unit_vector
+from .linalg import Matrix, Subspace, unit_vector
 
 ACTOR = "D"
 ACTEE = "L"
@@ -569,10 +569,10 @@ def lemma_crossed_checks(xm: CrossedModule) -> AxiomReport:
                 raise LemmaViolation("action does not preserve Ker mu", report)
             return sp_from_dense(f, c)
 
+        q = quotient_algebra(D, im)
         induced = induced_action(
-            quotient_algebra(D, im)[0],
-            abelian_algebra(flavor, f, ker.dim), act.cross,
-            sp_cols(QuotientMap(D.dim, im).section),
+            q[0], abelian_algebra(flavor, f, ker.dim), act.cross,
+            sp_cols(q.qmap.section),
             [sp_from_dense(f, r) for r in ker.basis], into_kernel,
             check=False)
         report.extend(induced.check(), "induced bimodule: ")

@@ -859,11 +859,13 @@ def is_ideal(alg: Algebra, s: Subspace) -> bool:
 
 
 class Quotient(tuple):
-    """A quotient ``(algebra, projection)`` with its ``ideal`` divided out."""
+    """A quotient ``(algebra, projection)`` with its ``ideal`` divided out
+    and the ``QuotientMap`` of that ideal, ``qmap``, whose section lifts
+    quotient coordinates."""
 
-    def __new__(cls, algebra, projection, ideal):
+    def __new__(cls, algebra, projection, ideal, qmap):
         self = super().__new__(cls, (algebra, projection))
-        self.ideal = ideal
+        self.ideal, self.qmap = ideal, qmap
         return self
 
 
@@ -885,7 +887,7 @@ def quotient_algebra(alg: Algebra, seed: Subspace, labels=None) -> Quotient:
     if labels is None:
         labels = [alg.labels[c] for c in qm.section_cols]
     quot = make_algebra(alg.flavor, f, prods, labels)
-    return Quotient(quot, AlgebraMorphism(alg, quot, qm.project), ideal)
+    return Quotient(quot, AlgebraMorphism(alg, quot, qm.project), ideal, qm)
 
 
 def induced_subalgebra(alg: Algebra, sub: Subspace, labels=None):
@@ -1013,7 +1015,7 @@ def associative_quotient(d: Dialgebra) -> Quotient:
     if quot_dias.left != quot_dias.right:
         raise InvalidAlgebra("associative quotient failed to merge the products")
     asq = AssociativeAlgebra(f, quot_dias.left, list(quot_dias.labels))
-    return Quotient(asq, proj, quot.ideal)
+    return Quotient(asq, proj, quot.ideal, quot.qmap)
 
 
 def lie_quotient(g: LeibnizAlgebra) -> Quotient:
@@ -1026,4 +1028,4 @@ def lie_quotient(g: LeibnizAlgebra) -> Quotient:
     quot = quotient_algebra(g, seed_span(f, square_seeds(g), g.dim))
     quot_lb, proj = quot
     lie = LieAlgebra(f, quot_lb.bracket, list(quot_lb.labels))
-    return Quotient(lie, proj, quot.ideal)
+    return Quotient(lie, proj, quot.ideal, quot.qmap)

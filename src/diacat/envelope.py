@@ -165,7 +165,9 @@ class Envelope(NamedTuple):
     """A truncated enveloping algebra with its defining data.
 
     ``eta`` maps generators to classes of length-1 words; ``proj`` is the
-    projection from the free object; ``relations`` is the ideal divided out.
+    projection from the free object; ``relations`` is the ideal divided out
+    and ``qmap`` its ``QuotientMap``, whose section lifts envelope
+    coordinates to the free object.
     """
 
     source: Algebra
@@ -174,6 +176,7 @@ class Envelope(NamedTuple):
     eta: Matrix
     proj: AlgebraMorphism
     relations: Subspace
+    qmap: QuotientMap
 
     @property
     def free(self):
@@ -206,7 +209,7 @@ def _envelope(source: Algebra, bound: int, free: Algebra) -> Envelope:
             for i in range(n) for j in range(n)]
     alg, proj = quot = quotient_algebra(free, seed_span(f, rels, free.dim))
     eta = Matrix.from_cols(f, [proj.matrix.col(i) for i in range(n)], alg.dim)
-    return Envelope(source, bound, alg, eta, proj, quot.ideal)
+    return Envelope(source, bound, alg, eta, proj, quot.ideal, quot.qmap)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +258,8 @@ def envelope_transpose(env: Envelope, target: Algebra, phi: Matrix,
             if not vec_is_zero(f, on_free.mul_vec(list(r))):
                 raise NotWellDefined(
                     "generator images do not kill the enveloping relations")
-    qm = QuotientMap(free.dim, env.relations)
-    induced = AlgebraMorphism(env.algebra, target, on_free.mul(qm.section))
+    induced = AlgebraMorphism(env.algebra, target,
+                              on_free.mul(env.qmap.section))
     if check:
         rep = induced.check()
         if not rep.passed:
@@ -327,9 +330,9 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
         # s and t must factor through the quotient
         assert vec_is_zero(f, uds.matrix.mul_vec(list(r)))
         assert vec_is_zero(f, udt.matrix.mul_vec(list(r)))
-    qm = QuotientMap(big.dim, xc)
-    sbar = uds.matrix.mul(qm.section)
-    tbar = udt.matrix.mul(qm.section)
+    section = q.qmap.section
+    sbar = uds.matrix.mul(section)
+    tbar = udt.matrix.mul(section)
     incl_bar = pi.matrix.mul(udsigma.matrix)
     d_sub = image(incl_bar)
     assert d_sub.dim == env_base.algebra.dim
@@ -346,7 +349,7 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
     assert None not in unit_cols  # actee generators land in Ker s-bar
     unit_actee = Matrix.from_cols(f, unit_cols, kers_bar.dim)
     return XudResult(out, cat1, env_big, env_base, pi, bridge, unit_actee,
-                     xc, qm.section)
+                     xc, section)
 
 
 def xud_full(xlb: CrossedModule, bound: int) -> XudResult:

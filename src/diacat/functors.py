@@ -36,8 +36,8 @@ from .envelope import (Envelope, XudResult, envelope_transpose, u_lie, ud, xu,
                        xu_full, xud, xud_full)
 from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
                      NotWellDefined, SearchSpaceTooLarge)
-from .linalg import (Matrix, QuotientMap, Subspace, _solutions, inverse,
-                     unit_vector, vec_add, vec_is_zero, vec_scale, vec_zero)
+from .linalg import (Matrix, Subspace, _solutions, inverse, unit_vector,
+                     vec_add, vec_is_zero, vec_scale, vec_zero)
 
 # ---------------------------------------------------------------------------
 # crossed-module-level functors
@@ -93,11 +93,11 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
     L, D, act = xm.actee, xm.actor, xm.action
     D_q, proj_D = q_D = actor_quotient(D)
     ideal = _action_closed_ideal(act, seed_span(f, seeds, L.dim))
-    quot, proj_L = quotient_algebra(L, ideal)
+    quot, proj_L = q_L = quotient_algebra(L, ideal)
     prods = quot.products()
     assert all(p == prods[0] for p in prods)
     L_q = make_algebra(D_q.flavor, f, prods[:1], list(quot.labels))
-    qm_D, qm_L = QuotientMap(D.dim, q_D.ideal), QuotientMap(L.dim, ideal)
+    qm_D, qm_L = q_D.qmap, q_L.qmap
     # representative independence on the actor side
     dl, ld = act.cross(0, "DL"), act.cross(0, "LD")
     for r in q_D.ideal.basis:
@@ -398,6 +398,31 @@ def _affine_set(f, width, equations, cols):
     return None if sol is None else (sol[0], sol[2])
 
 
+def _determined(f, neg_inv, eq, others, cols):
+    """The affine set of ``_affine_set`` where the equation ``eq`` alone
+    fixes the next column: it reads that column only through ``lin[k]``,
+    and ``neg_inv`` is minus the inverse of ``lin[k]``.  The one candidate
+    is ``neg_inv`` times the residual at zero; it is ``(point, [])`` if
+    every equation of ``others`` holds there, else None."""
+    at = cols + [vec_zero(f, neg_inv.rows)]
+    at[-1] = neg_inv.mul_vec(_residual(f, eq, at))
+    if all(vec_is_zero(f, _residual(f, o, at)) for o in others):
+        return at[-1], []
+    return None
+
+
+def _determining(linear, k):
+    """``(neg_inv, eq, others)`` for ``_determined`` from the first of the
+    equations ``linear`` of column k that reads it only through an
+    invertible ``lin[k]``, or None if there is none."""
+    for i, (lin, bil, _) in enumerate(linear):
+        if k in lin and not (bil and k in bil[1:]):
+            inv = inverse(lin[k])
+            if inv is not None:
+                return inv.neg(), linear[i], linear[:i] + linear[i + 1:]
+    return None
+
+
 def _points(f, part, scaled, listed):
     """The points ``part + sum t_i b_i``, as tuples, over the t's in
     lexicographic order, depth first, from ``scaled[i]``, the multiples
@@ -429,6 +454,13 @@ def _search(f, widths, equations, cap, prefix=()):
     the ones linear in it (all but ``bil = (map, k, k)``) cut out an affine
     set (``_affine_set``); only the quadratic ones are evaluated per point,
     on every point of every visit.
+    A depth is determined when one of its linear equations reads its
+    column only through an invertible ``lin[k]``: ``c I``, c nonzero, where
+    the source's product makes the column a product of earlier ones, or an
+    invertible mu' in the square of ``enumerate_xmod_homs``.  Its affine
+    set is then at most one point, computed by ``_determined`` from that
+    equation with the inverse taken once per search and checked on the
+    depth's other linear equations; no system is reduced.
     The affine set at depth k depends only on the earlier columns that its
     equations read, so each depth keeps one slot: the key is the values of
     those columns, the value the set's points in lexicographic order
@@ -459,6 +491,7 @@ def _search(f, widths, equations, cap, prefix=()):
             linear[k - n0].append(eq)
             reads[k - n0] |= used - {k}
     reads = [sorted(r) for r in reads]
+    determined = [_determining(eqs, n0 + k) for k, eqs in enumerate(linear)]
     slots = [(None, ())] * len(widths)
     cols = [tuple(c) for c in prefix]
     scanned = 0
@@ -474,7 +507,9 @@ def _search(f, widths, equations, cap, prefix=()):
         else:
             listed = []
             slots[k] = (key, listed)
-            affine = _affine_set(f, widths[k], linear[k], cols)
+            det = determined[k]
+            affine = (_determined(f, *det, cols) if det
+                      else _affine_set(f, widths[k], linear[k], cols))
             if affine is None:
                 return
             part, basis = affine
@@ -497,6 +532,17 @@ def _search(f, widths, equations, cap, prefix=()):
     return recurse(0)
 
 
+def _hom_matrix(f, nrows, cols):
+    """The matrix of columns ``cols`` found by ``_search``, whose widths
+    give each one ``nrows`` entries: one transpose, without the per-column
+    check of ``Matrix.from_cols``.  No columns (a 0-dim source) give
+    ``nrows`` empty rows, as there."""
+    m = Matrix.__new__(Matrix)
+    m.field, m.rows, m.cols = f, nrows, len(cols)
+    m.entries = tuple(zip(*cols)) or ((),) * nrows
+    return m
+
+
 def enumerate_homs(a: Algebra, b: Algebra, cap=None) -> list:
     """All flavor morphisms a -> b over a finite field, in canonical order:
     lexicographic in the columns of the matrix, first column first.
@@ -513,7 +559,7 @@ def enumerate_homs(a: Algebra, b: Algebra, cap=None) -> list:
                  for eq in _intertwined(sp, tp, cols, cols, cols, b.dim)]
     # every column has b.dim entries, so each matrix is b.dim x a.dim
     f = a.field
-    return [AlgebraMorphism._prechecked(a, b, Matrix.from_cols(f, c, b.dim))
+    return [AlgebraMorphism._prechecked(a, b, _hom_matrix(f, b.dim, c))
             for c in _search(f, [b.dim] * a.dim, equations, cap)]
 
 
@@ -571,7 +617,7 @@ def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> list:
         prefix = [beta.matrix.col(i) for i in range(nd)]
         for c in _search(f, [wl] * m, equations, cap, prefix):
             alpha = AlgebraMorphism._prechecked(
-                x.actee, y.actee, Matrix.from_cols(f, c[nd:], wl))
+                x.actee, y.actee, _hom_matrix(f, wl, c[nd:]))
             found.append(XmodMorphism(x, y, alpha, beta))
     return found
 
@@ -942,7 +988,7 @@ def _verdict(square_id, expected, o1, o2, witnesses):
 def _quotient_witness(d, bound, o1, o2):
     """Map classes of the associative quotient of d to classes of the Lie
     quotient of its leibnization."""
-    sec = QuotientMap(d.dim, associative_quotient(d).ideal).section
+    sec = associative_quotient(d).qmap.section
     p_to = lie_quotient(leibnization(d))[1]
     return AlgebraMorphism(o1, o2, p_to.matrix.mul(sec))
 

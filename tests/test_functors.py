@@ -17,6 +17,7 @@ from diacat.functors import (FUNCTOR_TAGS, algebras_equal, apply_functor,
                              verify_adjunction_xud, xas_of_xdias,
                              xlb_of_xdias, xliea_of_xas, xliel_of_xlb,
                              xmods_equal)
+from diacat.linalg import Matrix
 
 F2 = GF(2)
 F3 = GF(3)
@@ -147,6 +148,20 @@ def test_a_refused_search_builds_at_most_cap_plus_one_points():
         tracemalloc.stop()
     assert (exc.value.cardinality, exc.value.cap) == (1001, 1000)
     assert peak < 8 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (2, 0)])
+def test_hom_matrices_at_a_zero_dim_end(m, n):
+    """The one morphism out of or into the 0-dim algebra has the shape and
+    entries ``Matrix.from_cols`` gives its columns: 2 empty rows for
+    0 -> 2, and no rows for 2 -> 0."""
+    f = GF(3)
+    (h,) = enumerate_homs(abelian_algebra("lie", f, m),
+                          abelian_algebra("lie", f, n))
+    want = Matrix.from_cols(f, [(f.zero(),) * n] * m, n)
+    assert (h.matrix.rows, h.matrix.cols) == (want.rows, want.cols) == (n, m)
+    assert h.matrix.entries == want.entries
+    assert want.entries == {(0, 2): ((), ()), (2, 0): ()}[m, n]
 
 
 def test_enumerate_homs_rejects_infinite_field():

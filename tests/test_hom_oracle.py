@@ -26,6 +26,13 @@ the one before it.  These cases are compared with the oracle in order too,
 and the number of affine sets solved is counted where the slots must be
 reused.
 
+A depth is determined when one equation fixes its column as a product of
+earlier ones (Heisenberg ``[e0, e1] = e2``, ``nil3``, ``[e0, e1] = 2 e2``):
+its one point is computed, not solved, and the depth's other equations
+checked on it.  These sources go into targets in seeded random bases over
+F2, F3 and F5, compared in order, with ``[e0, e1] = [e1, e0] = e2`` for a
+second equation that refuses computed points.
+
 The per-prefix linear system of the search, ``_affine_set``, is also
 compared with the route it replaced (the matrix from residuals at the unit
 vectors, then ``solve`` and ``kernel``) on seeded systems over F2, F3 and
@@ -44,8 +51,8 @@ from diacat.algebra import (BilinearMap, abelian_algebra, make_algebra,
 from diacat.fields import GF
 from diacat.functors import (FUNCTOR_TAGS, _affine_set, _residual, category,
                              embed, enumerate_homs, enumerate_xmod_homs)
-from diacat.linalg import (Matrix, kernel, solve, unit_vector, vec_scale,
-                           vec_sub, vec_zero)
+from diacat.linalg import (Matrix, inverse, kernel, solve, unit_vector,
+                           vec_scale, vec_sub, vec_zero)
 
 import oracles
 from test_xmod_oracle import _dense, _perturb, _rebuild, _state
@@ -181,30 +188,157 @@ def test_slots_follow_the_columns_the_equations_read(p, src, tgt):
     assert 1 < len(want) < p ** (m * n), len(want)
 
 
+def _count_solves(monkeypatch):
+    """Record ``(route, len(cols))`` for every affine set the search
+    solves, on either route: ``_affine_set`` or ``_determined``."""
+    calls = []
+    for route in ("_affine_set", "_determined"):
+        real = getattr(functors, route)
+
+        def counted(*args, route=route, real=real):
+            calls.append((route, len(args[-1])))
+            return real(*args)
+        monkeypatch.setattr(functors, route, counted)
+    return calls
+
+
 def test_affine_sets_are_solved_once_per_key(monkeypatch):
     """Into an abelian target with no equations, each column's points are
     built once per search: one affine set per column.  With
     ``[e1, e1] = e0 + e2`` into abelian F3^2, column 2 reads column 0 only,
     so its set is solved once for each of the 9 values of column 0 and
-    reused while column 1 runs through its 9."""
-    calls = []
-    real = functors._affine_set
-
-    def counted(f, width, equations, cols):
-        calls.append(len(cols))
-        return real(f, width, equations, cols)
-
-    monkeypatch.setattr(functors, "_affine_set", counted)
+    reused while column 1 runs through its 9; that equation fixes column 2,
+    so the depth is determined.  In the Heisenberg algebra over F3,
+    ``[e0, e1] = e2`` fixes column 2 from columns 0 and 1: computed once
+    per (c0, c1), 27 * 27 times, and never reduced as a system."""
+    calls = _count_solves(monkeypatch)
     f = GF(3)
     homs = enumerate_homs(abelian_algebra("lb", f, 2),
                           abelian_algebra("lb", f, 3))
     assert len(homs) == 3 ** 6
-    assert calls == [0, 1]
+    assert [k for _, k in calls] == [0, 1]
     calls.clear()
     homs = enumerate_homs(_algebra(f, "lb", _squares(3, {1: (0, 2)})),
                           abelian_algebra("lb", f, 2))
     assert len(homs) == 81
-    assert calls == [0, 1] + [2] * 9
+    assert [k for _, k in calls] == [0, 1] + [2] * 9
+    assert calls[2:] == [("_determined", 2)] * 9
+    calls.clear()
+    h = _algebra(f, "lie", [_heisenberg(3)])
+    assert len(enumerate_homs(h, h)) == 729
+    assert calls == [("_affine_set", 0), ("_affine_set", 1)] \
+        + [("_determined", 2)] * 27 ** 2
+
+
+def _heisenberg(p, c=1):
+    """``[e0, e1] = c e2 = -[e1, e0]``."""
+    t = _zero(3)
+    t[0][1][2], t[1][0][2] = c % p, -c % p
+    return t
+
+
+def _nil3():
+    """``e0 e0 = e1``, ``e0 e1 = e2``: columns 1 and 2 are fixed by 0."""
+    t = _zero(3)
+    t[0][0][1] = t[0][1][2] = 1
+    return t
+
+
+def _symmetric_heisenberg():
+    """``[e0, e1] = [e1, e0] = e2``, a Leibniz algebra: column 2 is fixed
+    by the first equation, and into a target where [c0, c1] != [c1, c0]
+    the second rejects that point."""
+    t = _zero(3)
+    t[0][1][2] = t[1][0][2] = 1
+    return t
+
+
+def _in_basis(p, t, basis):
+    """The table ``t`` rewritten in the basis whose j-th vector is column
+    j of the invertible ``basis``."""
+    n = len(t)
+    inv = [[int(x) for x in r] for r in
+           inverse(Matrix(GF(p), basis)).entries]
+    out = _zero(n)
+    for i in range(n):
+        for j in range(n):
+            prod = [0] * n
+            for a in range(n):
+                for b in range(n):
+                    ab = basis[a][i] * basis[b][j]
+                    for c in range(n):
+                        prod[c] += ab * t[a][b][c]
+            for d in range(n):
+                out[i][j][d] = sum(inv[d][c] * prod[c] for c in range(n)) % p
+    return out
+
+
+def _random_basis(p, n, rng):
+    while True:
+        basis = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if inverse(Matrix(GF(p), basis)) is not None:
+            return basis
+
+
+def _lie2():
+    t = _zero(2)
+    t[0][1][1], t[1][0][1] = 1, -1
+    return t
+
+
+def _nil2():
+    t = _zero(2)
+    t[0][0][1] = 1
+    return t
+
+
+# (name, p, flavor, source, targets): every source has a determined depth;
+# the targets are taken in seeded random bases, of dim 3 where the
+# oracle's p^9 matrices stay few (F2, F3) and of dim 2 over F5
+DETERMINED = [
+    ("heisenberg", 2, "lie", _heisenberg(2),
+     [_heisenberg(2), _lie2(), _zero(2)]),
+    ("nil3", 2, "lb", _nil3(), [_nil3(), _heisenberg(2), _nil2()]),
+    ("heisenberg", 3, "lie", _heisenberg(3), [_heisenberg(3), _lie2()]),
+    ("heisenberg-2", 3, "lie", _heisenberg(3, 2),
+     [_heisenberg(3, 2), _lie2()]),
+    ("nil3", 3, "lb", _nil3(), [_nil3(), _nil2()]),
+    ("symmetric-heisenberg", 3, "lb", _symmetric_heisenberg(),
+     [_heisenberg(3), _lie2()]),
+    ("heisenberg", 5, "lie", _heisenberg(5), [_lie2()]),
+    ("heisenberg-2", 5, "lie", _heisenberg(5, 2), [_lie2(), _zero(2)]),
+    ("nil3", 5, "lb", _nil3(), [_nil2(), _lie2()]),
+    ("symmetric-heisenberg", 5, "lb", _symmetric_heisenberg(), [_lie2()]),
+]
+
+
+@pytest.mark.parametrize("name,p,flavor,src,targets", DETERMINED,
+                         ids=[f"f{p}-{name}" for name, p, *_ in DETERMINED])
+def test_determined_depths_match_oracle_in_order(monkeypatch, name, p, flavor,
+                                                 src, targets):
+    rng = random.Random(f"{SEED}:determined:{name}:{p}")
+    calls = _count_solves(monkeypatch)
+    rejected = 0
+    counted = functors._determined
+
+    def determined(*args):
+        nonlocal rejected
+        out = counted(*args)
+        rejected += out is None
+        return out
+    monkeypatch.setattr(functors, "_determined", determined)
+    sliced = 0
+    for t in targets:
+        tgt = _in_basis(p, t, _random_basis(p, len(t), rng))
+        want = oracles.algebra_homs(p, [src], [tgt], 3, len(tgt))
+        got = enumerate_homs(_algebra(GF(p), flavor, [src]),
+                             _algebra(GF(p), flavor, [tgt]))
+        assert [_columns(h.matrix) for h in got] == want, (p, src, tgt)
+        sliced += 1 < len(want) < p ** (3 * len(tgt))
+    assert sliced and ("_determined", 2) in calls
+    if name == "symmetric-heisenberg":
+        # [c1, c0] = c2 refuses the points [c0, c1] = c2 gives
+        assert rejected > 0
 
 
 def _crossed_modules():
@@ -232,7 +366,8 @@ def _oracle_xmod(xm):
             [list(map(int, xm.mu.matrix.col(j))) for j in range(xm.actee.dim)])
 
 
-def test_enumerate_xmod_homs_matches_oracle_as_sets():
+def test_enumerate_xmod_homs_matches_oracle_as_sets(monkeypatch):
+    calls = _count_solves(monkeypatch)
     xms = _crossed_modules()
     compared = beyond_zero = 0
     for x in xms:
@@ -249,6 +384,8 @@ def test_enumerate_xmod_homs_matches_oracle_as_sets():
             beyond_zero += len(want) > 1
     # the zero morphism is always there; most pairs have more
     assert compared >= 300 and beyond_zero >= 200, (compared, beyond_zero)
+    # an invertible mu' or an actee product fixes some alpha columns
+    assert {route for route, _ in calls} == {"_affine_set", "_determined"}
 
 
 def _reference_affine_set(f, width, equations, cols):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -147,8 +148,8 @@ def test_rank_nullity(m):
 @settings(max_examples=60, derandomize=True)
 @given(_f5_matrix(), _f5_matrix())
 def test_matrix_product_matches_numpy(a, b):
-    # numpy integer matmul is exact at these sizes, so it is a fair oracle
-    import numpy as np
+    # numpy integer matmul is exact at these sizes, so it is a fair oracle;
+    # numpy is imported with the module, outside each example's deadline
     if a.cols != b.rows:
         b = Matrix(F5, [[F5.one() if i == j else F5.zero()
                          for j in range(a.cols)] for i in range(a.cols)])
