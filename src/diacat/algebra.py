@@ -859,14 +859,17 @@ def is_ideal(alg: Algebra, s: Subspace) -> bool:
 
 
 class Quotient(tuple):
-    """A quotient ``(algebra, projection)`` with its ``ideal`` divided out
-    and the ``QuotientMap`` of that ideal, ``qmap``, whose section lifts
-    quotient coordinates."""
+    """A quotient ``(algebra, projection)`` with the ``QuotientMap`` of the
+    ideal divided out, ``qmap``, whose section lifts quotient coordinates."""
 
-    def __new__(cls, algebra, projection, ideal, qmap):
+    def __new__(cls, algebra, projection, qmap):
         self = super().__new__(cls, (algebra, projection))
-        self.ideal, self.qmap = ideal, qmap
+        self.qmap = qmap
         return self
+
+    @property
+    def ideal(self) -> Subspace:
+        return self.qmap.sub
 
 
 def quotient_algebra(alg: Algebra, seed: Subspace, labels=None) -> Quotient:
@@ -887,7 +890,7 @@ def quotient_algebra(alg: Algebra, seed: Subspace, labels=None) -> Quotient:
     if labels is None:
         labels = [alg.labels[c] for c in qm.section_cols]
     quot = make_algebra(alg.flavor, f, prods, labels)
-    return Quotient(quot, AlgebraMorphism(alg, quot, qm.project), ideal, qm)
+    return Quotient(quot, AlgebraMorphism(alg, quot, qm.project), qm)
 
 
 def induced_subalgebra(alg: Algebra, sub: Subspace, labels=None):
@@ -1015,7 +1018,7 @@ def associative_quotient(d: Dialgebra) -> Quotient:
     if quot_dias.left != quot_dias.right:
         raise InvalidAlgebra("associative quotient failed to merge the products")
     asq = AssociativeAlgebra(f, quot_dias.left, list(quot_dias.labels))
-    return Quotient(asq, proj, quot.ideal, quot.qmap)
+    return Quotient(asq, proj, quot.qmap)
 
 
 def lie_quotient(g: LeibnizAlgebra) -> Quotient:
@@ -1028,4 +1031,4 @@ def lie_quotient(g: LeibnizAlgebra) -> Quotient:
     quot = quotient_algebra(g, seed_span(f, square_seeds(g), g.dim))
     quot_lb, proj = quot
     lie = LieAlgebra(f, quot_lb.bracket, list(quot_lb.labels))
-    return Quotient(lie, proj, quot.ideal, quot.qmap)
+    return Quotient(lie, proj, quot.qmap)

@@ -165,8 +165,8 @@ class Envelope(NamedTuple):
     """A truncated enveloping algebra with its defining data.
 
     ``eta`` maps generators to classes of length-1 words; ``proj`` is the
-    projection from the free object; ``relations`` is the ideal divided out
-    and ``qmap`` its ``QuotientMap``, whose section lifts envelope
+    projection from the free object; ``qmap`` is the ``QuotientMap`` of the
+    ideal divided out, ``relations``; its section lifts envelope
     coordinates to the free object.
     """
 
@@ -175,12 +175,15 @@ class Envelope(NamedTuple):
     algebra: Algebra
     eta: Matrix
     proj: AlgebraMorphism
-    relations: Subspace
     qmap: QuotientMap
 
     @property
     def free(self):
         return self.proj.source
+
+    @property
+    def relations(self) -> Subspace:
+        return self.qmap.sub
 
 
 def ud(g: LeibnizAlgebra, bound: int) -> Envelope:
@@ -209,7 +212,7 @@ def _envelope(source: Algebra, bound: int, free: Algebra) -> Envelope:
             for i in range(n) for j in range(n)]
     alg, proj = quot = quotient_algebra(free, seed_span(f, rels, free.dim))
     eta = Matrix.from_cols(f, [proj.matrix.col(i) for i in range(n)], alg.dim)
-    return Envelope(source, bound, alg, eta, proj, quot.ideal, quot.qmap)
+    return Envelope(source, bound, alg, eta, proj, quot.qmap)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +295,9 @@ class XudResult(NamedTuple):
     model on the quotient ``env_big``/X.  ``base_bridge`` rewrites envelope
     coordinates of the base into the canonical coordinates of the embedded
     base subalgebra; ``unit_actee`` sends the input actee to Ker s-bar
-    coordinates of the classes of its length-1 words.  ``ideal`` is the
-    kernel-product ideal that ``pi`` divides out, and ``section`` embeds
-    the quotient's coordinates back into ``env_big``.
+    coordinates of the classes of its length-1 words.  ``qmap`` is the
+    ``QuotientMap`` of the kernel-product ideal that ``pi`` divides out,
+    whose section embeds the quotient's coordinates back into ``env_big``.
     """
 
     xmod: CrossedModule
@@ -304,8 +307,7 @@ class XudResult(NamedTuple):
     pi: AlgebraMorphism
     base_bridge: Matrix
     unit_actee: Matrix
-    ideal: Subspace
-    section: Matrix
+    qmap: QuotientMap
 
 
 def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
@@ -349,7 +351,7 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
     assert None not in unit_cols  # actee generators land in Ker s-bar
     unit_actee = Matrix.from_cols(f, unit_cols, kers_bar.dim)
     return XudResult(out, cat1, env_big, env_base, pi, bridge, unit_actee,
-                     xc, section)
+                     q.qmap)
 
 
 def xud_full(xlb: CrossedModule, bound: int) -> XudResult:

@@ -532,17 +532,6 @@ def _search(f, widths, equations, cap, prefix=()):
     return recurse(0)
 
 
-def _hom_matrix(f, nrows, cols):
-    """The matrix of columns ``cols`` found by ``_search``, whose widths
-    give each one ``nrows`` entries: one transpose, without the per-column
-    check of ``Matrix.from_cols``.  No columns (a 0-dim source) give
-    ``nrows`` empty rows, as there."""
-    m = Matrix.__new__(Matrix)
-    m.field, m.rows, m.cols = f, nrows, len(cols)
-    m.entries = tuple(zip(*cols)) or ((),) * nrows
-    return m
-
-
 def enumerate_homs(a: Algebra, b: Algebra, cap=None) -> list:
     """All flavor morphisms a -> b over a finite field, in canonical order:
     lexicographic in the columns of the matrix, first column first.
@@ -559,7 +548,7 @@ def enumerate_homs(a: Algebra, b: Algebra, cap=None) -> list:
                  for eq in _intertwined(sp, tp, cols, cols, cols, b.dim)]
     # every column has b.dim entries, so each matrix is b.dim x a.dim
     f = a.field
-    return [AlgebraMorphism._prechecked(a, b, _hom_matrix(f, b.dim, c))
+    return [AlgebraMorphism._prechecked(a, b, Matrix.from_cols(f, c, b.dim))
             for c in _search(f, [b.dim] * a.dim, equations, cap)]
 
 
@@ -617,7 +606,7 @@ def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> list:
         prefix = [beta.matrix.col(i) for i in range(nd)]
         for c in _search(f, [wl] * m, equations, cap, prefix):
             alpha = AlgebraMorphism._prechecked(
-                x.actee, y.actee, _hom_matrix(f, wl, c[nd:]))
+                x.actee, y.actee, Matrix.from_cols(f, c[nd:], wl))
             found.append(XmodMorphism(x, y, alpha, beta))
     return found
 
@@ -691,8 +680,8 @@ def xud_transpose(r: XudResult, target: CrossedModule,
     f = c_t.E.field
     h = _block_diag(f, alpha, beta)
     k = envelope_transpose(r.env_big, c_t.E, h)
-    _assert_killed(f, k.matrix, r.ideal, "the enveloped block map")
-    kbar = k.matrix.mul(r.section)
+    _assert_killed(f, k.matrix, r.qmap.sub, "the enveloped block map")
+    kbar = k.matrix.mul(r.qmap.section)
     nl, nd = target.actee.dim, target.actor.dim
     kers_bar = kernel_of(r.cat1.s)
     a_cols, b_cols = [], []

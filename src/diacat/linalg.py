@@ -432,24 +432,24 @@ class QuotientMap:
     its first read;
     ``section`` embeds quotient coordinates back as the corresponding
     standard basis vectors.  project . section = identity and the kernel of
-    project is exactly S.
+    project is exactly S, kept as ``sub``.
     """
 
-    __slots__ = ("section_cols", "section", "_sub", "_project")
+    __slots__ = ("section_cols", "section", "sub", "_project")
 
     def __init__(self, ambient_dim: int, sub: Subspace):
         if sub.ambient_dim != ambient_dim:
             raise DimensionMismatch("subspace not in the requested ambient")
         f = sub.field
         self.section_cols = list(sub._free)
-        self._sub, self._project = sub, None
+        self.sub, self._project = sub, None
         sec_cols = [unit_vector(f, ambient_dim, c) for c in self.section_cols]
         self.section = Matrix.from_cols(f, sec_cols, ambient_dim)
 
     @property
     def project(self) -> Matrix:
         if self._project is None:
-            sub, f = self._sub, self._sub.field
+            sub, f = self.sub, self.sub.field
             self._project = Matrix.from_cols(
                 f, [sub._residual({j: f.one()})
                     for j in range(sub.ambient_dim)], self.dim)
