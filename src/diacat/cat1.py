@@ -251,24 +251,18 @@ def check_internal_category(ic: InternalCategory) -> AxiomReport:
     report.add("t . gamma = t . pr2",
                c.t.matrix.mul(ic.gamma.matrix) == c.t.matrix.mul(pr2r), None)
 
-    # unit laws, one basis vector of E at a time
-    bad_right = bad_left = None
-    for j in range(E.dim):
-        e = unit_vector(f, E.dim, j)
-        ue = ic.sigma.matrix.mul_vec(c.t.matrix.col(j))
-        cj = _pullback_coords(ic, e, ue)
-        if cj is None or not vec_eq(f, ic.gamma.matrix.mul_vec(cj), e):
-            bad_right = (j,)
-            break
-    for j in range(E.dim):
-        e = unit_vector(f, E.dim, j)
-        ue = ic.sigma.matrix.mul_vec(c.s.matrix.col(j))
-        cj = _pullback_coords(ic, ue, e)
-        if cj is None or not vec_eq(f, ic.gamma.matrix.mul_vec(cj), e):
-            bad_left = (j,)
-            break
-    report.add("gamma(x, sigma t(x)) = x", bad_right is None, bad_right)
-    report.add("gamma(sigma s(x), x) = x", bad_left is None, bad_left)
+    # unit laws, one basis vector of E at a time, the unit on either side
+    for name, end, right in (("gamma(x, sigma t(x)) = x", c.t, True),
+                             ("gamma(sigma s(x), x) = x", c.s, False)):
+        bad = None
+        for j in range(E.dim):
+            e = unit_vector(f, E.dim, j)
+            ue = ic.sigma.matrix.mul_vec(end.matrix.col(j))
+            cj = _pullback_coords(ic, *((e, ue) if right else (ue, e)))
+            if cj is None or not vec_eq(f, ic.gamma.matrix.mul_vec(cj), e):
+                bad = (j,)
+                break
+        report.add(name, bad is None, bad)
 
     # associativity over the object of composable triples
     n = E.dim

@@ -234,22 +234,13 @@ def _verify_adjunction(args, which, results):
     if args.fixtures:
         raise ParseError(f"adjunction:{which} runs its bundled pairs and "
                          "takes no fixture names")
-    if which == "ud":
-        for gname, dname in _UD_PAIRS:
-            rep = verify_adjunction_ud(get(gname), get(dname), args.trunc,
-                                       cap=args.cap)
-            results.append({"check": "adjunction:ud",
-                            "fixture": f"{gname} / {dname}",
-                            "passed": rep.passed,
-                            "cardinality": len(rep.left),
-                            "items": _report_items(rep.items)})
-        return
-    if which == "xud":
-        for xname, dname in _XUD_PAIRS:
-            rep = verify_adjunction_xud(get(xname), get(dname), args.trunc,
-                                        cap=args.cap)
-            results.append({"check": "adjunction:xud",
-                            "fixture": f"{xname} / {dname}",
+    if which in ("ud", "xud"):
+        pairs, verify = {"ud": (_UD_PAIRS, verify_adjunction_ud),
+                         "xud": (_XUD_PAIRS, verify_adjunction_xud)}[which]
+        for aname, bname in pairs:
+            rep = verify(get(aname), get(bname), args.trunc, cap=args.cap)
+            results.append({"check": f"adjunction:{which}",
+                            "fixture": f"{aname} / {bname}",
                             "passed": rep.passed,
                             "cardinality": len(rep.left),
                             "items": _report_items(rep.items)})
@@ -265,15 +256,6 @@ def _verify_adjunction(args, which, results):
                             "items": _report_items(rep)})
 
 
-def _as_dias_or_lb(xm):
-    from .functors import inc_xas_to_xdias, inc_xlie_to_xlb
-    if xm.flavor == "as":
-        return inc_xas_to_xdias(xm)
-    if xm.flavor == "lie":
-        return inc_xlie_to_xlb(xm)
-    return xm
-
-
 def _roundtrip(xm, back, cap):
     """Whether a round trip came back to ``xm``, and how: ``"equal"`` for
     tensor-identical, else ``"isomorphism"``, found by a search."""
@@ -286,6 +268,7 @@ def _roundtrip(xm, back, cap):
 def _verify_cat1(args, results):
     from .cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
                        cat1_of_xmod, xmod_of_cat1)
+    from .functors import _as_dias_or_lb
     for name, xm0 in _named_battery(args, "xmod", None):
         xm = _as_dias_or_lb(xm0)
         c = cat1_of_xmod(xm)
@@ -302,6 +285,7 @@ def _verify_cat1(args, results):
 
 def _verify_internal(args, results):
     from .cat1 import check_internal_category, psi, xdias_to_internal
+    from .functors import _as_dias_or_lb
     for name, xm0 in _named_battery(args, "xmod", {"dias", "as"}):
         xm = _as_dias_or_lb(xm0)
         ic = xdias_to_internal(xm)

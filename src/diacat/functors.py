@@ -7,13 +7,14 @@ modules and the projections U/G back down.  ``FUNCTOR_TAGS`` is the one
 registry of their 36 tags: each carries its source and target category and
 its builder, for ``apply_functor`` and the CLI alike.  The two universal
 quotients (XAS, XLiel) share ``_crossed_quotient``, as the two envelopes
-share ``envelope._crossed_envelope``.  On top of those sit hom-set
-enumeration over finite fields, explicit adjunction bijections, and the
-commuting squares of the prism: ``_SQUARES`` holds each one, per fixture
-flavor, as two paths of registered tags whose composites ``check_square``
-compares, with EQUAL / ISOMORPHIC verdicts.  Every hom-set comes from one
-column-by-column search, ``_search``, in one canonical order:
-lexicographic in the columns.
+share ``envelope._crossed_envelope``.  Every hom-set over a finite field
+comes from one column-by-column search, ``_search``, in one canonical
+order: lexicographic in the columns.  Each adjunction is an explicit map
+between two enumerated hom-sets that ``_bijection`` certifies, and the
+embedding/projection ones are rows of ``_CHAIN_ROWS``.  ``_SQUARES``
+holds each commuting square of the prism, per fixture flavor, as two
+paths of registered tags whose composites ``check_square`` compares, with
+EQUAL / ISOMORPHIC verdicts.
 """
 
 from __future__ import annotations
@@ -187,6 +188,16 @@ def inc_xlie_to_xlb(xm: CrossedModule) -> CrossedModule:
     G = leibniz_of_lie(xm.actor)
     act = Action.from_cross(G, Q, xm.action.cross)
     return CrossedModule(AlgebraMorphism(Q, G, xm.mu.matrix), act)
+
+
+def _as_dias_or_lb(xm: CrossedModule) -> CrossedModule:
+    """An as or lie crossed module viewed as a dias or lb one; dias and lb
+    ones as they are."""
+    if xm.flavor == "as":
+        return inc_xas_to_xdias(xm)
+    if xm.flavor == "lie":
+        return inc_xlie_to_xlb(xm)
+    return xm
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +639,34 @@ class BijectionReport(NamedTuple):
         return self.items.summary()
 
 
+def _pair_key(m: XmodMorphism):
+    return m.alpha.matrix, m.beta.matrix
+
+
+def _bijection(report, left, right, images, keys, names, prefix="",
+               also=()):
+    """Add the items certifying a map between the enumerated hom-sets
+    ``left`` = Hom(Fa, b) and ``right`` = Hom(a, Gb) as a bijection.
+
+    ``images`` holds the key of each image, in the order of the map's
+    domain (either hom-set), and ``keys`` those of the other hom-set.
+    After the cardinality item and the ``also`` items come "lands in",
+    "injective" and "surjective" (every key is hit) under the three
+    ``names``, or their conjunction when ``names`` is one string.
+    """
+    report.add(prefix + f"cardinalities equal ({len(left)} = {len(right)})",
+               len(left) == len(right))
+    for name, ok in also:
+        report.add(prefix + name, ok)
+    hit = set(images)
+    checks = (hit <= keys, len(hit) == len(images), keys <= hit)
+    if isinstance(names, str):
+        report.add(prefix + names, all(checks))
+    else:
+        for name, ok in zip(names, checks):
+            report.add(prefix + name, ok)
+
+
 def verify_adjunction_ud(g, d, bound: int, cap=None) -> BijectionReport:
     """Bijection between morphisms out of the envelope and bracket
     morphisms into the leibnization, by restriction to generators."""
@@ -638,27 +677,13 @@ def verify_adjunction_ud(g, d, bound: int, cap=None) -> BijectionReport:
     right = enumerate_homs(g, lbd, cap)
     left = enumerate_generated_homs(env, d, cap)
     report = AxiomReport("envelope adjunction")
-    report.add(f"cardinalities equal ({len(left)} = {len(right)})",
-               len(left) == len(right))
-    right_index = {m.matrix: m for m in right}
-    images = set()
-    ok_defined = True
-    for F in left:
-        img = F.matrix.mul(env.eta)
-        if img not in right_index:
-            ok_defined = False
-        images.add(img)
-    report.add("restriction to generators is a bracket morphism", ok_defined)
-    report.add("restriction map injective", len(images) == len(left))
-    report.add("restriction map surjective",
-               all(m.matrix in images for m in right))
-    roundtrip = True
-    for psi in right:
-        back = envelope_transpose(env, d, psi.matrix)
-        if back.matrix.mul(env.eta) != psi.matrix:
-            roundtrip = False
-            break
-    report.add("transpose splits the restriction", roundtrip)
+    _bijection(report, left, right, [F.matrix.mul(env.eta) for F in left],
+               {m.matrix for m in right},
+               ("restriction to generators is a bracket morphism",
+                "restriction map injective", "restriction map surjective"))
+    report.add("transpose splits the restriction",
+               all(envelope_transpose(env, d, psi.matrix).matrix.mul(env.eta)
+                   == psi.matrix for psi in right))
     return BijectionReport(left, right, report)
 
 
@@ -720,30 +745,19 @@ def verify_adjunction_xud(xlb: CrossedModule, xdias: CrossedModule,
     right = enumerate_xmod_homs(xlb, xlb_t, cap)
     left = enumerate_xmod_homs(r.xmod, xdias, cap)
     report = AxiomReport("crossed envelope adjunction")
-    report.add(f"cardinalities equal ({len(left)} = {len(right)})",
-               len(left) == len(right))
-    left_index = {(m.alpha.matrix, m.beta.matrix) for m in left}
-    images = set()
-    ok = True
-    for m in right:
-        out = xud_transpose(r, xdias, m.alpha.matrix, m.beta.matrix)
-        key = (out.alpha.matrix, out.beta.matrix)
-        if key not in left_index:
-            ok = False
-        images.add(key)
-    report.add("transpose lands in the enumerated morphisms", ok)
-    report.add("transpose injective", len(images) == len(right))
-    report.add("transpose surjective", images == left_index)
+
+    def transpose(m):
+        return xud_transpose(r, xdias, m.alpha.matrix, m.beta.matrix)
+
+    _bijection(report, left, right, [_pair_key(transpose(m)) for m in right],
+               {_pair_key(m) for m in left},
+               ("transpose lands in the enumerated morphisms",
+                "transpose injective", "transpose surjective"))
     unit_actee, unit_actor = xud_unit_maps(r)
-    roundtrip = True
-    for m in right:
-        out = xud_transpose(r, xdias, m.alpha.matrix, m.beta.matrix)
-        back_alpha = out.alpha.matrix.mul(unit_actee)
-        back_beta = out.beta.matrix.mul(unit_actor)
-        if back_alpha != m.alpha.matrix or back_beta != m.beta.matrix:
-            roundtrip = False
-            break
-    report.add("precomposition with the units recovers the original", roundtrip)
+    report.add("precomposition with the units recovers the original",
+               all(_pair_key(m) == (out.alpha.matrix.mul(unit_actee),
+                                    out.beta.matrix.mul(unit_actor))
+                   for m, out in zip(right, map(transpose, right))))
     return BijectionReport(left, right, report)
 
 
@@ -763,15 +777,57 @@ def _chain_kind(tagpair):
     raise DiacatError(f"unknown adjunction pair {tagpair!r}")
 
 
+# The algebra side of a chain row takes (xm, a, emb), emb the embedding of
+# a at the row's index, to the algebra hom-set and the lift of its
+# morphisms to crossed ones: out of Coker mu or the actor for U_i -| J_i,
+# into the actor or the actee for J_i -| U_{i+1}.
+def _lift_from_coker(xm, alg, emb, cap):
+    coker, proj = cokernel_of_mu(xm)
+    zero = AlgebraMorphism.zero(xm.actee, emb.actee)
+    return enumerate_homs(coker, alg, cap), lambda h: XmodMorphism(
+        xm, emb, zero,
+        AlgebraMorphism(xm.actor, alg, h.matrix.mul(proj.matrix)))
+
+
+def _lift_from_actor(xm, alg, emb, cap):
+    return enumerate_homs(xm.actor, alg, cap), lambda h: XmodMorphism(
+        xm, emb,
+        AlgebraMorphism(xm.actee, emb.actee, h.matrix.mul(xm.mu.matrix)),
+        AlgebraMorphism(xm.actor, alg, h.matrix))
+
+
+def _lift_into_actor(xm, alg, emb, cap):
+    zero = AlgebraMorphism.zero(emb.actee, xm.actee)
+    return enumerate_homs(alg, xm.actor, cap), lambda h: XmodMorphism(
+        emb, xm, zero, AlgebraMorphism(alg, xm.actor, h.matrix))
+
+
+def _lift_into_actee(xm, alg, emb, cap):
+    return enumerate_homs(alg, xm.actee, cap), lambda h: XmodMorphism(
+        emb, xm, AlgebraMorphism(alg, xm.actee, h.matrix),
+        AlgebraMorphism(alg, xm.actor, xm.mu.matrix.mul(h.matrix)))
+
+
+# (kind, index) -> (algebra side, restriction of a crossed morphism out of
+# emb back to the algebra, None where the projection is the left adjoint)
+_CHAIN_ROWS = {
+    ("proj-left", 0): (_lift_from_coker, None),
+    ("proj-left", 1): (_lift_from_actor, None),
+    ("emb-left", 0): (_lift_into_actor, lambda m: m.beta),
+    ("emb-left", 1): (_lift_into_actee, lambda m: m.alpha),
+}
+
+
 def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
     """Hom-set bijections for the embedding/projection adjunctions.
 
     ``tagpair`` is (left adjoint, right adjoint); fixtures are (crossed
     module, algebra) pairs of the matching flavor.  For each fixture both
-    hom-sets are enumerated, the explicit bijection is applied elementwise,
-    and one naturality square is spot-checked.
+    hom-sets are enumerated, left first, the explicit bijection is applied
+    elementwise, and one naturality square is spot-checked.
     """
     flavor, kind, i = _chain_kind(tagpair)
+    algebra_side, restrict = _CHAIN_ROWS[kind, i]
     report = AxiomReport(f"adjunction {tagpair[0]} -| {tagpair[1]}")
     for n, (xm, alg) in enumerate(fixtures):
         if xm.flavor != flavor or alg.flavor != flavor:
@@ -779,7 +835,6 @@ def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
                 f"fixture {n} does not match flavor {flavor!r}")
         prefix = f"[{n}] "
         emb = embed(_chain_tag(flavor, 1, i), alg)
-        f = alg.field
         # naturality in the algebra argument is checked along u
         u = _pick_endo(alg, cap)
         emb_u = XmodMorphism(
@@ -787,101 +842,31 @@ def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
             AlgebraMorphism.identity(emb.actee) if i == 0
             else AlgebraMorphism(emb.actee, emb.actee, u.matrix),
             u)
-        if kind == "proj-left":
-            if i == 0:
-                coker, proj = cokernel_of_mu(xm)
-                left = enumerate_homs(coker, alg, cap)
-
-                def fwd(h):
-                    za = AlgebraMorphism(xm.actee, emb.actee,
-                                         Matrix.zero(f, 0, xm.actee.dim))
-                    return XmodMorphism(xm, emb, za,
-                                        AlgebraMorphism(xm.actor, alg,
-                                                        h.matrix.mul(proj.matrix)))
-            else:
-                left = enumerate_homs(xm.actor, alg, cap)
-
-                def fwd(h):
-                    return XmodMorphism(
-                        xm, emb,
-                        AlgebraMorphism(xm.actee, emb.actee,
-                                        h.matrix.mul(xm.mu.matrix)),
-                        AlgebraMorphism(xm.actor, alg, h.matrix))
+        if restrict is None:  # Hom(P xm, a) -> Hom(xm, J a) by lifting
+            left, lift = algebra_side(xm, alg, emb, cap)
             right = enumerate_xmod_homs(xm, emb, cap)
-            images = {}
-            ok = True
-            for h in left:
-                m = fwd(h)
-                if not m.check().passed:
-                    ok = False
-                images[(m.alpha.matrix, m.beta.matrix)] = h
-            target_keys = {(m.alpha.matrix, m.beta.matrix) for m in right}
-            report.add(prefix + f"cardinalities equal "
-                       f"({len(left)} = {len(right)})",
-                       len(left) == len(right))
-            report.add(prefix + "transposes are valid crossed morphisms", ok)
-            report.add(prefix + "bijection onto the enumerated hom-set",
-                       set(images) == target_keys
-                       and len(images) == len(left))
-            natural = True
-            for h in left:
-                lhs = fwd(AlgebraMorphism(h.source, alg,
-                                          u.matrix.mul(h.matrix)))
-                rhs = emb_u.compose(fwd(h))
-                if lhs.alpha.matrix != rhs.alpha.matrix or \
-                        lhs.beta.matrix != rhs.beta.matrix:
-                    natural = False
-                    break
-            report.add(prefix + "naturality square", natural)
-        else:  # emb-left: embedding at i left adjoint to projection at i+1
+            lifts = [lift(h) for h in left]
+            valid = all([m.check().passed for m in lifts])
+            _bijection(report, left, right, [_pair_key(m) for m in lifts],
+                       {_pair_key(m) for m in right},
+                       "bijection onto the enumerated hom-set", prefix,
+                       [("transposes are valid crossed morphisms", valid)])
+            natural = all(_pair_key(lift(u.compose(h)))
+                          == _pair_key(emb_u.compose(m))
+                          for h, m in zip(left, lifts))
+        else:  # Hom(J a, xm) -> Hom(a, P xm) by restriction
             left = enumerate_xmod_homs(emb, xm, cap)
-            if i == 0:
-                right = enumerate_homs(alg, xm.actor, cap)
-
-                def fwd2(m):
-                    return m.beta
-
-                def back2(h):
-                    return XmodMorphism(
-                        emb, xm,
-                        AlgebraMorphism(emb.actee, xm.actee,
-                                        Matrix.zero(f, xm.actee.dim, 0)),
-                        AlgebraMorphism(alg, xm.actor, h.matrix))
-            else:
-                right = enumerate_homs(alg, xm.actee, cap)
-
-                def fwd2(m):
-                    return m.alpha
-
-                def back2(h):
-                    return XmodMorphism(
-                        emb, xm,
-                        AlgebraMorphism(alg, xm.actee, h.matrix),
-                        AlgebraMorphism(alg, xm.actor,
-                                        xm.mu.matrix.mul(h.matrix)))
-            report.add(prefix + f"cardinalities equal "
-                       f"({len(left)} = {len(right)})",
-                       len(left) == len(right))
-            fwd_keys = {fwd2(m).matrix for m in left}
-            right_keys = {h.matrix for h in right}
-            report.add(prefix + "restriction is a bijection",
-                       fwd_keys == right_keys
-                       and len(fwd_keys) == len(left))
-            back_ok = True
-            for h in right:
-                m = back2(h)
-                if not m.check().passed or fwd2(m).matrix != h.matrix:
-                    back_ok = False
-                    break
-            report.add(prefix + "section by the explicit inverse", back_ok)
-            natural = True
-            for m in left:
-                lhs = fwd2(m.compose(emb_u)).matrix
-                rhs = fwd2(m).matrix.mul(u.matrix)
-                if lhs != rhs:
-                    natural = False
-                    break
-            report.add(prefix + "naturality square", natural)
+            right, lift = algebra_side(xm, alg, emb, cap)
+            _bijection(report, left, right,
+                       [restrict(m).matrix for m in left],
+                       {h.matrix for h in right},
+                       "restriction is a bijection", prefix)
+            report.add(prefix + "section by the explicit inverse",
+                       all(m.check().passed and restrict(m).matrix == h.matrix
+                           for h, m in zip(right, map(lift, right))))
+            natural = all(restrict(m.compose(emb_u)).matrix
+                          == restrict(m).matrix.mul(u.matrix) for m in left)
+        report.add(prefix + "naturality square", natural)
     return report
 
 
@@ -1099,20 +1084,11 @@ def check_parallelepiped(xm: CrossedModule, bound: int = 2, cap=None) -> AxiomRe
     The fixture is normalized to a Leibniz crossed module (and, for the
     faces that need one, to a dialgebra crossed module through the
     envelope); each face is one or two registered squares."""
-    if xm.flavor == "lie":
-        xlb = inc_xlie_to_xlb(xm)
-    elif xm.flavor == "lb":
-        xlb = xm
-    elif xm.flavor == "as":
-        xlb = xlb_of_xdias(inc_xas_to_xdias(xm))
+    base = _as_dias_or_lb(xm)
+    if base.flavor == "dias":
+        xdias, xlb = base, xlb_of_xdias(base)
     else:
-        xlb = xlb_of_xdias(xm)
-    if xm.flavor == "dias":
-        xdias = xm
-    elif xm.flavor == "as":
-        xdias = inc_xas_to_xdias(xm)
-    else:
-        xdias = xud(xlb, bound)
+        xlb, xdias = base, xud(base, bound)
     xas = xm if xm.flavor == "as" else xas_of_xdias(xdias)[0]
     d_top = xdias.actor
     a_top = associative_quotient(d_top)[0]
