@@ -601,6 +601,19 @@ def xmod_from_ideal(ambient: Algebra, ideal: Subspace, check=True) -> CrossedMod
     return CrossedModule(l_incl, act, check=check)
 
 
+def identity_xmod(alg: Algebra) -> CrossedModule:
+    """The identity crossed module of ``alg`` with the self action: the
+    embedding J1/I1."""
+    return CrossedModule(AlgebraMorphism.identity(alg), self_action(alg))
+
+
+def zero_xmod(alg: Algebra) -> CrossedModule:
+    """The zero-source crossed module over ``alg``: the embedding J0/I0."""
+    zero = abelian_algebra(alg.flavor, alg.field, 0)
+    mu = AlgebraMorphism(zero, alg, Matrix.zero(alg.field, alg.dim, 0))
+    return CrossedModule(mu, trivial_action(alg, zero))
+
+
 def action_by_ambient_products(actor_incl: AlgebraMorphism,
                                actee_incl: AlgebraMorphism,
                                check=True) -> Action:

@@ -6,7 +6,8 @@ Exit codes are a stable contract: 0 pass, 1 mathematical failure,
 stdout with sorted keys; human commentary goes to stderr.
 
 Handlers import what they run, so ``check`` never loads the functor,
-envelope and cat1 modules.
+envelope and cat1 modules, and ``construct`` of an envelope tag loads the
+tag registry and the envelope stack, not the functor module.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import sys
 from functools import partial
 
 from . import documents
-from .algebra import FLAVORS
+from .algebra import FLAVORS, Algebra
 from .errors import (DiacatError, ParseError, ResourceCapExceeded,
                      SearchSpaceTooLarge)
 
@@ -39,11 +40,14 @@ def _report_items(report):
 
 def _write_or_print(doc, out_path):
     text = documents.canonical_json(doc)
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _resolve(spec, kind=None, check=True):
@@ -105,27 +109,39 @@ def cmd_check(args) -> int:
 # construct
 
 
+def _semidirect(xm):
+    from .actions import semidirect
+    return semidirect(xm.action)[0]
+
+
+def _roundtrip_cat1(xm):
+    from .cat1 import cat1_of_xmod, xmod_of_cat1
+    return xmod_of_cat1(cat1_of_xmod(xm))
+
+
+def _roundtrip_internal(xm):
+    from .cat1 import psi, xdias_to_internal
+    return psi(xdias_to_internal(xm))
+
+
+# construction kinds beside the functor tags: source categories, builder
+_CONSTRUCTIONS = {
+    "semidirect": (("XDias", "XLb", "XAs", "XLie"), _semidirect),
+    "roundtrip-cat1": (("XDias", "XLb"), _roundtrip_cat1),
+    "roundtrip-internal": (("XDias",), _roundtrip_internal),
+}
+
+
 def _construct(kind, args):
-    from .actions import CrossedModule, semidirect
-    from .cat1 import cat1_of_xmod, psi, xdias_to_internal, xmod_of_cat1
-    from .functors import FUNCTOR_TAGS, apply_functor, category
-    # construction kinds beside the functor tags: source categories, builder
-    constructions = {
-        "semidirect": (("XDias", "XLb", "XAs", "XLie"),
-                       lambda xm: semidirect(xm.action)[0]),
-        "roundtrip-cat1": (("XDias", "XLb"),
-                           lambda xm: xmod_of_cat1(cat1_of_xmod(xm))),
-        "roundtrip-internal": (("XDias",),
-                               lambda xm: psi(xdias_to_internal(xm))),
-    }
+    from .tags import FUNCTOR_TAGS, apply_functor, category
     if kind in FUNCTOR_TAGS:
         fn = FUNCTOR_TAGS[kind]
         if fn.truncated and args.trunc is None:
             raise ParseError(f"construct {kind} requires --trunc")
         sources = (fn.source,)
         build = partial(apply_functor, kind, bound=args.trunc)
-    elif kind in constructions:
-        sources, build = constructions[kind]
+    elif kind in _CONSTRUCTIONS:
+        sources, build = _CONSTRUCTIONS[kind]
     else:
         raise ParseError(f"unknown construction kind {kind!r}")
     if len(args.inputs) != 1:
@@ -136,9 +152,9 @@ def _construct(kind, args):
         raise ParseError(f"construct {kind} takes an object of "
                          f"{' or '.join(sources)}, got one of {category(obj)}")
     out = build(obj)
-    if isinstance(out, CrossedModule):
-        return documents.xmod_to_document(out)
-    return documents.algebra_to_document(out)
+    if isinstance(out, Algebra):
+        return documents.algebra_to_document(out)
+    return documents.xmod_to_document(out)
 
 
 def cmd_construct(args) -> int:
@@ -224,8 +240,9 @@ _CHAIN_FIXTURES = {
 
 def _verify_adjunction(args, which, results):
     from .fixtures import get
-    from .functors import (chain_pairs, verify_adjunction_chain,
-                           verify_adjunction_ud, verify_adjunction_xud)
+    from .functors import (verify_adjunction_chain, verify_adjunction_ud,
+                           verify_adjunction_xud)
+    from .tags import chain_pairs
     idx = which.split(":", 1)[1] if which.startswith("chain:") else None
     if which not in ("ud", "xud") and idx is None:
         raise ParseError(f"unknown adjunction battery {which!r}")

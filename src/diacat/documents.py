@@ -205,6 +205,8 @@ def loads_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"JSON nested too deeply: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be a JSON object")
     return doc
@@ -214,5 +216,5 @@ def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return loads_document(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc

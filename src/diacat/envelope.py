@@ -11,21 +11,24 @@ On top of the free objects sit the enveloping quotients (one bracket
 relation per generator pair), their universal transposes against nilpotent
 targets, functoriality on morphisms, and the crossed-module-level enveloping
 pipeline through the semidirect model and its kernel-product quotient.
+Only that pipeline loads ``actions`` and ``cat1``, when it runs.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .actions import CrossedModule, lemma_crossed_checks
 from .algebra import (Algebra, AlgebraMorphism, AssociativeAlgebra,
                       BilinearMap, Dialgebra, LeibnizAlgebra, kernel_of,
                       multiply_subspaces, quotient_algebra, seed_span, sp_sub)
-from .cat1 import Cat1, cat1_of_xmod, xmod_of_cat1
 from .config import guard_dim
 from .errors import DimensionMismatch, InvalidCrossedModule, NotWellDefined
 from .linalg import Matrix, QuotientMap, Subspace, image, vec_is_zero
+
+if TYPE_CHECKING:
+    from .actions import CrossedModule
+    from .cat1 import Cat1
 
 
 class Word(NamedTuple):
@@ -311,6 +314,8 @@ class XudResult(NamedTuple):
 
 
 def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
+    from .actions import lemma_crossed_checks
+    from .cat1 import Cat1, cat1_of_xmod, xmod_of_cat1
     c = cat1_of_xmod(xm)
     env_big = env_of(c.E, bound)
     env_base = env_of(c.base, bound)

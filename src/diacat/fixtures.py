@@ -6,13 +6,13 @@ enumeration; the rational entries exercise exact fraction arithmetic.
 One deliberately invalid algebra is included as a negative example for
 the checkers (marked ``valid=False``).
 
-Builders import ``envelope`` and ``functors`` only when they run.
+Builders import ``actions`` and ``envelope`` only when they run, so that
+resolving an algebra fixture or a document loads neither.
 """
 
 from typing import NamedTuple
 
 from . import documents
-from .actions import CrossedModule, trivial_action, xmod_from_ideal
 from .algebra import (AlgebraMorphism, AssociativeAlgebra, BilinearMap,
                       Dialgebra, LeibnizAlgebra, LieAlgebra, abelian_algebra,
                       dialgebra_of_associative)
@@ -65,18 +65,24 @@ def _free_dialgebra(field):
     return free_dialgebra(field, 1, 2)
 
 
-def _embed(tag, alg):
-    from .functors import embed
-    return embed(tag, alg)
+def _identity_xmod(alg):
+    from .actions import identity_xmod
+    return identity_xmod(alg)
 
 
-def _free_deg2_ideal(field):
-    d = _free_dialgebra(field)
-    sub = Subspace.span(field, [[0, 1, 0], [0, 0, 1]], 3)
-    return xmod_from_ideal(d, sub)
+def _zero_xmod(alg):
+    from .actions import zero_xmod
+    return zero_xmod(alg)
+
+
+def _ideal_xmod(ambient, *basis):
+    from .actions import xmod_from_ideal
+    return xmod_from_ideal(ambient, Subspace.span(ambient.field, list(basis),
+                                                  ambient.dim))
 
 
 def _xlie_abelian_pair():
+    from .actions import CrossedModule, trivial_action
     q = abelian_algebra("lie", F2, 1, ["m"])
     g = abelian_algebra("lie", F2, 1, ["p"])
     mu = AlgebraMorphism(q, g, Matrix.zero(F2, 1, 1))
@@ -131,26 +137,26 @@ _register("xdias-ideal-incl-f2", "xmod",
           "inclusion of the length-2 words as an ideal of the free "
           "dialgebra on one generator over F2, with the multiplication "
           "action",
-          lambda: _free_deg2_ideal(F2))
+          lambda: _ideal_xmod(_free_dialgebra(F2), [0, 1, 0], [0, 0, 1]))
 _register("xdias-zero-f2", "xmod",
           "zero crossed module over the free dialgebra on one generator "
           "over F2 (trivial source, trivial action)",
-          lambda: _embed("J0", _free_dialgebra(F2)))
+          lambda: _zero_xmod(_free_dialgebra(F2)))
 _register("xlb-ident-ff-e-f2", "xmod",
           "identity crossed module of the [f,f] = e Leibniz algebra over "
           "F2, acting on itself by brackets",
-          lambda: _embed("J1'", _ffe(F2)))
+          lambda: _identity_xmod(_ffe(F2)))
 _register("xlb-zero-ff-e-f2", "xmod",
           "zero crossed module over the [f,f] = e Leibniz algebra over F2",
-          lambda: _embed("J0'", _ffe(F2)))
+          lambda: _zero_xmod(_ffe(F2)))
 _register("xlb-ident-abelian-1-f2", "xmod",
           "identity crossed module of the one-dimensional abelian Leibniz "
           "algebra over F2",
-          lambda: _embed("J1'", abelian_algebra("lb", F2, 1, ["x"])))
+          lambda: _identity_xmod(abelian_algebra("lb", F2, 1, ["x"])))
 _register("xlb-ideal-e-f2", "xmod",
           "inclusion of the bracket-generated ideal span{e} into the "
           "[f,f] = e Leibniz algebra over F2",
-          lambda: xmod_from_ideal(_ffe(F2), Subspace.span(F2, [[1, 0]], 2)))
+          lambda: _ideal_xmod(_ffe(F2), [1, 0]))
 _register("xlie-abelian-pair-f2", "xmod",
           "zero morphism between one-dimensional abelian Lie algebras "
           "over F2 with the trivial action",
@@ -158,7 +164,7 @@ _register("xlie-abelian-pair-f2", "xmod",
 _register("xas-ident-nilp2-f2", "xmod",
           "identity crossed module of the nilpotent associative algebra "
           "t*t = t2 over F2",
-          lambda: _embed("I1", _nilp2(F2)))
+          lambda: _identity_xmod(_nilp2(F2)))
 
 
 def names():

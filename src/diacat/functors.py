@@ -3,18 +3,17 @@
 The algebra-level functors (leibnization, associative and Lie quotients,
 commutator bracket, inclusions, envelopes) are lifted here to crossed
 modules, together with the embeddings J/I of algebras as degenerate crossed
-modules and the projections U/G back down.  ``FUNCTOR_TAGS`` is the one
-registry of their 36 tags: each carries its source and target category and
-its builder, for ``apply_functor`` and the CLI alike.  The two universal
-quotients (XAS, XLiel) share ``_crossed_quotient``, as the two envelopes
-share ``envelope._crossed_envelope``.  Every hom-set over a finite field
-comes from one column-by-column search, ``_search``, in one canonical
-order: lexicographic in the columns.  Each adjunction is an explicit map
-between two enumerated hom-sets that ``_bijection`` certifies, and the
-embedding/projection ones are rows of ``_CHAIN_ROWS``.  ``_SQUARES``
-holds each commuting square of the prism, per fixture flavor, as two
-paths of registered tags whose composites ``check_square`` compares, with
-EQUAL / ISOMORPHIC verdicts.
+modules and the projections U/G back down; ``tags.FUNCTOR_TAGS``
+registers all 36 of them, and its builders call the ones here when they
+run.  The two universal quotients (XAS, XLiel) share ``_crossed_quotient``,
+as the two envelopes share ``envelope._crossed_envelope``.  Every hom-set
+over a finite field comes from one column-by-column search, ``_search``, in
+one canonical order: lexicographic in the columns.  Each adjunction is an
+explicit map between two enumerated hom-sets that ``_bijection`` certifies,
+and the embedding/projection ones are rows of ``_CHAIN_ROWS``.
+``_SQUARES`` holds each commuting square of the prism, per fixture flavor,
+as two paths of registered tags whose composites ``check_square``
+compares, with EQUAL / ISOMORPHIC verdicts.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .actions import (Action, CrossedModule, XmodMorphism, action_slots,
-                      induced_action, self_action, semidirect, trivial_action)
-from .algebra import (Algebra, AlgebraMorphism, AxiomReport, abelian_algebra,
+                      identity_xmod, induced_action, semidirect, zero_xmod)
+from .algebra import (Algebra, AlgebraMorphism, AxiomReport,
                       associative_quotient, commutator_lie,
                       derived_tower_nilpotent, dialgebra_of_associative,
                       ideal_closure, image_of, kernel_of, leibnization,
@@ -33,12 +32,14 @@ from .algebra import (Algebra, AlgebraMorphism, AxiomReport, abelian_algebra,
                       sp_mat_vec, sp_sub, square_seeds)
 from .cat1 import cat1_of_xmod
 from .config import DEFAULT_SEARCH_CAP
-from .envelope import (Envelope, XudResult, envelope_transpose, u_lie, ud, xu,
-                       xu_full, xud, xud_full)
+from .envelope import (Envelope, XudResult, envelope_transpose, ud, xu_full,
+                       xud, xud_full)
 from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
                      NotWellDefined, SearchSpaceTooLarge)
 from .linalg import (Matrix, Subspace, _solutions, inverse, unit_vector,
                      vec_add, vec_is_zero, vec_scale, vec_zero)
+from .tags import (_CHAIN_LETTERS, FUNCTOR_TAGS, _chain_tag, _functor,
+                   apply_functor, chain_pairs)
 
 # ---------------------------------------------------------------------------
 # crossed-module-level functors
@@ -210,11 +211,7 @@ def embed(tag, a: Algebra) -> CrossedModule:
     fn = _functor(tag, a)
     if fn.target != "X" + fn.source:
         raise DiacatError(f"{tag} is not an embedding")
-    if tag[1] == "1":
-        return CrossedModule(AlgebraMorphism.identity(a), self_action(a))
-    zero = abelian_algebra(a.flavor, a.field, 0)
-    mu = AlgebraMorphism(zero, a, Matrix.zero(a.field, a.dim, 0))
-    return CrossedModule(mu, trivial_action(a, zero))
+    return identity_xmod(a) if tag[1] == "1" else zero_xmod(a)
 
 
 def cokernel_of_mu(xm: CrossedModule):
@@ -233,102 +230,6 @@ def project(tag, xm: CrossedModule) -> Algebra:
     if idx == "1":
         return xm.actor
     return xm.actee
-
-
-# ---------------------------------------------------------------------------
-# functor tag registry
-
-# letters of the projections and embeddings per flavor, and the tag suffix
-_CHAIN_LETTERS = {"dias": ("U", "J"), "lb": ("U", "J"),
-                  "as": ("G", "I"), "lie": ("G", "I")}
-_CHAIN_SUFFIX = {"dias": "", "lb": "'", "as": "", "lie": "'"}
-
-
-def _chain_tag(flavor, role, i):
-    """The projection (role 0, U/G) or embedding (role 1, J/I) tag at i."""
-    return f"{_CHAIN_LETTERS[flavor][role]}{i}{_CHAIN_SUFFIX[flavor]}"
-
-
-def chain_pairs(flavor, i):
-    """The adjoint pairs (U_i, J_i) and (J_i, U_{i+1}) of a flavor, each as
-    (left adjoint, right adjoint), with G/I letters for as and lie."""
-    proj, emb = _chain_tag(flavor, 0, i), _chain_tag(flavor, 1, i)
-    return (proj, emb), (emb, _chain_tag(flavor, 0, i + 1))
-
-
-def category(obj) -> str:
-    """The category of an algebra ("Dias", "Lb", "As", "Lie") or of a
-    crossed module ("XDias", "XLb", "XAs", "XLie")."""
-    prefix = "X" if isinstance(obj, CrossedModule) else ""
-    return prefix + obj.flavor.capitalize()
-
-
-class Functor(NamedTuple):
-    """A registered functor: source and target categories, and a builder
-    taking the input object, plus the truncation bound when ``truncated``."""
-
-    source: str
-    target: str
-    build: Callable
-    truncated: bool = False
-
-
-def _registry():
-    tags = {
-        "LB": Functor("Dias", "Lb", leibnization),
-        "AS": Functor("Dias", "As", lambda d: associative_quotient(d)[0]),
-        "Liea": Functor("As", "Lie", commutator_lie),
-        "Liel": Functor("Lb", "Lie", lambda g: lie_quotient(g)[0]),
-        "Ud": Functor("Lb", "Dias", lambda g, n: ud(g, n).algebra, True),
-        "U": Functor("Lie", "As", lambda p, n: u_lie(p, n).algebra, True),
-        "IncAsDias": Functor("As", "Dias", dialgebra_of_associative),
-        "IncLieLb": Functor("Lie", "Lb", leibniz_of_lie),
-        "XLB": Functor("XDias", "XLb", xlb_of_xdias),
-        "XAS": Functor("XDias", "XAs", lambda xm: xas_of_xdias(xm)[0]),
-        "XLiea": Functor("XAs", "XLie", xliea_of_xas),
-        "XLiel": Functor("XLb", "XLie", xliel_of_xlb),
-        "XUd": Functor("XLb", "XDias", xud, True),
-        "XU": Functor("XLie", "XAs", xu, True),
-        "IncXAsXDias": Functor("XAs", "XDias", inc_xas_to_xdias),
-        "IncXLieXLb": Functor("XLie", "XLb", inc_xlie_to_xlb),
-    }
-    for flavor in _CHAIN_LETTERS:
-        alg = flavor.capitalize()
-        for i in (0, 1):
-            tag = _chain_tag(flavor, 1, i)
-            tags[tag] = Functor(alg, "X" + alg, partial(embed, tag))
-        for i in (0, 1, 2):
-            tag = _chain_tag(flavor, 0, i)
-            tags[tag] = Functor("X" + alg, alg, partial(project, tag))
-    return tags
-
-
-# every tag with its source and target category and its builder
-FUNCTOR_TAGS = _registry()
-
-assert len(FUNCTOR_TAGS) == 36
-
-
-def _functor(tag, obj) -> Functor:
-    """The registered functor ``tag``; ``obj`` must lie in its source."""
-    fn = FUNCTOR_TAGS.get(tag)
-    if fn is None:
-        raise DiacatError(f"unknown functor tag {tag!r}")
-    if category(obj) != fn.source:
-        raise DiacatError(f"{tag} expects an object of {fn.source}, "
-                          f"got one of {category(obj)}")
-    return fn
-
-
-def apply_functor(tag, obj, bound=None):
-    """Apply a registered functor; the truncated ones need ``bound``."""
-    fn = _functor(tag, obj)
-    if not fn.truncated:
-        return fn.build(obj)
-    if bound is None:
-        raise DiacatError(f"functor {tag} requires a truncation bound")
-    return fn.build(obj, bound)
-
 
 
 # ---------------------------------------------------------------------------

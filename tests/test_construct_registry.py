@@ -1,6 +1,6 @@
 """``construct`` against the functor registry.
 
-Every tag of ``functors.FUNCTOR_TAGS`` builds an object of its target
+Every tag of ``tags.FUNCTOR_TAGS`` builds an object of its target
 category from one of its source category, and refuses anything else as an
 input error (exit 2) before printing a byte.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from diacat import documents
 from diacat.cli import main
-from diacat.functors import FUNCTOR_TAGS
+from diacat.tags import FUNCTOR_TAGS
 
 # one small bundled fixture per category
 FIXTURE_OF = {

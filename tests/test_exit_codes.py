@@ -23,7 +23,8 @@ from diacat import documents, fixtures
 from diacat.actions import action_slots
 from diacat.algebra import FLAVORS
 from diacat.cli import main
-from diacat.functors import FUNCTOR_TAGS, category, square_ids
+from diacat.functors import square_ids
+from diacat.tags import FUNCTOR_TAGS, category
 
 SEED = 20261018
 MUTATIONS = 60
@@ -71,6 +72,38 @@ def test_cap_below_zero_is_an_input_error(argv):
 def test_cap_zero_refuses_every_search():
     rc, out, err = _run(["verify", "adjunction:ud", "--cap", "0"])
     assert (rc, out) == (3, ""), err
+
+
+# a document whose bytes are not UTF-8, and one nested deeper than the JSON
+# reader goes
+UNREADABLE = {"not-utf8": b"\xff\xfe", "deep": b"[" * 100000}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "not-utf8"],
+    ["check", "deep"],
+    ["construct", "Ud", "deep", "--trunc", "2"],
+], ids=" ".join)
+def test_unreadable_document_is_an_input_error(tmp_path, argv):
+    for name, data in UNREADABLE.items():
+        (tmp_path / name).write_bytes(data)
+    rc, out, err = _run([str(tmp_path / a) if a in UNREADABLE else a
+                         for a in argv])
+    assert (rc, out) == (2, ""), err
+    assert err.startswith("input error:"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "Ud", "leibniz-ff-e-f2", "--trunc", "2", "--out",
+     "missing/x.json"],
+    ["fixtures", "emit", "leibniz-ff-e-f2", "--out", "."],
+], ids=" ".join)
+def test_unwritable_out_is_an_input_error(tmp_path, argv):
+    # a file in a directory that does not exist, and a directory
+    rc, out, err = _run([str(tmp_path / a) if a in ("missing/x.json", ".")
+                         else a for a in argv])
+    assert (rc, out) == (2, ""), err
+    assert err.startswith("input error: cannot write"), err
 
 
 def _paths(node, prefix=()):

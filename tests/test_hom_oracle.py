@@ -49,10 +49,11 @@ from diacat.actions import CrossedModule
 from diacat.algebra import (BilinearMap, abelian_algebra, make_algebra,
                             product_arity)
 from diacat.fields import GF
-from diacat.functors import (FUNCTOR_TAGS, _affine_set, _residual, category,
-                             embed, enumerate_homs, enumerate_xmod_homs)
+from diacat.functors import (_affine_set, _residual, embed, enumerate_homs,
+                             enumerate_xmod_homs)
 from diacat.linalg import (Matrix, inverse, kernel, solve, unit_vector,
                            vec_scale, vec_sub, vec_zero)
+from diacat.tags import FUNCTOR_TAGS, category
 
 import oracles
 from test_xmod_oracle import _dense, _perturb, _rebuild, _state

@@ -4,7 +4,9 @@
 
 Each subcommand loads only the modules it runs: a fresh interpreter that
 imports the command line, or checks one document, leaves the functor,
-envelope and cat1 stack unloaded, and no path loads ``dataclasses``.
+envelope and cat1 stack unloaded; one that constructs an envelope loads no
+functor module, nor, for an algebra, the crossed-module stack.  No path
+loads ``dataclasses``.
 """
 
 import ast
@@ -92,6 +94,8 @@ def test_every_private_definition_is_referenced_in_src():
 STACK = ["diacat.functors", "diacat.envelope", "diacat.cat1",
          "diacat.fixtures"]
 CHECK = "from diacat.cli import main; main(['check', DOC])"
+CONSTRUCT = ("from diacat.cli import main; "
+             "assert main(['construct', {!r}, {}, '--trunc', '2']) == 0")
 BUDGETS = {
     "import-cli": ("import diacat.cli", None,
                    STACK + ["diacat.actions", "dataclasses"]),
@@ -100,6 +104,11 @@ BUDGETS = {
                                "dataclasses"]),
     "check-xmod": (CHECK, "xlb-ideal-e-f2", STACK),
     "import-functors": ("import diacat.functors", None, ["dataclasses"]),
+    "construct-ud": (CONSTRUCT.format("Ud", "DOC"), "leibniz-ff-e-f2",
+                     ["diacat.functors", "diacat.cat1", "diacat.actions",
+                      "diacat.audit"]),
+    "construct-xud": (CONSTRUCT.format("XUd", "'xlb-ideal-e-f2'"), None,
+                      ["diacat.functors"]),
 }
 
 

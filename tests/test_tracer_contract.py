@@ -88,6 +88,10 @@ TRACED_JOBS = {
     "verify": (["verify", "square:LieLb-I1"], ["functors.check_square"]),
     "construct": (["construct", "Ud", "leibniz-ff-e-f2", "--trunc", "2"],
                   ["envelope.ud"]),
+    # the crossed envelope imports actions and cat1 when it runs
+    "construct-xud": (["construct", "XUd", "xlb-ideal-e-f2", "--trunc", "2"],
+                      ["envelope.xud_full", "cat1.cat1_of_xmod",
+                       "actions.lemma_crossed_checks"]),
     "check": (["check", "DOC"], ["algebra.check_leibniz",
                                  "documents.loads_document"]),
 }
