@@ -275,7 +275,7 @@ def _semidirect_products(act: Action) -> list:
     return prods
 
 
-def semidirect(act: Action, check=True, labels=None):
+def semidirect(act: Action, check=True):
     """Semidirect product on actee (+) actor.
 
     Returns ``(E, inj, proj, split)`` for the split exact sequence
@@ -285,9 +285,8 @@ def semidirect(act: Action, check=True, labels=None):
     """
     nl, nd = act.actee.dim, act.actor.dim
     f = act.field
-    if labels is None:
-        labels = ([f"l.{x}" for x in act.actee.labels]
-                  + [f"d.{x}" for x in act.actor.labels])
+    labels = ([f"l.{x}" for x in act.actee.labels]
+              + [f"d.{x}" for x in act.actor.labels])
     E = make_algebra(act.flavor, f, _semidirect_products(act), labels,
                      check=check)
     inj = AlgebraMorphism(act.actee, E,
@@ -591,14 +590,13 @@ def lemma_crossed_checks(xm: CrossedModule) -> AxiomReport:
 # action builders
 
 
-def xmod_from_ideal(ambient: Algebra, ideal: Subspace, check=True) -> CrossedModule:
+def xmod_from_ideal(ambient: Algebra, ideal: Subspace) -> CrossedModule:
     """Inclusion of an ideal with the ambient action as a crossed module."""
     if not is_ideal(ambient, ideal):
         raise NotAnIdeal("the designated actee subspace is not an ideal")
     _, l_incl = induced_subalgebra(ambient, ideal)
-    act = action_by_ambient_products(AlgebraMorphism.identity(ambient), l_incl,
-                                     check=check)
-    return CrossedModule(l_incl, act, check=check)
+    act = action_by_ambient_products(AlgebraMorphism.identity(ambient), l_incl)
+    return CrossedModule(l_incl, act)
 
 
 def identity_xmod(alg: Algebra) -> CrossedModule:

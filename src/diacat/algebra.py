@@ -872,7 +872,7 @@ class Quotient(tuple):
         return self.qmap.sub
 
 
-def quotient_algebra(alg: Algebra, seed: Subspace, labels=None) -> Quotient:
+def quotient_algebra(alg: Algebra, seed: Subspace) -> Quotient:
     """Quotient by ``ideal_closure(alg, seed)``, whose one pass on a seed
     that is already an ideal is the ``is_ideal`` check.
 
@@ -887,13 +887,12 @@ def quotient_algebra(alg: Algebra, seed: Subspace, labels=None) -> Quotient:
     prods = [induced_bilinear(p, units, units, qm.dim,
                               lambda w: sp_mat_vec(qm.project, w))
              for p in alg.products()]
-    if labels is None:
-        labels = [alg.labels[c] for c in qm.section_cols]
-    quot = make_algebra(alg.flavor, f, prods, labels)
+    quot = make_algebra(alg.flavor, f, prods,
+                        [alg.labels[c] for c in qm.section_cols])
     return Quotient(quot, AlgebraMorphism(alg, quot, qm.project), qm)
 
 
-def induced_subalgebra(alg: Algebra, sub: Subspace, labels=None):
+def induced_subalgebra(alg: Algebra, sub: Subspace):
     """Structure induced on a product-closed subspace; returns (algebra, inclusion)."""
     f = alg.field
     basis = _sparse_basis(sub)
@@ -907,17 +906,16 @@ def induced_subalgebra(alg: Algebra, sub: Subspace, labels=None):
 
     prods = [induced_bilinear(p, basis, basis, sub.dim, back)
              for p in alg.products()]
-    subalg = make_algebra(alg.flavor, f, prods, labels)
+    subalg = make_algebra(alg.flavor, f, prods)
     incl = AlgebraMorphism(subalg, alg,
                            Matrix.from_cols(f, [list(r) for r in sub.basis], alg.dim))
     return subalg, incl
 
 
-def direct_sum(a: Algebra, b: Algebra, check=False) -> Algebra:
+def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     """Componentwise products on the sum of the underlying spaces.
 
-    Validity is inherited from the summands, so the default skips the
-    re-check; pass ``check=True`` when in doubt.
+    Validity is inherited from the summands, so the sum is not re-checked.
     """
     if a.flavor != b.flavor:
         raise InvalidAlgebra(f"direct sum of flavors {a.flavor}/{b.flavor}")
@@ -935,7 +933,7 @@ def direct_sum(a: Algebra, b: Algebra, check=False) -> Algebra:
             return {}
         prods.append(BilinearMap.from_function(a.field, n, n, n, fn))
     labels = ([f"fst.{x}" for x in a.labels] + [f"snd.{x}" for x in b.labels])
-    return make_algebra(a.flavor, a.field, prods, labels, check=check)
+    return make_algebra(a.flavor, a.field, prods, labels, check=False)
 
 
 def derived_tower_nilpotent(alg: Algebra, bound: int) -> bool:
@@ -957,11 +955,11 @@ def derived_tower_nilpotent(alg: Algebra, bound: int) -> bool:
 # flavor-changing constructions on plain algebras
 
 
-def leibnization(d: Dialgebra, check=True) -> LeibnizAlgebra:
+def leibnization(d: Dialgebra) -> LeibnizAlgebra:
     """Bracket [x,y] = x -| y - y |- x on the same space."""
     f = d.field
     swapped = d.right.transpose_args()
-    return LeibnizAlgebra(f, d.left.subtract(swapped), list(d.labels), check=check)
+    return LeibnizAlgebra(f, d.left.subtract(swapped), list(d.labels))
 
 
 def dialgebra_of_associative(a: AssociativeAlgebra) -> Dialgebra:

@@ -101,27 +101,27 @@ def identity_cat1(alg: Algebra) -> Cat1:
 # crossed module <-> cat-1
 
 
-def cat1_of_xmod(xm: CrossedModule, check=True) -> Cat1:
+def cat1_of_xmod(xm: CrossedModule) -> Cat1:
     """Semidirect model: E = actee x actor, s(l,x) = x, t(l,x) = mu(l)+x."""
-    E, _inj, proj, _split = semidirect(xm.action, check=check)
+    E, _inj, proj, _split = semidirect(xm.action)
     f = E.field
     nl, nd = xm.actee.dim, xm.actor.dim
     d_sub = Subspace.span(
         f, [unit_vector(f, nl + nd, nl + i) for i in range(nd)], nl + nd)
     s_matrix = proj.matrix
     t_matrix = xm.mu.matrix.hstack(Matrix.identity(f, nd))
-    return Cat1(E, d_sub, s_matrix, t_matrix, check=check)
+    return Cat1(E, d_sub, s_matrix, t_matrix)
 
 
-def xmod_of_cat1(c: Cat1, check=True, sigma=None) -> CrossedModule:
+def xmod_of_cat1(c: Cat1, sigma=None) -> CrossedModule:
     """Restrict t to Ker s; the base acts by the ambient products, through
     ``sigma`` when given and the base inclusion otherwise."""
     kers = kernel_of(c.s)
     _L_alg, l_incl = induced_subalgebra(c.E, kers)
     mu = c.t.compose(l_incl)
     act = action_by_ambient_products(c.incl if sigma is None else sigma,
-                                     l_incl, check=check)
-    return CrossedModule(mu, act, check=check)
+                                     l_incl)
+    return CrossedModule(mu, act)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ class InternalCategory:
     """
 
     def __init__(self, cat1: Cat1, sigma: AlgebraMorphism,
-                 gamma_on_sum: Matrix, check=True):
+                 gamma_on_sum: Matrix):
         self.cat1 = cat1
         E = cat1.E
         if sigma.matrix.rows != E.dim or sigma.matrix.cols != cat1.base.dim:
@@ -199,9 +199,7 @@ class InternalCategory:
             raise DimensionMismatch("gamma must be given on E (+) E")
         self.gamma = AlgebraMorphism(self.pb_alg, E,
                                      gamma_on_sum.mul(self.pb_incl.matrix))
-        self.certificate = None
-        if check:
-            self.certify()
+        self.certify()
 
     @property
     def flavor(self):
@@ -308,12 +306,12 @@ def check_internal_category(ic: InternalCategory) -> AxiomReport:
     return report
 
 
-def xdias_to_internal(xm: CrossedModule, check=True) -> InternalCategory:
+def xdias_to_internal(xm: CrossedModule) -> InternalCategory:
     """Augment the semidirect cat-1 model with its unit section and the
     componentwise composition gamma((l,x),(l',x+mu(l))) = (l+l', x)."""
     if xm.flavor != "dias":
         raise InvalidCrossedModule("xdias_to_internal expects a dialgebra crossed module")
-    c = cat1_of_xmod(xm, check=check)
+    c = cat1_of_xmod(xm)
     f = c.E.field
     nl, nd = xm.actee.dim, xm.actor.dim
     sigma = AlgebraMorphism(c.base, c.E, c.incl.matrix)
@@ -322,9 +320,9 @@ def xdias_to_internal(xm: CrossedModule, check=True) -> InternalCategory:
     top = il.hstack(Matrix.zero(f, nl, nd)).hstack(il).hstack(Matrix.zero(f, nl, nd))
     bottom = (Matrix.zero(f, nd, nl).hstack(idd)
               .hstack(Matrix.zero(f, nd, nl + nd)))
-    return InternalCategory(c, sigma, top.vstack(bottom), check=check)
+    return InternalCategory(c, sigma, top.vstack(bottom))
 
 
-def psi(ic: InternalCategory, check=True) -> CrossedModule:
+def psi(ic: InternalCategory) -> CrossedModule:
     """Extract mu = t restricted to Ker s, acting through the unit section."""
-    return xmod_of_cat1(ic.cat1, check=check, sigma=ic.sigma)
+    return xmod_of_cat1(ic.cat1, sigma=ic.sigma)

@@ -50,7 +50,7 @@ def _write_or_print(doc, out_path):
         raise ParseError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _resolve(spec, kind=None, check=True):
+def _resolve(spec, kind=None):
     """A fixture name or a document path, to a live object."""
     from . import fixtures
     if spec in fixtures.names():
@@ -68,8 +68,8 @@ def _resolve(spec, kind=None, check=True):
     if kind is not None and found != kind:
         raise ParseError(f"{spec}: expected a {kind} document, found {found}")
     if found == "xmod":
-        return documents.xmod_from_document(doc, check=check)
-    return documents.algebra_from_document(doc, check=check)
+        return documents.xmod_from_document(doc)
+    return documents.algebra_from_document(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +136,18 @@ def _construct(kind, args):
     from .tags import FUNCTOR_TAGS, apply_functor, category
     if kind in FUNCTOR_TAGS:
         fn = FUNCTOR_TAGS[kind]
-        if fn.truncated and args.trunc is None:
-            raise ParseError(f"construct {kind} requires --trunc")
+        truncated = fn.truncated
         sources = (fn.source,)
         build = partial(apply_functor, kind, bound=args.trunc)
     elif kind in _CONSTRUCTIONS:
+        truncated = False
         sources, build = _CONSTRUCTIONS[kind]
     else:
         raise ParseError(f"unknown construction kind {kind!r}")
+    if truncated and args.trunc is None:
+        raise ParseError(f"construct {kind} requires --trunc")
+    if not truncated and args.trunc is not None:
+        raise ParseError(f"construct {kind} takes no --trunc")
     if len(args.inputs) != 1:
         raise ParseError(f"construct {kind} takes exactly one input")
     obj = _resolve(args.inputs[0],

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import (FLAVORS, Algebra, AlgebraMorphism, BilinearMap,
                       make_algebra)
+from .config import guard_dim
 from .errors import ParseError
 from .fields import GF, QQ, Rationals
 from .linalg import Matrix
@@ -114,6 +115,7 @@ def algebra_from_document(doc, check=True) -> Algebra:
                 and all(isinstance(s, str) for s in labels)):
             raise ParseError("'basis' must list one label string per "
                              "dimension")
+    guard_dim(field, dim)
     maps = [_triples_from_document(field, doc.get(key, []), dim, dim, dim,
                                    f"products.{key}")
             for key in keys]

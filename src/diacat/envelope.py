@@ -17,13 +17,16 @@ Only that pipeline loads ``actions`` and ``cat1``, when it runs.
 from __future__ import annotations
 
 import warnings
+from functools import cache
+from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import (Algebra, AlgebraMorphism, AssociativeAlgebra,
                       BilinearMap, Dialgebra, LeibnizAlgebra, kernel_of,
                       multiply_subspaces, quotient_algebra, seed_span, sp_sub)
-from .config import guard_dim
-from .errors import DimensionMismatch, InvalidCrossedModule, NotWellDefined
+from .config import max_dim
+from .errors import (DimensionMismatch, InvalidCrossedModule, NotWellDefined,
+                     ResourceCapExceeded)
 from .linalg import Matrix, QuotientMap, Subspace, image, vec_is_zero
 
 if TYPE_CHECKING:
@@ -38,35 +41,64 @@ class Word(NamedTuple):
     center: int
     right: tuple
 
-    @property
-    def length(self):
-        return len(self.left) + 1 + len(self.right)
-
     def letters(self):
         return self.left + (self.center,) + self.right
 
-    def sort_key(self):
-        return (self.length, self.letters(), len(self.left))
+
+def _build_free(obj, field, generators, bound, spell, rules, split):
+    """Spell the words of length <= ``bound`` on ``generators`` letters and
+    fill one product per rule.  Sets ``generators``, ``bound``, ``words``,
+    ``word_index`` and ``factors`` on ``obj`` and returns the products.
+
+    Words come by length, then letters, then ``spell``'s order of the words
+    over one letter string, so generator i is word i.  A rule maps a pair of
+    words to their product word; it is filled only on the pairs whose
+    lengths sum to at most ``bound``, the rest of the product being zero.
+    ``split`` gives each word past the generators as ``(p, a, b)``, product
+    p of the two shorter words a and b; ``obj.factors`` records those
+    factorizations by index, in word order.  The dimension cap is applied
+    to the word count length by length, before the words are spelled.
+    """
+    if generators < 0 or bound < 1:
+        raise DimensionMismatch(
+            "need a nonnegative generator count and length bound >= 1")
+    cap = max_dim(field)
+    ends = [0]  # ends[n]: the number of words of length <= n
+    lengths = range(1, bound + 1) if generators else ()  # no letters, no words
+    for n in lengths:
+        ends.append(ends[-1] + generators ** n * len(spell((0,) * n)))
+        if ends[-1] > cap:
+            raise ResourceCapExceeded(
+                ends[-1] if n == bound else f"at least {ends[-1]}", cap,
+                field.name)
+    words = tuple(w for n in range(1, len(ends))
+                  for letters in product(range(generators), repeat=n)
+                  for w in spell(letters))
+    index = {w: i for i, w in enumerate(words)}
+    dim, one = len(words), field.one()
+    obj.generators, obj.bound = generators, bound
+    obj.words, obj.word_index = words, index
+    obj.factors = tuple((p, index[a], index[b])
+                        for p, a, b in map(split, words[generators:]))
+    return [BilinearMap.from_triples(
+        field, dim, dim, dim,
+        [(i, j, index[rule(words[i], words[j])], one)
+         for n in range(1, len(ends) - 1)
+         for i in range(ends[n - 1], ends[n])
+         for j in range(ends[bound - n])])
+        for rule in rules]
 
 
-def dialgebra_words(g: int, bound: int):
-    """All words of length <= bound, ordered by length, letters, center slot."""
-    out = []
-    for length in range(1, bound + 1):
-        for letters in _letter_strings(g, length):
-            for pos in range(length):
-                out.append(Word(letters[:pos], letters[pos], letters[pos + 1:]))
-    out.sort(key=Word.sort_key)
-    return tuple(out)
+def _centers(letters):
+    return [Word(letters[:pos], letters[pos], letters[pos + 1:])
+            for pos in range(len(letters))]
 
 
-def _letter_strings(g, length):
-    if length == 0:
-        yield ()
-        return
-    for head in _letter_strings(g, length - 1):
-        for a in range(g):
-            yield head + (a,)
+def _dias_split(w: Word):
+    # canonical bracketing l1 |- (l2 |- ... ((center -| r1) -| r2) ...)
+    if w.left:
+        return 1, Word((), w.left[0], ()), w._replace(left=w.left[1:])
+    return 0, w._replace(right=w.right[:-1]), Word((), w.right[-1], ())
 
 
 def _word_label(w: Word):
@@ -77,87 +109,41 @@ def _word_label(w: Word):
 
 
 class FreeDialgebra(Dialgebra):
-    """Truncated free dialgebra on ``generators`` letters."""
+    """Truncated free dialgebra on ``generators`` letters: a -| b extends
+    the right tail of a by the letters of b, a |- b shifts the center into
+    b."""
 
-    def __init__(self, field, generators: int, bound: int, check=True):
-        if generators < 0 or bound < 1:
-            raise DimensionMismatch(
-                "need a nonnegative generator count and length bound >= 1")
-        dim = sum(length * generators ** length for length in range(1, bound + 1))
-        guard_dim(field, dim)
-        words = dialgebra_words(generators, bound)
-        assert len(words) == dim
-        index = {w: i for i, w in enumerate(words)}
-        one = field.one()
-
-        def left_fn(i, j):
-            a, b = words[i], words[j]
-            if a.length + b.length > bound:
-                return {}
-            return {index[Word(a.left, a.center, a.right + b.letters())]: one}
-
-        def right_fn(i, j):
-            a, b = words[i], words[j]
-            if a.length + b.length > bound:
-                return {}
-            return {index[Word(a.letters() + b.left, b.center, b.right)]: one}
-
-        left = BilinearMap.from_function(field, dim, dim, dim, left_fn)
-        right = BilinearMap.from_function(field, dim, dim, dim, right_fn)
-        labels = [_word_label(w) for w in words]
-        super().__init__(field, left, right, labels, check=check)
-        self.generators = generators
-        self.bound = bound
-        self.words = words
-        self.word_index = index
+    def __init__(self, field, generators: int, bound: int):
+        left, right = _build_free(
+            self, field, generators, bound, _centers,
+            (lambda a, b: a._replace(right=a.right + b.letters()),
+             lambda a, b: b._replace(left=a.letters() + b.left)),
+            _dias_split)
+        super().__init__(field, left, right, list(map(_word_label, self.words)))
 
 
 class TensorAlgebra(AssociativeAlgebra):
     """Truncated tensor algebra: nonempty words, concatenation, overflow 0."""
 
-    def __init__(self, field, generators: int, bound: int, check=True):
-        if generators < 0 or bound < 1:
-            raise DimensionMismatch(
-                "need a nonnegative generator count and length bound >= 1")
-        dim = sum(generators ** length for length in range(1, bound + 1))
-        guard_dim(field, dim)
-        words = []
-        for length in range(1, bound + 1):
-            words.extend(_letter_strings(generators, length))
-        words.sort(key=lambda w: (len(w), w))
-        words = tuple(words)
-        index = {w: i for i, w in enumerate(words)}
-        one = field.one()
-
-        def fn(i, j):
-            w = words[i] + words[j]
-            if len(w) > bound:
-                return {}
-            return {index[w]: one}
-
-        prod = BilinearMap.from_function(field, dim, dim, dim, fn)
-        labels = [".".join(f"v{a}" for a in w) for w in words]
-        super().__init__(field, prod, labels, check=check)
-        self.generators = generators
-        self.bound = bound
-        self.words = words
+    def __init__(self, field, generators: int, bound: int):
+        prod, = _build_free(self, field, generators, bound,
+                            lambda letters: [letters], (tuple.__add__,),
+                            lambda w: (0, w[:-1], w[-1:]))
+        super().__init__(field, prod,
+                         [".".join(f"v{a}" for a in w) for w in self.words])
 
 
-_FREE_CACHE: dict = {}
+@cache
+def _free(cls, field, generators: int, bound: int):
+    return cls(field, generators, bound)
 
 
 def free_dialgebra(field, generators: int, bound: int) -> FreeDialgebra:
-    key = ("dias", field, generators, bound)
-    if key not in _FREE_CACHE:
-        _FREE_CACHE[key] = FreeDialgebra(field, generators, bound)
-    return _FREE_CACHE[key]
+    return _free(FreeDialgebra, field, generators, bound)
 
 
 def tensor_algebra(field, generators: int, bound: int) -> TensorAlgebra:
-    key = ("as", field, generators, bound)
-    if key not in _FREE_CACHE:
-        _FREE_CACHE[key] = TensorAlgebra(field, generators, bound)
-    return _FREE_CACHE[key]
+    return _free(TensorAlgebra, field, generators, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -222,67 +208,48 @@ def _envelope(source: Algebra, bound: int, free: Algebra) -> Envelope:
 # universal transposes and functoriality
 
 
-def _word_value_dias(d: Algebra, gen_images, w: Word):
-    # canonical bracketing l1 |- (l2 |- ... ((center -| r1) -| r2) ...)
-    left_p, right_p = d.products()
-    v = gen_images[w.center]
-    for r in w.right:
-        v = left_p.apply(v, gen_images[r])
-    for l in reversed(w.left):
-        v = right_p.apply(gen_images[l], v)
-    return v
-
-
-def _word_value_assoc(a: Algebra, gen_images, w):
-    prod = a.products()[0]
-    v = gen_images[w[0]]
-    for x in w[1:]:
-        v = prod.apply(v, gen_images[x])
-    return v
-
-
-def envelope_transpose(env: Envelope, target: Algebra, phi: Matrix,
-                       check=True) -> AlgebraMorphism:
+def envelope_transpose(env: Envelope, target: Algebra,
+                       phi: Matrix) -> AlgebraMorphism:
     """The morphism out of the envelope determined by generator images.
 
     ``phi`` sends generators of the enveloped algebra into ``target``; each
-    word goes to the corresponding iterated product.  With ``check`` the
-    defining relations are verified to die and the induced map to be a
-    morphism; failures raise NotWellDefined (they mean ``phi`` is not a
-    bracket morphism, or the target is not nilpotent enough).
+    word goes to the product, in ``target``, of the images of its two
+    factors in the free object's ``factors``.  The defining relations are
+    verified to die and the induced map to be a morphism; failures raise
+    NotWellDefined (they mean ``phi`` is not a bracket morphism, or the
+    target is not nilpotent enough).
     """
     free = env.free
     f = free.field
     if phi.cols != env.source.dim or phi.rows != target.dim:
         raise DimensionMismatch("generator images have the wrong shape")
-    gen_images = [phi.col(i) for i in range(phi.cols)]
-    value = _word_value_dias if isinstance(free, FreeDialgebra) else _word_value_assoc
-    cols = [value(target, gen_images, w) for w in free.words]
+    cols = [phi.col(i) for i in range(phi.cols)]
+    prods = target.products()
+    for p, i, j in free.factors:
+        cols.append(prods[p].apply(cols[i], cols[j]))
     on_free = Matrix.from_cols(f, cols, target.dim)
-    if check:
-        for r in env.relations.basis:
-            if not vec_is_zero(f, on_free.mul_vec(list(r))):
-                raise NotWellDefined(
-                    "generator images do not kill the enveloping relations")
+    for r in env.relations.basis:
+        if not vec_is_zero(f, on_free.mul_vec(list(r))):
+            raise NotWellDefined(
+                "generator images do not kill the enveloping relations")
     induced = AlgebraMorphism(env.algebra, target,
                               on_free.mul(env.qmap.section))
-    if check:
-        rep = induced.check()
-        if not rep.passed:
-            raise NotWellDefined(
-                f"induced map is not a morphism: {rep.first_failure().name} "
-                "(target must be nilpotent of class <= the bound)")
-        if induced.matrix.mul(env.eta) != phi:
-            raise NotWellDefined("induced map does not extend the generators")
+    rep = induced.check()
+    if not rep.passed:
+        raise NotWellDefined(
+            f"induced map is not a morphism: {rep.first_failure().name} "
+            "(target must be nilpotent of class <= the bound)")
+    if induced.matrix.mul(env.eta) != phi:
+        raise NotWellDefined("induced map does not extend the generators")
     return induced
 
 
 def envelope_functor_morphism(env_src: Envelope, env_tgt: Envelope,
-                              f_mor: AlgebraMorphism, check=True) -> AlgebraMorphism:
+                              f_mor: AlgebraMorphism) -> AlgebraMorphism:
     """Envelope of a morphism: substitute generator images letterwise."""
     phi = env_tgt.eta.mul(f_mor.matrix)
-    out = envelope_transpose(env_src, env_tgt.algebra, phi, check=check)
-    if check and out.matrix.mul(env_src.eta) != env_tgt.eta.mul(f_mor.matrix):
+    out = envelope_transpose(env_src, env_tgt.algebra, phi)
+    if out.matrix.mul(env_src.eta) != env_tgt.eta.mul(f_mor.matrix):
         raise NotWellDefined("envelope of a morphism is not natural on generators")
     return out
 

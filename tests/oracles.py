@@ -401,3 +401,84 @@ def xmod_homs(p, flavor, x, y):
             if ok:
                 out.add((tuple(map(tuple, alpha)), tuple(map(tuple, beta))))
     return out
+
+
+# ---------------------------------------------------------------------------
+# truncated free objects
+#
+# A word is ``(letters, center)``: the center is the position of the
+# distinguished letter of a free-dialgebra word ("dias"), and None for a
+# tensor word ("as").
+
+
+def free_words(kind, g, b):
+    """The words of length at most b on g letters, by length, then letters,
+    then center position."""
+    out = []
+    for n in range(1, b + 1):
+        for letters in itertools.product(range(g), repeat=n):
+            centers = range(n) if kind == "dias" else (None,)
+            out.extend((letters, c) for c in centers)
+    return out
+
+
+def free_label(word):
+    letters, center = word
+    return ".".join(f"v{a}" + ("^" if pos == center else "")
+                    for pos, a in enumerate(letters))
+
+
+# a -| b keeps the center of a, a |- b takes the center of b
+FREE_RULES = {
+    "dias": (lambda a, b: (a[0] + b[0], a[1]),
+             lambda a, b: (a[0] + b[0], len(a[0]) + b[1])),
+    "as": (lambda a, b: (a[0] + b[0], None),),
+}
+
+
+def free_tables(kind, g, b):
+    """Per product, ``{(i, j): k}`` over the word pairs whose product word k
+    has length at most b; every pair is multiplied, and the rest are 0."""
+    words = free_words(kind, g, b)
+    index = {w: i for i, w in enumerate(words)}
+    tables = []
+    for rule in FREE_RULES[kind]:
+        table = {}
+        for i, x in enumerate(words):
+            for j, y in enumerate(words):
+                w = rule(x, y)
+                if len(w[0]) <= b:
+                    table[i, j] = index[w]
+        tables.append(table)
+    return tables
+
+
+def canonical_split(word):
+    """The outermost product ``(pidx, x, y)`` of the bracketing that
+    ``word_value`` evaluates: pidx 1 (|-) with x the first letter when a
+    dialgebra word has letters left of its center, else pidx 0 (-| or the
+    tensor product) with y the last letter."""
+    letters, center = word
+    one = None if center is None else 0  # the center of a one-letter word
+    if center:
+        return 1, ((letters[0],), one), (letters[1:], center - 1)
+    return 0, (letters[:-1], center), ((letters[-1],), one)
+
+
+def word_value(p, word, images, tables, out_dim):
+    """A word's value under the generator images ``images`` in a target
+    given by dense basis tables: l1 |- (l2 |- ... ((c -| r1) -| r2) ...)
+    for a dialgebra word with ``tables = (left, right)``, left to right for
+    a tensor word with ``tables = (product,)``."""
+    letters, center = word
+    if center is None:
+        v = images[letters[0]]
+        for a in letters[1:]:
+            v = _apply(p, tables[0], v, images[a], out_dim)
+        return v
+    v = images[letters[center]]
+    for a in letters[center + 1:]:
+        v = _apply(p, tables[0], v, images[a], out_dim)
+    for a in reversed(letters[:center]):
+        v = _apply(p, tables[1], images[a], v, out_dim)
+    return v

@@ -1,17 +1,115 @@
+import random
+
 import pytest
 
 from diacat import fixtures
-from diacat.algebra import abelian_algebra, derived_tower_nilpotent
+from diacat.algebra import (BilinearMap, abelian_algebra,
+                            derived_tower_nilpotent, make_algebra)
 from diacat.envelope import (Word, envelope_functor_morphism,
                              envelope_transpose, free_dialgebra,
                              tensor_algebra, u_lie, ud, xu, xu_full, xud,
                              xud_full)
 from diacat.errors import DimensionMismatch, NotWellDefined
 from diacat.fields import GF, QQ
-from diacat.functors import apply_functor
+from diacat.functors import apply_functor, enumerate_homs
 from diacat.linalg import Matrix, vec_eq, vec_sub
 
-F2 = GF(2)
+import oracles
+
+F2, F3 = GF(2), GF(3)
+SEED = 20261020
+FREE = {"dias": free_dialgebra, "as": tensor_algebra}
+FREE_CASES = [(kind, field, g, b) for kind in FREE for field in (F2, F3, QQ)
+              for g, b in ((0, 3), (1, 4), (2, 3), (3, 2))]
+
+
+def _case_id(case):
+    kind, field, g, b = case
+    return f"{kind}-{field}-{g}-{b}"
+
+
+def _oracle_word(kind, w):
+    return (w.letters(), len(w.left)) if kind == "dias" else (w, None)
+
+
+@pytest.mark.parametrize("case", FREE_CASES, ids=_case_id)
+def test_free_objects_match_the_all_pairs_oracle(case):
+    kind, field, g, b = case
+    free = FREE[kind](field, g, b)
+    words = oracles.free_words(kind, g, b)
+    assert [_oracle_word(kind, w) for w in free.words] == words
+    assert free.labels == [oracles.free_label(w) for w in words]
+    assert free.word_index == {w: i for i, w in enumerate(free.words)}
+    one = field.one()
+    for prod, table in zip(free.products(), oracles.free_tables(kind, g, b),
+                           strict=True):
+        assert [[prod.pair(i, j) for j in range(free.dim)]
+                for i in range(free.dim)] == \
+            [[{table[i, j]: one} if (i, j) in table else {}
+              for j in range(free.dim)] for i in range(free.dim)]
+
+
+@pytest.mark.parametrize("case", FREE_CASES, ids=_case_id)
+def test_free_factorizations_multiply_back_to_their_words(case):
+    kind, field, g, b = case
+    free = FREE[kind](field, g, b)
+    words = oracles.free_words(kind, g, b)
+    index = {w: i for i, w in enumerate(words)}
+    assert len(free.factors) == free.dim - g
+    for w, (p, i, j) in enumerate(free.factors, start=g):
+        assert free.products()[p].pair(i, j) == {w: field.one()}
+        assert len(words[i][0]) < len(words[w][0]) > len(words[j][0])
+        pidx, x, y = oracles.canonical_split(words[w])
+        assert (p, i, j) == (pidx, index[x], index[y])
+
+
+def _dense(bmap):
+    return [[[int(bmap.pair(i, j).get(k, 0)) for k in range(bmap.out_dim)]
+             for j in range(bmap.right_dim)] for i in range(bmap.left_dim)]
+
+
+def _ff_e(flavor, field):
+    """[f,f] = e on the basis (e, f)."""
+    return make_algebra(flavor, field, [BilinearMap.from_triples(
+        field, 2, 2, 2, [(1, 1, 0, 1)])])
+
+
+def _heisenberg(field):
+    """[x,y] = z = -[y,x] on the basis (x, y, z)."""
+    return make_algebra("lie", field, [BilinearMap.from_triples(
+        field, 3, 3, 3, [(0, 1, 2, 1), (1, 0, 2, -1)])])
+
+
+TRANSPOSE_CASES = {
+    "ud ff-e F2 3": (ud, lambda: fixtures.get("leibniz-ff-e-f2"), 3),
+    "ud ff-e F3 3": (ud, lambda: _ff_e("lb", F3), 3),
+    "ud abelian F2 2": (ud, lambda: fixtures.get("lb-abelian-2-f2"), 2),
+    "u abelian F3 3": (u_lie, lambda: abelian_algebra("lie", F3, 2), 3),
+    "u heisenberg F3 2": (u_lie, lambda: _heisenberg(F3), 2),
+}
+
+
+@pytest.mark.parametrize("case", TRANSPOSE_CASES)
+def test_transpose_evaluates_words_by_their_canonical_bracketing(case):
+    # the target is the envelope itself, nilpotent within the bound, and
+    # the generator images are eta after a seeded endomorphism of the source
+    env_of, source, bound = TRANSPOSE_CASES[case]
+    g = source()
+    env = env_of(g, bound)
+    target = env.algebra
+    p = g.field.p
+    kind = "dias" if env_of is ud else "as"
+    words = [_oracle_word(kind, w) for w in env.free.words]
+    tables = [_dense(t) for t in target.products()]
+    endos = enumerate_homs(g, g)
+    for h in random.Random(f"{SEED}:{case}").sample(endos, min(3, len(endos))):
+        phi = env.eta.mul(h.matrix)
+        images = [[int(c) for c in phi.col(i)] for i in range(phi.cols)]
+        on_free = envelope_transpose(env, target, phi).matrix.mul(
+            env.proj.matrix)
+        assert [[int(c) for c in on_free.col(w)] for w in range(len(words))] \
+            == [oracles.word_value(p, w, images, tables, target.dim)
+                for w in words]
 
 
 def test_free_objects_frozen_dims():
@@ -131,16 +229,18 @@ def test_xud_of_identity_xmod_has_identity_shape():
 
 @pytest.mark.parametrize("field", [F2, QQ], ids=str)
 def test_envelopes_of_the_zero_algebra(field):
+    # no generators spell no words, at any bound
     for flavor, tag, xtag, embeddings in (("lb", "Ud", "XUd", ("J0'", "J1'")),
                                           ("lie", "U", "XU", ("I0'", "I1'"))):
         zero = abelian_algebra(flavor, field, 0)
-        env = apply_functor(tag, zero, 2)
-        assert env.dim == 0 and env.field == field
-        assert env.flavor == ("dias" if flavor == "lb" else "as")
-        for emb in embeddings:
-            out = apply_functor(xtag, apply_functor(emb, zero), 2)
-            assert (out.actee.dim, out.actor.dim) == (0, 0)
-            assert out.flavor == env.flavor
+        for bound in (2, 10 ** 6):
+            env = apply_functor(tag, zero, bound)
+            assert env.dim == 0 and env.field == field
+            assert env.flavor == ("dias" if flavor == "lb" else "as")
+            for emb in embeddings:
+                out = apply_functor(xtag, apply_functor(emb, zero), bound)
+                assert (out.actee.dim, out.actor.dim) == (0, 0)
+                assert out.flavor == env.flavor
     with pytest.raises(DimensionMismatch):
         free_dialgebra(field, 0, 0)
     with pytest.raises(DimensionMismatch):

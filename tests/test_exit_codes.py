@@ -1,10 +1,12 @@
 """The exit-code contract of the command line: 0 pass, 1 mathematical
 failure, 2 input error, 3 resource cap, and nothing on stdout for 2 or 3.
 
-Truncation bounds below 1 and search caps below 0 are input errors.  A
-seeded fuzzer mutates every bundled fixture document one JSON value at a
-time and runs ``check`` and one ``construct`` per document kind on it
-in-process.  A Hypothesis strategy also draws whole documents (field,
+Truncation bounds below 1 and search caps below 0 are input errors, and
+so is ``--trunc`` on a construction that takes no bound.  A huge bound
+and an oversized document hit the dimension cap before anything is
+allocated.  A seeded fuzzer mutates every bundled fixture document one
+JSON value at a time and runs ``check`` and one ``construct`` per
+document kind on it in-process.  A Hypothesis strategy also draws whole documents (field,
 flavor, dims, sparse tensors, ``mu`` and action slots, each sometimes out
 of range or of another flavor) and runs ``check`` on them.  Another draws
 ``verify`` and ``construct`` command lines over the bundled fixtures.
@@ -14,7 +16,12 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -104,6 +111,54 @@ def test_unwritable_out_is_an_input_error(tmp_path, argv):
                          else a for a in argv])
     assert (rc, out) == (2, ""), err
     assert err.startswith("input error: cannot write"), err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("trunc, dim", [
+    ("6", "642"), ("20000", "at least 642"), ("1000000", "at least 642"),
+])
+def test_huge_truncation_hits_the_cap_at_once(trunc, dim):
+    # a fresh interpreter with a timeout, so a bound whose word count is
+    # summed, or printed, in full fails instead of hanging
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env.pop("DIACAT_MAX_DIM", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "diacat.cli", "construct", "Ud",
+         "leibniz-ff-e-f2", "--trunc", trunc],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert (run.returncode, run.stdout) == (3, ""), run.stderr
+    assert run.stderr == (f"resource cap exceeded: ambient dimension {dim} "
+                          "over F2 exceeds cap 512 (set DIACAT_MAX_DIM to "
+                          "raise it)\n")
+
+
+def test_oversized_document_is_refused_before_its_tables(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.delenv("DIACAT_MAX_DIM", raising=False)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": "Fp", "p": 2, "flavor": "lb",
+                                "dim": 1200}))
+    tracemalloc.start()
+    try:
+        rc, out, err = _run(["check", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (3, ""), err
+    assert peak < 2 ** 20, peak
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "LB", "free-dias-1-2-f2", "--trunc", "7"],
+    ["construct", "semidirect", "xlb-ideal-e-f2", "--trunc", "7"],
+], ids=" ".join)
+def test_truncation_of_an_untruncated_kind_is_an_input_error(argv):
+    rc, out, err = _run(argv)
+    assert (rc, out) == (2, ""), err
+    assert err == f"input error: construct {argv[1]} takes no --trunc\n"
 
 
 def _paths(node, prefix=()):
