@@ -29,7 +29,7 @@ characterization through maps between semidirect products.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 
 from . import audit
 from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, FLAVORS, LEIBNIZ_AXIOM,
@@ -253,26 +253,13 @@ ACTION_CHECKERS = {"dias": check_dialgebra_action, "lb": check_leibniz_action,
 
 def _semidirect_products(act: Action) -> list:
     """Product tensors on actee (+) actor; no validity assumption."""
-    nl, nd = act.actee.dim, act.actor.dim
-    f = act.field
-    prods = []
-    for pidx in range(product_arity(act.flavor)):
-        al = act.actee.products()[pidx]
-        ad = act.actor.products()[pidx]
-        dl = act.cross(pidx, "DL")
-        ld = act.cross(pidx, "LD")
-
-        def fn(i, j, al=al, ad=ad, dl=dl, ld=ld):
-            if i < nl and j < nl:
-                return dict(al.pair(i, j))
-            if i < nl:
-                return dict(ld.pair(i, j - nl))
-            if j < nl:
-                return dict(dl.pair(i - nl, j))
-            return {k + nl: c for k, c in ad.pair(i - nl, j - nl).items()}
-
-        prods.append(BilinearMap.from_function(f, nl + nd, nl + nd, nl + nd, fn))
-    return prods
+    nl, n = act.actee.dim, act.actee.dim + act.actor.dim
+    return [BilinearMap.from_triples(act.field, n, n, n, chain(
+        act.actee.products()[pidx].triples(),
+        act.cross(pidx, "LD").shifted(0, nl, 0),
+        act.cross(pidx, "DL").shifted(nl, 0, 0),
+        act.actor.products()[pidx].shifted(nl, nl, nl)))
+        for pidx in range(product_arity(act.flavor))]
 
 
 def semidirect(act: Action, check=True):

@@ -14,9 +14,11 @@ products the attribute and document key, the name and infix form used in
 reports, and the pair of action slots.  ``Algebra`` stores its products
 under those keys, and the four flavor classes only set ``flavor``.
 
-Structure tensors are stored sparsely (basis products as dicts), because at
-desk scale they are overwhelmingly zero.  Constructors check the axioms and
-attach the report as a certificate; pass ``check=False`` only when the caller
+Structure tensors are stored sparsely, because at desk scale they are
+overwhelmingly zero: a ``BilinearMap`` keeps ``rows[i]``, the nonzero basis
+products e_i e_j keyed by j, and builds ``cols``, the same cells keyed by
+column, on first read.  Constructors check the axioms and attach the
+report as a certificate; pass ``check=False`` only when the caller
 re-certifies immediately afterwards.
 
 Every basis triple is certified, but not one at a time: ``_check_templates``
@@ -103,66 +105,79 @@ def sp_mat_vec(m: Matrix, w: dict) -> dict:
 # bilinear maps
 
 
-class BilinearMap:
-    """Bilinear map field^l x field^r -> field^o via sparse basis products."""
+# the product of an absent cell, shared by every map and never mutated
+_EMPTY: dict = {}
 
-    __slots__ = ("field", "left_dim", "right_dim", "out_dim", "table")
+
+class BilinearMap:
+    """Bilinear map field^l x field^r -> field^o via sparse basis products.
+
+    ``rows[i]`` maps j to the product e_i e_j, a sparse vector, and holds
+    only nonzero products, in insertion order rather than by j.
+    """
+
+    __slots__ = ("field", "left_dim", "right_dim", "out_dim", "rows", "_cols")
 
     def __init__(self, field: Field, left_dim: int, right_dim: int, out_dim: int,
-                 table=None):
+                 rows=None):
         self.field = field
         self.left_dim = left_dim
         self.right_dim = right_dim
         self.out_dim = out_dim
-        if table is None:
-            table = tuple(tuple({} for _ in range(right_dim)) for _ in range(left_dim))
-        self.table = table
+        self.rows = tuple({} for _ in range(left_dim)) if rows is None else rows
+        self._cols = None
+
+    @property
+    def cols(self):
+        """The same cells keyed by column, ``cols[j][i]``, built on first
+        read."""
+        if self._cols is None:
+            self._cols = tuple({} for _ in range(self.right_dim))
+            for i, row in enumerate(self.rows):
+                for j, cell in row.items():
+                    self._cols[j][i] = cell
+        return self._cols
 
     @classmethod
     def zero(cls, field, left_dim, right_dim=None, out_dim=None):
-        if right_dim is None:
-            right_dim = left_dim
-        if out_dim is None:
-            out_dim = left_dim
-        return cls(field, left_dim, right_dim, out_dim)
+        return cls(field, left_dim, left_dim if right_dim is None else right_dim,
+                   left_dim if out_dim is None else out_dim)
 
     @classmethod
     def from_triples(cls, field, left_dim, right_dim, out_dim, triples):
         """triples: iterable of (i, j, k, coeff); unlisted entries are zero."""
-        table = [[{} for _ in range(right_dim)] for _ in range(left_dim)]
+        rows = tuple({} for _ in range(left_dim))
         for (i, j, k, c) in triples:
             if not (0 <= i < left_dim and 0 <= j < right_dim and 0 <= k < out_dim):
                 raise DimensionMismatch(f"triple index ({i},{j},{k}) out of range")
             c = field.of(c) if isinstance(c, int) else c
-            cell = table[i][j]
-            prev = cell.get(k, field.zero())
-            s = field.add(prev, c)
-            if field.is_zero(s):
+            cell = rows[i].setdefault(j, {})
+            if k in cell:
+                c = field.add(cell[k], c)
+            if field.is_zero(c):
                 cell.pop(k, None)
             else:
-                cell[k] = s
+                cell[k] = c
         return cls(field, left_dim, right_dim, out_dim,
-                   tuple(tuple(row) for row in table))
+                   tuple({j: cell for j, cell in row.items() if cell}
+                         for row in rows))
 
-    @classmethod
-    def from_function(cls, field, left_dim, right_dim, out_dim, fn):
-        """fn(i, j) -> sparse dict for the product of basis elements."""
-        table = tuple(tuple({k: c for k, c in fn(i, j).items() if not field.is_zero(c)}
-                            for j in range(right_dim))
-                      for i in range(left_dim))
-        return cls(field, left_dim, right_dim, out_dim, table)
+    def shifted(self, di, dj, dk):
+        """The triples with i, j and k moved up by di, dj and dk: this map
+        as a block of a larger one."""
+        return ((i + di, j + dj, k + dk, c) for i, j, k, c in self.triples())
 
     def pair(self, i, j) -> dict:
         """Sparse product of basis elements (do not mutate the result)."""
-        return self.table[i][j]
+        return self.rows[i].get(j, _EMPTY)
 
     def apply_sparse(self, u: dict, v: dict) -> dict:
         f = self.field
         out: dict = {}
         for i, a in u.items():
-            row = self.table[i]
+            row = self.rows[i]
             for j, b in v.items():
-                cell = row[j]
+                cell = row.get(j)
                 if cell:
                     sp_add_into(f, out, cell, f.mul(a, b))
         return out
@@ -173,35 +188,34 @@ class BilinearMap:
         return sp_to_dense(self.field, out, self.out_dim)
 
     def triples(self):
-        for i in range(self.left_dim):
-            for j in range(self.right_dim):
-                for k in sorted(self.table[i][j]):
-                    yield (i, j, k, self.table[i][j][k])
+        for i, row in enumerate(self.rows):
+            for j in sorted(row):
+                for k in sorted(row[j]):
+                    yield (i, j, k, row[j][k])
 
     def is_zero(self):
-        return all(not cell for row in self.table for cell in row)
+        return not any(self.rows)
 
     def transpose_args(self) -> "BilinearMap":
         """Swap the two arguments: (u,v) -> product(v,u)."""
-        table = tuple(tuple(self.table[i][j] for i in range(self.left_dim))
-                      for j in range(self.right_dim))
-        return BilinearMap(self.field, self.right_dim, self.left_dim, self.out_dim, table)
+        return BilinearMap(self.field, self.right_dim, self.left_dim,
+                           self.out_dim, self.cols)
 
     def negate(self) -> "BilinearMap":
         f = self.field
-        table = tuple(tuple({k: f.neg(c) for k, c in cell.items()} for cell in row)
-                      for row in self.table)
-        return BilinearMap(f, self.left_dim, self.right_dim, self.out_dim, table)
+        rows = tuple({j: {k: f.neg(c) for k, c in cell.items()}
+                      for j, cell in row.items()} for row in self.rows)
+        return BilinearMap(f, self.left_dim, self.right_dim, self.out_dim, rows)
 
     def subtract(self, other: "BilinearMap") -> "BilinearMap":
         f = self.field
-        table = []
-        for i in range(self.left_dim):
-            row = []
-            for j in range(self.right_dim):
-                row.append(sp_sub(f, self.table[i][j], other.table[i][j]))
-            table.append(tuple(row))
-        return BilinearMap(f, self.left_dim, self.right_dim, self.out_dim, tuple(table))
+        rows = tuple(dict(row) for row in self.rows)
+        for row, theirs in zip(rows, other.rows):
+            for j, cell in theirs.items():
+                d = sp_sub(f, row.pop(j, _EMPTY), cell)
+                if d:
+                    row[j] = d
+        return BilinearMap(f, self.left_dim, self.right_dim, self.out_dim, rows)
 
     def __eq__(self, other):
         if not isinstance(other, BilinearMap):
@@ -209,16 +223,16 @@ class BilinearMap:
         return (self.field == other.field
                 and (self.left_dim, self.right_dim, self.out_dim)
                 == (other.left_dim, other.right_dim, other.out_dim)
-                and self.table == other.table)
+                and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.field, self.left_dim, self.right_dim, self.out_dim,
-                     tuple(tuple(tuple(sorted(cell.items())) for cell in row)
-                           for row in self.table)))
+                     tuple(self.triples())))
 
     def __repr__(self):
         return (f"BilinearMap({self.field}, {self.left_dim}x{self.right_dim}"
-                f"->{self.out_dim}, {sum(len(c) for r in self.table for c in r)} nz)")
+                f"->{self.out_dim}, "
+                f"{sum(len(c) for r in self.rows for c in r.values())} nz)")
 
 
 def induced_bilinear(prod: BilinearMap, lefts, rights, out_dim,
@@ -227,12 +241,17 @@ def induced_bilinear(prod: BilinearMap, lefts, rights, out_dim,
 
     ``lefts`` and ``rights`` are sparse vectors in the two arguments of
     ``prod``; ``back`` carries a sparse product to sparse ``out_dim``
-    coordinates, raising when it has none.  Products pass to quotients and
-    subspaces, and actions along embeddings, through this one map.
+    coordinates, raising when it has none.  It is linear, so it is called
+    only on nonzero products.  Products pass to quotients and subspaces,
+    and actions along embeddings, through this one map.
     """
-    return BilinearMap.from_function(
-        prod.field, len(lefts), len(rights), out_dim,
-        lambda a, b: back(prod.apply_sparse(lefts[a], rights[b])))
+    rows = []
+    for u in lefts:
+        prods = ((b, prod.apply_sparse(u, v)) for b, v in enumerate(rights))
+        images = ((b, back(w)) for b, w in prods if w)
+        rows.append({b: w for b, w in images if w})
+    return BilinearMap(prod.field, len(lefts), len(rights), out_dim,
+                       tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +386,6 @@ def _same_variables(a: _Slab, b: _Slab):
                          "must involve the same variables")
 
 
-def _supports(prod: BilinearMap):
-    """Row and column support lists of a square ``prod``: rows[i] lists
-    (j, cell) and cols[j] lists (i, cell) over the nonzero cells."""
-    rows = [[(j, cell) for j, cell in enumerate(row) if cell]
-            for row in prod.table]
-    cols = [[(i, cell) for i, cell in enumerate(col) if cell]
-            for col in zip(*prod.table)]
-    return rows, cols
-
-
 def _check_templates(report, products, instances):
     """Run (name, fn, (xs, ys, zs)) instances over the basis triples of
     xs x ys x zs, with a violation located relative to the start of each
@@ -386,8 +395,8 @@ def _check_templates(report, products, instances):
     one i of xs and the two range variables ``y = e_j`` (j in ys) and
     ``z = e_k`` (k in zs) at once, as ``_Slab`` values.  A product walks
     only the nonzero cells, from the factor with fewer cells through the
-    row or column support lists of the product, so a slab costs what its
-    nonzero products cost.  Values that do not depend on i are computed once
+    product's ``rows`` or ``cols``, so a slab costs what its nonzero
+    products cost.  Values that do not depend on i are computed once
     per call.  The slabs are compared in order of i, and ``where`` is the
     least (j, k) at which the two sides differ in the first slab that
     differs: the row-major first violated triple.  Later slabs are not
@@ -399,7 +408,6 @@ def _check_templates(report, products, instances):
     f = products[0].field
     f_mul, f_add, f_is_zero = f.mul, f.add, f.is_zero
     one = f.one()
-    supports = [_supports(p) for p in products]
     # values that do not depend on i, keyed by operation and operand ids;
     # each entry keeps its operands alive, so the ids stay unique
     memo: dict = {}
@@ -412,19 +420,19 @@ def _check_templates(report, products, instances):
                 return hit[2]
         if a.axes & b.axes:
             raise ValueError("a template product repeats a variable")
-        # drive the factor with fewer cells through its support lists and
-        # look the other one up by coordinate
-        rows, cols = supports[pidx]
+        # drive the factor with fewer cells through the product's rows or
+        # columns and look the other one up by coordinate
+        p = products[pidx]
         if len(a.cells) <= len(b.cells):
-            drive, other, supp = a, b, rows
+            drive, other, supp = a, b, p.rows
         else:
-            drive, other, supp = b, a, cols
+            drive, other, supp = b, a, p.cols
         idx = _inverted(other)
         cells: dict = {}
         cancelled = False
         for (jd, kd), u in drive.cells.items():
             for r, cu in u.items():
-                for c, cell in supp[r]:
+                for c, cell in supp[r].items():
                     hits = idx.get(c)
                     if not hits:
                         continue
@@ -533,22 +541,10 @@ def check_lie(bracket: BilinearMap) -> AxiomReport:
     f = bracket.field
     report = AxiomReport("lie")
     n = bracket.left_dim
-    bad = None
-    for i in range(n):
-        if bracket.pair(i, i):
-            bad = (i, i)
-            break
+    bad = next(((i, i) for i in range(n) if bracket.pair(i, i)), None)
     report.add("alternating: [x,x] = 0", bad is None, bad)
-    bad = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = dict(bracket.pair(i, j))
-            sp_add_into(f, s, bracket.pair(j, i))
-            if s:
-                bad = (i, j)
-                break
-        if bad:
-            break
+    bad = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                if sp_add(f, bracket.pair(i, j), bracket.pair(j, i))), None)
     report.add("antisymmetry: [x,y] + [y,x] = 0", bad is None, bad)
     return _check_templates(report, [bracket], _whole([LEIBNIZ_AXIOM], n))
 
@@ -923,15 +919,9 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
         raise FieldMismatch("direct sum over different fields")
     n1 = a.dim
     n = a.dim + b.dim
-    prods = []
-    for pa, pb in zip(a.products(), b.products()):
-        def fn(i, j, pa=pa, pb=pb):
-            if i < n1 and j < n1:
-                return dict(pa.pair(i, j))
-            if i >= n1 and j >= n1:
-                return {k + n1: c for k, c in pb.pair(i - n1, j - n1).items()}
-            return {}
-        prods.append(BilinearMap.from_function(a.field, n, n, n, fn))
+    prods = [BilinearMap.from_triples(
+        a.field, n, n, n, chain(pa.triples(), pb.shifted(n1, n1, n1)))
+        for pa, pb in zip(a.products(), b.products())]
     labels = ([f"fst.{x}" for x in a.labels] + [f"snd.{x}" for x in b.labels])
     return make_algebra(a.flavor, a.field, prods, labels, check=False)
 

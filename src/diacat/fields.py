@@ -110,19 +110,36 @@ class Rationals(Field):
         return hash("Q")
 
 
+# Miller-Rabin on the first thirteen primes as bases decides primality of
+# every n below PRIME_BOUND (Sorenson and Webster, 2015); the first twelve
+# alone are fooled by the composite 318665857834031151167461
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin, exact for n < PRIME_BOUND."""
+    if n < 2 or any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = d 2^s with d odd
+    for b in _BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
 class PrimeField(Field):
     def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise ValueError(f"modulus {p} is not below {PRIME_BOUND}, "
+                             "where primality is decided exactly")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

@@ -254,18 +254,19 @@ def _residual(f, eq, cols):
     the equation ``eq = (lin, bil, rows)`` that it is zero: ``lin`` maps
     column indices to matrices with ``rows`` rows, and ``bil = (map, u, v)``
     or None for a zero right side.  The bilinear side is read straight off
-    the map's table on the dense columns, skipping zero entries."""
+    the map's nonzero cells on the dense columns, skipping zero entries."""
     lin, bil, rows = eq
     r = vec_zero(f, rows)
     for s, m in lin.items():
         r = vec_add(f, r, m.mul_vec(cols[s]))
     if bil:
-        table, cv = bil[0].table, cols[bil[2]]
+        cells, cv = bil[0].rows, cols[bil[2]]
         for i, a in enumerate(cols[bil[1]]):
             if f.is_zero(a):
                 continue
-            for cell, b in zip(table[i], cv):
-                if cell and not f.is_zero(b):
+            for j, cell in cells[i].items():
+                b = cv[j]
+                if not f.is_zero(b):
                     ab = f.mul(a, b)
                     for t, c in cell.items():
                         r[t] = f.sub(r[t], f.mul(ab, c))
@@ -293,15 +294,15 @@ def _affine_set(f, width, equations, cols):
         block = ([list(r) for r in lin[k].entries] if k in lin
                  else [[zero] * width for _ in range(nrows)])
         if bil and k in bil[1:]:
-            table, u, v = bil[0].table, bil[1], bil[2]
+            prod, u, v = bil
             if u == k:      # c on the left: column i of T(., c_v)
-                cells = ((i, cv, table[i][j]) for i in range(width)
-                         for j, cv in enumerate(cols[v]))
+                cells = ((i, cols[v][j], cell) for i in range(width)
+                         for j, cell in prod.rows[i].items())
             else:           # c on the right: column j of T(c_u, .)
-                cells = ((j, cu, table[i][j]) for i, cu in enumerate(cols[u])
-                         for j in range(width))
+                cells = ((j, cu, cell) for i, cu in enumerate(cols[u])
+                         for j, cell in prod.rows[i].items())
             for col, c, cell in cells:
-                if cell and not f.is_zero(c):
+                if not f.is_zero(c):
                     for r, a in cell.items():
                         block[r][col] = f.sub(block[r][col], f.mul(a, c))
         for brow, r0 in zip(block, _residual(f, eq, at_zero)):

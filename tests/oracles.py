@@ -124,6 +124,33 @@ def leibnization_table(p, n, left, right):
     return out
 
 
+def block_table(dims, blocks):
+    """The dense basis table on a sum of spaces of dimensions ``dims``,
+    filled pair by pair: the basis pair (i, j), with i in summand a and j
+    in summand b, takes cell [i'][j'] of ``blocks[(a, b)] = (table, c)``
+    at i', j' relative to their summands, placed in summand c.  A pair
+    whose (a, b) is not in ``blocks`` is zero."""
+    starts = [sum(dims[:a]) for a in range(len(dims))]
+    n = sum(dims)
+
+    def summand(i):
+        a = max(a for a, s in enumerate(starts) if s <= i and dims[a])
+        return a, i - starts[a]
+
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            (a, ii), (b, jj) = summand(i), summand(j)
+            cell = [0] * n
+            if (a, b) in blocks:
+                table, c = blocks[(a, b)]
+                cell[starts[c]:starts[c] + dims[c]] = table[ii][jj]
+            row.append(tuple(cell))
+        out.append(row)
+    return out
+
+
 def all_tensors(p, n):
     """Every basis table for one bilinear product on dimension n mod p."""
     cells = n * n * n

@@ -116,23 +116,43 @@ def test_unwritable_out_is_an_input_error(tmp_path, argv):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _fresh_run(argv):
+    """``diacat argv`` in a fresh interpreter with a timeout, so a command
+    that would hang fails instead."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env.pop("DIACAT_MAX_DIM", None)
+    return subprocess.run([sys.executable, "-m", "diacat.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=10)
+
+
 @pytest.mark.parametrize("trunc, dim", [
     ("6", "642"), ("20000", "at least 642"), ("1000000", "at least 642"),
 ])
 def test_huge_truncation_hits_the_cap_at_once(trunc, dim):
-    # a fresh interpreter with a timeout, so a bound whose word count is
-    # summed, or printed, in full fails instead of hanging
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    env.pop("DIACAT_MAX_DIM", None)
-    run = subprocess.run(
-        [sys.executable, "-m", "diacat.cli", "construct", "Ud",
-         "leibniz-ff-e-f2", "--trunc", trunc],
-        capture_output=True, text=True, env=env, timeout=10)
+    # a bound whose word count is summed, or printed, in full must not hang
+    run = _fresh_run(["construct", "Ud", "leibniz-ff-e-f2", "--trunc", trunc])
     assert (run.returncode, run.stdout) == (3, ""), run.stderr
     assert run.stderr == (f"resource cap exceeded: ambient dimension {dim} "
                           "over F2 exceeds cap 512 (set DIACAT_MAX_DIM to "
                           "raise it)\n")
+
+
+@pytest.mark.parametrize("p, rc", [
+    (2 ** 61 - 1, 0), (3317044064679887385961813, 0), (2 ** 61 + 1, 2),
+    (3317044064679887385961981, 2), (2 ** 89 - 1, 2),
+])
+def test_large_prime_moduli_are_decided_at_once(tmp_path, p, rc):
+    """Primes up to the largest below the bound where Miller-Rabin on the
+    first thirteen prime bases is exact are accepted; composites, and
+    every modulus from that bound on, are input errors."""
+    path = tmp_path / "big-p.json"
+    path.write_text(json.dumps({"field": "Fp", "p": p, "flavor": "lb",
+                                "dim": 1, "bracket": []}))
+    run = _fresh_run(["check", str(path)])
+    assert run.returncode == rc, run.stderr
+    assert bool(run.stdout) == (rc == 0), run.stderr
 
 
 def test_oversized_document_is_refused_before_its_tables(tmp_path,
@@ -310,7 +330,8 @@ def _command_lines(draw):
     that does not exist; ``--trunc`` and ``--cap`` mostly in range, some
     just below it.  ``construct`` mostly gets a tag whose source category
     fits its one fixture.  ``--trunc`` stays at most 3, where the bundled
-    envelopes are cheap."""
+    envelopes are cheap; it comes with most ``verify`` lines and truncated
+    kinds, and with one in ten lines of the kinds that refuse it."""
     names = st.sampled_from(fixtures.names() + ["no-such-fixture"])
     if draw(st.booleans()):
         argv = ["verify", draw(st.sampled_from(
@@ -330,7 +351,11 @@ def _command_lines(draw):
             kinds = [tag for tag, fn in sorted(FUNCTOR_TAGS.items())
                      if fn.source == source]
         argv = ["construct", draw(st.sampled_from(kinds))] + inputs
-    trunc = draw(st.sampled_from([None, 1, 2, 3, None, 1, 2, 3, -1, 0]))
+    if argv[0] == "verify" or getattr(FUNCTOR_TAGS.get(argv[1]),
+                                      "truncated", False):
+        trunc = draw(st.sampled_from([None, 1, 2, 3, None, 1, 2, 3, -1, 0]))
+    else:
+        trunc = draw(st.sampled_from([None] * 9 + [2]))
     if trunc is not None:
         argv += ["--trunc", str(trunc)]
     return argv

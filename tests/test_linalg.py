@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diacat.errors import DimensionMismatch, ParseError
-from diacat.fields import GF, QQ
+from diacat.fields import GF, PRIME_BOUND, QQ, PrimeField, _is_prime
 from diacat.linalg import (Matrix, QuotientMap, Subspace, inverse, kernel,
                            rref, solve, span, vec_eq, vec_is_zero)
 
@@ -23,6 +23,26 @@ def test_field_parse_and_format():
         QQ.parse("1/0")
     with pytest.raises(ParseError):
         F2.parse("x")
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_matches_trial_division_and_refuses_pseudoprimes():
+    assert all(_is_prime(n) == _is_prime_by_trial_division(n)
+               for n in range(-2, 20000))
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases: the last
+    # is composite (it is 399165290221 * 798330580441), and only the
+    # thirteenth base, 41, tells it from a prime
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n), n
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    for p in (2 ** 61 - 1, 3317044064679887385961813):
+        assert PrimeField(p).p == p
+    for p in (PRIME_BOUND, 2 ** 89 - 1):    # 2^89 - 1 is prime
+        with pytest.raises(ValueError):
+            PrimeField(p)
 
 
 def test_rref_fixed_example():
