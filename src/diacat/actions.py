@@ -37,11 +37,10 @@ from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, FLAVORS, LEIBNIZ_AXIOM,
                       _check_templates, abelian_algebra, annihilator,
                       first_unintertwined, image_of, induced_bilinear,
                       induced_subalgebra, is_ideal, kernel_of, make_algebra,
-                      product_arity, quotient_algebra, sp_cols,
-                      sp_from_dense, sp_to_dense)
+                      product_arity, quotient_algebra, sp_cols)
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAction,
                      InvalidCrossedModule, LemmaViolation, NotAnIdeal)
-from .linalg import Matrix, Subspace, unit_vector
+from .linalg import Matrix, Subspace, sp_from_dense, unit_vector
 
 ACTOR = "D"
 ACTEE = "L"
@@ -553,15 +552,14 @@ def lemma_crossed_checks(xm: CrossedModule) -> AxiomReport:
 
     if report.passed:
         def into_kernel(u):
-            c = ker.coords(sp_to_dense(f, u, L.dim))
+            c = ker.coords(u)
             if c is None:
                 raise LemmaViolation("action does not preserve Ker mu", report)
             return sp_from_dense(f, c)
 
         induced = induced_action(
             q[0], abelian_algebra(flavor, f, ker.dim), act.cross,
-            sp_cols(q.qmap.section),
-            [sp_from_dense(f, r) for r in ker.basis], into_kernel,
+            sp_cols(q.qmap.section), ker.rows, into_kernel,
             check=False)
         report.extend(induced.check(), "induced bimodule: ")
 
@@ -620,7 +618,7 @@ def action_by_ambient_products(actor_incl: AlgebraMorphism,
                             "canonical basis of its image")
 
     def back(w):
-        c = actee_image.coords(sp_to_dense(f, w, E.dim))
+        c = actee_image.coords(w)
         if c is None:
             raise InvalidAction("ambient product leaves the actee image")
         return sp_from_dense(f, c)

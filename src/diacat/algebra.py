@@ -31,9 +31,10 @@ slab where the two sides differ, and the later slabs are skipped.
 
 Ideals are closed by one pass.  ``ideal_closure`` keeps a worklist: each
 new direction is multiplied by the basis once, on both sides, and the
-residuals that escape the ideal found so far become the next frontier.
-``is_ideal`` is the same pass over the whole basis of a subspace, stopped
-at the first escape.  ``quotient_algebra`` divides by the ideal its
+products that escape the ideal found so far extend its sparse canonical
+basis by one growth step, whose new rows are the next frontier; the old
+basis is never reduced again.  ``is_ideal`` is the same pass over the
+whole basis of a subspace, stopped at the first escape.  ``quotient_algebra`` divides by the ideal its
 argument generates, so a seed is closed once and an ideal is passed over
 once: the pass that builds ideals is also the one that certifies them.
 """
@@ -48,24 +49,11 @@ from .config import guard_dim
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAlgebra,
                      NotClosed)
 from .fields import Field
-from .linalg import Matrix, QuotientMap, Subspace, vec_zero
+from .linalg import (Matrix, QuotientMap, Subspace, sp_add_into,
+                     sp_from_dense, sp_to_dense)
 
 # ---------------------------------------------------------------------------
 # sparse vectors
-
-
-def sp_add_into(field, acc: dict, other: dict, scale=None):
-    for k, c in other.items():
-        if scale is not None:
-            c = field.mul(scale, c)
-        if k in acc:
-            s = field.add(acc[k], c)
-            if field.is_zero(s):
-                del acc[k]
-            else:
-                acc[k] = s
-        elif not field.is_zero(c):
-            acc[k] = c
 
 
 def sp_add(field, a: dict, b: dict) -> dict:
@@ -80,25 +68,9 @@ def sp_sub(field, a: dict, b: dict) -> dict:
     return out
 
 
-def sp_from_dense(field, v) -> dict:
-    return {i: c for i, c in enumerate(v) if not field.is_zero(c)}
-
-
-def sp_to_dense(field, d: dict, n) -> list:
-    out = vec_zero(field, n)
-    for k, c in d.items():
-        out[k] = c
-    return out
-
-
 def sp_cols(m: Matrix) -> list:
     """The columns of ``m`` as sparse vectors."""
     return [sp_from_dense(m.field, m.col(j)) for j in range(m.cols)]
-
-
-def sp_mat_vec(m: Matrix, w: dict) -> dict:
-    """``m`` applied to the sparse vector ``w``."""
-    return sp_from_dense(m.field, m.mul_vec(sp_to_dense(m.field, w, m.cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +724,7 @@ def first_unintertwined(src: BilinearMap, tgt: BilinearMap, left, right,
         for j, v in enumerate(rights):
             lhs = src.pair(i, j)
             if lhs and out is not None:
-                lhs = sp_mat_vec(out, lhs)
+                lhs = sp_from_dense(f, out.mul_vec(lhs))
             if lhs != tgt.apply_sparse(u, v):
                 return (i, j)
     return None
@@ -797,52 +769,37 @@ def _products(alg: Algebra, lefts, rights):
                     yield w
 
 
-def _sparse_basis(s: Subspace) -> list:
-    return [sp_from_dense(s.field, r) for r in s.basis]
-
-
 def multiply_subspaces(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all basis products a*b under every product of the flavor."""
-    f = alg.field
-    return Subspace.span(f, [sp_to_dense(f, w, alg.dim) for w in
-                             _products(alg, _sparse_basis(a), _sparse_basis(b))],
-                         alg.dim)
+    return Subspace.span(alg.field, _products(alg, a.rows, b.rows), alg.dim)
 
 
 def _escapes(alg: Algebra, s: Subspace, frontier):
-    """Residuals modulo ``s`` of the products of the ``frontier`` vectors
-    with every basis vector, on both sides, that do not lie in ``s``."""
-    f = alg.field
-    units = [{j: f.one()} for j in range(alg.dim)]
-    for w in chain(_products(alg, frontier, units),
-                   _products(alg, units, frontier)):
-        r = s.reduce(w)
-        if not linalg.vec_is_zero(f, r):
-            yield r
+    """The products of the ``frontier`` vectors with every basis vector, on
+    both sides, that do not lie in ``s``."""
+    units = [{j: alg.field.one()} for j in range(alg.dim)]
+    return (w for w in chain(_products(alg, frontier, units),
+                             _products(alg, units, frontier))
+            if not s.contains(w))
 
 
 def ideal_closure(alg: Algebra, seed: Subspace) -> Subspace:
     """Smallest two-sided ideal containing the seed.
 
-    A worklist: the frontier starts as the seed, each frontier vector is
-    multiplied by the basis once on both sides, and the products that
-    escape the ideal found so far span the next frontier.  The pass ends
-    when nothing escapes; every direction of the result has then been
-    multiplied once, which is what ``is_ideal`` checks.
+    A worklist: the frontier starts as the seed's rows, each frontier
+    vector is multiplied by the basis once on both sides, and the escapes
+    extend the ideal by one growth step, whose new rows are the next
+    frontier.  The pass ends when nothing escapes; every direction of the
+    result has then been multiplied once, which is what ``is_ideal`` checks.
     """
-    f = alg.field
     if seed.ambient_dim != alg.dim:
         raise DimensionMismatch("seed not in the algebra's ambient space")
-    current, frontier = seed, _sparse_basis(seed)
+    current, frontier = seed, seed.rows
     while frontier:
-        escaped = list(_escapes(alg, current, frontier))
-        if not escaped:
-            break
-        grown = Subspace.span(f, list(current.basis) + escaped, alg.dim)
+        grown = current.extended(_escapes(alg, current, frontier))
         # the rows at new pivots span the new directions beside ``current``
         old = set(current.pivots)
-        frontier = [sp_from_dense(f, r)
-                    for r, p in zip(grown.basis, grown.pivots) if p not in old]
+        frontier = [r for p, r in zip(grown.pivots, grown.rows) if p not in old]
         current = grown
     return current
 
@@ -851,7 +808,7 @@ def is_ideal(alg: Algebra, s: Subspace) -> bool:
     """Whether ``s`` absorbs every product with a basis vector, on either
     side: ``ideal_closure``'s pass over the whole basis of ``s``, stopped
     at the first escape."""
-    return next(_escapes(alg, s, _sparse_basis(s)), None) is None
+    return next(_escapes(alg, s, s.rows), None) is None
 
 
 class Quotient(tuple):
@@ -881,7 +838,7 @@ def quotient_algebra(alg: Algebra, seed: Subspace) -> Quotient:
     qm = QuotientMap(alg.dim, ideal)
     units = sp_cols(qm.section)
     prods = [induced_bilinear(p, units, units, qm.dim,
-                              lambda w: sp_mat_vec(qm.project, w))
+                              lambda w: sp_from_dense(f, qm.project.mul_vec(w)))
              for p in alg.products()]
     quot = make_algebra(alg.flavor, f, prods,
                         [alg.labels[c] for c in qm.section_cols])
@@ -891,20 +848,18 @@ def quotient_algebra(alg: Algebra, seed: Subspace) -> Quotient:
 def induced_subalgebra(alg: Algebra, sub: Subspace):
     """Structure induced on a product-closed subspace; returns (algebra, inclusion)."""
     f = alg.field
-    basis = _sparse_basis(sub)
 
     def back(w):
-        coords = sub.coords(sp_to_dense(f, w, alg.dim))
+        coords = sub.coords(w)
         if coords is None:
             raise NotClosed("subspace not closed: a product of basis "
                             "vectors escapes")
         return sp_from_dense(f, coords)
 
-    prods = [induced_bilinear(p, basis, basis, sub.dim, back)
+    prods = [induced_bilinear(p, sub.rows, sub.rows, sub.dim, back)
              for p in alg.products()]
     subalg = make_algebra(alg.flavor, f, prods)
-    incl = AlgebraMorphism(subalg, alg,
-                           Matrix.from_cols(f, [list(r) for r in sub.basis], alg.dim))
+    incl = AlgebraMorphism(subalg, alg, Matrix.from_cols(f, sub.basis, alg.dim))
     return subalg, incl
 
 
@@ -930,14 +885,14 @@ def derived_tower_nilpotent(alg: Algebra, bound: int) -> bool:
     """True iff every (bound+1)-fold product vanishes (any bracketing)."""
     f = alg.field
     # layers[k] spans all k-fold products: the products of layers i and k - i
-    layers = {1: _sparse_basis(Subspace.full(f, alg.dim))}
+    layers = {1: Subspace.full(f, alg.dim).rows}
     for k in range(2, bound + 2):
-        layer = Subspace.span(
-            f, [sp_to_dense(f, w, alg.dim) for i in range(1, k)
-                for w in _products(alg, layers[i], layers[k - i])], alg.dim)
+        layer = Subspace.span(f, (w for i in range(1, k) for w in
+                                  _products(alg, layers[i], layers[k - i])),
+                              alg.dim)
         if layer.dim == 0:
             return True
-        layers[k] = _sparse_basis(layer)
+        layers[k] = layer.rows
     return alg.dim == 0
 
 
@@ -968,12 +923,6 @@ def leibniz_of_lie(p: LieAlgebra) -> LeibnizAlgebra:
     return LeibnizAlgebra(p.field, p.bracket, list(p.labels))
 
 
-def seed_span(field, seeds, n) -> Subspace:
-    """Span of the nonzero sparse seed vectors in field^n."""
-    return Subspace.span(field, [sp_to_dense(field, w, n) for w in seeds if w],
-                         n)
-
-
 def merge_seeds(d: Dialgebra) -> list:
     """x -| y - x |- y on every basis pair: the ideal they generate merges
     the two products."""
@@ -1001,7 +950,7 @@ def associative_quotient(d: Dialgebra) -> Quotient:
     quotient viewed as a dialgebra), with that ideal.
     """
     f = d.field
-    quot = quotient_algebra(d, seed_span(f, merge_seeds(d), d.dim))
+    quot = quotient_algebra(d, Subspace.span(f, merge_seeds(d), d.dim))
     quot_dias, proj = quot
     if quot_dias.left != quot_dias.right:
         raise InvalidAlgebra("associative quotient failed to merge the products")
@@ -1016,7 +965,7 @@ def lie_quotient(g: LeibnizAlgebra) -> Quotient:
     quotient), with that ideal.
     """
     f = g.field
-    quot = quotient_algebra(g, seed_span(f, square_seeds(g), g.dim))
+    quot = quotient_algebra(g, Subspace.span(f, square_seeds(g), g.dim))
     quot_lb, proj = quot
     lie = LieAlgebra(f, quot_lb.bracket, list(quot_lb.labels))
     return Quotient(lie, proj, quot.qmap)

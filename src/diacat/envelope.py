@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import (Algebra, AlgebraMorphism, AssociativeAlgebra,
                       BilinearMap, Dialgebra, LeibnizAlgebra, kernel_of,
-                      multiply_subspaces, quotient_algebra, seed_span, sp_sub)
+                      multiply_subspaces, quotient_algebra, sp_sub)
 from .config import max_dim
 from .errors import (DimensionMismatch, InvalidCrossedModule, NotWellDefined,
                      ResourceCapExceeded)
@@ -199,7 +199,7 @@ def _envelope(source: Algebra, bound: int, free: Algebra) -> Envelope:
     rels = [sp_sub(f, bracket.pair(i, j),
                    sp_sub(f, first.pair(i, j), last.pair(j, i)))
             for i in range(n) for j in range(n)]
-    alg, proj = quot = quotient_algebra(free, seed_span(f, rels, free.dim))
+    alg, proj = quot = quotient_algebra(free, Subspace.span(f, rels, free.dim))
     eta = Matrix.from_cols(f, [proj.matrix.col(i) for i in range(n)], alg.dim)
     return Envelope(source, bound, alg, eta, proj, quot.qmap)
 
@@ -228,8 +228,8 @@ def envelope_transpose(env: Envelope, target: Algebra,
     for p, i, j in free.factors:
         cols.append(prods[p].apply(cols[i], cols[j]))
     on_free = Matrix.from_cols(f, cols, target.dim)
-    for r in env.relations.basis:
-        if not vec_is_zero(f, on_free.mul_vec(list(r))):
+    for r in env.relations.rows:
+        if not vec_is_zero(f, on_free.mul_vec(r)):
             raise NotWellDefined(
                 "generator images do not kill the enveloping relations")
     induced = AlgebraMorphism(env.algebra, target,
@@ -300,10 +300,10 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
         warnings.warn(
             "kernel-product subspace was not an ideal "
             f"(dim {x.dim} -> {xc.dim}); using the closure")
-    for r in xc.basis:
+    for r in xc.rows:
         # s and t must factor through the quotient
-        assert vec_is_zero(f, uds.matrix.mul_vec(list(r)))
-        assert vec_is_zero(f, udt.matrix.mul_vec(list(r)))
+        assert vec_is_zero(f, uds.matrix.mul_vec(r))
+        assert vec_is_zero(f, udt.matrix.mul_vec(r))
     section = q.qmap.section
     sbar = uds.matrix.mul(section)
     tbar = udt.matrix.mul(section)

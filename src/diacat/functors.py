@@ -28,15 +28,15 @@ from .algebra import (Algebra, AlgebraMorphism, AxiomReport,
                       derived_tower_nilpotent, dialgebra_of_associative,
                       ideal_closure, image_of, kernel_of, leibnization,
                       leibniz_of_lie, lie_quotient, make_algebra, merge_seeds,
-                      quotient_algebra, seed_span, sp_add, sp_cols,
-                      sp_mat_vec, sp_sub, square_seeds)
+                      quotient_algebra, sp_add, sp_cols, sp_sub,
+                      square_seeds)
 from .cat1 import cat1_of_xmod
 from .config import DEFAULT_SEARCH_CAP
 from .envelope import (Envelope, XudResult, envelope_transpose, ud, xu_full,
                        xud, xud_full)
 from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
                      NotWellDefined, SearchSpaceTooLarge)
-from .linalg import (Matrix, Subspace, _solutions, inverse, unit_vector,
+from .linalg import (Matrix, Subspace, _solutions, inverse, sp_from_dense,
                      vec_add, vec_is_zero, vec_scale, vec_zero)
 from .tags import (_CHAIN_LETTERS, FUNCTOR_TAGS, _chain_tag, _functor,
                    apply_functor, chain_pairs)
@@ -64,21 +64,19 @@ def xlb_of_xdias(xm: CrossedModule) -> CrossedModule:
     return CrossedModule(AlgebraMorphism(L, D, xm.mu.matrix), new_act)
 
 
-def _action_closed_ideal(act: Action, seed: Subspace) -> Subspace:
-    """Smallest ideal of the actee that contains the seed and is stable
-    under every cross product with the actor: the ideal the seed generates
-    in the semidirect product, which lies in the actee block."""
-    f = act.field
-    nl, nd = act.actee.dim, act.actor.dim
-    pad = [f.zero()] * nd
-    closed = ideal_closure(semidirect(act, check=False)[0], Subspace.span(
-        f, [list(r) + pad for r in seed.basis], nl + nd))
-    return Subspace.span(f, [r[:nl] for r in closed.basis], nl)
+def _action_closed_ideal(act: Action, seeds) -> Subspace:
+    """Smallest ideal of the actee that contains the sparse ``seeds`` and
+    is stable under every cross product with the actor: the ideal they
+    generate in the semidirect product, which lies in the actee block."""
+    f, nl = act.field, act.actee.dim
+    semi = semidirect(act, check=False)[0]
+    closed = ideal_closure(semi, Subspace.span(f, seeds, semi.dim))
+    return Subspace.span(f, closed.rows, nl)
 
 
 def _assert_killed(f, mat: Matrix, sub: Subspace, what):
-    for r in sub.basis:
-        if not vec_is_zero(f, mat.mul_vec(list(r))):
+    for r in sub.rows:
+        if not vec_is_zero(f, mat.mul_vec(r)):
             raise NotWellDefined(f"{what} does not kill the defining ideal")
 
 
@@ -94,7 +92,7 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
     f = xm.actee.field
     L, D, act = xm.actee, xm.actor, xm.action
     D_q, proj_D = q_D = actor_quotient(D)
-    ideal = _action_closed_ideal(act, seed_span(f, seeds, L.dim))
+    ideal = _action_closed_ideal(act, seeds)
     quot, proj_L = q_L = quotient_algebra(L, ideal)
     prods = quot.products()
     assert all(p == prods[0] for p in prods)
@@ -102,11 +100,11 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
     qm_D, qm_L = q_D.qmap, q_L.qmap
     # representative independence on the actor side
     dl, ld = act.cross(0, "DL"), act.cross(0, "LD")
-    for r in q_D.ideal.basis:
+    for r in q_D.ideal.rows:
         for q in range(L.dim):
-            uq = unit_vector(f, L.dim, q)
-            if not (ideal.contains(dl.apply(list(r), uq))
-                    and ideal.contains(ld.apply(uq, list(r)))):
+            uq = {q: f.one()}
+            if not (ideal.contains(dl.apply_sparse(r, uq))
+                    and ideal.contains(ld.apply_sparse(uq, r))):
                 raise NotWellDefined(
                     "cross products are not constant on actor classes")
 
@@ -114,7 +112,7 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
     _assert_killed(f, mu_mat, ideal, "the induced structural morphism")
     act_q = induced_action(D_q, L_q, act.cross,
                            sp_cols(qm_D.section), sp_cols(qm_L.section),
-                           lambda w: sp_mat_vec(proj_L.matrix, w))
+                           lambda w: sp_from_dense(f, proj_L.matrix.mul_vec(w)))
     out = CrossedModule(AlgebraMorphism(L_q, D_q, mu_mat.mul(qm_L.section)),
                         act_q)
     inc = inclusion(out)
@@ -612,12 +610,12 @@ def xud_transpose(r: XudResult, target: CrossedModule,
     nl, nd = target.actee.dim, target.actor.dim
     kers_bar = kernel_of(r.cat1.s)
     a_cols, b_cols = [], []
-    for bvec in kers_bar.basis:
-        img = kbar.mul_vec(list(bvec))
+    for bvec in kers_bar.rows:
+        img = kbar.mul_vec(bvec)
         assert vec_is_zero(f, img[nl:])  # kernel lands in the kernel block
         a_cols.append(img[:nl])
-    for bvec in r.cat1.d_sub.basis:
-        img = kbar.mul_vec(list(bvec))
+    for bvec in r.cat1.d_sub.rows:
+        img = kbar.mul_vec(bvec)
         assert vec_is_zero(f, img[:nl])  # base lands in the base block
         b_cols.append(img[nl:])
     alpha_out = AlgebraMorphism(r.xmod.actee, target.actee,

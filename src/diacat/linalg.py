@@ -1,8 +1,12 @@
 """Exact linear algebra over Q and prime fields.
 
-Vectors are plain lists/tuples of scalars; every container knows its field.
-Subspaces are stored through their reduced row echelon basis, so structural
-equality of ``Subspace`` values is equality of subspaces.
+Vectors are dense lists/tuples of scalars or sparse dicts from index to
+nonzero scalar; every container knows its field.  ``Matrix`` is dense.  A
+``Subspace`` holds its reduced row echelon basis as ``pivots`` and one
+sparse row per pivot, so structural equality is equality of subspaces;
+``basis``, the rows dense, is built on first read.  A subspace grows by
+one step, ``extended``: the new vectors' residuals are reduced among
+themselves, then their pivot columns are cleared from the old rows.
 
 Every echelon form comes from ``_rref``.  ``Subspace._residual`` answers
 every question about a vector modulo a subspace from its pivot rows, and
@@ -47,6 +51,41 @@ def unit_vector(field, n, i):
     v = vec_zero(field, n)
     v[i] = field.one()
     return v
+
+
+def sp_add_into(field, acc: dict, other: dict, scale=None):
+    for k, c in other.items():
+        if scale is not None:
+            c = field.mul(scale, c)
+        if k in acc:
+            s = field.add(acc[k], c)
+            if field.is_zero(s):
+                del acc[k]
+            else:
+                acc[k] = s
+        elif not field.is_zero(c):
+            acc[k] = c
+
+
+def sp_from_dense(field, v) -> dict:
+    return {i: c for i, c in enumerate(v) if not field.is_zero(c)}
+
+
+def sp_to_dense(field, d: dict, n) -> list:
+    out = vec_zero(field, n)
+    for k, c in d.items():
+        out[k] = c
+    return out
+
+
+def _entries(v, n):
+    """The (index, scalar) pairs of v, a sparse dict or dense of length n."""
+    if isinstance(v, dict):
+        return v.items()
+    if len(v) != n:
+        raise DimensionMismatch(f"dense vector of length {len(v)} where "
+                                f"{n} is expected")
+    return enumerate(v)
 
 
 class Matrix:
@@ -164,12 +203,11 @@ class Matrix:
         return Matrix(f, out, self.rows, other.cols)
 
     def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise DimensionMismatch("matrix-vector shape mismatch")
+        """m v, for v dense or a sparse dict, as a dense vector."""
         f = self.field
         z = f.zero()
         out = [z] * self.rows
-        for j, c in enumerate(v):
+        for j, c in _entries(v, self.cols):
             if f.is_zero(c):
                 continue
             for i in range(self.rows):
@@ -257,95 +295,107 @@ def rref(m: Matrix):
 
 
 class Subspace:
-    """Subspace of field^n held by its canonical (RREF) basis."""
+    """Subspace of field^n held by its canonical (RREF) basis, sparse:
+    ``rows[t]`` is the row at pivot column ``pivots[t]``, with its 1 there
+    and its other nonzero entries, all at non-pivot columns."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_free", "_images")
+    __slots__ = ("field", "ambient_dim", "pivots", "rows", "_row", "_basis")
 
-    def __init__(self, field, ambient_dim, basis, pivots):
+    def __init__(self, field, ambient_dim, pivots, rows):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(r) for r in basis)
         self.pivots = tuple(pivots)
-        free = self._free = tuple(sorted(set(range(ambient_dim))
-                                         - set(self.pivots)))
-        # the residual of e_k over ``_free``, sparse: 1 at its own place for
-        # a non-pivot k, minus the pivot row's non-pivot part for a pivot k
-        self._images = {c: ((t, field.one()),) for t, c in enumerate(free)}
-        for p, row in zip(self.pivots, self.basis):
-            self._images[p] = tuple((t, field.neg(row[c]))
-                                    for t, c in enumerate(free)
-                                    if not field.is_zero(row[c]))
+        self.rows = tuple(rows)
+        self._row = dict(zip(self.pivots, self.rows))
+        self._basis = None
 
     @classmethod
-    def span(cls, field, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        vectors = [list(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("vector length != ambient dimension")
-        pivots = _rref(field, vectors, ambient_dim)
-        return cls(field, ambient_dim, vectors[:len(pivots)], pivots)
+    def span(cls, field, vectors: Iterable, ambient_dim: int) -> "Subspace":
+        """The span of ``vectors``, each dense or a sparse dict."""
+        return cls.zero(field, ambient_dim).extended(vectors)
 
     @classmethod
     def zero(cls, field, ambient_dim):
-        return cls(field, ambient_dim, [], [])
+        return cls(field, ambient_dim, (), ())
 
     @classmethod
     def full(cls, field, ambient_dim):
-        rows = [unit_vector(field, ambient_dim, i) for i in range(ambient_dim)]
-        return cls(field, ambient_dim, rows, list(range(ambient_dim)))
+        one = field.one()
+        return cls(field, ambient_dim, range(ambient_dim),
+                   ({i: one} for i in range(ambient_dim)))
+
+    @property
+    def basis(self) -> tuple:
+        """The rows as dense tuples, built on first read."""
+        if self._basis is None:
+            f, n = self.field, self.ambient_dim
+            self._basis = tuple(tuple(sp_to_dense(f, r, n)) for r in self.rows)
+        return self._basis
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
-    def _residual(self, v) -> list:
-        """The residual of v, dense or a sparse dict, at the non-pivot
-        columns ``_free`` in order: v[c] - sum_p v[p] row_p[c] at column c.
-        It is zero at the pivots: the coefficient of row p in v is v[p]."""
-        f = self.field
-        images = self._images
-        out = [f.zero()] * len(self._free)
-        for k, a in (v.items() if isinstance(v, dict) else enumerate(v)):
-            if f.is_zero(a):
-                continue
-            for t, b in images[k]:
-                out[t] = f.add(out[t], f.mul(a, b))
+    def _residual(self, v) -> dict:
+        """The residual of v, dense or a sparse dict, as a sparse dict: v
+        less v[p] times the row at p, for every pivot p.  The coefficient of
+        that row in v is v[p], since the other rows are zero at p."""
+        f, rows = self.field, self._row
+        out = {k: a for k, a in _entries(v, self.ambient_dim)
+               if not f.is_zero(a)}
+        for p in [k for k in out if k in rows]:
+            sp_add_into(f, out, rows[p], f.neg(out[p]))
         return out
 
     def reduce(self, v):
         """Residual of v, dense or a sparse dict, as a dense vector."""
-        out = vec_zero(self.field, self.ambient_dim)
-        for c, a in zip(self._free, self._residual(v)):
-            out[c] = a
-        return out
+        return sp_to_dense(self.field, self._residual(v), self.ambient_dim)
 
     def contains(self, v) -> bool:
-        return vec_is_zero(self.field, self._residual(v))
+        return not self._residual(v)
 
     def coords(self, v) -> Optional[list]:
-        """Coefficients of v in the canonical basis, or None if outside."""
-        return [v[p] for p in self.pivots] if self.contains(v) else None
+        """Coefficients of v, dense or a sparse dict, in the canonical
+        basis, or None if outside."""
+        if self._residual(v):
+            return None
+        at, z = dict(_entries(v, self.ambient_dim)), self.field.zero()
+        return [at.get(p, z) for p in self.pivots]
+
+    def extended(self, vectors: Iterable) -> "Subspace":
+        """The span of this subspace and ``vectors``, each dense or a sparse
+        dict.  Their residuals are brought to RREF by ``_rref`` on the
+        columns they use, none of them a pivot here; then each new pivot
+        column is cleared from the old rows."""
+        f = self.field
+        res = [r for r in map(self._residual, vectors) if r]
+        cols, z = sorted(set().union(*res)), f.zero()
+        dense = [[r.get(c, z) for c in cols] for r in res]
+        new = {cols[p]: {c: a for c, a in zip(cols, row) if not f.is_zero(a)}
+               for p, row in zip(_rref(f, dense, len(cols)), dense)}
+        # an old row's residual modulo the new rows is the row cleared
+        fresh = Subspace(f, self.ambient_dim, new, new.values())
+        rows = {p: fresh._residual(r) for p, r in self._row.items()}
+        rows.update(new)
+        pivots = sorted(rows)
+        return Subspace(f, self.ambient_dim, pivots, map(rows.get, pivots))
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspace sum in different ambients")
-        return Subspace.span(self.field, list(self.basis) + list(other.basis),
-                             self.ambient_dim)
-
-    __add__ = add
+        return self.extended(other.rows)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(r) for r in self.basis)
+        return all(map(other.contains, self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.field == other.field and self.ambient_dim == other.ambient_dim
-                and self.pivots == other.pivots
-                and all(vec_eq(self.field, a, b) for a, b in zip(self.basis, other.basis)))
+                and self.pivots == other.pivots and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.pivots, self.basis))
+        return hash((self.field, self.ambient_dim, self.pivots))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim})"
@@ -390,7 +440,8 @@ def kernel(m: Matrix) -> Subspace:
     """Right null space of m."""
     rows = [list(r) + [m.field.zero()] for r in m.entries]
     _, free, basis = _solutions(m.field, rows, m.cols)
-    return Subspace(m.field, m.cols, basis, free)
+    return Subspace(m.field, m.cols, free,
+                    [sp_from_dense(m.field, b) for b in basis])
 
 
 def image(m: Matrix) -> Subspace:
@@ -440,8 +491,8 @@ class QuotientMap:
     def __init__(self, ambient_dim: int, sub: Subspace):
         if sub.ambient_dim != ambient_dim:
             raise DimensionMismatch("subspace not in the requested ambient")
-        f = sub.field
-        self.section_cols = list(sub._free)
+        f, pivots = sub.field, set(sub.pivots)
+        self.section_cols = [c for c in range(ambient_dim) if c not in pivots]
         self.sub, self._project = sub, None
         sec_cols = [unit_vector(f, ambient_dim, c) for c in self.section_cols]
         self.section = Matrix.from_cols(f, sec_cols, ambient_dim)
@@ -450,9 +501,10 @@ class QuotientMap:
     def project(self) -> Matrix:
         if self._project is None:
             sub, f = self.sub, self.sub.field
+            z, cols = f.zero(), self.section_cols
+            res = (sub._residual({j: f.one()}) for j in range(sub.ambient_dim))
             self._project = Matrix.from_cols(
-                f, [sub._residual({j: f.one()})
-                    for j in range(sub.ambient_dim)], self.dim)
+                f, [[r.get(c, z) for c in cols] for r in res], self.dim)
         return self._project
 
     @property

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -245,3 +246,19 @@ def test_envelopes_of_the_zero_algebra(field):
         free_dialgebra(field, 0, 0)
     with pytest.raises(DimensionMismatch):
         tensor_algebra(field, 1, 0)
+
+
+def test_ud_ideal_is_held_by_sparse_rows():
+    """``ud(leibniz-ff-e-f2, 5)`` divides its free object of dim 258 by an
+    ideal of dim 249 whose rows have at most three nonzero entries.  Held and
+    grown as sparse rows it peaks near 2.6 MiB; dense rows of length 258,
+    re-reduced whole each closure round, peak near 4.4 MiB."""
+    g = fixtures.get("leibniz-ff-e-f2")
+    tracemalloc.start()
+    try:
+        env = ud(g, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (env.free.dim, env.relations.dim) == (258, 249)
+    assert peak < 3.5 * 2 ** 20, peak

@@ -181,3 +181,14 @@ def test_matrix_product_matches_numpy(a, b):
     for i in range(ours.rows):
         for j in range(ours.cols):
             assert int(ours.row(i)[j]) == theirs[i][j]
+
+
+@settings(max_examples=60, derandomize=True)
+@given(_f5_matrix(), st.lists(_f5_scalar, min_size=3, max_size=3))
+def test_mul_vec_takes_a_sparse_vector(m, v):
+    v = (v + [0] * m.cols)[:m.cols]
+    assert m.mul_vec({j: c for j, c in enumerate(v) if c}) == m.mul_vec(v)
+    assert m.mul_vec({}) == m.mul_vec([0] * m.cols) == [F5.zero()] * m.rows
+    for bad in (v[:-1], v + [0]):
+        with pytest.raises(DimensionMismatch):
+            m.mul_vec(bad)

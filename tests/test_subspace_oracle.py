@@ -8,6 +8,10 @@ coefficients, ``QuotientMap`` is written out row by row from the pivot
 rows, and ``kernel`` reduces the matrix forward, writes one null vector per
 free column and reduces those again (the route before one reversed-column
 reduction).  Vectors are tried dense and as sparse dicts.
+
+The sparse rows are checked against the span itself: a subspace grown in
+any split of its vectors, or as a sum in either order, is the span of all
+of them at once, whether the vectors are given dense or sparse.
 """
 
 import random
@@ -15,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from diacat.errors import DimensionMismatch
 from diacat.fields import GF, QQ
 from diacat.linalg import (Matrix, QuotientMap, Subspace, kernel,
                            unit_vector, vec_zero)
@@ -162,3 +167,43 @@ def test_kernel_matches_the_two_reduction_route(f):
         assert k == Subspace.span(f, basis, c)
         nullities.add(min(k.dim, 2))
     assert nullities == {0, 1, 2}
+
+
+def _sparse(f, v):
+    return {k: a for k, a in enumerate(v) if not f.is_zero(a)}
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_sparse_rows_grow_to_the_span_of_all_vectors(f):
+    rng = random.Random(f"{SEED}:grow:{f}")
+    splits = set()
+    for n in range(7):
+        for gens in _generators(f, n, rng):
+            s = Subspace.span(f, gens, n)
+            # one sparse row per pivot, 1 there and no zero coefficient;
+            # ``basis`` is the same rows dense
+            assert len(s.rows) == len(s.pivots) == s.dim
+            assert all(r[p] == f.one() for p, r in zip(s.pivots, s.rows))
+            assert not any(f.is_zero(a) for r in s.rows for a in r.values())
+            assert s.basis == tuple(tuple(r.get(c, f.zero()) for c in range(n))
+                                    for r in s.rows)
+            sparse = Subspace.span(f, [_sparse(f, v) for v in gens], n)
+            assert sparse == s and hash(sparse) == hash(s)
+            # grown chunk by chunk, chunks dense or sparse at random
+            cuts = sorted(rng.randint(0, len(gens)) for _ in range(2))
+            chunks = [gens[:cuts[0]], gens[cuts[0]:cuts[1]], gens[cuts[1]:]]
+            grown = Subspace.zero(f, n)
+            for chunk in chunks:
+                if rng.random() < 0.5:
+                    chunk = [_sparse(f, v) for v in chunk]
+                grown = grown.extended(chunk)
+            assert grown == s and hash(grown) == hash(s)
+            a = Subspace.span(f, gens[:cuts[0]], n)
+            b = Subspace.span(f, gens[cuts[0]:], n)
+            assert a.add(b) == b.add(a) == s
+            splits.add(min(a.dim, b.dim, 1))
+            for length in {n + 1, max(n - 1, 0)} - {n}:
+                with pytest.raises(DimensionMismatch):
+                    Subspace.span(f, gens + [[f.zero()] * length], n)
+    # both parts of some split are nonzero
+    assert splits == {0, 1}
