@@ -334,6 +334,12 @@ def _verify_parallelepiped(args, results):
 
 def cmd_verify(args) -> int:
     what = args.what
+    # four batteries take no bound; the others read 2 when it is absent
+    if args.trunc is not None and what in (
+            "equivalence:cat1", "equivalence:internal",
+            "adjunction:chain:0", "adjunction:chain:1"):
+        raise ParseError(f"verify {what} takes no --trunc")
+    args.trunc = args.trunc or 2
     results: list = []
     if what.startswith("square:"):
         _verify_square(args, what.split(":", 1)[1], results)
@@ -431,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("fixtures", nargs="*",
                    help="fixture names or document paths; default: bundled "
                         "battery")
-    v.add_argument("--trunc", type=_at_least(1), default=2)
+    v.add_argument("--trunc", type=_at_least(1), default=None)
     v.add_argument("--cap", type=_at_least(0), default=None,
                    help="override the search-space cap")
     v.add_argument("--verbose", action="store_true")

@@ -582,9 +582,17 @@ def verify_adjunction_ud(g, d, bound: int, cap=None) -> BijectionReport:
                ("restriction to generators is a bracket morphism",
                 "restriction map injective", "restriction map surjective"))
     report.add("transpose splits the restriction",
-               all(envelope_transpose(env, d, psi.matrix).matrix.mul(env.eta)
-                   == psi.matrix for psi in right))
+               all(_splits(env, d, psi.matrix) for psi in right))
     return BijectionReport(left, right, report)
+
+
+def _splits(env, d, psi: Matrix) -> bool:
+    """Whether the transpose of ``psi`` restricts back to ``psi`` on the
+    generators; a transpose that is not well defined does not."""
+    try:
+        return envelope_transpose(env, d, psi).matrix.mul(env.eta) == psi
+    except NotWellDefined:
+        return False
 
 
 def _block_diag(f, a: Matrix, b: Matrix) -> Matrix:

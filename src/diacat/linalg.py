@@ -4,14 +4,15 @@ Vectors are dense lists/tuples of scalars or sparse dicts from index to
 nonzero scalar; every container knows its field.  ``Matrix`` is dense.  A
 ``Subspace`` holds its reduced row echelon basis as ``pivots`` and one
 sparse row per pivot, so structural equality is equality of subspaces;
-``basis``, the rows dense, is built on first read.  A subspace grows by
-one step, ``extended``: the new vectors' residuals are reduced among
-themselves, then their pivot columns are cleared from the old rows.
+``basis``, the rows dense, is built on first read.
 
-Every echelon form comes from ``_rref``.  ``Subspace._residual`` answers
-every question about a vector modulo a subspace from its pivot rows, and
-``_solutions`` reads a null space's canonical basis, and a solution reduced
-by it, off one reduction with the columns reversed.
+Every echelon form comes from one routine, ``_grow``: it adds vectors one
+at a time to sparse RREF rows keyed by pivot.  A subspace grows by it
+(``extended``), and ``rref``, ``solve`` and ``inverse`` reduce their
+matrices by it from no rows.  ``_residual`` answers every question about a
+vector modulo a subspace from its pivot rows, and ``_solutions`` reads a
+null space's canonical basis, and a solution reduced by it, off one
+reduction with the columns reversed.
 """
 
 from __future__ import annotations
@@ -252,46 +253,46 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols}: [{body}])"
 
 
-def _rref(field, rows, ncols):
-    """Reduce ``rows`` in place to reduced row echelon form, looking for
-    pivots in the first ``ncols`` columns only; returns the pivot columns.
-
-    The nonzero rows come first, one per pivot, and row operations act on
-    whole rows, so columns past ``ncols`` record them.
-    """
+def _residual(field, rows, v, n) -> dict:
+    """The residual of v, dense of length n or a sparse dict, modulo the
+    RREF rows ``rows``, a dict from pivot to sparse row, as a sparse dict:
+    v less v[p] times the row at p, for every pivot p.  The coefficient of
+    that row in v is v[p], since the other rows are zero at p."""
     f = field
-    nrows = len(rows)
-    pivots = []
-    for col in range(ncols):
-        pr = len(pivots)
-        if pr >= nrows:
-            break
-        sel = None
-        for r in range(pr, nrows):
-            if not f.is_zero(rows[r][col]):
-                sel = r
-                break
-        if sel is None:
+    out = {k: a for k, a in _entries(v, n) if not f.is_zero(a)}
+    for p in [k for k in out if k in rows]:
+        sp_add_into(f, out, rows[p], f.neg(out[p]))
+    return out
+
+
+def _grow(field, rows, vectors, n) -> dict:
+    """Add ``vectors``, each dense of length n or a sparse dict, one at a
+    time to the RREF rows ``rows``, a dict from pivot to sparse row, and
+    return it.  A nonzero residual is scaled to 1 at its least column p, p
+    is cleared from every row that has it, and the residual becomes the row
+    at p.  Rows are replaced, never changed, since subspaces share them."""
+    f = field
+    for v in vectors:
+        res = _residual(f, rows, v, n)
+        if not res:
             continue
-        rows[pr], rows[sel] = rows[sel], rows[pr]
-        inv = f.inv(rows[pr][col])
-        prow = rows[pr] = [f.mul(inv, a) for a in rows[pr]]
-        for r in range(nrows):
-            if r == pr:
-                continue
-            c = rows[r][col]
-            if f.is_zero(c):
-                continue
-            rows[r] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[r], prow)]
-        pivots.append(col)
-    return pivots
+        p = min(res)
+        inv = f.inv(res[p])
+        res = {k: f.mul(inv, a) for k, a in res.items()}
+        for q in [q for q, r in rows.items() if p in r]:
+            r = rows[q] = dict(rows[q])
+            sp_add_into(f, r, res, f.neg(r[p]))
+        rows[p] = res
+    return rows
 
 
 def rref(m: Matrix):
     """Reduced row echelon form; returns (matrix, rank)."""
-    rows = [list(r) for r in m.entries]
-    rank = len(_rref(m.field, rows, m.cols))
-    return Matrix(m.field, rows, m.rows, m.cols), rank
+    f, n = m.field, m.cols
+    rows = _grow(f, {}, m.entries, n)
+    out = [sp_to_dense(f, rows[p], n) for p in sorted(rows)]
+    out += [vec_zero(f, n)] * (m.rows - len(rows))
+    return Matrix(f, out, m.rows, n), len(rows)
 
 
 class Subspace:
@@ -337,15 +338,8 @@ class Subspace:
         return len(self.pivots)
 
     def _residual(self, v) -> dict:
-        """The residual of v, dense or a sparse dict, as a sparse dict: v
-        less v[p] times the row at p, for every pivot p.  The coefficient of
-        that row in v is v[p], since the other rows are zero at p."""
-        f, rows = self.field, self._row
-        out = {k: a for k, a in _entries(v, self.ambient_dim)
-               if not f.is_zero(a)}
-        for p in [k for k in out if k in rows]:
-            sp_add_into(f, out, rows[p], f.neg(out[p]))
-        return out
+        """The residual of v, dense or a sparse dict, as a sparse dict."""
+        return _residual(self.field, self._row, v, self.ambient_dim)
 
     def reduce(self, v):
         """Residual of v, dense or a sparse dict, as a dense vector."""
@@ -364,21 +358,11 @@ class Subspace:
 
     def extended(self, vectors: Iterable) -> "Subspace":
         """The span of this subspace and ``vectors``, each dense or a sparse
-        dict.  Their residuals are brought to RREF by ``_rref`` on the
-        columns they use, none of them a pivot here; then each new pivot
-        column is cleared from the old rows."""
-        f = self.field
-        res = [r for r in map(self._residual, vectors) if r]
-        cols, z = sorted(set().union(*res)), f.zero()
-        dense = [[r.get(c, z) for c in cols] for r in res]
-        new = {cols[p]: {c: a for c, a in zip(cols, row) if not f.is_zero(a)}
-               for p, row in zip(_rref(f, dense, len(cols)), dense)}
-        # an old row's residual modulo the new rows is the row cleared
-        fresh = Subspace(f, self.ambient_dim, new, new.values())
-        rows = {p: fresh._residual(r) for p, r in self._row.items()}
-        rows.update(new)
+        dict, grown from this one's rows by ``_grow``."""
+        rows = _grow(self.field, dict(self._row), vectors, self.ambient_dim)
         pivots = sorted(rows)
-        return Subspace(f, self.ambient_dim, pivots, map(rows.get, pivots))
+        return Subspace(self.field, self.ambient_dim, pivots,
+                        map(rows.get, pivots))
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -406,40 +390,39 @@ def span(field, vectors, ambient_dim) -> Subspace:
 
 
 def _solutions(field, rows, width):
-    """Solve ``rows = [M | b]``, M of ``width`` columns, by reducing them
-    in place with M's columns reversed: None if inconsistent, else
-    ``(part, free, basis)``.  ``basis`` is the canonical basis of M's null
-    space, with pivots ``free``, and ``part`` a solution zero there.
+    """Solve ``rows = [M | b]``, M of ``width`` columns, b zero if absent:
+    None if inconsistent, else ``(part, free, basis)``.  ``basis`` is the
+    canonical basis of M's null space, with pivots ``free``, and ``part`` a
+    solution zero there.
 
-    Reversed, a row has entries only at free columns before its pivot, so
-    c_j = 1 at one free j, 0 at the others, is a null vector in canonical
-    form: the basis needs no second reduction.
+    The rows are reduced with M's columns reversed, column j keyed as
+    ``width - 1 - j`` and b as ``width``, so a pivot at ``width`` means no
+    solution.  Reversed, a row has entries only at free columns before its
+    pivot, so c_j = 1 at one free j, 0 at the others, is a null vector in
+    canonical form: the basis needs no second reduction.
     """
-    last = width - 1
-    for i, r in enumerate(rows):
-        rows[i] = r[:width][::-1] + r[width:]
-    pivots = [last - p for p in _rref(field, rows, width)]
-    # past the rank the M part of a row is zero, and so must its b be
-    if not vec_is_zero(field, [row[width] for row in rows[len(pivots):]]):
+    f, last, z = field, width - 1, field.zero()
+    keyed = ({last - j if j < width else width: a for j, a in enumerate(r)
+              if not f.is_zero(a)} for r in rows)
+    ech = _grow(f, {}, keyed, width + 1)
+    if width in ech:
         return None
-    part = vec_zero(field, width)
-    for row, p in zip(rows, pivots):
-        part[p] = row[width]
-    free = sorted(set(range(width)) - set(pivots))
+    at = {last - k: r for k, r in ech.items()}
+    part = [at[j].get(width, z) if j in at else z for j in range(width)]
+    free = [j for j in range(width) if j not in at]
     basis = []
     for j in free:
-        b = vec_zero(field, width)
-        b[j] = field.one()
-        for row, p in zip(rows, pivots):
-            b[p] = field.neg(row[last - j])
+        b = unit_vector(f, width, j)
+        for p, r in at.items():
+            if last - j in r:
+                b[p] = f.neg(r[last - j])
         basis.append(b)
     return part, free, basis
 
 
 def kernel(m: Matrix) -> Subspace:
     """Right null space of m."""
-    rows = [list(r) + [m.field.zero()] for r in m.entries]
-    _, free, basis = _solutions(m.field, rows, m.cols)
+    _, free, basis = _solutions(m.field, m.entries, m.cols)
     return Subspace(m.field, m.cols, free,
                     [sp_from_dense(m.field, b) for b in basis])
 
@@ -452,26 +435,27 @@ def solve(m: Matrix, b) -> Optional[list]:
     """One solution x of m x = b, or None."""
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length != matrix rows")
-    f = m.field
-    rows = [list(row) + [b[i]] for i, row in enumerate(m.entries)]
-    pivots = _rref(f, rows, m.cols + 1)
+    f, n, z = m.field, m.cols, m.field.zero()
+    rows = _grow(f, {}, ([*row, c] for row, c in zip(m.entries, b)), n + 1)
     # inconsistent iff a pivot lands in the last column
-    if pivots and pivots[-1] == m.cols:
+    if n in rows:
         return None
-    x = vec_zero(f, m.cols)
-    for row, p in zip(rows, pivots):
-        x[p] = row[m.cols]
-    return x
+    return [rows[j].get(n, z) if j in rows else z for j in range(n)]
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
-    if m.rows != m.cols:
+    """The inverse of m, read off the RREF of ``[m | I]``, or None."""
+    n = m.rows
+    if n != m.cols:
         return None
-    rows = [list(r) + list(e) for r, e in
-            zip(m.entries, Matrix.identity(m.field, m.rows).entries)]
-    if len(_rref(m.field, rows, m.cols)) < m.rows:
+    f = m.field
+    rows = _grow(f, {}, ([*r, *unit_vector(f, n, i)]
+                         for i, r in enumerate(m.entries)), 2 * n)
+    # singular iff a pivot lies past m's columns
+    if any(p >= n for p in rows):
         return None
-    return Matrix(m.field, [row[m.cols:] for row in rows])
+    return Matrix(f, [[rows[i].get(n + j, f.zero()) for j in range(n)]
+                      for i in range(n)], n, n)
 
 
 class QuotientMap:

@@ -18,6 +18,7 @@ from diacat import fixtures, functors
 from diacat.actions import XmodMorphism
 from diacat.algebra import AlgebraMorphism
 from diacat.cli import main
+from diacat.errors import NotWellDefined
 from diacat.linalg import Matrix
 
 # ---------------------------------------------------------------------------
@@ -32,21 +33,26 @@ PASSING = {
     "chain:1": "fba55a40963ede6d11a9aed21e662d5aeb702d89ec7ca3296e772a1b08ac293b",
 }
 CAPS = (None, 0, 3, 40)
-# exit code per (battery, --trunc), one per entry of CAPS
+# exit code per (battery, --trunc), one per entry of CAPS; None is no
+# --trunc, which ud and xud read as 2, and the chains take no bound
 EXITS = {
-    ("ud", 1): (1, 1, 1, 1), ("ud", 2): (0, 3, 3, 3), ("ud", 3): (0, 3, 3, 3),
-    ("xud", 1): (1, 1, 1, 1), ("xud", 2): (0, 3, 3, 0),
-    ("xud", 3): (0, 3, 3, 0),
-    **{(chain, t): (0, 3, 3, 0) for chain in ("chain:0", "chain:1")
+    ("ud", None): (0, 3, 3, 3), ("ud", 1): (1, 1, 1, 1),
+    ("ud", 2): (0, 3, 3, 3), ("ud", 3): (0, 3, 3, 3),
+    ("xud", None): (0, 3, 3, 0), ("xud", 1): (1, 1, 1, 1),
+    ("xud", 2): (0, 3, 3, 0), ("xud", 3): (0, 3, 3, 0),
+    **{(chain, None): (0, 3, 3, 0) for chain in ("chain:0", "chain:1")},
+    **{(chain, t): (2, 2, 2, 2) for chain in ("chain:0", "chain:1")
        for t in (1, 2, 3)},
 }
 
 
-@pytest.mark.parametrize("battery,trunc", sorted(EXITS))
+@pytest.mark.parametrize("battery,trunc", sorted(EXITS, key=str))
 def test_adjunction_reports_are_golden(battery, trunc, monkeypatch):
     monkeypatch.delenv("DIACAT_MAX_DIM", raising=False)
     for cap, code in zip(CAPS, EXITS[battery, trunc]):
-        argv = ["verify", f"adjunction:{battery}", "--trunc", str(trunc)]
+        argv = ["verify", f"adjunction:{battery}"]
+        if trunc is not None:
+            argv += ["--trunc", str(trunc)]
         if cap is not None:
             argv += ["--cap", str(cap)]
         out = io.StringIO()
@@ -138,6 +144,23 @@ def test_ud_with_a_zero_transpose_after_enumeration(monkeypatch):
         monkeypatch.setattr(functors, "envelope_transpose",
                             lambda env, d, phi: AlgebraMorphism.zero(
                                 env.algebra, d))
+        return found
+    monkeypatch.setattr(functors, "enumerate_generated_homs",
+                        enumerate_then_break)
+    assert _failing(_ud().items) == ["transpose splits the restriction"]
+
+
+def test_ud_with_an_ill_defined_transpose_after_enumeration(monkeypatch):
+    # the real transpose raises when its map does not split the
+    # restriction; the report counts that as a failed item, not an error
+    real = functors.enumerate_generated_homs
+
+    def ill_defined(env, d, phi):
+        raise NotWellDefined("induced map does not extend the generators")
+
+    def enumerate_then_break(env, target, cap=None):
+        found = real(env, target, cap)
+        monkeypatch.setattr(functors, "envelope_transpose", ill_defined)
         return found
     monkeypatch.setattr(functors, "enumerate_generated_homs",
                         enumerate_then_break)

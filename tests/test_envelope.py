@@ -262,3 +262,21 @@ def test_ud_ideal_is_held_by_sparse_rows():
         tracemalloc.stop()
     assert (env.free.dim, env.relations.dim) == (258, 249)
     assert peak < 3.5 * 2 ** 20, peak
+
+
+def test_xud_ideal_grows_one_vector_at_a_time():
+    """``xud_full(xlb-ideal-e-f2, 4)`` envelopes a semidirect model whose
+    free object has dim 426.  Its closure rounds reduce each escaping
+    product against the rows as they grow, so only independent ones are
+    kept; it peaks near 2.2 MiB.  Reduced as one dense block per round,
+    most of whose rows are dependent, it peaked near 4.9 MiB."""
+    xm = fixtures.get("xlb-ideal-e-f2")
+    tracemalloc.start()
+    try:
+        r = xud_full(xm, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.env_big.free.dim, r.xmod.actee.dim, r.xmod.actor.dim) == (
+        426, 7, 7)
+    assert peak < 3 * 2 ** 20, peak

@@ -2,9 +2,9 @@
 failure, 2 input error, 3 resource cap, and nothing on stdout for 2 or 3.
 
 Truncation bounds below 1 and search caps below 0 are input errors, and
-so is ``--trunc`` on a construction that takes no bound.  A huge bound
-and an oversized document hit the dimension cap before anything is
-allocated.  A seeded fuzzer mutates every bundled fixture document one
+so is ``--trunc`` on a construction or a battery that takes no bound.  A
+huge bound and an oversized document hit the dimension cap before
+anything is allocated.  A seeded fuzzer mutates every bundled fixture document one
 JSON value at a time and runs ``check`` and one ``construct`` per
 document kind on it in-process.  A Hypothesis strategy also draws whole documents (field,
 flavor, dims, sparse tensors, ``mu`` and action slots, each sometimes out
@@ -181,6 +181,18 @@ def test_truncation_of_an_untruncated_kind_is_an_input_error(argv):
     assert err == f"input error: construct {argv[1]} takes no --trunc\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "equivalence:cat1", "--trunc", "2"],
+    ["verify", "equivalence:internal", "--trunc", "2"],
+    ["verify", "adjunction:chain:0", "--trunc", "2"],
+    ["verify", "adjunction:chain:1", "--trunc", "2"],
+], ids=" ".join)
+def test_truncation_of_an_untruncated_battery_is_an_input_error(argv):
+    rc, out, err = _run(argv)
+    assert (rc, out) == (2, ""), err
+    assert err == f"input error: verify {argv[1]} takes no --trunc\n"
+
+
 def _paths(node, prefix=()):
     """The path of every value below ``node``, containers included."""
     if isinstance(node, dict):
@@ -319,6 +331,9 @@ BATTERIES = ([f"square:{sq}" for sq in square_ids()]
              + ["adjunction:ud", "adjunction:xud", "adjunction:chain:0",
                 "adjunction:chain:1", "equivalence:cat1",
                 "equivalence:internal", "parallelepiped"])
+# the batteries that take no --trunc
+UNTRUNCATED = ("adjunction:chain:0", "adjunction:chain:1",
+               "equivalence:cat1", "equivalence:internal")
 KINDS = sorted(FUNCTOR_TAGS) + ["semidirect", "roundtrip-cat1",
                                 "roundtrip-internal"]
 
@@ -330,8 +345,9 @@ def _command_lines(draw):
     that does not exist; ``--trunc`` and ``--cap`` mostly in range, some
     just below it.  ``construct`` mostly gets a tag whose source category
     fits its one fixture.  ``--trunc`` stays at most 3, where the bundled
-    envelopes are cheap; it comes with most ``verify`` lines and truncated
-    kinds, and with one in ten lines of the kinds that refuse it."""
+    envelopes are cheap; it comes with most lines of the batteries and
+    kinds that take a bound, and with one in ten lines of those that
+    refuse it."""
     names = st.sampled_from(fixtures.names() + ["no-such-fixture"])
     if draw(st.booleans()):
         argv = ["verify", draw(st.sampled_from(
@@ -351,8 +367,11 @@ def _command_lines(draw):
             kinds = [tag for tag, fn in sorted(FUNCTOR_TAGS.items())
                      if fn.source == source]
         argv = ["construct", draw(st.sampled_from(kinds))] + inputs
-    if argv[0] == "verify" or getattr(FUNCTOR_TAGS.get(argv[1]),
-                                      "truncated", False):
+    if argv[0] == "verify":
+        takes_bound = argv[1] not in UNTRUNCATED
+    else:
+        takes_bound = getattr(FUNCTOR_TAGS.get(argv[1]), "truncated", False)
+    if takes_bound:
         trunc = draw(st.sampled_from([None, 1, 2, 3, None, 1, 2, 3, -1, 0]))
     else:
         trunc = draw(st.sampled_from([None] * 9 + [2]))

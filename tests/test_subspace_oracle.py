@@ -12,6 +12,12 @@ reduction).  Vectors are tried dense and as sparse dicts.
 The sparse rows are checked against the span itself: a subspace grown in
 any split of its vectors, or as a sum in either order, is the span of all
 of them at once, whether the vectors are given dense or sparse.
+
+``rref``, ``solve`` and ``inverse`` share the growth routine of the
+subspaces.  They are checked against the reference elimination of the
+matrix, of ``[M | b]`` and of ``[M | I]``, on seeded matrices with zero
+rows and zero columns, of every shape up to 5 x 6, square singular ones
+among them, and on right-hand sides with and without a solution.
 """
 
 import random
@@ -21,8 +27,8 @@ import pytest
 
 from diacat.errors import DimensionMismatch
 from diacat.fields import GF, QQ
-from diacat.linalg import (Matrix, QuotientMap, Subspace, kernel,
-                           unit_vector, vec_zero)
+from diacat.linalg import (Matrix, QuotientMap, Subspace, inverse, kernel,
+                           rref, solve, unit_vector, vec_zero)
 
 SEED = 20261018
 FIELDS = (GF(2), GF(3), GF(5), QQ)
@@ -207,3 +213,88 @@ def test_sparse_rows_grow_to_the_span_of_all_vectors(f):
                     Subspace.span(f, gens + [[f.zero()] * length], n)
     # both parts of some split are nonzero
     assert splits == {0, 1}
+
+
+def _matrices(f, rng, count):
+    """Seeded matrices up to 5 x 6, two in five of them square: some with
+    a zero row, a zero column or a row that is a combination of two
+    others."""
+    for _ in range(count):
+        r, c = rng.randint(0, 5), rng.randint(0, 6)
+        if rng.random() < 0.4:
+            c = r
+        rows = [[_scalar(f, rng) for _ in range(c)] for _ in range(r)]
+        if r and rng.random() < 0.3:
+            rows[rng.randrange(r)] = [f.zero()] * c
+        if c and rng.random() < 0.3:
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] = f.zero()
+        if r > 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            t = _scalar(f, rng)
+            rows[rng.randrange(r)] = [f.add(x, f.mul(t, y))
+                                      for x, y in zip(a, b)]
+        yield Matrix(f, rows, r, c)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_rref_matches_dense_elimination(f):
+    rng = random.Random(f"{SEED}:rref:{f}")
+    ranks = set()
+    for m in _matrices(f, rng, 120):
+        rows, pivots = _eliminate(f, m.entries, m.cols)
+        r, rank = rref(m)
+        assert (r.rows, r.cols) == (m.rows, m.cols)
+        assert [list(row) for row in r.entries] == rows
+        assert rank == len(pivots) == m.rank()
+        ranks.add("zero" if rank == 0 else
+                  "full" if rank == min(m.rows, m.cols) else "deficient")
+    assert ranks == {"zero", "full", "deficient"}
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_solve_matches_dense_elimination(f):
+    rng = random.Random(f"{SEED}:solve:{f}")
+    solvable = set()
+    for m in _matrices(f, rng, 120):
+        if rng.random() < 0.5:
+            b = m.mul_vec([_scalar(f, rng) for _ in range(m.cols)])
+        else:
+            b = [_scalar(f, rng) for _ in range(m.rows)]
+        rows, pivots = _eliminate(f, [list(row) + [c] for row, c
+                                      in zip(m.entries, b)], m.cols + 1)
+        x = solve(m, b)
+        if pivots and pivots[-1] == m.cols:
+            assert x is None
+        else:
+            want = vec_zero(f, m.cols)
+            for row, p in zip(rows, pivots):
+                want[p] = row[m.cols]
+            assert x == want and m.mul_vec(x) == b
+        solvable.add(x is not None)
+    assert solvable == {True, False}
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_inverse_matches_dense_elimination(f):
+    rng = random.Random(f"{SEED}:inverse:{f}")
+    seen = set()
+    for m in _matrices(f, rng, 160):
+        inv = inverse(m)
+        if m.rows != m.cols:
+            assert inv is None
+            seen.add("non-square")
+            continue
+        n = m.rows
+        rows, pivots = _eliminate(f, [list(row) + unit_vector(f, n, i)
+                                      for i, row in enumerate(m.entries)], n)
+        if len(pivots) < n:
+            assert inv is None
+            seen.add("singular")
+        else:
+            assert [list(row) for row in inv.entries] == [row[n:]
+                                                          for row in rows]
+            assert m.mul(inv) == Matrix.identity(f, n) == inv.mul(m)
+            seen.add("invertible")
+    assert seen == {"non-square", "singular", "invertible"}
