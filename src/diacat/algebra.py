@@ -30,13 +30,15 @@ axiom is located at its row-major first violated triple, found in the first
 slab where the two sides differ, and the later slabs are skipped.
 
 Ideals are closed by one pass.  ``ideal_closure`` keeps a worklist: each
-new direction is multiplied by the basis once, on both sides, and the
-products that escape the ideal found so far extend its sparse canonical
-basis by one growth step, whose new rows are the next frontier; the old
-basis is never reduced again.  ``is_ideal`` is the same pass over the
-whole basis of a subspace, stopped at the first escape.  ``quotient_algebra`` divides by the ideal its
-argument generates, so a seed is closed once and an ideal is passed over
-once: the pass that builds ideals is also the one that certifies them.
+new direction is multiplied by the basis once, on both sides, reading only
+the products' nonzero cells (``basis_products``), and the products that
+escape the ideal found so far extend its sparse canonical basis by one
+growth step, whose new rows are the next frontier; the old basis is never
+reduced again.  ``is_ideal`` is the same pass over the whole basis of a
+subspace, stopped at the first escape.  ``quotient_algebra`` divides by the
+ideal its argument generates, so a seed is closed once and an ideal is
+passed over once: the pass that builds ideals is also the one that
+certifies them.
 """
 
 from __future__ import annotations
@@ -153,6 +155,17 @@ class BilinearMap:
                 if cell:
                     sp_add_into(f, out, cell, f.mul(a, b))
         return out
+
+    def with_basis(self, u: dict) -> dict:
+        """The nonzero products u e_j of a sparse vector u, keyed by j: the
+        rows at u's nonzero coordinates summed, so only nonzero cells are
+        read.  ``transpose_args().with_basis(u)`` gives the e_j u."""
+        f = self.field
+        out: dict = {}
+        for i, a in u.items():
+            for j, cell in self.rows[i].items():
+                sp_add_into(f, out.setdefault(j, {}), cell, a)
+        return {j: w for j, w in out.items() if w}
 
     def apply(self, u, v) -> list:
         out = self.apply_sparse(sp_from_dense(self.field, u),
@@ -739,23 +752,7 @@ def image_of(f: AlgebraMorphism) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# annihilator, ideals, quotients
-
-
-def annihilator(alg: Algebra) -> Subspace:
-    """Largest subspace acting as zero under every product on both sides."""
-    f = alg.field
-    n = alg.dim
-    if n == 0:
-        return Subspace.zero(f, 0)
-    rows = []
-    for prod in alg.products():
-        for j in range(n):
-            # x * b_j = 0 and b_j * x = 0, coordinatewise rows in x
-            for k in range(n):
-                rows.append([prod.pair(i, j).get(k, f.zero()) for i in range(n)])
-                rows.append([prod.pair(j, i).get(k, f.zero()) for i in range(n)])
-    return linalg.kernel(Matrix.from_rows(f, rows, n))
+# ideals, quotients
 
 
 def _products(alg: Algebra, lefts, rights):
@@ -769,18 +766,19 @@ def _products(alg: Algebra, lefts, rights):
                     yield w
 
 
+def basis_products(alg: Algebra, vectors):
+    """The nonzero products of each sparse vector of the sequence
+    ``vectors`` with every basis vector, on both sides, under every product
+    of the flavor, read off the products' nonzero cells by ``with_basis``."""
+    for prod in alg.products():
+        for side in (prod, prod.transpose_args()):
+            for u in vectors:
+                yield from side.with_basis(u).values()
+
+
 def multiply_subspaces(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all basis products a*b under every product of the flavor."""
     return Subspace.span(alg.field, _products(alg, a.rows, b.rows), alg.dim)
-
-
-def _escapes(alg: Algebra, s: Subspace, frontier):
-    """The products of the ``frontier`` vectors with every basis vector, on
-    both sides, that do not lie in ``s``."""
-    units = [{j: alg.field.one()} for j in range(alg.dim)]
-    return (w for w in chain(_products(alg, frontier, units),
-                             _products(alg, units, frontier))
-            if not s.contains(w))
 
 
 def ideal_closure(alg: Algebra, seed: Subspace) -> Subspace:
@@ -796,7 +794,8 @@ def ideal_closure(alg: Algebra, seed: Subspace) -> Subspace:
         raise DimensionMismatch("seed not in the algebra's ambient space")
     current, frontier = seed, seed.rows
     while frontier:
-        grown = current.extended(_escapes(alg, current, frontier))
+        grown = current.extended(w for w in basis_products(alg, frontier)
+                                 if not current.contains(w))
         # the rows at new pivots span the new directions beside ``current``
         old = set(current.pivots)
         frontier = [r for p, r in zip(grown.pivots, grown.rows) if p not in old]
@@ -808,7 +807,7 @@ def is_ideal(alg: Algebra, s: Subspace) -> bool:
     """Whether ``s`` absorbs every product with a basis vector, on either
     side: ``ideal_closure``'s pass over the whole basis of ``s``, stopped
     at the first escape."""
-    return next(_escapes(alg, s, s.rows), None) is None
+    return all(map(s.contains, basis_products(alg, s.rows)))
 
 
 class Quotient(tuple):

@@ -100,13 +100,9 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
     qm_D, qm_L = q_D.qmap, q_L.qmap
     # representative independence on the actor side
     dl, ld = act.cross(0, "DL"), act.cross(0, "LD")
-    for r in q_D.ideal.rows:
-        for q in range(L.dim):
-            uq = {q: f.one()}
-            if not (ideal.contains(dl.apply_sparse(r, uq))
-                    and ideal.contains(ld.apply_sparse(uq, r))):
-                raise NotWellDefined(
-                    "cross products are not constant on actor classes")
+    if not all(ideal.contains(w) for side in (dl, ld.transpose_args())
+               for r in q_D.ideal.rows for w in side.with_basis(r).values()):
+        raise NotWellDefined("cross products are not constant on actor classes")
 
     mu_mat = proj_D.matrix.mul(xm.mu.matrix)
     _assert_killed(f, mu_mat, ideal, "the induced structural morphism")
@@ -279,32 +275,32 @@ def _affine_set(f, width, equations, cols):
     ``part + sum t_i basis_i`` has t_i at the i-th pivot: scanning the t's
     in lexicographic order scans the points in lexicographic order.
 
-    The system ``M c = b`` is read off the equations: each one's block of
-    M is ``lin[k]`` less the bilinear side with c in its slot, and b is
-    minus its residual at c = 0.  One reduction of ``[M | b]``
-    (``linalg._solutions``) gives both answers.
+    The system ``M c = b`` is read off the equations into sparse rows,
+    b at key ``width``: each one's block of M is ``lin[k]`` less the
+    bilinear side with c in its slot, read off the map's nonzero cells by
+    ``with_basis``, and b is minus its residual at c = 0.  One reduction of
+    ``[M | b]`` (``linalg._solutions``) gives both answers.
     """
     k, zero = len(cols), f.zero()
     at_zero = cols + [vec_zero(f, width)]
     rows = []
     for eq in equations:
         lin, bil, nrows = eq
-        block = ([list(r) for r in lin[k].entries] if k in lin
-                 else [[zero] * width for _ in range(nrows)])
+        block = ([sp_from_dense(f, r) for r in lin[k].entries] if k in lin
+                 else [{} for _ in range(nrows)])
         if bil and k in bil[1:]:
             prod, u, v = bil
-            if u == k:      # c on the left: column i of T(., c_v)
-                cells = ((i, cols[v][j], cell) for i in range(width)
-                         for j, cell in prod.rows[i].items())
-            else:           # c on the right: column j of T(c_u, .)
-                cells = ((j, cu, cell) for i, cu in enumerate(cols[u])
-                         for j, cell in prod.rows[i].items())
-            for col, c, cell in cells:
-                if not f.is_zero(c):
-                    for r, a in cell.items():
-                        block[r][col] = f.sub(block[r][col], f.mul(a, c))
+            if u == k:      # c on the left: column i is T(e_i, c_v)
+                cells = prod.transpose_args().with_basis(
+                    sp_from_dense(f, cols[v]))
+            else:           # c on the right: column j is T(c_u, e_j)
+                cells = prod.with_basis(sp_from_dense(f, cols[u]))
+            for col, w in cells.items():
+                for r, a in w.items():
+                    block[r][col] = f.sub(block[r].get(col, zero), a)
         for brow, r0 in zip(block, _residual(f, eq, at_zero)):
-            rows.append(brow + [f.neg(r0)])
+            brow[width] = f.neg(r0)
+        rows += block
     sol = _solutions(f, rows, width)
     return None if sol is None else (sol[0], sol[2])
 

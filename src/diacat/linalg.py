@@ -390,20 +390,21 @@ def span(field, vectors, ambient_dim) -> Subspace:
 
 
 def _solutions(field, rows, width):
-    """Solve ``rows = [M | b]``, M of ``width`` columns, b zero if absent:
-    None if inconsistent, else ``(part, free, basis)``.  ``basis`` is the
-    canonical basis of M's null space, with pivots ``free``, and ``part`` a
-    solution zero there.
+    """Solve ``rows = [M | b]``, sparse dicts (zero entries allowed) with
+    M's columns at 0..width-1 and b at ``width``, b zero if absent: None if
+    inconsistent, else ``(part, free, basis)``.  ``basis`` is the canonical
+    basis of M's null space, with pivots ``free``, and ``part`` a solution
+    zero there.
 
     The rows are reduced with M's columns reversed, column j keyed as
-    ``width - 1 - j`` and b as ``width``, so a pivot at ``width`` means no
-    solution.  Reversed, a row has entries only at free columns before its
-    pivot, so c_j = 1 at one free j, 0 at the others, is a null vector in
-    canonical form: the basis needs no second reduction.
+    ``width - 1 - j``, so a pivot at ``width`` means no solution.
+    Reversed, a row has entries only at free columns before its pivot, so
+    c_j = 1 at one free j, 0 at the others, is a null vector in canonical
+    form: the basis needs no second reduction.
     """
     f, last, z = field, width - 1, field.zero()
-    keyed = ({last - j if j < width else width: a for j, a in enumerate(r)
-              if not f.is_zero(a)} for r in rows)
+    keyed = ({last - j if j < width else width: a for j, a in r.items()}
+             for r in rows)
     ech = _grow(f, {}, keyed, width + 1)
     if width in ech:
         return None
@@ -422,9 +423,10 @@ def _solutions(field, rows, width):
 
 def kernel(m: Matrix) -> Subspace:
     """Right null space of m."""
-    _, free, basis = _solutions(m.field, m.entries, m.cols)
-    return Subspace(m.field, m.cols, free,
-                    [sp_from_dense(m.field, b) for b in basis])
+    f = m.field
+    _, free, basis = _solutions(f, [sp_from_dense(f, r) for r in m.entries],
+                                m.cols)
+    return Subspace(f, m.cols, free, [sp_from_dense(f, b) for b in basis])
 
 
 def image(m: Matrix) -> Subspace:

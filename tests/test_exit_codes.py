@@ -24,7 +24,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from diacat import documents, fixtures
 from diacat.actions import action_slots
@@ -387,6 +388,14 @@ def test_generated_command_lines_keep_the_exit_code_contract():
               deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_command_lines())
+    # one line for each outcome the assertions below need, so that they do
+    # not rest on what the derandomized draws happen to reach
+    @example(["verify", "adjunction:ud"])
+    @example(["verify", "square:no-such-square"])
+    @example(["verify", "adjunction:chain:0", "--cap", "1"])
+    @example(["construct", "LB", "dias-not-assoc-1"])
+    @example(["construct", "Ud", "leibniz-ff-e-f2", "--trunc", "2"])
+    @example(["construct", "no-such-kind", "leibniz-ff-e-f2"])
     def check(argv):
         try:
             rc, out, err = _run(argv)
