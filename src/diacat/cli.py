@@ -8,12 +8,16 @@ stdout with sorted keys; human commentary goes to stderr.
 Handlers import what they run, so ``check`` never loads the functor,
 envelope and cat1 modules, and ``construct`` of an envelope tag loads the
 tag registry and the envelope stack, not the functor module.
+
+Each ``verify`` battery is one row of ``_BATTERIES``; a bundled fixture
+that is invalid on purpose is certified as its document is.
 """
 
 import argparse
 import json
 import sys
 from functools import partial
+from typing import NamedTuple
 
 from . import documents
 from .algebra import FLAVORS, Algebra
@@ -50,22 +54,24 @@ def _write_or_print(doc, out_path):
         raise ParseError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _resolve(spec, kind=None):
-    """A fixture name or a document path, to a live object."""
+def _resolve(spec, kind):
+    """A fixture name or a document path, to a live object.  A fixture that
+    is invalid on purpose is read, and certified, as its document is."""
     from . import fixtures
-    if spec in fixtures.names():
-        fx = fixtures.info(spec)
-        if kind is not None and fx.kind != kind:
+    fx = fixtures.info(spec) if spec in fixtures.names() else None
+    if fx is not None and fx.valid:
+        if fx.kind != kind:
             raise ParseError(f"fixture {spec!r} is a {fx.kind}, "
                              f"expected {kind}")
         return fixtures.get(spec)
     try:
-        doc = documents.load_document(spec)
+        doc = (fixtures.document(spec) if fx is not None
+               else documents.load_document(spec))
     except ParseError as exc:
         raise ParseError(f"{spec!r} is neither a bundled fixture name nor a "
                          f"readable document ({exc})") from exc
     found = documents.document_kind(doc)
-    if kind is not None and found != kind:
+    if found != kind:
         raise ParseError(f"{spec}: expected a {kind} document, found {found}")
     if found == "xmod":
         return documents.xmod_from_document(doc)
@@ -87,15 +93,12 @@ def cmd_check(args) -> int:
     kind = documents.document_kind(doc)
     if kind == "xmod":
         obj = documents.xmod_from_document(doc, check=False)
-        report = obj.check()
         dims = [obj.actee.dim, obj.actor.dim]
-        flavor = obj.flavor
     else:
         obj = documents.algebra_from_document(doc, check=False)
-        report = obj.check()
         dims = [obj.dim]
-        flavor = obj.flavor
-    out = {"kind": kind, "flavor": flavor, "dims": dims,
+    report = obj.check()
+    out = {"kind": kind, "flavor": obj.flavor, "dims": dims,
            "passed": report.passed, "items": _report_items(report)}
     _emit_json(out)
     if args.verbose:
@@ -180,43 +183,118 @@ def cmd_construct(args) -> int:
 # verify
 
 
-def _battery(kind, flavors=None):
+# the named inputs a battery takes; with none named, it runs every valid
+# bundled fixture of that kind and those flavors
+class _Named(NamedTuple):
+    kind: str
+    flavors: tuple
+
+
+class _Battery(NamedTuple):
+    trunc: bool  # reads --trunc, and applies 2 when it is absent
+    inputs: object  # a _Named, or fixed pairs of bundled fixture names
+    run: object  # run(args, name, input) -> that input's result dicts
+
+
+def _inputs(args, inputs):
+    """A battery's (name, input) pairs, all resolved before any runs."""
     from . import fixtures
+    if not isinstance(inputs, _Named):
+        if args.fixtures:
+            raise ParseError(f"{args.what} runs its bundled pairs and takes "
+                             "no fixture names")
+        return [(f"{a} / {b}", (fixtures.get(a), fixtures.get(b)))
+                for a, b in inputs]
+    if not args.fixtures:
+        return [(name, obj) for name, obj in fixtures.by_kind(inputs.kind)
+                if obj.flavor in inputs.flavors]
     out = []
-    for name, obj in fixtures.by_kind(kind):
-        if flavors is None or obj.flavor in flavors:
-            out.append((name, obj))
+    for spec in args.fixtures:
+        obj = _resolve(spec, inputs.kind)
+        if obj.flavor not in inputs.flavors:
+            raise ParseError(f"{spec}: flavor {obj.flavor!r} not accepted "
+                             f"here (need one of {sorted(inputs.flavors)})")
+        out.append((spec, obj))
     return out
 
 
-def _named_battery(args, kind, flavors):
-    if args.fixtures:
-        out = []
-        for spec in args.fixtures:
-            obj = _resolve(spec, kind)
-            if flavors is not None and obj.flavor not in flavors:
-                raise ParseError(f"{spec}: flavor {obj.flavor!r} not "
-                                 f"accepted here (need one of "
-                                 f"{sorted(flavors)})")
-            out.append((spec, obj))
-        return out
-    return _battery(kind, flavors)
+def _square(square_id, args, name, obj):
+    from .functors import check_square
+    rep = check_square(square_id, obj, bound=args.trunc, cap=args.cap)
+    return [{"check": f"square:{square_id}", "fixture": name,
+             "expected": rep.expected, "verdict": rep.verdict,
+             "passed": rep.passed, "detail": rep.detail.strip() or None}]
 
 
-def _verify_square(args, square_id, results):
-    from .functors import (check_square, square_fixture_kind, square_flavors,
-                           square_ids)
-    if square_id not in square_ids():
-        raise ParseError(f"unknown square id {square_id!r}; known: "
-                         + ", ".join(sorted(square_ids())))
-    flavors = set(square_flavors(square_id))
-    kind = square_fixture_kind(square_id)
-    for name, obj in _named_battery(args, kind, flavors):
-        rep = check_square(square_id, obj, bound=args.trunc, cap=args.cap)
-        results.append({"check": f"square:{square_id}", "fixture": name,
-                        "expected": rep.expected, "verdict": rep.verdict,
-                        "passed": rep.passed,
-                        "detail": rep.detail.strip() or None})
+def _adjunction(which, args, name, pair):
+    from . import functors
+    rep = getattr(functors, f"verify_adjunction_{which}")(
+        *pair, args.trunc, cap=args.cap)
+    return [{"check": f"adjunction:{which}", "fixture": name,
+             "passed": rep.passed, "cardinality": len(rep.left),
+             "items": _report_items(rep.items)}]
+
+
+def _chain(i, args, name, pair):
+    from .functors import verify_adjunction_chain
+    from .tags import chain_pairs
+    out = []
+    for tags in chain_pairs(pair[0].flavor, i):
+        rep = verify_adjunction_chain(tags, [pair], cap=args.cap)
+        out.append({"check": f"adjunction:{tags[0]}-|{tags[1]}",
+                    "fixture": name, "passed": rep.passed,
+                    "items": _report_items(rep)})
+    return out
+
+
+def _roundtrip(xm, back, cap):
+    """Whether a round trip came back to ``xm``, and how: ``"equal"`` for
+    tensor-identical, else ``"isomorphism"``, found by a search."""
+    from .functors import find_xmod_isomorphism, xmods_equal
+    if xmods_equal(xm, back):
+        return True, "equal"
+    return find_xmod_isomorphism(xm, back, cap=cap) is not None, "isomorphism"
+
+
+def _cat1(args, name, xm):
+    from .cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
+                       cat1_of_xmod, xmod_of_cat1)
+    from .functors import _as_dias_or_lb
+    xm = _as_dias_or_lb(xm)
+    c = cat1_of_xmod(xm)
+    back = xmod_of_cat1(c)
+    ok_x, via = _roundtrip(xm, back, args.cap)
+    c2 = cat1_of_xmod(back)
+    h = cat1_decomposition_iso(c, c2)
+    rep = cat1_isomorphism_report(c, c2, h)
+    return [{"check": "equivalence:cat1", "fixture": name,
+             "passed": ok_x and rep.passed, "crossed-roundtrip": via,
+             "cat1-roundtrip": _report_items(rep)}]
+
+
+def _internal(args, name, xm):
+    from .cat1 import check_internal_category, psi, xdias_to_internal
+    from .functors import _as_dias_or_lb
+    xm = _as_dias_or_lb(xm)
+    ic = xdias_to_internal(xm)
+    struct = check_internal_category(ic)
+    back = psi(ic)
+    ok, via = _roundtrip(xm, back, args.cap)
+    return [{"check": "equivalence:internal", "fixture": name,
+             "passed": ok and struct.passed, "roundtrip": via,
+             "structure": _report_items(struct)}]
+
+
+def _parallelepiped(args, name, xm):
+    from .functors import check_parallelepiped
+    rep = check_parallelepiped(xm, bound=args.trunc, cap=args.cap)
+    faces: dict = {}
+    for it in rep.items:
+        key = it.name.split(":", 1)[0]
+        faces[key] = faces.get(key, True) and it.passed
+    return [{"check": "parallelepiped", "fixture": name,
+             "passed": rep.passed, "faces": faces,
+             "items": _report_items(rep)}]
 
 
 _UD_PAIRS = [
@@ -234,130 +312,55 @@ _XUD_PAIRS = [
     ("xlb-ideal-e-f2", "xdias-ideal-incl-f2"),
 ]
 
-_CHAIN_FIXTURES = {
-    "dias": ("xdias-ideal-incl-f2", "free-dias-1-2-f2"),
-    "lb": ("xlb-ideal-e-f2", "leibniz-ff-e-f2"),
-    "as": ("xas-ident-nilp2-f2", "as-nilp-2-f2"),
-    "lie": ("xlie-abelian-pair-f2", "lie-abelian-1-f2"),
+# one (crossed module, algebra) pair per flavor: dias, lb, as, lie
+_CHAIN_PAIRS = [
+    ("xdias-ideal-incl-f2", "free-dias-1-2-f2"),
+    ("xlb-ideal-e-f2", "leibniz-ff-e-f2"),
+    ("xas-ident-nilp2-f2", "as-nilp-2-f2"),
+    ("xlie-abelian-pair-f2", "lie-abelian-1-f2"),
+]
+
+# every battery beside the square:<id> ones, which _battery builds from the
+# square table
+_BATTERIES = {
+    "adjunction:ud": _Battery(True, _UD_PAIRS, partial(_adjunction, "ud")),
+    "adjunction:xud": _Battery(True, _XUD_PAIRS, partial(_adjunction, "xud")),
+    "adjunction:chain:0": _Battery(False, _CHAIN_PAIRS, partial(_chain, 0)),
+    "adjunction:chain:1": _Battery(False, _CHAIN_PAIRS, partial(_chain, 1)),
+    "equivalence:cat1": _Battery(False, _Named("xmod", tuple(FLAVORS)), _cat1),
+    "equivalence:internal": _Battery(False, _Named("xmod", ("dias", "as")),
+                                     _internal),
+    "parallelepiped": _Battery(True, _Named("xmod", ("lb", "lie")),
+                               _parallelepiped),
 }
 
 
-def _verify_adjunction(args, which, results):
-    from .fixtures import get
-    from .functors import (verify_adjunction_chain, verify_adjunction_ud,
-                           verify_adjunction_xud)
-    from .tags import chain_pairs
-    idx = which.split(":", 1)[1] if which.startswith("chain:") else None
-    if which not in ("ud", "xud") and idx is None:
-        raise ParseError(f"unknown adjunction battery {which!r}")
-    if idx not in (None, "0", "1"):
-        raise ParseError("adjunction:chain takes index 0 or 1")
-    if args.fixtures:
-        raise ParseError(f"adjunction:{which} runs its bundled pairs and "
-                         "takes no fixture names")
-    if which in ("ud", "xud"):
-        pairs, verify = {"ud": (_UD_PAIRS, verify_adjunction_ud),
-                         "xud": (_XUD_PAIRS, verify_adjunction_xud)}[which]
-        for aname, bname in pairs:
-            rep = verify(get(aname), get(bname), args.trunc, cap=args.cap)
-            results.append({"check": f"adjunction:{which}",
-                            "fixture": f"{aname} / {bname}",
-                            "passed": rep.passed,
-                            "cardinality": len(rep.left),
-                            "items": _report_items(rep.items)})
-        return
-    for flavor in ("dias", "lb", "as", "lie"):
-        xname, aname = _CHAIN_FIXTURES[flavor]
-        fix = [(get(xname), get(aname))]
-        for pair in chain_pairs(flavor, int(idx)):
-            rep = verify_adjunction_chain(pair, fix, cap=args.cap)
-            results.append({"check": f"adjunction:{pair[0]}-|{pair[1]}",
-                            "fixture": f"{xname} / {aname}",
-                            "passed": rep.passed,
-                            "items": _report_items(rep)})
-
-
-def _roundtrip(xm, back, cap):
-    """Whether a round trip came back to ``xm``, and how: ``"equal"`` for
-    tensor-identical, else ``"isomorphism"``, found by a search."""
-    from .functors import find_xmod_isomorphism, xmods_equal
-    if xmods_equal(xm, back):
-        return True, "equal"
-    return find_xmod_isomorphism(xm, back, cap=cap) is not None, "isomorphism"
-
-
-def _verify_cat1(args, results):
-    from .cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
-                       cat1_of_xmod, xmod_of_cat1)
-    from .functors import _as_dias_or_lb
-    for name, xm0 in _named_battery(args, "xmod", None):
-        xm = _as_dias_or_lb(xm0)
-        c = cat1_of_xmod(xm)
-        back = xmod_of_cat1(c)
-        ok_x, via = _roundtrip(xm, back, args.cap)
-        c2 = cat1_of_xmod(back)
-        h = cat1_decomposition_iso(c, c2)
-        rep = cat1_isomorphism_report(c, c2, h)
-        results.append({"check": "equivalence:cat1", "fixture": name,
-                        "passed": ok_x and rep.passed,
-                        "crossed-roundtrip": via,
-                        "cat1-roundtrip": _report_items(rep)})
-
-
-def _verify_internal(args, results):
-    from .cat1 import check_internal_category, psi, xdias_to_internal
-    from .functors import _as_dias_or_lb
-    for name, xm0 in _named_battery(args, "xmod", {"dias", "as"}):
-        xm = _as_dias_or_lb(xm0)
-        ic = xdias_to_internal(xm)
-        struct = check_internal_category(ic)
-        back = psi(ic)
-        ok, via = _roundtrip(xm, back, args.cap)
-        results.append({"check": "equivalence:internal", "fixture": name,
-                        "passed": ok and struct.passed, "roundtrip": via,
-                        "structure": _report_items(struct)})
-
-
-def _verify_parallelepiped(args, results):
-    from .functors import check_parallelepiped
-    battery = _named_battery(args, "xmod", {"lb", "lie"})
-    for name, xm in battery:
-        rep = check_parallelepiped(xm, bound=args.trunc, cap=args.cap)
-        faces: dict = {}
-        for it in rep.items:
-            key = it.name.split(":", 1)[0]
-            faces[key] = faces.get(key, True) and it.passed
-        results.append({"check": "parallelepiped", "fixture": name,
-                        "passed": rep.passed, "faces": faces,
-                        "items": _report_items(rep)})
+def _battery(what):
+    """The table row of a battery name; a ``square:<id>`` row is built from
+    the square table."""
+    if what in _BATTERIES:
+        return _BATTERIES[what]
+    from .functors import square_fixture_kind, square_flavors, square_ids
+    square_id = what.removeprefix("square:")
+    if square_id == what or square_id not in square_ids():
+        known = [f"square:{i}" for i in square_ids()] + list(_BATTERIES)
+        raise ParseError(f"unknown verification {what!r}; expected one of "
+                         + ", ".join(known))
+    return _Battery(True, _Named(square_fixture_kind(square_id),
+                                 tuple(square_flavors(square_id))),
+                    partial(_square, square_id))
 
 
 def cmd_verify(args) -> int:
-    what = args.what
-    # four batteries take no bound; the others read 2 when it is absent
-    if args.trunc is not None and what in (
-            "equivalence:cat1", "equivalence:internal",
-            "adjunction:chain:0", "adjunction:chain:1"):
-        raise ParseError(f"verify {what} takes no --trunc")
-    args.trunc = args.trunc or 2
-    results: list = []
-    if what.startswith("square:"):
-        _verify_square(args, what.split(":", 1)[1], results)
-    elif what.startswith("adjunction:"):
-        _verify_adjunction(args, what.split(":", 1)[1], results)
-    elif what == "equivalence:cat1":
-        _verify_cat1(args, results)
-    elif what == "equivalence:internal":
-        _verify_internal(args, results)
-    elif what == "parallelepiped":
-        _verify_parallelepiped(args, results)
-    else:
-        raise ParseError(
-            f"unknown verification {what!r}; expected square:<id>, "
-            "adjunction:<ud|xud|chain:i>, equivalence:cat1, "
-            "equivalence:internal or parallelepiped")
+    battery = _battery(args.what)
+    if battery.trunc:
+        args.trunc = args.trunc or 2
+    elif args.trunc is not None:
+        raise ParseError(f"verify {args.what} takes no --trunc")
+    results = [r for name, obj in _inputs(args, battery.inputs)
+               for r in battery.run(args, name, obj)]
     passed = all(r["passed"] for r in results)
-    _emit_json({"what": what, "passed": passed, "results": results})
+    _emit_json({"what": args.what, "passed": passed, "results": results})
     if args.verbose:
         for r in results:
             _err(f"{'PASS' if r['passed'] else 'FAIL'}  {r['check']}  "

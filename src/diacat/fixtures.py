@@ -192,11 +192,7 @@ def document(name) -> dict:
     return documents.xmod_to_document(obj)
 
 
-def by_kind(kind, valid_only=True):
-    out = []
-    for name in names():
-        fx = _REGISTRY[name]
-        if fx.kind != kind or (valid_only and not fx.valid):
-            continue
-        out.append((name, get(name)))
-    return out
+def by_kind(kind):
+    """Every valid fixture of a kind, as (name, object) pairs by name."""
+    return [(name, get(name)) for name in names()
+            if _REGISTRY[name].kind == kind and _REGISTRY[name].valid]

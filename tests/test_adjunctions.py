@@ -1,4 +1,5 @@
-"""The adjunction verifiers: golden CLI reports, and one broken map at a time.
+"""Golden reports of every `verify` battery, and the adjunction verifiers
+with one broken map at a time.
 
 Each verifier enumerates Hom(Fa, b) and Hom(a, Gb) and certifies an
 explicit map between them as a bijection: cardinalities, then "lands in",
@@ -22,19 +23,57 @@ from diacat.errors import NotWellDefined
 from diacat.linalg import Matrix
 
 # ---------------------------------------------------------------------------
-# golden reports of `diacat verify adjunction:*`
+# golden reports of `diacat verify`
 
-# sha256 of each battery's stdout when it exits 0, recorded before the
-# verifiers shared one bijection check; the other exits print nothing
+# sha256 of each battery's stdout when it exits 0; the other exits print
+# nothing.  The adjunction batteries, keyed without their "adjunction:"
+# prefix, were recorded before the verifiers shared one bijection check,
+# the others before the batteries became rows of one table.
 PASSING = {
     "ud": "4ba4ef7d5414c630f4292dba138cfbf26837788710d30ca534ac6b0a744f3d6c",
     "xud": "1041ebe351170629b34e0b1e93da855898455564f22a45e615c814b9977ac48c",
     "chain:0": "ca380b28a8a3a77941423d4c12578466bb4b809e11119be72abc3ec509c2f36a",
     "chain:1": "fba55a40963ede6d11a9aed21e662d5aeb702d89ec7ca3296e772a1b08ac293b",
+    "square:2.8-inner":
+        "ec63ffa4c8b183718e084d14aff7762eb005f0e499903af51c853ef46a8251ba",
+    "square:2.8-outer":
+        "16fee611d18a6a3fb0f045c002a2a2195fadb116bf5a044ff4499485edcecae4",
+    "square:AsDias-I0":
+        "826696b485e4bc72a85e8532e97cfa2080db1de692f1b76d41e5ef0d0218cda1",
+    "square:AsDias-I1":
+        "2b5ab4fef6ad7a444c7505a91187ff2d72a652b4954bbe7e3a6a76658fd2eefa",
+    "square:AsLie-I0":
+        "fd17ad34d082300e32db684e09e86e3c0019053dca3ae93ae1ffa01216592102",
+    "square:AsLie-I1":
+        "9a8f208e64fec3d80995b4a041d7df1bcb4b8a869fc9e749556f608560dd5b93",
+    "square:LbDias-J0":
+        "b2522f2cd009b6439af2a666c5a40d4e14c08f6aafacf89e865fcc07392a05fb",
+    "square:LbDias-J1":
+        "cacef1e0718751523aef5f5989747fb69d78ee9cf703aa3a7dc83165750c2cc4",
+    "square:LbDias-XUd-J0":
+        "f0ac554243b7df6933bea2048e53f719b630c5991d13c06698b458509abe8c86",
+    "square:LbDias-XUd-J1":
+        "c6bd1545e1ee1aab22d0638125787f3790c49cc489c4ab302919164583b08c9d",
+    "square:LieLb-I0":
+        "c9fb93cd8cac155bd98772211ae9d38f5f7e99439bfeef68f36aeb957d2f8c08",
+    "square:LieLb-I1":
+        "57aa961df20740bddb58b3cbb720126dbee7c9f5cb1ad073f25cba890c340826",
+    "square:base-XLiea":
+        "bc687a4a5d0ea338d58e29bdbaecaeb50f60f00a89736ba05bcbc62be671a6ca",
+    "square:base-XUd-XU":
+        "74f9d33ada6c880f77c24f2fb9b4a9dad4ddd8e0cd2fd85db9377779585d1bba",
+    "equivalence:cat1":
+        "250b91c7d199e0f47df3f546f7027a366e76fb8a57c9a8cf3a9604ba47a827d7",
+    "equivalence:internal":
+        "2cb76c887e5a9a36e20b88a7b723001913d17b5a56cfc9dc15fcca1334b8ff31",
+    "parallelepiped":
+        "9fc140c50efcbab65517097640da5d35c355b9473a4cd5314926c82a56a5c13c",
 }
+ADJUNCTIONS = ("ud", "xud", "chain:0", "chain:1")
 CAPS = (None, 0, 3, 40)
 # exit code per (battery, --trunc), one per entry of CAPS; None is no
-# --trunc, which ud and xud read as 2, and the chains take no bound
+# --trunc, which ud, xud, the squares and the parallelepiped read as 2, and
+# the chains and the equivalences take no bound
 EXITS = {
     ("ud", None): (0, 3, 3, 3), ("ud", 1): (1, 1, 1, 1),
     ("ud", 2): (0, 3, 3, 3), ("ud", 3): (0, 3, 3, 3),
@@ -43,14 +82,17 @@ EXITS = {
     **{(chain, None): (0, 3, 3, 0) for chain in ("chain:0", "chain:1")},
     **{(chain, t): (2, 2, 2, 2) for chain in ("chain:0", "chain:1")
        for t in (1, 2, 3)},
+    **{(what, None): (0, 0, 0, 0) for what in PASSING
+       if what not in ADJUNCTIONS},
 }
 
 
 @pytest.mark.parametrize("battery,trunc", sorted(EXITS, key=str))
 def test_adjunction_reports_are_golden(battery, trunc, monkeypatch):
     monkeypatch.delenv("DIACAT_MAX_DIM", raising=False)
+    what = f"adjunction:{battery}" if battery in ADJUNCTIONS else battery
     for cap, code in zip(CAPS, EXITS[battery, trunc]):
-        argv = ["verify", f"adjunction:{battery}"]
+        argv = ["verify", what]
         if trunc is not None:
             argv += ["--trunc", str(trunc)]
         if cap is not None:

@@ -284,8 +284,8 @@ def test_non_string_flavor_is_a_parse_error(tmp_path):
 
 
 def test_construct_on_input_failing_its_axioms_exits_1(tmp_path, capsys):
-    # the fixture fails the Leibniz axioms after LB, the document already
-    # fails the dialgebra axioms when it is read
+    # the fixture by name, like its document, fails the dialgebra axioms
+    # when it is read
     path = tmp_path / "bad.json"
     assert main(["fixtures", "emit", "dias-not-assoc-1",
                  "--out", str(path)]) == 0

@@ -2,7 +2,10 @@
 failure, 2 input error, 3 resource cap, and nothing on stdout for 2 or 3.
 
 Truncation bounds below 1 and search caps below 0 are input errors, and
-so is ``--trunc`` on a construction or a battery that takes no bound.  A
+so are ``--trunc`` on a construction or a battery that takes no bound and
+a fixture name on a battery that runs fixed pairs; both lists of batteries
+are read off the battery table.  The invalid fixture ``dias-not-assoc-1``
+ends every command alike by name and by its document.  A
 huge bound and an oversized document hit the dimension cap before
 anything is allocated.  A seeded fuzzer mutates every bundled fixture document one
 JSON value at a time and runs ``check`` and one ``construct`` per
@@ -30,7 +33,7 @@ from hypothesis import (HealthCheck, example, given, settings,
 from diacat import documents, fixtures
 from diacat.actions import action_slots
 from diacat.algebra import FLAVORS
-from diacat.cli import main
+from diacat.cli import _BATTERIES, _battery, _Named, main
 from diacat.functors import square_ids
 from diacat.tags import FUNCTOR_TAGS, category
 
@@ -182,16 +185,44 @@ def test_truncation_of_an_untruncated_kind_is_an_input_error(argv):
     assert err == f"input error: construct {argv[1]} takes no --trunc\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "equivalence:cat1", "--trunc", "2"],
-    ["verify", "equivalence:internal", "--trunc", "2"],
-    ["verify", "adjunction:chain:0", "--trunc", "2"],
-    ["verify", "adjunction:chain:1", "--trunc", "2"],
-], ids=" ".join)
-def test_truncation_of_an_untruncated_battery_is_an_input_error(argv):
+BATTERIES = [f"square:{sq}" for sq in square_ids()] + list(_BATTERIES)
+# the batteries that take no --trunc, and those that run fixed pairs
+UNTRUNCATED = [what for what in BATTERIES if not _battery(what).trunc]
+FIXED_PAIRS = [what for what in BATTERIES
+               if not isinstance(_battery(what).inputs, _Named)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[pytest.param(["verify", what, "--trunc", "2"],
+                   f"verify {what} takes no --trunc",
+                   id=f"verify {what} --trunc 2") for what in UNTRUNCATED],
+    *[pytest.param(["verify", what, name],
+                   f"{what} runs its bundled pairs and takes no fixture names",
+                   id=f"verify {what} {name}") for what in FIXED_PAIRS
+      for name in ("leibniz-ff-e-f2", "no-such-fixture")],
+])
+def test_truncation_of_an_untruncated_battery_is_an_input_error(argv,
+                                                                message):
+    # and so is a fixture name on a battery that runs fixed pairs
     rc, out, err = _run(argv)
     assert (rc, out) == (2, ""), err
-    assert err == f"input error: verify {argv[1]} takes no --trunc\n"
+    assert err == f"input error: {message}\n"
+
+
+def test_an_invalid_fixture_named_is_certified_as_its_document(tmp_path):
+    """Every construct kind and every verify battery ends alike on the
+    invalid fixture dias-not-assoc-1, by name and by its emitted document:
+    the same exit code and stdout, and the same stderr but for the input."""
+    name = "dias-not-assoc-1"
+    path = str(tmp_path / f"{name}.json")
+    assert _run(["fixtures", "emit", name, "--out", path])[0] == 0
+    lines = [(["construct", kind], ["--trunc", "2"] if getattr(
+        FUNCTOR_TAGS.get(kind), "truncated", False) else []) for kind in KINDS]
+    lines += [(["verify", what], []) for what in BATTERIES]
+    for head, options in lines:
+        rc, out, err = _run(head + [path] + options)
+        assert _run(head + [name] + options) == (
+            rc, out, err.replace(path, name)), head
 
 
 def _paths(node, prefix=()):
@@ -328,13 +359,6 @@ def test_whole_generated_documents_keep_the_exit_code_contract(tmp_path):
                     for rc in (0, 1, 2)}, seen
 
 
-BATTERIES = ([f"square:{sq}" for sq in square_ids()]
-             + ["adjunction:ud", "adjunction:xud", "adjunction:chain:0",
-                "adjunction:chain:1", "equivalence:cat1",
-                "equivalence:internal", "parallelepiped"])
-# the batteries that take no --trunc
-UNTRUNCATED = ("adjunction:chain:0", "adjunction:chain:1",
-               "equivalence:cat1", "equivalence:internal")
 KINDS = sorted(FUNCTOR_TAGS) + ["semidirect", "roundtrip-cat1",
                                 "roundtrip-internal"]
 
