@@ -409,7 +409,8 @@ def _at_least(minimum):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The top-level parser and its subcommands' parsers, by name."""
     p = argparse.ArgumentParser(
         prog="diacat",
         description="Exact checks and constructions for dialgebras, "
@@ -451,11 +452,28 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("name", nargs="?")
     f.add_argument("--out")
     f.set_defaults(func=cmd_fixtures)
-    return p
+    return p, sub.choices
+
+
+def _parse(argv):
+    """The arguments of a command line, whose inputs may follow its
+    options.  The top-level parser reads only a known subcommand's name,
+    since it cannot parse intermixed arguments past its subparsers, and
+    that subcommand's parser reads the rest.  Any other line (help, or no
+    or an unknown subcommand) goes to the top-level parser alone, which
+    also reports what the subcommand's parser leaves over."""
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_intermixed_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (ResourceCapExceeded, SearchSpaceTooLarge) as exc:

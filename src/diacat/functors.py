@@ -7,10 +7,12 @@ modules and the projections U/G back down; ``tags.FUNCTOR_TAGS``
 registers all 36 of them, and its builders call the ones here when they
 run.  The two universal quotients (XAS, XLiel) share ``_crossed_quotient``,
 as the two envelopes share ``envelope._crossed_envelope``.  Every hom-set
-over a finite field comes from one column-by-column search, ``_search``, in
-one canonical order: lexicographic in the columns.  Each adjunction is an
-explicit map between two enumerated hom-sets that ``_bijection`` certifies,
-and the embedding/projection ones are rows of ``_CHAIN_ROWS``.
+over a finite field comes from one column-by-column search in one
+canonical order, lexicographic in the columns: a ``_Plan``, built once
+per hom-set from its equations (compiled and solved by ``equations``),
+and run once per prefix of fixed columns.  Each adjunction is an explicit map between two enumerated
+hom-sets that ``_bijection`` certifies, and the embedding/projection ones
+are rows of ``_CHAIN_ROWS``.
 ``_SQUARES`` holds each commuting square of the prism, per fixture flavor,
 as two paths of registered tags whose composites ``check_square``
 compares, with EQUAL / ISOMORPHIC verdicts.
@@ -34,10 +36,13 @@ from .cat1 import cat1_of_xmod
 from .config import DEFAULT_SEARCH_CAP
 from .envelope import (Envelope, XudResult, envelope_transpose, ud, xu_full,
                        xud, xud_full)
+from .equations import (_add_triples, _affine_points, _affine_set, _dense,
+                        _Equation, _intertwined, _residual, _scaled_eye,
+                        _triples)
 from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
                      NotWellDefined, SearchSpaceTooLarge)
-from .linalg import (Matrix, Subspace, _solutions, inverse, sp_from_dense,
-                     vec_add, vec_is_zero, vec_scale, vec_zero)
+from .linalg import (Matrix, Subspace, inverse, sp_from_dense, vec_is_zero,
+                     vec_scale, vec_zero)
 from .tags import (_CHAIN_LETTERS, FUNCTOR_TAGS, _chain_tag, _functor,
                    apply_functor, chain_pairs)
 
@@ -230,221 +235,153 @@ def project(tag, xm: CrossedModule) -> Algebra:
 # hom-set enumeration
 
 
-def _intertwined(src, tgt, lefts, rights, outs, width):
-    """The equations ``phi(src(e_i, e_j)) = tgt(c_lefts[i], c_rights[j])``
-    of every basis pair (see ``_residual``), where the unknown phi sends e_s
-    to column ``outs[s]`` of length ``width``."""
-    eye = Matrix.identity(src.field, width)
-    bil = not tgt.is_zero()
-    for i, u in enumerate(lefts):
-        for j, v in enumerate(rights):
-            lin = {outs[s]: eye.scale(c) for s, c in src.pair(i, j).items()}
-            if lin or bil:
-                yield lin, (tgt, u, v) if bil else None, width
-
-
-def _residual(f, eq, cols):
-    """``sum_s lin[s] c_s - bil[0](c_u, c_v)`` at the columns ``cols``, for
-    the equation ``eq = (lin, bil, rows)`` that it is zero: ``lin`` maps
-    column indices to matrices with ``rows`` rows, and ``bil = (map, u, v)``
-    or None for a zero right side.  The bilinear side is read straight off
-    the map's nonzero cells on the dense columns, skipping zero entries."""
-    lin, bil, rows = eq
-    r = vec_zero(f, rows)
-    for s, m in lin.items():
-        r = vec_add(f, r, m.mul_vec(cols[s]))
-    if bil:
-        cells, cv = bil[0].rows, cols[bil[2]]
-        for i, a in enumerate(cols[bil[1]]):
-            if f.is_zero(a):
-                continue
-            for j, cell in cells[i].items():
-                b = cv[j]
-                if not f.is_zero(b):
-                    ab = f.mul(a, b)
-                    for t, c in cell.items():
-                        r[t] = f.sub(r[t], f.mul(ab, c))
-    return r
-
-
-def _affine_set(f, width, equations, cols):
-    """``(part, basis)`` of the values c of the next column, of length
-    ``width``, that solve the equations (each affine in c given the prefix
-    ``cols``), or None.  ``basis`` is the canonical RREF basis of the
-    homogeneous solutions and ``part`` is reduced by it, so the point
-    ``part + sum t_i basis_i`` has t_i at the i-th pivot: scanning the t's
-    in lexicographic order scans the points in lexicographic order.
-
-    The system ``M c = b`` is read off the equations into sparse rows,
-    b at key ``width``: each one's block of M is ``lin[k]`` less the
-    bilinear side with c in its slot, read off the map's nonzero cells by
-    ``with_basis``, and b is minus its residual at c = 0.  One reduction of
-    ``[M | b]`` (``linalg._solutions``) gives both answers.
-    """
-    k, zero = len(cols), f.zero()
-    at_zero = cols + [vec_zero(f, width)]
-    rows = []
+def _holds(f, equations, cols):
+    """Whether every one of ``equations`` holds at the columns ``cols``."""
     for eq in equations:
-        lin, bil, nrows = eq
-        block = ([sp_from_dense(f, r) for r in lin[k].entries] if k in lin
-                 else [{} for _ in range(nrows)])
-        if bil and k in bil[1:]:
-            prod, u, v = bil
-            if u == k:      # c on the left: column i is T(e_i, c_v)
-                cells = prod.transpose_args().with_basis(
-                    sp_from_dense(f, cols[v]))
-            else:           # c on the right: column j is T(c_u, e_j)
-                cells = prod.with_basis(sp_from_dense(f, cols[u]))
-            for col, w in cells.items():
-                for r, a in w.items():
-                    block[r][col] = f.sub(block[r].get(col, zero), a)
-        for brow, r0 in zip(block, _residual(f, eq, at_zero)):
-            brow[width] = f.neg(r0)
-        rows += block
-    sol = _solutions(f, rows, width)
-    return None if sol is None else (sol[0], sol[2])
+        if not vec_is_zero(f, _residual(f, eq, cols)):
+            return False
+    return True
 
 
 def _determined(f, neg_inv, eq, others, cols):
     """The affine set of ``_affine_set`` where the equation ``eq`` alone
     fixes the next column: it reads that column only through ``lin[k]``,
-    and ``neg_inv`` is minus the inverse of ``lin[k]``.  The one candidate
-    is ``neg_inv`` times the residual at zero; it is ``(point, [])`` if
-    every equation of ``others`` holds there, else None."""
-    at = cols + [vec_zero(f, neg_inv.rows)]
-    at[-1] = neg_inv.mul_vec(_residual(f, eq, at))
-    if all(vec_is_zero(f, _residual(f, o, at)) for o in others):
-        return at[-1], []
-    return None
+    and ``neg_inv`` holds the triples of minus the inverse of ``lin[k]``.
+    The one candidate is ``neg_inv`` times the residual at zero; it is
+    ``(point, [])`` if every equation of ``others`` holds there, else
+    None."""
+    at = cols + [vec_zero(f, eq.rows)]
+    point = vec_zero(f, eq.rows)
+    _add_triples(f, point, neg_inv, _residual(f, eq, at))
+    at[-1] = point
+    return (point, []) if _holds(f, others, at) else None
 
 
-def _determining(linear, k):
+def _determining(f, linear, k, width):
     """``(neg_inv, eq, others)`` for ``_determined`` from the first of the
-    equations ``linear`` of column k that reads it only through an
-    invertible ``lin[k]``, or None if there is none."""
-    for i, (lin, bil, _) in enumerate(linear):
-        if k in lin and not (bil and k in bil[1:]):
-            inv = inverse(lin[k])
+    equations ``linear`` of column k, of length ``width``, that reads it
+    only through an invertible ``lin[k]``, or None if there is none."""
+    for i, eq in enumerate(linear):
+        if k in eq.lin and k not in (eq.u, eq.v):
+            inv = inverse(_dense(f, eq.lin[k], eq.rows, width))
             if inv is not None:
-                return inv.neg(), linear[i], linear[:i] + linear[i + 1:]
+                return (_triples(f, inv.neg()), eq,
+                        linear[:i] + linear[i + 1:])
     return None
 
 
-def _points(f, part, scaled, listed):
-    """The points ``part + sum t_i b_i``, as tuples, over the t's in
-    lexicographic order, depth first, from ``scaled[i]``, the multiples
-    ``t b_i`` in field order: one vector addition per point.
+class _Plan:
+    """The search of one hom-set: every assignment of the unknown columns
+    c_k in F^widths[k] that satisfies the compiled equations, after ``n0``
+    prefix columns, which are fixed and numbered first.
 
-    Each point is appended to ``listed`` as it is yielded.  That list is
-    the search's slot for the depth: it holds only points already tried,
-    and a later visit with the same key scans it instead of this
-    generator.
+    What depends only on the hom-set is done here, once.  Each equation
+    is filed at the last column it involves, which must follow the prefix,
+    as linear in it (all but ``map(c_k, c_k)``) or quadratic; a quadratic
+    one whose map and triples are all zero, such as ``[c, c] = 0`` into a
+    Lie algebra, holds everywhere and is dropped.  A depth ``reads`` the
+    earlier columns its linear equations read.  It is ``determined`` when
+    one of them reads its column only through an invertible ``lin[k]``
+    (``_determining``): ``c I``, c nonzero, where the source's product
+    makes the column a product of earlier ones, or an invertible mu' in the
+    square of ``enumerate_xmod_homs``.  ``run`` then walks the columns from
+    a prefix, as often as the caller needs: once for a hom-set of algebras,
+    once per actor map beta for the alpha columns of crossed modules.
     """
-    if not scaled:
-        point = tuple(part)
-        listed.append(point)
-        yield point
-        return
-    head, rest = scaled[0], scaled[1:]
-    for tb in head:
-        yield from _points(f, vec_add(f, part, tb), rest, listed)
 
+    def __init__(self, f, widths, equations, n0=0):
+        try:
+            self.elems = list(f.elements())
+        except NotImplementedError as exc:
+            raise DiacatError(str(exc)) from exc
+        self.field, self.widths, self.n0 = f, widths, n0
+        self.linear = [[] for _ in widths]
+        self.quadratic = [[] for _ in widths]
+        reads = [set() for _ in widths]
+        for eq in equations:
+            k = eq.k - n0
+            if eq.map is None or not eq.u == eq.v == eq.k:
+                self.linear[k].append(eq)
+                reads[k] |= eq.reads
+            elif not eq.map.is_zero() or any(eq.lin.values()):
+                self.quadratic[k].append(eq)
+        self.reads = [sorted(r) for r in reads]
+        self.determined = [_determining(f, eqs, n0 + k, widths[k])
+                           for k, eqs in enumerate(self.linear)]
 
-def _search(f, widths, equations, cap, prefix=()):
-    """Every assignment of the unknown columns c_k in F^widths[k] that
-    satisfies the equations, as lists of column tuples in lexicographic
-    order, after the columns of ``prefix``, which are fixed and numbered
-    first.
+    def _visit(self, k, cols, slots):
+        """An iterator over the points of depth k under the columns
+        ``cols[:n0 + k]``.  The affine set at depth k depends only on the
+        columns it reads, so each depth keeps one slot: the key is their
+        values, the value the set's points in lexicographic order, listed
+        as they are tried (``equations._affine_points``).  A visit with the
+        slot's key scans the list again; any other solves afresh
+        (``_determined`` or ``_affine_set``) and replaces it, so a depth
+        that reads nothing (every column between abelian algebras) builds
+        its points once per run."""
+        key = [cols[i] for i in self.reads[k]]
+        if slots[k] is not None and slots[k][0] == key:
+            return iter(slots[k][1])
+        listed = []
+        slots[k] = (key, listed)
+        f, prefix, det = self.field, cols[:self.n0 + k], self.determined[k]
+        affine = (_determined(f, *det, prefix) if det
+                  else _affine_set(f, self.widths[k], self.linear[k], prefix))
+        if affine is None:
+            return iter(())
+        part, basis = affine
+        scaled = [[vec_scale(f, t, b) for t in self.elems] for b in basis]
+        return _affine_points(f, part, scaled, listed)
 
-    The columns are fixed one at a time, depth first.  Each equation is
-    handled at the last column it involves, which must follow the prefix:
-    the ones linear in it (all but ``bil = (map, k, k)``) cut out an affine
-    set (``_affine_set``); only the quadratic ones are evaluated per point,
-    on every point of every visit.
-    A depth is determined when one of its linear equations reads its
-    column only through an invertible ``lin[k]``: ``c I``, c nonzero, where
-    the source's product makes the column a product of earlier ones, or an
-    invertible mu' in the square of ``enumerate_xmod_homs``.  Its affine
-    set is then at most one point, computed by ``_determined`` from that
-    equation with the inverse taken once per search and checked on the
-    depth's other linear equations; no system is reduced.
-    The affine set at depth k depends only on the earlier columns that its
-    equations read, so each depth keeps one slot: the key is the values of
-    those columns, the value the set's points in lexicographic order
-    (``_points``).  A visit with the slot's key scans the list again; any
-    other visit solves afresh and replaces it.  A column whose equations
-    read nothing (every column between abelian algebras) has its points
-    built once per search.  The list is filled as its points are tried, so
-    the slots never hold a point the search has not tried, and a search
-    the cap refuses has built at most ``cap + 1``.
-    The ``cap + 1``-th point tried raises ``SearchSpaceTooLarge``.
-    """
-    cap = DEFAULT_SEARCH_CAP if cap is None else cap
-    try:
-        elems = list(f.elements())
-    except NotImplementedError as exc:
-        raise DiacatError(str(exc)) from exc
-    n0 = len(prefix)
-    linear = [[] for _ in widths]
-    quadratic = [[] for _ in widths]
-    reads = [set() for _ in widths]
-    for eq in equations:
-        lin, bil, _ = eq
-        used = set(lin) | set(bil[1:] if bil else ())
-        k = max(used)
-        if bil is not None and bil[1] == bil[2] == k:
-            quadratic[k - n0].append(eq)
-        else:
-            linear[k - n0].append(eq)
-            reads[k - n0] |= used - {k}
-    reads = [sorted(r) for r in reads]
-    determined = [_determining(eqs, n0 + k) for k, eqs in enumerate(linear)]
-    slots = [(None, ())] * len(widths)
-    cols = [tuple(c) for c in prefix]
-    scanned = 0
+    def run(self, cap=None, prefix=()):
+        """The solutions after the columns ``prefix``, as tuples of the
+        unknown columns, in lexicographic order.
 
-    def recurse(k):
-        nonlocal scanned
-        if k == len(widths):
-            yield list(cols)
+        The columns are fixed one at a time, depth first, with one
+        iterator of points per depth on an explicit stack, so a finished
+        run leaves nothing for the cycle collector.  Only the quadratic
+        equations are evaluated per point.  The last depth hands each
+        solution on as the tuple of the earlier unknown columns, taken once
+        per visit, plus its point.  The slots hold only points the run has
+        tried, so a run the cap refuses has built at most ``cap + 1``: the
+        ``cap + 1``-th point tried raises ``SearchSpaceTooLarge``.
+        """
+        cap = DEFAULT_SEARCH_CAP if cap is None else cap
+        f, n0, last = self.field, self.n0, len(self.widths) - 1
+        if last < 0:
+            yield ()
             return
-        key = [cols[i] for i in reads[k]]
-        if slots[k][0] == key:
-            points = slots[k][1]
-        else:
-            listed = []
-            slots[k] = (key, listed)
-            det = determined[k]
-            affine = (_determined(f, *det, cols) if det
-                      else _affine_set(f, widths[k], linear[k], cols))
-            if affine is None:
-                return
-            part, basis = affine
-            scaled = [[vec_scale(f, t, b) for t in elems] for b in basis]
-            points = _points(f, part, scaled, listed)
-        quad, last = quadratic[k], k + 1 == len(widths)
-        for c in points:
-            scanned += 1
-            if scanned > cap:
-                raise SearchSpaceTooLarge(scanned, cap)
-            cols.append(c)
-            if not quad or all(vec_is_zero(f, _residual(f, eq, cols))
-                               for eq in quad):
-                if last:
-                    yield list(cols)
-                else:
-                    yield from recurse(k + 1)
-            cols.pop()
-
-    return recurse(0)
+        cols = [tuple(c) for c in prefix] + [None] * (last + 1)
+        slots, points = [None] * (last + 1), [None] * (last + 1)
+        points[0], head = self._visit(0, cols, slots), ()
+        scanned, k = 0, 0
+        while k >= 0:
+            quad = self.quadratic[k]
+            for c in points[k]:
+                scanned += 1
+                if scanned > cap:
+                    raise SearchSpaceTooLarge(scanned, cap)
+                cols[n0 + k] = c
+                if quad and not _holds(f, quad, cols):
+                    continue
+                if k == last:
+                    yield head + (c,)
+                    continue
+                k += 1
+                points[k] = self._visit(k, cols, slots)
+                if k == last:
+                    head = tuple(cols[n0:n0 + k])
+                break
+            else:
+                k -= 1
 
 
 def enumerate_homs(a: Algebra, b: Algebra, cap=None) -> list:
     """All flavor morphisms a -> b over a finite field, in canonical order:
     lexicographic in the columns of the matrix, first column first.
 
-    One ``_search`` over the columns, under the product equations
-    ``phi(e_i e_j) = phi(e_i) phi(e_j)``.
+    One ``_Plan`` over the columns, under the product equations
+    ``phi(e_i e_j) = phi(e_i) phi(e_j)``, run once.
     """
     if a.flavor != b.flavor:
         raise DiacatError("hom enumeration needs algebras of one flavor")
@@ -453,16 +390,17 @@ def enumerate_homs(a: Algebra, b: Algebra, cap=None) -> list:
     cols = range(a.dim)
     equations = [eq for sp, tp in zip(a.products(), b.products())
                  for eq in _intertwined(sp, tp, cols, cols, cols, b.dim)]
-    # every column has b.dim entries, so each matrix is b.dim x a.dim
-    f = a.field
-    return [AlgebraMorphism._prechecked(a, b, Matrix.from_cols(f, c, b.dim))
-            for c in _search(f, [b.dim] * a.dim, equations, cap)]
+    f, n = a.field, b.dim
+    # every column has n entries, so each matrix is n x a.dim
+    of_cols, morphism = Matrix._prechecked_cols, AlgebraMorphism._prechecked
+    return [morphism(a, b, of_cols(f, c, n))
+            for c in _Plan(f, [n] * a.dim, equations).run(cap)]
 
 
 def enumerate_generated_homs(env: Envelope, target: Algebra, cap=None) -> list:
     """All morphisms out of an envelope, by scanning generator images.
 
-    One ``_search`` over the generator images with no equations, so every
+    One ``_Plan`` over the generator images with no equations, so every
     matrix is scanned in the canonical order of ``enumerate_homs``; each is
     kept when ``envelope_transpose`` extends it.  Complete because a
     morphism out of the envelope is determined by its values on generators
@@ -472,10 +410,10 @@ def enumerate_generated_homs(env: Envelope, target: Algebra, cap=None) -> list:
     f = env.algebra.field
     n = target.dim
     found = []
-    for c in _search(f, [n] * env.source.dim, [], cap):
+    for c in _Plan(f, [n] * env.source.dim, []).run(cap):
         try:
-            found.append(envelope_transpose(env, target,
-                                            Matrix.from_cols(f, c, n)))
+            found.append(envelope_transpose(
+                env, target, Matrix._prechecked_cols(f, c, n)))
         except NotWellDefined:
             continue
     return found
@@ -485,9 +423,10 @@ def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> list:
     """All crossed-module morphisms x -> y over a finite field, in the
     lexicographic order of (beta, alpha).
 
-    For each actor map beta from ``enumerate_homs``, one ``_search`` over
-    the columns of alpha, after those of beta, under the actee products,
-    the square ``mu' alpha = beta mu`` and the equivariances.
+    One ``_Plan`` over the columns of alpha, after those of beta, under the
+    actee products, the square ``mu' alpha = beta mu`` and the
+    equivariances, run once for each actor map beta from
+    ``enumerate_homs``.
     """
     if x.flavor != y.flavor:
         raise InvalidCrossedModule("crossed modules of different flavors")
@@ -497,23 +436,24 @@ def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> list:
     betas, alphas = range(nd), range(nd, nd + m)
     equations = [eq for sp, tp in zip(x.actee.products(), y.actee.products())
                  for eq in _intertwined(sp, tp, alphas, alphas, alphas, wl)]
-    mu, mu2 = x.mu.matrix, y.mu.matrix
-    eye = Matrix.identity(f, wd)
+    mu, mu2 = x.mu.matrix, _triples(f, y.mu.matrix)
     for j in range(m):
-        lin = {s: eye.scale(f.neg(c)) for s, c in enumerate(mu.col(j))}
+        lin = {s: _scaled_eye(f, f.neg(c), wd) for s, c in enumerate(mu.col(j))}
         lin[nd + j] = mu2
-        equations.append((lin, None, wd))
+        equations.append(_Equation(lin, None, wd))
     for _, pidx, side in action_slots(x.flavor):
         src, tgt = x.action.cross(pidx, side), y.action.cross(pidx, side)
         lefts, rights = (betas, alphas) if side == "DL" else (alphas, betas)
         equations.extend(_intertwined(src, tgt, lefts, rights, alphas, wl))
     found = []
     # enumerate_homs checks the actors' field, which each actee shares
-    for beta in enumerate_homs(x.actor, y.actor, cap):
+    beta_homs = enumerate_homs(x.actor, y.actor, cap)
+    plan = _Plan(f, [wl] * m, equations, nd)
+    for beta in beta_homs:
         prefix = [beta.matrix.col(i) for i in range(nd)]
-        for c in _search(f, [wl] * m, equations, cap, prefix):
+        for c in plan.run(cap, prefix):
             alpha = AlgebraMorphism._prechecked(
-                x.actee, y.actee, Matrix.from_cols(f, c[nd:], wl))
+                x.actee, y.actee, Matrix._prechecked_cols(f, c, wl))
             found.append(XmodMorphism(x, y, alpha, beta))
     return found
 

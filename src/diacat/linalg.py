@@ -1,10 +1,12 @@
 """Exact linear algebra over Q and prime fields.
 
 Vectors are dense lists/tuples of scalars or sparse dicts from index to
-nonzero scalar; every container knows its field.  ``Matrix`` is dense.  A
-``Subspace`` holds its reduced row echelon basis as ``pivots`` and one
-sparse row per pivot, so structural equality is equality of subspaces;
-``basis``, the rows dense, is built on first read.
+nonzero scalar; every container knows its field.  ``Matrix`` is dense;
+``from_cols`` checks its columns' lengths, and ``_prechecked_cols`` is the
+same constructor for callers that fixed them once, as a hom search does
+for a whole hom-set.  A ``Subspace`` holds its reduced row echelon basis
+as ``pivots`` and one sparse row per pivot, so structural equality is
+equality of subspaces; ``basis``, the rows dense, is built on first read.
 
 Every echelon form comes from one routine, ``_grow``: it adds vectors one
 at a time to sparse RREF rows keyed by pivot.  A subspace grows by it
@@ -41,7 +43,7 @@ def vec_scale(field, c, u):
 
 
 def vec_is_zero(field, u):
-    return all(field.is_zero(a) for a in u)
+    return all(map(field.is_zero, u))
 
 
 def vec_eq(field, u, v):
@@ -128,13 +130,20 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field, cols, nrows=None):
-        """The matrix with columns ``cols``, each of length ``nrows``: one
-        transpose, whose rows need no second check."""
+        """The matrix with columns ``cols``, each of length ``nrows``,
+        checked, then built by ``_prechecked_cols``."""
         cols = list(cols)
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
         if set(map(len, cols)) - {nrows}:
             raise DimensionMismatch("matrix column length != row count")
+        return cls._prechecked_cols(field, cols, nrows)
+
+    @classmethod
+    def _prechecked_cols(cls, field, cols, nrows):
+        """The matrix with the sequence of columns ``cols``, whose lengths
+        the caller has fixed at ``nrows`` once, for a whole hom-set: one
+        transpose, whose rows need no check."""
         m = cls.__new__(cls)
         m.field, m.rows, m.cols = field, nrows, len(cols)
         # zip of no columns would give no rows, not ``nrows`` empty ones

@@ -16,7 +16,10 @@ give comparable dumps: run this file in each and compare the outputs with
   and an unknown name;
 - unknown battery names;
 - every ``construct`` kind on every bundled fixture and on the document of
-  ``dias-not-assoc-1``, with ``--trunc 2`` where the kind takes a bound.
+  ``dias-not-assoc-1``, with ``--trunc 2`` where the kind takes a bound;
+- last, lines whose inputs follow their options: every battery on
+  ``xlb-ideal-e-f2`` with ``--cap 40`` in both orders, and every
+  ``construct`` line above that takes ``--trunc 2``, with it first.
 
 pytest does not collect this file.
 """
@@ -79,6 +82,14 @@ def command_lines():
                                             "truncated", False) else []
         for name in fixtures.names() + ["<tmp>/dias-not-assoc-1.json"]:
             yield ["construct", kind, name] + trunc
+    # inputs after options, each line matching one with its inputs first
+    for what in batteries:
+        yield ["verify", what, "xlb-ideal-e-f2", "--cap", "40"]
+        yield ["verify", what, "--cap", "40", "xlb-ideal-e-f2"]
+    for kind in kinds:
+        if getattr(FUNCTOR_TAGS.get(kind), "truncated", False):
+            for name in fixtures.names() + ["<tmp>/dias-not-assoc-1.json"]:
+                yield ["construct", kind, "--trunc", "2", name]
 
 
 def run(argv, tmp):

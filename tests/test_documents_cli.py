@@ -8,7 +8,7 @@ import pytest
 
 from diacat import documents, fixtures
 from diacat.algebra import abelian_algebra
-from diacat.cli import main
+from diacat.cli import _BATTERIES, _Named, main
 from diacat.errors import ParseError
 from diacat.fields import GF, QQ
 
@@ -223,11 +223,12 @@ def test_cli_verify_exit_codes():
     # wrong-kind or wrong-flavor explicit fixture
     assert main(["verify", "square:2.8-outer", "leibniz-ff-e-f2"]) == 2
     assert main(["verify", "parallelepiped", "free-dias-1-2"]) == 2
-    # the adjunction batteries run fixed pairs and take no fixture names
-    for which in ("ud", "xud", "chain:0", "chain:1"):
+    # the batteries that run fixed pairs take no fixture names
+    for what, battery in _BATTERIES.items():
+        if isinstance(battery.inputs, _Named):
+            continue
         for name in ("no-such-fixture", "leibniz-ff-e-f2"):
-            assert _run_main(["verify", f"adjunction:{which}",
-                              name]) == (2, "")
+            assert _run_main(["verify", what, name]) == (2, "")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,10 +1,14 @@
+import contextlib
+import gc
+import io
 import tracemalloc
 
 import pytest
 
-from diacat import fixtures
+from diacat import cli, fixtures, functors
 from diacat.algebra import BilinearMap, abelian_algebra, make_algebra
-from diacat.errors import DiacatError, SearchSpaceTooLarge
+from diacat.errors import (DiacatError, DimensionMismatch,
+                           SearchSpaceTooLarge)
 from diacat.fields import GF, QQ
 from diacat.functors import (FUNCTOR_TAGS, algebras_equal, apply_functor,
                              check_parallelepiped, check_square,
@@ -148,6 +152,80 @@ def test_a_refused_search_builds_at_most_cap_plus_one_points():
         tracemalloc.stop()
     assert (exc.value.cardinality, exc.value.cap) == (1001, 1000)
     assert peak < 8 * 2 ** 20, peak
+
+
+def test_one_plan_per_hom_set(monkeypatch):
+    """``verify adjunction:chain:1`` lists 8 crossed-module hom-sets, whose
+    actor maps take 8 of its 24 algebra hom-sets.  Each hom-set builds one
+    search plan, 32 in all, and each plan classifies its equations and
+    looks for a determining one once per depth, however many actor maps
+    beta its run is repeated for.  Searched afresh for every beta, the same
+    battery made 60 searches and 120 such look-ups."""
+    calls = {"_determining": 0, "enumerate_homs": 0,
+             "enumerate_xmod_homs": 0}
+    depths = []
+    for name in calls:
+        real = getattr(functors, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(functors, name, counted)
+
+    class CountedPlan(functors._Plan):
+        def __init__(self, f, widths, *args):
+            depths.append(len(widths))
+            super().__init__(f, widths, *args)
+    monkeypatch.setattr(functors, "_Plan", CountedPlan)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["verify", "adjunction:chain:1"]) == 0, err.getvalue()
+    assert (calls["enumerate_homs"], calls["enumerate_xmod_homs"]) == (24, 8)
+    assert len(depths) == 24 + 8
+    assert calls["_determining"] == sum(depths) == 62
+
+
+def test_a_finished_search_leaves_no_cyclic_garbage():
+    """With the cycle collector off, every object a hom search made is
+    freed by reference counting once the hom-set is listed: nothing is
+    left for ``gc.collect``."""
+    a = make_algebra("as", F3, [BilinearMap.from_triples(
+        F3, 4, 4, 4, [(0, 0, 1, 1), (0, 1, 2, 1), (1, 0, 2, 1)])])
+    x = fixtures.get("xlb-ideal-e-f2")
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_homs(a, a)) == 1215
+        assert gc.collect() == 0
+        assert len(enumerate_xmod_homs(x, x)) > 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_search_matrices_are_built_unchecked_and_public_ones_checked(
+        monkeypatch):
+    """A search fixes its column lengths once, so each morphism's matrix
+    comes from ``Matrix._prechecked_cols`` and none from the checking
+    ``from_cols``, which still refuses ragged columns."""
+    built = {"from_cols": 0, "_prechecked_cols": 0}
+    for name in built:
+        real = getattr(Matrix, name).__func__
+
+        def counted(cls, *args, name=name, real=real):
+            built[name] += 1
+            return real(cls, *args)
+        monkeypatch.setattr(Matrix, name, classmethod(counted))
+    ab2, ab3 = abelian_algebra("lie", F3, 2), abelian_algebra("lie", F3, 3)
+    homs = enumerate_homs(ab2, ab3)
+    assert len(homs) == 3 ** 6
+    assert built == {"from_cols": 0, "_prechecked_cols": 3 ** 6}
+    monkeypatch.undo()
+    for h in homs[::50]:
+        cols = [h.matrix.col(j) for j in range(2)]
+        assert Matrix.from_cols(F3, cols, 3) == h.matrix
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_cols(F3, [[0, 1, 2], [1, 2]], 3)
 
 
 @pytest.mark.parametrize("m,n", [(0, 2), (2, 0)])
