@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from itertools import chain, product as iter_product
 
-from . import audit
 from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, FLAVORS, LEIBNIZ_AXIOM,
                       Algebra, AlgebraMorphism, AxiomReport, BilinearMap,
                       _check_templates, abelian_algebra, basis_products,
@@ -318,7 +317,6 @@ class CrossedModule:
         self.certificate = None
         if check:
             self.certify()
-            audit.record(self)
 
     @property
     def flavor(self):
@@ -382,20 +380,11 @@ def _crossed_equations(report: AxiomReport, mu: AlgebraMorphism, act: Action):
     return report
 
 
-def crossed_module_report(mu: AlgebraMorphism, act: Action,
-                          include_action=True) -> AxiomReport:
+def crossed_module_report(mu: AlgebraMorphism, act: Action) -> AxiomReport:
     report = AxiomReport(f"{act.flavor} crossed module")
     report.extend(mu.check(), "mu ")
-    if include_action:
-        report.extend(act.check(), "action ")
+    report.extend(act.check(), "action ")
     return _crossed_equations(report, mu, act)
-
-
-def crossed_equations_report(mu: AlgebraMorphism, act: Action) -> AxiomReport:
-    """Morphism, equivariance, and Peiffer items only; the action tensors are
-    taken as given.  This is the exact content mirrored by the semidirect
-    homomorphism characterization."""
-    return crossed_module_report(mu, act, include_action=False)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +466,8 @@ def semidirect_homomorphism_checks(xm, action=None) -> AxiomReport:
 
     Accepts a CrossedModule or a raw ``(mu, action)`` pair.  The raw form
     assumes nothing, so the verdicts of the first two maps can be compared
-    against ``crossed_equations_report`` on arbitrary candidates: a map
+    against the morphism, equivariance and Peiffer items of
+    ``crossed_module_report`` on arbitrary candidates: a map
     ``(mu,id)`` from the actee semidirect actor into the actor acting on
     itself, a map ``(id,mu)`` into it from the actee acting on itself, and
     the involution-style map (l,x) -> (-l, mu(l)+x).

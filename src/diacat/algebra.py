@@ -252,14 +252,6 @@ class CheckItem:
         self.where = where
         self.detail = detail
 
-    def as_dict(self):
-        d = {"name": self.name, "passed": self.passed}
-        if self.where is not None:
-            d["where"] = list(self.where)
-        if self.detail:
-            d["detail"] = self.detail
-        return d
-
     def __repr__(self):
         tag = "PASS" if self.passed else f"FAIL at {self.where}"
         return f"<{self.name}: {tag}>"
@@ -286,10 +278,6 @@ class AxiomReport:
             if not it.passed:
                 return it
         return None
-
-    def as_dict(self):
-        return {"subject": self.subject, "passed": self.passed,
-                "checks": [it.as_dict() for it in self.items]}
 
     def summary(self):
         if self.passed:

@@ -1,36 +1,6 @@
-"""Global post-condition hook for pipeline-built crossed modules.
+"""Empty: no module of the package imports this one.
 
-Inside a capture() block, every crossed module that certifies successfully
-is immediately re-examined with lemma_crossed_checks; a failure raises
-LemmaViolation at the construction site.  Outside a block the hook is free.
+It is kept only because the benchmark's tracer (``perfbench/tracer.py``)
+imports ``diacat.audit`` among the modules it wraps.  Once the tracer's
+module list drops ``"audit"``, this file goes.
 """
-
-from contextlib import contextmanager
-
-_stack: list = []
-
-
-def active() -> bool:
-    return bool(_stack)
-
-
-def record(xm):
-    """Run structural post-conditions on a freshly certified crossed module."""
-    if not _stack:
-        return
-    from .actions import lemma_crossed_checks
-    report = lemma_crossed_checks(xm)
-    entry = (xm, report)
-    for log in _stack:
-        log.append(entry)
-
-
-@contextmanager
-def capture():
-    """Collect (crossed module, post-condition report) pairs until exit."""
-    log: list = []
-    _stack.append(log)
-    try:
-        yield log
-    finally:
-        _stack.remove(log)

@@ -79,15 +79,6 @@ class _Equation:
         self.reads = used - {self.k}
 
 
-def _compiled(f, eq):
-    """``eq``, compiled if it is a tuple ``(lin, bil, rows)`` of matrices
-    ``lin[s]`` and ``bil = (map, u, v)`` or None."""
-    if isinstance(eq, _Equation):
-        return eq
-    lin, bil, rows = eq
-    return _Equation({s: _triples(f, m) for s, m in lin.items()}, bil, rows)
-
-
 def _intertwined(src, tgt, lefts, rights, outs, width):
     """The equations ``phi(src(e_i, e_j)) = tgt(c_lefts[i], c_rights[j])``
     of every basis pair, where the unknown phi sends e_s to column
@@ -106,10 +97,8 @@ def _intertwined(src, tgt, lefts, rights, outs, width):
 
 def _residual(f, eq, cols):
     """``sum_s lin[s] c_s - map(c_u, c_v)`` at the columns ``cols``, dense,
-    for the equation ``eq`` (an ``_Equation``, or a tuple that
-    ``_compiled`` compiles) that it is zero.  Only nonzero triples, cells
+    for the ``_Equation`` eq that it is zero.  Only nonzero triples, cells
     and entries are read."""
-    eq = _compiled(f, eq)
     r = vec_zero(f, eq.rows)
     for s, triples in eq.lin.items():
         _add_triples(f, r, triples, cols[s])
@@ -129,12 +118,11 @@ def _residual(f, eq, cols):
 
 def _affine_set(f, width, equations, cols):
     """``(part, basis)`` of the values c of the next column, of length
-    ``width``, that solve the equations (each affine in c given the prefix
-    ``cols``; compiled, or tuples that ``_compiled`` compiles), or None.
-    ``basis`` is the canonical RREF basis of the homogeneous solutions and
-    ``part`` is reduced by it, so the point ``part + sum t_i basis_i`` has
-    t_i at the i-th pivot: scanning the t's in lexicographic order scans
-    the points in lexicographic order.
+    ``width``, that solve the ``_Equation``s (each affine in c given the
+    prefix ``cols``), or None.  ``basis`` is the canonical RREF basis of
+    the homogeneous solutions and ``part`` is reduced by it, so the point
+    ``part + sum t_i basis_i`` has t_i at the i-th pivot: scanning the t's
+    in lexicographic order scans the points in lexicographic order.
 
     The system ``M c = b`` is read off the equations into sparse rows,
     b at key ``width``, and rows that are zero are dropped: each one's
@@ -147,7 +135,6 @@ def _affine_set(f, width, equations, cols):
     at_zero = cols + [vec_zero(f, width)]
     rows = []
     for eq in equations:
-        eq = _compiled(f, eq)
         block = [{} for _ in range(eq.rows)]
         for r, j, a in eq.lin.get(k, ()):
             block[r][j] = a

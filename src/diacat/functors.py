@@ -10,9 +10,9 @@ as the two envelopes share ``envelope._crossed_envelope``.  Every hom-set
 over a finite field comes from one column-by-column search in one
 canonical order, lexicographic in the columns: a ``_Plan``, built once
 per hom-set from its equations (compiled and solved by ``equations``),
-and run once per prefix of fixed columns.  Each adjunction is an explicit map between two enumerated
-hom-sets that ``_bijection`` certifies, and the embedding/projection ones
-are rows of ``_CHAIN_ROWS``.
+and run once per prefix of fixed columns.  Each adjunction is an
+explicit map between two enumerated hom-sets that ``_bijection``
+certifies, and the embedding/projection ones are rows of ``_CHAIN_ROWS``.
 ``_SQUARES`` holds each commuting square of the prism, per fixture flavor,
 as two paths of registered tags whose composites ``check_square``
 compares, with EQUAL / ISOMORPHIC verdicts.
@@ -40,7 +40,7 @@ from .equations import (_add_triples, _affine_points, _affine_set, _dense,
                         _Equation, _intertwined, _residual, _scaled_eye,
                         _triples)
 from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
-                     NotWellDefined, SearchSpaceTooLarge)
+                     NotWellDefined, ResourceCapExceeded, SearchSpaceTooLarge)
 from .linalg import (Matrix, Subspace, inverse, sp_from_dense, vec_is_zero,
                      vec_scale, vec_zero)
 from .tags import (_CHAIN_LETTERS, FUNCTOR_TAGS, _chain_tag, _functor,
@@ -781,6 +781,10 @@ class CommutativityReport(NamedTuple):
 
 
 def _verdict(square_id, expected, o1, o2, witnesses):
+    """The square's report on composites o1, o2: the first witness that
+    builds and is an isomorphism makes it ISOMORPHIC.  A witness that
+    fails to build is skipped, but a refused search is no verdict: its
+    cap error propagates, as it does from a round trip."""
     equal = xmods_equal(o1, o2) if isinstance(o1, CrossedModule) \
         else algebras_equal(o1, o2)
     if equal:
@@ -791,6 +795,8 @@ def _verdict(square_id, expected, o1, o2, witnesses):
     for build in witnesses:
         try:
             w = build()
+        except (ResourceCapExceeded, SearchSpaceTooLarge):
+            raise
         except (DiacatError, AssertionError):
             continue
         if w is None:

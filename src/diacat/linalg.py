@@ -184,10 +184,6 @@ class Matrix:
         f = self.field
         return Matrix(f, [[f.neg(a) for a in r] for r in self.entries], self.rows, self.cols)
 
-    def scale(self, c):
-        f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.entries], self.rows, self.cols)
-
     def mul(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.cols != other.rows:
@@ -392,10 +388,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim})"
-
-
-def span(field, vectors, ambient_dim) -> Subspace:
-    return Subspace.span(field, vectors, ambient_dim)
 
 
 def _solutions(field, rows, width):

@@ -3,12 +3,14 @@ under ``pytest -v``.  Expected values come from the independent oracles in
 ``oracles.py`` or are exact structural identities; nothing here is tuned.
 """
 
+import contextlib
+import io
 import random
 import time
 from functools import lru_cache
 
-from diacat import audit, fixtures
-from diacat.actions import (CrossedModule, crossed_equations_report,
+from diacat import cli, documents, fixtures
+from diacat.actions import (CrossedModule, _crossed_equations,
                             lemma_crossed_checks, self_action,
                             semidirect_homomorphism_checks, trivial_action,
                             xmod_from_ideal)
@@ -23,11 +25,12 @@ from diacat.envelope import ud, xu, xud, xud_full
 from diacat.fields import GF
 from diacat.functors import (apply_functor, check_parallelepiped,
                              check_square, embed, find_xmod_isomorphism,
-                             inc_xas_to_xdias, inc_xlie_to_xlb,
+                             inc_xas_to_xdias, inc_xlie_to_xlb, square_ids,
                              verify_adjunction_chain, verify_adjunction_ud,
                              verify_adjunction_xud, xas_of_xdias,
                              xliel_of_xlb, xmods_equal)
-from diacat.linalg import Matrix, inverse, span
+from diacat.linalg import Matrix, Subspace, inverse
+from diacat.tags import FUNCTOR_TAGS
 
 import oracles
 
@@ -108,7 +111,8 @@ def _valid_action_pool(rng):
         actions.append(trivial_action(d, rng.choice(algebras), check=False))
         actions.append(self_action(d, check=False))
     for d in pool[2]:
-        ideal = ideal_closure(d, span(F2, [[F2.one(), F2.zero()]], 2))
+        ideal = ideal_closure(
+            d, Subspace.span(F2, [[F2.one(), F2.zero()]], 2))
         actions.append(xmod_from_ideal(d, ideal).action)
     for act in actions:
         assert act.check().passed
@@ -125,7 +129,7 @@ def test_criterion_03_crossed_axioms_iff_semidirect_maps():
         mu = AlgebraMorphism(L, D, Matrix(F2, [
             [rng.choice((F2.zero(), F2.one())) for _ in range(L.dim)]
             for _ in range(D.dim)]))
-        eq = crossed_equations_report(mu, act).passed
+        eq = _crossed_equations(mu.check(), mu, act).passed
         maps = semidirect_homomorphism_checks(mu, act)
         maps_ok = maps.items[0].passed and maps.items[1].passed
         assert eq == maps_ok
@@ -302,15 +306,46 @@ def test_criterion_09_embedding_projection_adjunction_chains():
                 assert rep.passed, (flavor, pair, rep.first_failure())
 
 
-def test_criterion_10_structure_lemma_enforced_globally(
-        crossed_module_audit_log):
-    assert audit.active()
-    before = len(crossed_module_audit_log)
-    assert before > 0, "no crossed module was recorded during the run"
-    # a fresh pipeline construction must pass through the hook
-    xud(fixtures.get("xlb-ideal-e-f2"), 2)
-    assert len(crossed_module_audit_log) > before
-    for recorded, report in crossed_module_audit_log:
-        assert report.passed, recorded
-    for name in XMOD_NAMES:
-        assert lemma_crossed_checks(fixtures.get(name)).passed, name
+def _command_lines():
+    """Every ``verify`` battery on its bundled inputs, and every
+    ``construct`` kind on every bundled fixture, read off the command
+    line's tables: a battery that reads ``--trunc`` runs at 1, 2 and 3, and
+    a kind that needs ``--trunc`` gets 2."""
+    for what in ([f"square:{i}" for i in square_ids()]
+                 + list(cli._BATTERIES)):
+        for trunc in ((1, 2, 3) if cli._battery(what).trunc else (None,)):
+            yield ["verify", what] + (["--trunc", str(trunc)] if trunc else [])
+    for kind in sorted(FUNCTOR_TAGS) + sorted(cli._CONSTRUCTIONS):
+        trunc = (["--trunc", "2"] if getattr(FUNCTOR_TAGS.get(kind),
+                                              "truncated", False) else [])
+        for name in fixtures.names():
+            yield ["construct", kind, name, *trunc]
+
+
+def test_criterion_10_structure_lemma_enforced_globally(monkeypatch):
+    """Ker mu lies in the annihilator of the actee, Im mu is an ideal of
+    the actor and the cokernel acts on Ker mu, on every distinct crossed
+    module that the command line certifies, and on every bundled one (the
+    fixture cache built those before this test)."""
+    certified = [xm for _, xm in fixtures.by_kind("xmod")]
+    certify = CrossedModule.certify
+
+    def collect(self):
+        report = certify(self)
+        certified.append(self)
+        return report
+
+    monkeypatch.setattr(CrossedModule, "certify", collect)
+    for argv in _command_lines():
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO())):
+            cli.main(argv)
+
+    distinct = {documents.canonical_json(documents.xmod_to_document(xm)): xm
+                for xm in certified}
+    print(f"{len(distinct)} distinct crossed modules of {len(certified)} "
+          "certified")
+    assert len(distinct) >= 199, len(distinct)
+    for xm in distinct.values():
+        rep = lemma_crossed_checks(xm)
+        assert rep.passed, (xm, rep.first_failure())

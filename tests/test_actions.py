@@ -2,16 +2,15 @@ import pytest
 
 from diacat import fixtures
 from diacat.actions import (Action, CrossedModule, XmodMorphism,
-                            action_by_ambient_products,
-                            crossed_equations_report, lemma_crossed_checks,
-                            self_action, semidirect,
+                            _crossed_equations, action_by_ambient_products,
+                            lemma_crossed_checks, self_action, semidirect,
                             semidirect_homomorphism_checks, trivial_action,
                             xmod_from_ideal)
 from diacat.algebra import AlgebraMorphism, BilinearMap, abelian_algebra
 from diacat.errors import (InvalidAction, InvalidCrossedModule,
                            LemmaViolation)
 from diacat.fields import GF, QQ
-from diacat.linalg import Matrix, span
+from diacat.linalg import Matrix, Subspace
 
 F2 = GF(2)
 
@@ -56,8 +55,8 @@ def test_semidirect_split_exact_sequence():
 
 def test_xmod_from_ideal_free_dialgebra():
     d = fixtures.get("free-dias-1-2")
-    ideal = span(QQ, [[QQ.zero(), QQ.one(), QQ.zero()],
-                      [QQ.zero(), QQ.zero(), QQ.one()]], 3)
+    ideal = Subspace.span(QQ, [[QQ.zero(), QQ.one(), QQ.zero()],
+                               [QQ.zero(), QQ.zero(), QQ.one()]], 3)
     xm = xmod_from_ideal(d, ideal)
     assert xm.flavor == "dias"
     assert xm.actee.dim == 2 and xm.actor.dim == 3
@@ -78,7 +77,7 @@ def test_crossed_equations_mirror_the_two_maps():
     for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)):
         mu = AlgebraMorphism(xm.actee, xm.actor,
                              Matrix(f, [[f.parse(str(a))], [f.parse(str(b))]]))
-        eq = crossed_equations_report(mu, xm.action).passed
+        eq = _crossed_equations(mu.check(), mu, xm.action).passed
         maps = semidirect_homomorphism_checks(mu, xm.action)
         maps_ok = maps.items[0].passed and maps.items[1].passed
         assert eq == maps_ok, (a, b)
@@ -133,12 +132,3 @@ def test_flavor_mismatch_raises():
     mu = AlgebraMorphism(g, g, Matrix.identity(F2, 2))
     with pytest.raises(InvalidCrossedModule):
         CrossedModule(mu, self_action(a))
-
-
-def test_audit_hook_records_constructions(crossed_module_audit_log):
-    before = len(crossed_module_audit_log)
-    xm = fixtures.get("xlb-ideal-e-f2")
-    CrossedModule(xm.mu, xm.action)  # fresh certified construction
-    assert len(crossed_module_audit_log) > before
-    recorded, report = crossed_module_audit_log[-1]
-    assert report.passed

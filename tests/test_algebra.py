@@ -17,7 +17,7 @@ from diacat.algebra import (FLAVORS, AxiomReport, BilinearMap, LieAlgebra,
 from diacat.envelope import FreeDialgebra, free_dialgebra
 from diacat.errors import InvalidAlgebra
 from diacat.fields import GF, QQ
-from diacat.linalg import span
+from diacat.linalg import Subspace
 
 import oracles
 
@@ -96,8 +96,8 @@ def test_quotients_frozen_dims():
 def test_annihilator_and_ideal_machinery():
     g = fixtures.get("leibniz-ff-e")
     # the annihilator of [e, f]: e kills every bracket, f does not
-    ann = span(QQ, [[QQ.one(), QQ.zero()]], 2)
-    seed = span(QQ, [[QQ.zero(), QQ.one()]], 2)
+    ann = Subspace.span(QQ, [[QQ.one(), QQ.zero()]], 2)
+    seed = Subspace.span(QQ, [[QQ.zero(), QQ.one()]], 2)
     assert not any(basis_products(g, ann.rows))
     assert any(basis_products(g, seed.rows))
     closed = ideal_closure(g, seed)

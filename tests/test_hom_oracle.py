@@ -48,9 +48,9 @@ from diacat import fixtures, functors
 from diacat.actions import CrossedModule
 from diacat.algebra import (BilinearMap, abelian_algebra, make_algebra,
                             product_arity)
+from diacat.equations import _affine_set, _Equation, _residual, _triples
 from diacat.fields import GF
-from diacat.functors import (_affine_set, _residual, embed, enumerate_homs,
-                             enumerate_xmod_homs)
+from diacat.functors import embed, enumerate_homs, enumerate_xmod_homs
 from diacat.linalg import (Matrix, inverse, kernel, solve, unit_vector,
                            vec_scale, vec_sub, vec_zero)
 from diacat.tags import FUNCTOR_TAGS, category
@@ -433,7 +433,8 @@ def _system(rng, f, slot):
                  for i in range(widths[u]) for j in range(widths[v])
                  for r in range(rows) if rng.random() < 0.4]), u, v)
         if k in lin or (bil and k in bil[1:]):
-            equations.append((lin, bil, rows))
+            equations.append(_Equation(
+                {s: _triples(f, m) for s, m in lin.items()}, bil, rows))
     return widths[k], equations, cols
 
 

@@ -6,7 +6,7 @@ Each subcommand loads only the modules it runs: a fresh interpreter that
 imports the command line, or checks one document, leaves the functor,
 envelope and cat1 stack unloaded; one that constructs an envelope loads no
 functor module, nor, for an algebra, the crossed-module stack.  No path
-loads ``dataclasses``.
+loads ``dataclasses``, nor ``diacat.audit``, which no module imports.
 """
 
 import ast
@@ -98,17 +98,18 @@ CONSTRUCT = ("from diacat.cli import main; "
              "assert main(['construct', {!r}, {}, '--trunc', '2']) == 0")
 BUDGETS = {
     "import-cli": ("import diacat.cli", None,
-                   STACK + ["diacat.actions", "dataclasses"]),
+                   STACK + ["diacat.actions", "diacat.audit", "dataclasses"]),
     "check-algebra": (CHECK, "leibniz-ff-e-f2",
                       STACK + ["diacat.actions", "diacat.audit",
                                "dataclasses"]),
-    "check-xmod": (CHECK, "xlb-ideal-e-f2", STACK),
-    "import-functors": ("import diacat.functors", None, ["dataclasses"]),
+    "check-xmod": (CHECK, "xlb-ideal-e-f2", STACK + ["diacat.audit"]),
+    "import-functors": ("import diacat.functors", None,
+                        ["diacat.audit", "dataclasses"]),
     "construct-ud": (CONSTRUCT.format("Ud", "DOC"), "leibniz-ff-e-f2",
                      ["diacat.functors", "diacat.cat1", "diacat.actions",
                       "diacat.audit"]),
     "construct-xud": (CONSTRUCT.format("XUd", "'xlb-ideal-e-f2'"), None,
-                      ["diacat.functors"]),
+                      ["diacat.functors", "diacat.audit"]),
 }
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from diacat.errors import DimensionMismatch, ParseError
 from diacat.fields import GF, PRIME_BOUND, QQ, PrimeField, _is_prime
 from diacat.linalg import (Matrix, QuotientMap, Subspace, inverse, kernel,
-                           rref, solve, span, vec_eq, vec_is_zero)
+                           rref, solve, vec_eq, vec_is_zero)
 
 F2 = GF(2)
 F5 = GF(5)
@@ -97,14 +97,14 @@ def test_inverse_and_singular():
 
 
 def test_subspace_equality_is_structural():
-    a = span(QQ, [[QQ.parse("1"), QQ.parse("1")]], 2)
-    b = span(QQ, [[QQ.parse("2"), QQ.parse("2")]], 2)
+    a = Subspace.span(QQ, [[QQ.parse("1"), QQ.parse("1")]], 2)
+    b = Subspace.span(QQ, [[QQ.parse("2"), QQ.parse("2")]], 2)
     assert a == b
     assert a.is_subspace_of(Subspace.full(QQ, 2))
 
 
 def test_quotient_map_section_splits_projection():
-    sub = span(F2, [[F2.one(), F2.one(), F2.zero()]], 3)
+    sub = Subspace.span(F2, [[F2.one(), F2.one(), F2.zero()]], 3)
     qm = QuotientMap(3, sub)
     assert qm.dim == 2
     # projection . section = identity on the quotient

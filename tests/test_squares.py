@@ -5,12 +5,13 @@ verified isomorphism between the two composites.
 The composites agree on every bundled fixture, so ``check_square`` never
 reaches a witness there.  The witness test makes the comparison answer
 "different" and the search answer "nothing", so only the row's canonical
-witness can give ISOMORPHIC.
+witness can give ISOMORPHIC.  With the comparison answering "different",
+a search that ``--cap`` refuses makes ``verify`` exit 3.
 """
 
 import pytest
 
-from diacat import fixtures, functors
+from diacat import cli, fixtures, functors
 from diacat.algebra import AlgebraMorphism, BilinearMap, make_algebra
 from diacat.fields import GF
 from diacat.functors import (FUNCTOR_TAGS, _SQUARES, _verdict, apply_functor,
@@ -132,3 +133,15 @@ def test_verdict_helper_reaches_every_outcome():
     rep = _verdict("t", "EQUAL", a, b, [broken])
     assert (rep.verdict, rep.passed) == ("FAIL", False)
     assert rep.detail == " composites are not tensor-identical"
+
+
+def test_a_refused_search_in_a_square_exits_3(monkeypatch, capsys):
+    # differing composites send the square to its search, which --cap 0
+    # refuses: a cap error, as from a round trip, not a failed square
+    monkeypatch.setattr(functors, "algebras_equal", lambda a, b: False)
+    monkeypatch.setattr(functors, "xmods_equal", lambda x, y: False)
+    rc = cli.main(["verify", "square:base-XUd-XU", "xlb-ideal-e-f2",
+                   "--cap", "0"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (cli.EXIT_CAP, ""), err
+    assert err.startswith("resource cap exceeded: ")
