@@ -33,10 +33,11 @@ from itertools import chain, product as iter_product
 
 from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, FLAVORS, LEIBNIZ_AXIOM,
                       Algebra, AlgebraMorphism, AxiomReport, BilinearMap,
-                      _check_templates, abelian_algebra, basis_products,
-                      first_unintertwined, image_of, induced_bilinear,
-                      induced_subalgebra, is_ideal, kernel_of, make_algebra,
-                      product_arity, quotient_algebra, sp_cols)
+                      Certified, _check_templates, abelian_algebra,
+                      basis_products, first_unintertwined, image_of,
+                      induced_bilinear, induced_subalgebra, is_ideal,
+                      kernel_of, make_algebra, product_arity,
+                      quotient_algebra, sp_cols)
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAction,
                      InvalidCrossedModule, LemmaViolation, NotAnIdeal)
 from .linalg import Matrix, Subspace, sp_from_dense, unit_vector
@@ -64,7 +65,7 @@ def tensor_shape(side, actor: Algebra, actee: Algebra) -> tuple:
 # actions
 
 
-class Action:
+class Action(Certified):
     """Cross products of one algebra on another of the same flavor.
 
     ``tensors`` maps the flavor's action slots (``action_slots``) to
@@ -73,6 +74,9 @@ class Action:
     product without an actee-on-actor slot takes the negated transpose of
     its actor-on-actee tensor there.
     """
+
+    invalid = InvalidAction
+    failure = "not a {self.flavor} action: {bad.name} fails at {bad.where}"
 
     def __init__(self, actor: Algebra, actee: Algebra, tensors, check=True):
         if actor.flavor != actee.flavor:
@@ -102,7 +106,6 @@ class Action:
             self._cross["DL"].append(dl)
             self._cross["LD"].append(self.tensors[p.slots[1]] if p.slots[1]
                                      else dl.transpose_args().negate())
-        self.certificate = None
         if check:
             self.certify()
 
@@ -127,16 +130,6 @@ class Action:
 
     def check(self) -> AxiomReport:
         return ACTION_CHECKERS[self.flavor](self)
-
-    def certify(self) -> AxiomReport:
-        report = self.check()
-        if not report.passed:
-            bad = report.first_failure()
-            raise InvalidAction(
-                f"not a {self.flavor} action: {bad.name} fails at {bad.where}",
-                report)
-        self.certificate = report
-        return report
 
     def same_tensors(self, other: "Action") -> bool:
         return self.flavor == other.flavor and self.tensors == other.tensors
@@ -298,8 +291,11 @@ def semidirect(act: Action, check=True):
 # crossed modules
 
 
-class CrossedModule:
+class CrossedModule(Certified):
     """A morphism mu: L -> D with an action of D on L, axioms certified."""
+
+    invalid = InvalidCrossedModule
+    failure = "crossed module axioms fail: {bad.name} at {bad.where}"
 
     def __init__(self, mu: AlgebraMorphism, action: Action, check=True):
         if mu.source.flavor != action.flavor:
@@ -314,7 +310,6 @@ class CrossedModule:
             raise InvalidCrossedModule("mu does not land in the actor")
         self.mu = mu
         self.action = action
-        self.certificate = None
         if check:
             self.certify()
 
@@ -333,15 +328,12 @@ class CrossedModule:
     def check(self) -> AxiomReport:
         return crossed_module_report(self.mu, self.action)
 
-    def certify(self) -> AxiomReport:
-        report = self.check()
-        if not report.passed:
-            bad = report.first_failure()
-            raise InvalidCrossedModule(
-                f"crossed module axioms fail: {bad.name} at {bad.where}",
-                report)
-        self.certificate = report
-        return report
+    def same_structure(self, other: "CrossedModule") -> bool:
+        """Tensor-level equality: actee, actor, mu and action."""
+        return (self.actee.same_structure(other.actee)
+                and self.actor.same_structure(other.actor)
+                and self.mu.matrix == other.mu.matrix
+                and self.action.same_tensors(other.action))
 
     def __repr__(self):
         return (f"<CrossedModule {self.flavor} {self.actee.dim}->"
@@ -437,6 +429,12 @@ class XmodMorphism:
                 report.add(name, bad is None, bad)
         return report
 
+    def is_morphism(self) -> bool:
+        return self.check().passed
+
+    def is_bijective(self):
+        return self.alpha.is_bijective() and self.beta.is_bijective()
+
     @classmethod
     def identity(cls, xm: CrossedModule) -> "XmodMorphism":
         return cls(xm, xm, AlgebraMorphism.identity(xm.actee),
@@ -510,8 +508,9 @@ def lemma_crossed_checks(xm: CrossedModule) -> AxiomReport:
 
     Checks Ker mu inside the annihilator of the actee, Im mu an ideal of the
     actor, triviality of the image's action on the kernel, and validity of
-    the induced bimodule of actor/Im mu on Ker mu.  A failure raises
-    LemmaViolation: it can only come from an upstream bug.
+    the induced bimodule of actor/Im mu on Ker mu, and returns the report.
+    The one raise is a LemmaViolation when the action does not preserve
+    Ker mu, so that no induced bimodule exists to check.
     """
     mu, act = xm.mu, xm.action
     L, D = xm.actee, xm.actor
@@ -552,12 +551,6 @@ def lemma_crossed_checks(xm: CrossedModule) -> AxiomReport:
             sp_cols(q.qmap.section), ker.rows, into_kernel,
             check=False)
         report.extend(induced.check(), "induced bimodule: ")
-
-    if not report.passed:
-        bad_item = report.first_failure()
-        raise LemmaViolation(
-            f"structure lemma failed: {bad_item.name} at {bad_item.where}",
-            report)
     return report
 
 

@@ -550,7 +550,32 @@ CHECKERS = {"dias": check_dialgebra, "lb": check_leibniz,
             "as": check_associative, "lie": check_lie}
 
 
-class Algebra:
+class Certified:
+    """A structure whose passing ``check`` report is its certificate.
+
+    A subclass sets ``invalid``, its error type, and ``failure``, the
+    message format, and defines ``check``.  ``certify`` keeps a passing
+    report as ``certificate``; on a failing one it raises ``invalid`` with
+    ``failure`` filled from ``self``, ``report`` and ``bad``, the first
+    failing item.
+    """
+
+    invalid: type
+    failure: str
+    certificate: Optional[AxiomReport] = None
+
+    def certify(self) -> AxiomReport:
+        report = self.check()
+        if not report.passed:
+            bad = report.first_failure()
+            raise self.invalid(
+                self.failure.format(self=self, report=report, bad=bad),
+                report)
+        self.certificate = report
+        return report
+
+
+class Algebra(Certified):
     """Structure constants plus a validity certificate.
 
     A flavor class only sets ``flavor``.  Its constructor takes the
@@ -560,6 +585,8 @@ class Algebra:
     """
 
     flavor = "?"
+    invalid = InvalidAlgebra
+    failure = "{report.subject}: FAIL [{bad.name} at {bad.where}]"
 
     def __init__(self, field: Field, *args, labels=None, check=True):
         keys = [p.key for p in FLAVORS[self.flavor]]
@@ -579,7 +606,6 @@ class Algebra:
         self.labels = list(labels)
         for key, prod in zip(keys, args):
             setattr(self, key, prod)
-        self.certificate: Optional[AxiomReport] = None
         if check:
             self.certify()
 
@@ -588,13 +614,6 @@ class Algebra:
 
     def check(self) -> AxiomReport:
         return CHECKERS[self.flavor](*self.products())
-
-    def certify(self):
-        report = self.check()
-        self.certificate = report
-        if not report.passed:
-            raise InvalidAlgebra(report.summary(), report)
-        return report
 
     def same_structure(self, other: "Algebra") -> bool:
         """Tensor-level equality: field, flavor, dim and structure constants."""

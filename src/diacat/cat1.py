@@ -15,7 +15,7 @@ from __future__ import annotations
 from .actions import (CrossedModule, XmodMorphism, action_by_ambient_products,
                       semidirect)
 from .algebra import (FLAVORS, Algebra, AlgebraMorphism, AxiomReport,
-                      BilinearMap, direct_sum, first_unintertwined,
+                      BilinearMap, Certified, direct_sum, first_unintertwined,
                       induced_subalgebra, kernel_of, multiply_subspaces)
 from .errors import (DimensionMismatch, InvalidCat1, InvalidCrossedModule,
                      InvalidInternalCategory)
@@ -23,13 +23,16 @@ from .linalg import (Matrix, Subspace, kernel, unit_vector, vec_add, vec_eq,
                      vec_sub)
 
 
-class Cat1:
+class Cat1(Certified):
     """An algebra with a retraction pair onto a subalgebra.
 
     ``base`` carries the induced structure of ``d_sub`` in its canonical
     coordinates and ``incl`` embeds it back; ``s`` and ``t`` are expressed in
     those coordinates.
     """
+
+    invalid = InvalidCat1
+    failure = "cat-1 axioms fail: {bad.name} at {bad.where}"
 
     def __init__(self, E: Algebra, d_sub: Subspace, s_matrix: Matrix,
                  t_matrix: Matrix, check=True):
@@ -38,7 +41,6 @@ class Cat1:
         self.base, self.incl = induced_subalgebra(E, d_sub)
         self.s = AlgebraMorphism(E, self.base, s_matrix)
         self.t = AlgebraMorphism(E, self.base, t_matrix)
-        self.certificate = None
         if check:
             self.certify()
 
@@ -48,15 +50,6 @@ class Cat1:
 
     def check(self) -> AxiomReport:
         return check_cat1(self)
-
-    def certify(self) -> AxiomReport:
-        report = self.check()
-        if not report.passed:
-            bad = report.first_failure()
-            raise InvalidCat1(
-                f"cat-1 axioms fail: {bad.name} at {bad.where}", report)
-        self.certificate = report
-        return report
 
     def __repr__(self):
         return f"<Cat1 {self.flavor} dim {self.E.dim} over base {self.base.dim}>"
@@ -176,13 +169,16 @@ def xmod_isomorphism_report(xm1: CrossedModule, xm2: CrossedModule,
 # internal categories
 
 
-class InternalCategory:
+class InternalCategory(Certified):
     """A cat-1 structure with a unit section and a composition morphism.
 
     The object of composable pairs is the subalgebra of E (+) E where t of
     the first component equals s of the second; ``gamma`` is expressed in its
     canonical coordinates.
     """
+
+    invalid = InvalidInternalCategory
+    failure = "internal-category axioms fail: {bad.name} at {bad.where}"
 
     def __init__(self, cat1: Cat1, sigma: AlgebraMorphism,
                  gamma_on_sum: Matrix):
@@ -207,16 +203,6 @@ class InternalCategory:
 
     def check(self) -> AxiomReport:
         return check_internal_category(self)
-
-    def certify(self) -> AxiomReport:
-        report = self.check()
-        if not report.passed:
-            bad = report.first_failure()
-            raise InvalidInternalCategory(
-                f"internal-category axioms fail: {bad.name} at {bad.where}",
-                report)
-        self.certificate = report
-        return report
 
 
 def _pullback_coords(ic: InternalCategory, u, v):

@@ -250,8 +250,8 @@ def _chain(i, args, name, pair):
 def _roundtrip(xm, back, cap):
     """Whether a round trip came back to ``xm``, and how: ``"equal"`` for
     tensor-identical, else ``"isomorphism"``, found by a search."""
-    from .functors import find_xmod_isomorphism, xmods_equal
-    if xmods_equal(xm, back):
+    from .functors import find_xmod_isomorphism
+    if xm.same_structure(back):
         return True, "equal"
     return find_xmod_isomorphism(xm, back, cap=cap) is not None, "isomorphism"
 
@@ -273,11 +273,11 @@ def _cat1(args, name, xm):
 
 
 def _internal(args, name, xm):
-    from .cat1 import check_internal_category, psi, xdias_to_internal
+    from .cat1 import psi, xdias_to_internal
     from .functors import _as_dias_or_lb
     xm = _as_dias_or_lb(xm)
     ic = xdias_to_internal(xm)
-    struct = check_internal_category(ic)
+    struct = ic.certificate
     back = psi(ic)
     ok, via = _roundtrip(xm, back, args.cap)
     return [{"check": "equivalence:internal", "fixture": name,

@@ -25,8 +25,8 @@ from .algebra import (Algebra, AlgebraMorphism, AssociativeAlgebra,
                       BilinearMap, Dialgebra, LeibnizAlgebra, kernel_of,
                       multiply_subspaces, quotient_algebra, sp_sub)
 from .config import max_dim
-from .errors import (DimensionMismatch, InvalidCrossedModule, NotWellDefined,
-                     ResourceCapExceeded)
+from .errors import (DimensionMismatch, InvalidCrossedModule, LemmaViolation,
+                     NotWellDefined, ResourceCapExceeded)
 from .linalg import Matrix, QuotientMap, Subspace, image, vec_is_zero
 
 if TYPE_CHECKING:
@@ -246,12 +246,10 @@ def envelope_transpose(env: Envelope, target: Algebra,
 
 def envelope_functor_morphism(env_src: Envelope, env_tgt: Envelope,
                               f_mor: AlgebraMorphism) -> AlgebraMorphism:
-    """Envelope of a morphism: substitute generator images letterwise."""
-    phi = env_tgt.eta.mul(f_mor.matrix)
-    out = envelope_transpose(env_src, env_tgt.algebra, phi)
-    if out.matrix.mul(env_src.eta) != env_tgt.eta.mul(f_mor.matrix):
-        raise NotWellDefined("envelope of a morphism is not natural on generators")
-    return out
+    """Envelope of a morphism: substitute generator images letterwise.
+    The transpose certifies that it is natural on the generators."""
+    return envelope_transpose(env_src, env_tgt.algebra,
+                              env_tgt.eta.mul(f_mor.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +313,11 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
         d_sub.dim)
     cat1 = Cat1(quot, d_sub, bridge.mul(sbar), bridge.mul(tbar))
     out = xmod_of_cat1(cat1)
-    lemma_crossed_checks(out)
+    lemma = lemma_crossed_checks(out)
+    if not lemma.passed:
+        bad = lemma.first_failure()
+        raise LemmaViolation(
+            f"structure lemma failed: {bad.name} at {bad.where}", lemma)
     kers_bar = kernel_of(cat1.s)
     eta_classes = pi.matrix.mul(env_big.eta)
     unit_cols = [kers_bar.coords(eta_classes.col(i))

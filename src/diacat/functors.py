@@ -726,28 +726,6 @@ def _pick_endo(alg, cap):
 # commuting squares
 
 
-def algebras_equal(a: Algebra, b: Algebra) -> bool:
-    return (a.flavor == b.flavor and a.field == b.field and a.dim == b.dim
-            and a.products() == b.products())
-
-
-def xmods_equal(x: CrossedModule, y: CrossedModule) -> bool:
-    return (x.flavor == y.flavor
-            and algebras_equal(x.actee, y.actee)
-            and algebras_equal(x.actor, y.actor)
-            and x.mu.matrix == y.mu.matrix
-            and x.action.same_tensors(y.action))
-
-
-def _is_algebra_iso(m: AlgebraMorphism) -> bool:
-    return m.is_morphism() and m.is_bijective()
-
-
-def _is_xmod_iso(m: XmodMorphism) -> bool:
-    return (m.check().passed and m.alpha.is_bijective()
-            and m.beta.is_bijective())
-
-
 def find_algebra_isomorphism(a, b, cap=None):
     if a.dim != b.dim:
         return None
@@ -761,7 +739,7 @@ def find_xmod_isomorphism(x, y, cap=None):
     if x.actee.dim != y.actee.dim or x.actor.dim != y.actor.dim:
         return None
     for m in enumerate_xmod_homs(x, y, cap):
-        if m.alpha.is_bijective() and m.beta.is_bijective():
+        if m.is_bijective():
             return m
     return None
 
@@ -785,9 +763,7 @@ def _verdict(square_id, expected, o1, o2, witnesses):
     builds and is an isomorphism makes it ISOMORPHIC.  A witness that
     fails to build is skipped, but a refused search is no verdict: its
     cap error propagates, as it does from a round trip."""
-    equal = xmods_equal(o1, o2) if isinstance(o1, CrossedModule) \
-        else algebras_equal(o1, o2)
-    if equal:
+    if o1.same_structure(o2):
         return CommutativityReport(square_id, expected, "EQUAL")
     if expected == "EQUAL":
         return CommutativityReport(square_id, expected, "FAIL", None,
@@ -801,9 +777,7 @@ def _verdict(square_id, expected, o1, o2, witnesses):
             continue
         if w is None:
             continue
-        good = _is_xmod_iso(w) if isinstance(w, XmodMorphism) \
-            else _is_algebra_iso(w)
-        if good:
+        if w.is_morphism() and w.is_bijective():
             return CommutativityReport(square_id, expected, "ISOMORPHIC", w)
     return CommutativityReport(square_id, expected, "FAIL", None,
                                " no isomorphism witness found")

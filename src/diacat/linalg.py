@@ -164,22 +164,6 @@ class Matrix:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
-    def add(self, other):
-        self._check_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix add shape mismatch")
-        f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)],
-                      self.rows, self.cols)
-
-    def sub(self, other):
-        self._check_field(other)
-        f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)],
-                      self.rows, self.cols)
-
     def neg(self):
         f = self.field
         return Matrix(f, [[f.neg(a) for a in r] for r in self.entries], self.rows, self.cols)

@@ -1,12 +1,14 @@
 import pytest
 
-from diacat import fixtures
+from diacat import actions, fixtures
 from diacat.actions import (Action, CrossedModule, XmodMorphism,
                             _crossed_equations, action_by_ambient_products,
                             lemma_crossed_checks, self_action, semidirect,
                             semidirect_homomorphism_checks, trivial_action,
                             xmod_from_ideal)
-from diacat.algebra import AlgebraMorphism, BilinearMap, abelian_algebra
+from diacat.algebra import (AlgebraMorphism, AxiomReport, BilinearMap,
+                            abelian_algebra)
+from diacat.envelope import xud_full
 from diacat.errors import (InvalidAction, InvalidCrossedModule,
                            LemmaViolation)
 from diacat.fields import GF, QQ
@@ -94,8 +96,20 @@ def test_lemma_checks_reject_kernel_outside_annihilator():
     mu = AlgebraMorphism(g, d, Matrix.zero(F2, 1, 2))
     bad = CrossedModule(mu, trivial_action(d, g), check=False)
     # Ker mu = everything, but f is not in the annihilator
-    with pytest.raises(LemmaViolation):
-        lemma_crossed_checks(bad)
+    report = lemma_crossed_checks(bad)
+    assert report.first_failure().name == \
+        "Ker mu lies in the annihilator of the actee"
+
+
+def test_a_failing_structure_lemma_stops_the_crossed_envelope(monkeypatch):
+    failing = AxiomReport("lb crossed module structure")
+    failing.add("Im mu is an ideal of the actor", False)
+    monkeypatch.setattr(actions, "lemma_crossed_checks", lambda xm: failing)
+    with pytest.raises(LemmaViolation) as exc:
+        xud_full(fixtures.get("xlb-ideal-e-f2"), 2)
+    assert str(exc.value) == ("structure lemma failed: "
+                              "Im mu is an ideal of the actor at None")
+    assert exc.value.report is failing
 
 
 def test_action_by_ambient_products_matches_fixture():

@@ -3,14 +3,18 @@ import random
 import pytest
 
 from diacat import fixtures
-from diacat.algebra import BilinearMap, make_algebra
-from diacat.cat1 import (Cat1, cat1_decomposition_iso, cat1_isomorphism_report,
-                         cat1_of_xmod, check_cat1, check_internal_category,
-                         identity_cat1, psi, xdias_to_internal,
-                         xmod_isomorphism_report, xmod_of_cat1)
-from diacat.errors import InvalidCat1
+from diacat.actions import Action, CrossedModule, trivial_action
+from diacat.algebra import (AlgebraMorphism, BilinearMap, abelian_algebra,
+                            make_algebra)
+from diacat.cat1 import (Cat1, InternalCategory, cat1_decomposition_iso,
+                         cat1_isomorphism_report, cat1_of_xmod, check_cat1,
+                         check_internal_category, identity_cat1, psi,
+                         xdias_to_internal, xmod_isomorphism_report,
+                         xmod_of_cat1)
+from diacat.errors import (InvalidAction, InvalidAlgebra, InvalidCat1,
+                           InvalidCrossedModule, InvalidInternalCategory)
 from diacat.fields import GF
-from diacat.functors import find_xmod_isomorphism, xmods_equal
+from diacat.functors import find_xmod_isomorphism
 from diacat.linalg import Matrix, Subspace, kernel
 
 F2 = GF(2)
@@ -48,11 +52,71 @@ def test_kernel_product_violation_is_rejected():
     assert not rep.passed
 
 
+def _failing_algebra(g):
+    # [e,e] = e on one basis vector: [x,[y,z]] = e, but the right side is 0
+    return make_algebra("lb", F2, [BilinearMap.from_triples(
+        F2, 1, 1, 1, [(0, 0, 0, F2.one())])], check=False).certify()
+
+
+def _failing_action(g):
+    # gq([f,f], x) = gq(e, x) = 0, but gq(f, gq(f, x)) = x
+    ab = abelian_algebra("lb", F2, 1, labels=["x"])
+    return Action(g, ab, {
+        "gq": BilinearMap.from_triples(F2, 2, 1, 1, [(1, 0, 0, F2.one())]),
+        "qg": BilinearMap.from_triples(F2, 1, 2, 1, [])},
+        check=False).certify()
+
+
+def _failing_xmod(g):
+    # mu = 0 with the trivial action: [mu(l),l'] = 0, but [f,f] = e
+    d = abelian_algebra("lb", F2, 1)
+    return CrossedModule(AlgebraMorphism(g, d, Matrix.zero(F2, 1, 2)),
+                         trivial_action(d, g), check=False).certify()
+
+
+def _failing_cat1(g):
+    # t = 0 is a morphism onto the whole algebra, but not a retraction
+    return Cat1(g, Subspace.full(F2, 2), Matrix.identity(F2, 2),
+                Matrix.zero(F2, 2, 2), check=False).certify()
+
+
+def _failing_internal_category(g):
+    # gamma = 0 on the diagonal pullback of the identity cat-1 structure
+    c = identity_cat1(g)
+    return InternalCategory(c, c.incl, Matrix.zero(F2, 2, 4))
+
+
+FAILURES = [
+    (_failing_algebra, InvalidAlgebra,
+     "leibniz: FAIL [leibniz: [x,[y,z]] = [[x,y],z] - [[x,z],y] "
+     "at (0, 0, 0)]"),
+    (_failing_action, InvalidAction,
+     "not a lb action: leibniz @ (D,D,L) fails at (1, 1, 0)"),
+    (_failing_xmod, InvalidCrossedModule,
+     "crossed module axioms fail: peiffer: [mu(l),l'] = [l,l'] at (1, 1)"),
+    (_failing_cat1, InvalidCat1,
+     "cat-1 axioms fail: t restricts to the identity on the base at None"),
+    (_failing_internal_category, InvalidInternalCategory,
+     "internal-category axioms fail: s . gamma = s . pr1 at None"),
+]
+
+
+@pytest.mark.parametrize("build,error,message", FAILURES,
+                         ids=[b.__name__.removeprefix("_failing_")
+                              for b, _, _ in FAILURES])
+def test_certify_failure_messages(build, error, message):
+    with pytest.raises(InvalidAlgebra) as exc:
+        build(fixtures.get("leibniz-ff-e-f2"))
+    assert exc.type is error
+    assert str(exc.value) == message
+    assert not exc.value.report.passed
+
+
 def test_crossed_roundtrip_dias():
     for name in DIAS_XMODS:
         xm = fixtures.get(name)
         back = xmod_of_cat1(cat1_of_xmod(xm))
-        assert xmods_equal(xm, back) or \
+        assert xm.same_structure(back) or \
             find_xmod_isomorphism(xm, back) is not None, name
 
 
@@ -60,7 +124,7 @@ def test_crossed_roundtrip_lb():
     for name in LB_XMODS:
         xm = fixtures.get(name)
         back = xmod_of_cat1(cat1_of_xmod(xm))
-        assert xmods_equal(xm, back) or \
+        assert xm.same_structure(back) or \
             find_xmod_isomorphism(xm, back) is not None, name
 
 
@@ -100,7 +164,7 @@ def test_internal_category_structure_and_roundtrip():
         ic = xdias_to_internal(xm)
         assert check_internal_category(ic).passed, name
         back = psi(ic)
-        assert xmods_equal(xm, back) or \
+        assert xm.same_structure(back) or \
             find_xmod_isomorphism(xm, back) is not None, name
 
 

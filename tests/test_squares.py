@@ -12,7 +12,9 @@ a search that ``--cap`` refuses makes ``verify`` exit 3.
 import pytest
 
 from diacat import cli, fixtures, functors
-from diacat.algebra import AlgebraMorphism, BilinearMap, make_algebra
+from diacat.actions import CrossedModule
+from diacat.algebra import (Algebra, AlgebraMorphism, BilinearMap,
+                            make_algebra)
 from diacat.fields import GF
 from diacat.functors import (FUNCTOR_TAGS, _SQUARES, _verdict, apply_functor,
                              check_square, find_algebra_isomorphism,
@@ -76,8 +78,8 @@ def test_canonical_witness_is_a_verified_isomorphism(monkeypatch, square_id,
                   for name, obj in battery}
     reps, searches = {}, []
     with monkeypatch.context() as mp:
-        mp.setattr(functors, "algebras_equal", lambda a, b: False)
-        mp.setattr(functors, "xmods_equal", lambda x, y: False)
+        mp.setattr(Algebra, "same_structure", lambda self, other: False)
+        mp.setattr(CrossedModule, "same_structure", lambda self, other: False)
         for find in ("find_algebra_isomorphism", "find_xmod_isomorphism"):
             mp.setattr(functors, find, lambda *args: searches.append(args))
         for name, obj in battery:
@@ -90,11 +92,11 @@ def test_canonical_witness_is_a_verified_isomorphism(monkeypatch, square_id,
         assert (rep.verdict, rep.detail) == ("FAIL",
                                              " no isomorphism witness found")
     xmod = flavor in ("lb", "lie")
-    same = functors.xmods_equal if xmod else functors.algebras_equal
     for name, rep in reps.items():
         assert (rep.verdict, rep.passed) == ("ISOMORPHIC", True), name
         w, (o1, o2) = rep.witness, composites[name]
-        assert same(w.source, o1) and same(w.target, o2), name
+        assert w.source.same_structure(o1), name
+        assert w.target.same_structure(o2), name
         assert w.check().passed, name
         for m in (w.alpha, w.beta) if xmod else (w,):
             assert inverse(m.matrix) is not None, name
@@ -138,8 +140,9 @@ def test_verdict_helper_reaches_every_outcome():
 def test_a_refused_search_in_a_square_exits_3(monkeypatch, capsys):
     # differing composites send the square to its search, which --cap 0
     # refuses: a cap error, as from a round trip, not a failed square
-    monkeypatch.setattr(functors, "algebras_equal", lambda a, b: False)
-    monkeypatch.setattr(functors, "xmods_equal", lambda x, y: False)
+    monkeypatch.setattr(Algebra, "same_structure", lambda self, other: False)
+    monkeypatch.setattr(CrossedModule, "same_structure",
+                        lambda self, other: False)
     rc = cli.main(["verify", "square:base-XUd-XU", "xlb-ideal-e-f2",
                    "--cap", "0"])
     out, err = capsys.readouterr()
