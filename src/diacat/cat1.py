@@ -5,9 +5,9 @@ retractions s, t onto it whose kernels multiply to zero in every order.  Such
 data is equivalent to a crossed module: one direction restricts t to Ker s
 with the ambient action, the other rebuilds E as a semidirect product with
 s(l,x) = x and t(l,x) = mu(l) + x.  Internal categories refine the picture
-with a unit section and a composition morphism on the pullback; both
-directions are implemented here along with full axiom checkers and canonical
-round-trip isomorphisms.
+with a composition morphism on the pullback, whose unit section is the base
+inclusion; both directions are implemented here along with full axiom
+checkers and canonical round-trip isomorphisms.
 """
 
 from __future__ import annotations
@@ -106,14 +106,13 @@ def cat1_of_xmod(xm: CrossedModule) -> Cat1:
     return Cat1(E, d_sub, s_matrix, t_matrix)
 
 
-def xmod_of_cat1(c: Cat1, sigma=None) -> CrossedModule:
-    """Restrict t to Ker s; the base acts by the ambient products, through
-    ``sigma`` when given and the base inclusion otherwise."""
+def xmod_of_cat1(c: Cat1) -> CrossedModule:
+    """Restrict t to Ker s; the base acts through its inclusion by the
+    ambient products."""
     kers = kernel_of(c.s)
     _L_alg, l_incl = induced_subalgebra(c.E, kers)
     mu = c.t.compose(l_incl)
-    act = action_by_ambient_products(c.incl if sigma is None else sigma,
-                                     l_incl)
+    act = action_by_ambient_products(c.incl, l_incl)
     return CrossedModule(mu, act)
 
 
@@ -170,7 +169,8 @@ def xmod_isomorphism_report(xm1: CrossedModule, xm2: CrossedModule,
 
 
 class InternalCategory(Certified):
-    """A cat-1 structure with a unit section and a composition morphism.
+    """A cat-1 structure with a composition morphism; its unit section is
+    the base inclusion ``cat1.incl``.
 
     The object of composable pairs is the subalgebra of E (+) E where t of
     the first component equals s of the second; ``gamma`` is expressed in its
@@ -180,13 +180,9 @@ class InternalCategory(Certified):
     invalid = InvalidInternalCategory
     failure = "internal-category axioms fail: {bad.name} at {bad.where}"
 
-    def __init__(self, cat1: Cat1, sigma: AlgebraMorphism,
-                 gamma_on_sum: Matrix):
+    def __init__(self, cat1: Cat1, gamma_on_sum: Matrix):
         self.cat1 = cat1
         E = cat1.E
-        if sigma.matrix.rows != E.dim or sigma.matrix.cols != cat1.base.dim:
-            raise DimensionMismatch("sigma must map the base into E")
-        self.sigma = sigma
         self.EE = direct_sum(E, E)
         pairing = cat1.t.matrix.hstack(cat1.s.matrix.neg())
         self.pullback = kernel(pairing)
@@ -201,25 +197,29 @@ class InternalCategory(Certified):
     def flavor(self):
         return self.cat1.flavor
 
+    def compose(self, u, v):
+        """gamma(u, v), or None when (u, v) is off the pullback."""
+        w = self.pullback.coords(list(u) + list(v))
+        return None if w is None else self.gamma.matrix.mul_vec(w)
+
     def check(self) -> AxiomReport:
         return check_internal_category(self)
 
 
-def _pullback_coords(ic: InternalCategory, u, v):
-    w = list(u) + list(v)
-    return ic.pullback.coords(w)
-
-
 def check_internal_category(ic: InternalCategory) -> AxiomReport:
+    """The cat-1 structure's certificate (checked here only when it was
+    built unchecked), the unit as a section of s and t, and gamma's
+    morphism, unit, associativity and kernel laws."""
     report = AxiomReport(f"{ic.flavor} internal category")
     c = ic.cat1
     E = c.E
     f = E.field
-    report.extend(check_cat1(c), "cat1 ")
-    report.extend(ic.sigma.check(), "sigma ")
+    sigma = c.incl.matrix
+    report.extend(c.certificate or check_cat1(c), "cat1 ")
+    report.extend(c.incl.check(), "sigma ")
     ident = Matrix.identity(f, c.base.dim)
-    report.add("s . sigma = id", c.s.matrix.mul(ic.sigma.matrix) == ident, None)
-    report.add("t . sigma = id", c.t.matrix.mul(ic.sigma.matrix) == ident, None)
+    report.add("s . sigma = id", c.s.matrix.mul(sigma) == ident, None)
+    report.add("t . sigma = id", c.t.matrix.mul(sigma) == ident, None)
 
     closure = multiply_subspaces(ic.EE, ic.pullback, ic.pullback)
     report.add("pullback is closed under products",
@@ -241,9 +241,9 @@ def check_internal_category(ic: InternalCategory) -> AxiomReport:
         bad = None
         for j in range(E.dim):
             e = unit_vector(f, E.dim, j)
-            ue = ic.sigma.matrix.mul_vec(end.matrix.col(j))
-            cj = _pullback_coords(ic, *((e, ue) if right else (ue, e)))
-            if cj is None or not vec_eq(f, ic.gamma.matrix.mul_vec(cj), e):
+            ue = sigma.mul_vec(end.matrix.col(j))
+            g = ic.compose(*((e, ue) if right else (ue, e)))
+            if g is None or not vec_eq(f, g, e):
                 bad = (j,)
                 break
         report.add(name, bad is None, bad)
@@ -256,21 +256,11 @@ def check_internal_category(ic: InternalCategory) -> AxiomReport:
     triple = kernel(top.vstack(bottom))
     bad = None
     for bi, w in enumerate(triple.basis):
-        u, v, z = list(w[:n]), list(w[n:2 * n]), list(w[2 * n:])
-        cuv = _pullback_coords(ic, u, v)
-        cvz = _pullback_coords(ic, v, z)
-        if cuv is None or cvz is None:
-            bad = (bi,)
-            break
-        guv = ic.gamma.matrix.mul_vec(cuv)
-        gvz = ic.gamma.matrix.mul_vec(cvz)
-        left = _pullback_coords(ic, guv, z)
-        right = _pullback_coords(ic, u, gvz)
-        if left is None or right is None:
-            bad = (bi,)
-            break
-        if not vec_eq(f, ic.gamma.matrix.mul_vec(left),
-                      ic.gamma.matrix.mul_vec(right)):
+        u, v, z = w[:n], w[n:2 * n], w[2 * n:]
+        guv, gvz = ic.compose(u, v), ic.compose(v, z)
+        left = None if guv is None else ic.compose(guv, z)
+        right = None if gvz is None else ic.compose(u, gvz)
+        if left is None or right is None or not vec_eq(f, left, right):
             bad = (bi,)
             break
     report.add("gamma is associative on composable triples", bad is None, bad)
@@ -279,11 +269,10 @@ def check_internal_category(ic: InternalCategory) -> AxiomReport:
     kers = kernel_of(c.s)
     bad = None
     for i, l in enumerate(kers.basis):
-        unit_of_l = ic.sigma.matrix.mul_vec(c.t.matrix.mul_vec(list(l)))
+        unit_of_l = sigma.mul_vec(c.t.matrix.mul_vec(list(l)))
         for j, lp in enumerate(kers.basis):
-            cj = _pullback_coords(ic, list(l), vec_add(f, unit_of_l, list(lp)))
-            want = vec_add(f, list(l), list(lp))
-            if cj is None or not vec_eq(f, ic.gamma.matrix.mul_vec(cj), want):
+            g = ic.compose(l, vec_add(f, unit_of_l, list(lp)))
+            if g is None or not vec_eq(f, g, vec_add(f, list(l), list(lp))):
                 bad = (i, j)
                 break
         if bad:
@@ -293,22 +282,16 @@ def check_internal_category(ic: InternalCategory) -> AxiomReport:
 
 
 def xdias_to_internal(xm: CrossedModule) -> InternalCategory:
-    """Augment the semidirect cat-1 model with its unit section and the
-    componentwise composition gamma((l,x),(l',x+mu(l))) = (l+l', x)."""
+    """Augment the semidirect cat-1 model with the componentwise composition
+    gamma((l,x),(l',x+mu(l))) = (l+l', x)."""
     if xm.flavor != "dias":
         raise InvalidCrossedModule("xdias_to_internal expects a dialgebra crossed module")
     c = cat1_of_xmod(xm)
     f = c.E.field
     nl, nd = xm.actee.dim, xm.actor.dim
-    sigma = AlgebraMorphism(c.base, c.E, c.incl.matrix)
     il = Matrix.identity(f, nl)
     idd = Matrix.identity(f, nd)
     top = il.hstack(Matrix.zero(f, nl, nd)).hstack(il).hstack(Matrix.zero(f, nl, nd))
     bottom = (Matrix.zero(f, nd, nl).hstack(idd)
               .hstack(Matrix.zero(f, nd, nl + nd)))
-    return InternalCategory(c, sigma, top.vstack(bottom))
-
-
-def psi(ic: InternalCategory) -> CrossedModule:
-    """Extract mu = t restricted to Ker s, acting through the unit section."""
-    return xmod_of_cat1(ic.cat1, sigma=ic.sigma)
+    return InternalCategory(c, top.vstack(bottom))

@@ -123,8 +123,8 @@ def _roundtrip_cat1(xm):
 
 
 def _roundtrip_internal(xm):
-    from .cat1 import psi, xdias_to_internal
-    return psi(xdias_to_internal(xm))
+    from .cat1 import xdias_to_internal, xmod_of_cat1
+    return xmod_of_cat1(xdias_to_internal(xm).cat1)
 
 
 # construction kinds beside the functor tags: source categories, builder
@@ -273,12 +273,12 @@ def _cat1(args, name, xm):
 
 
 def _internal(args, name, xm):
-    from .cat1 import psi, xdias_to_internal
+    from .cat1 import xdias_to_internal, xmod_of_cat1
     from .functors import _as_dias_or_lb
     xm = _as_dias_or_lb(xm)
     ic = xdias_to_internal(xm)
     struct = ic.certificate
-    back = psi(ic)
+    back = xmod_of_cat1(ic.cat1)
     ok, via = _roundtrip(xm, back, args.cap)
     return [{"check": "equivalence:internal", "fixture": name,
              "passed": ok and struct.passed, "roundtrip": via,

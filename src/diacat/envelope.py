@@ -244,6 +244,13 @@ def envelope_transpose(env: Envelope, target: Algebra,
     return induced
 
 
+def _assert_killed(f, mat: Matrix, sub: Subspace, what):
+    """Raise NotWellDefined unless ``mat`` sends every row of ``sub`` to 0."""
+    for r in sub.rows:
+        if not vec_is_zero(f, mat.mul_vec(r)):
+            raise NotWellDefined(f"{what} does not kill the defining ideal")
+
+
 def envelope_functor_morphism(env_src: Envelope, env_tgt: Envelope,
                               f_mor: AlgebraMorphism) -> AlgebraMorphism:
     """Envelope of a morphism: substitute generator images letterwise.
@@ -298,16 +305,16 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
         warnings.warn(
             "kernel-product subspace was not an ideal "
             f"(dim {x.dim} -> {xc.dim}); using the closure")
-    for r in xc.rows:
-        # s and t must factor through the quotient
-        assert vec_is_zero(f, uds.matrix.mul_vec(r))
-        assert vec_is_zero(f, udt.matrix.mul_vec(r))
+    # s and t must factor through the quotient
+    _assert_killed(f, uds.matrix, xc, "the enveloped s")
+    _assert_killed(f, udt.matrix, xc, "the enveloped t")
     section = q.qmap.section
     sbar = uds.matrix.mul(section)
     tbar = udt.matrix.mul(section)
     incl_bar = pi.matrix.mul(udsigma.matrix)
     d_sub = image(incl_bar)
-    assert d_sub.dim == env_base.algebra.dim
+    if d_sub.dim != env_base.algebra.dim:
+        raise LemmaViolation("the base envelope does not embed in the quotient")
     bridge = Matrix.from_cols(
         f, [d_sub.coords(incl_bar.col(i)) for i in range(incl_bar.cols)],
         d_sub.dim)
@@ -322,7 +329,8 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
     eta_classes = pi.matrix.mul(env_big.eta)
     unit_cols = [kers_bar.coords(eta_classes.col(i))
                  for i in range(xm.actee.dim)]
-    assert None not in unit_cols  # actee generators land in Ker s-bar
+    if None in unit_cols:
+        raise LemmaViolation("an actee generator does not land in Ker s-bar")
     unit_actee = Matrix.from_cols(f, unit_cols, kers_bar.dim)
     return XudResult(out, cat1, env_big, env_base, pi, bridge, unit_actee,
                      q.qmap)

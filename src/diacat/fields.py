@@ -1,9 +1,12 @@
 """Coefficient fields for exact linear algebra.
 
-Scalars are plain Python values: ``fractions.Fraction`` over the rationals
-(always kept in lowest terms with positive denominator) and ints in
-``[0, p)`` over a prime field.  Containers (matrices, tensors, algebras)
-carry the ``Field`` descriptor; the descriptor supplies the arithmetic.
+Scalars are plain Python values.  Over the rationals an integral scalar is
+an ``int``, so that integer arithmetic costs what ``int`` arithmetic costs,
+and any other is a ``fractions.Fraction`` (lowest terms, positive
+denominator); an ``int`` and a ``Fraction`` of equal value compare, hash
+and format alike.  Over a prime field a scalar is an int in ``[0, p)``.
+Containers (matrices, tensors, algebras) carry the ``Field`` descriptor;
+the descriptor supplies the arithmetic.
 """
 
 from __future__ import annotations
@@ -62,26 +65,31 @@ class Field:
         return self.name
 
 
+def _integral(q):
+    """A rational as an ``int`` when its denominator is 1."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
 class Rationals(Field):
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def of(self, x):
-        return Fraction(x)
+        return x if type(x) is int else _integral(Fraction(x))
 
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _integral(a * b)
 
     def neg(self, a):
         return -a
@@ -89,14 +97,14 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _integral(1 / Fraction(a))
 
     def is_zero(self, a):
         return a == 0
 
     def parse(self, text):
         try:
-            return Fraction(text)
+            return _integral(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational coefficient {text!r}: {exc}") from exc
 

@@ -34,13 +34,14 @@ from .algebra import (Algebra, AlgebraMorphism, AxiomReport,
                       square_seeds)
 from .cat1 import cat1_of_xmod
 from .config import DEFAULT_SEARCH_CAP
-from .envelope import (Envelope, XudResult, envelope_transpose, ud, xu_full,
-                       xud, xud_full)
+from .envelope import (Envelope, XudResult, _assert_killed, envelope_transpose,
+                       ud, xu_full, xud, xud_full)
 from .equations import (_add_triples, _affine_points, _affine_set, _dense,
                         _Equation, _intertwined, _residual, _scaled_eye,
                         _triples)
-from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
-                     NotWellDefined, ResourceCapExceeded, SearchSpaceTooLarge)
+from .errors import (DiacatError, FieldMismatch, InvalidAlgebra,
+                     InvalidCrossedModule, LemmaViolation, NotWellDefined,
+                     ResourceCapExceeded, SearchSpaceTooLarge)
 from .linalg import (Matrix, Subspace, inverse, sp_from_dense, vec_is_zero,
                      vec_scale, vec_zero)
 from .tags import (_CHAIN_LETTERS, FUNCTOR_TAGS, _chain_tag, _functor,
@@ -79,12 +80,6 @@ def _action_closed_ideal(act: Action, seeds) -> Subspace:
     return Subspace.span(f, closed.rows, nl)
 
 
-def _assert_killed(f, mat: Matrix, sub: Subspace, what):
-    for r in sub.rows:
-        if not vec_is_zero(f, mat.mul_vec(r)):
-            raise NotWellDefined(f"{what} does not kill the defining ideal")
-
-
 def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
     """Lift a universal quotient of algebras to crossed modules.
 
@@ -100,7 +95,8 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
     ideal = _action_closed_ideal(act, seeds)
     quot, proj_L = q_L = quotient_algebra(L, ideal)
     prods = quot.products()
-    assert all(p == prods[0] for p in prods)
+    if any(p != prods[0] for p in prods):
+        raise InvalidAlgebra("the quotient failed to merge the products")
     L_q = make_algebra(D_q.flavor, f, prods[:1], list(quot.labels))
     qm_D, qm_L = q_D.qmap, q_L.qmap
     # representative independence on the actor side
@@ -119,7 +115,11 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
     inc = inclusion(out)
     projs = XmodMorphism(xm, inc, AlgebraMorphism(L, inc.actee, proj_L.matrix),
                          AlgebraMorphism(D, inc.actor, proj_D.matrix))
-    assert projs.check().passed
+    rep = projs.check()
+    if not rep.passed:
+        bad = rep.first_failure()
+        raise LemmaViolation("the projection pair is not a crossed-module "
+                             f"morphism: {bad.name} at {bad.where}", rep)
     return out, projs
 
 
@@ -552,16 +552,13 @@ def xud_transpose(r: XudResult, target: CrossedModule,
     _assert_killed(f, k.matrix, r.qmap.sub, "the enveloped block map")
     kbar = k.matrix.mul(r.qmap.section)
     nl, nd = target.actee.dim, target.actor.dim
-    kers_bar = kernel_of(r.cat1.s)
-    a_cols, b_cols = [], []
-    for bvec in kers_bar.rows:
-        img = kbar.mul_vec(bvec)
-        assert vec_is_zero(f, img[nl:])  # kernel lands in the kernel block
-        a_cols.append(img[:nl])
-    for bvec in r.cat1.d_sub.rows:
-        img = kbar.mul_vec(bvec)
-        assert vec_is_zero(f, img[:nl])  # base lands in the base block
-        b_cols.append(img[nl:])
+    # Ker s-bar lands in the actee block, the base in the actor block
+    a_imgs = [kbar.mul_vec(v) for v in kernel_of(r.cat1.s).rows]
+    b_imgs = [kbar.mul_vec(v) for v in r.cat1.d_sub.rows]
+    if not (all(vec_is_zero(f, w[nl:]) for w in a_imgs)
+            and all(vec_is_zero(f, w[:nl]) for w in b_imgs)):
+        raise NotWellDefined("the enveloped block map mixes the two blocks")
+    a_cols, b_cols = [w[:nl] for w in a_imgs], [w[nl:] for w in b_imgs]
     alpha_out = AlgebraMorphism(r.xmod.actee, target.actee,
                                 Matrix.from_cols(f, a_cols, nl))
     beta_out = AlgebraMorphism(r.xmod.actor, target.actor,
@@ -760,9 +757,9 @@ class CommutativityReport(NamedTuple):
 
 def _verdict(square_id, expected, o1, o2, witnesses):
     """The square's report on composites o1, o2: the first witness that
-    builds and is an isomorphism makes it ISOMORPHIC.  A witness that
-    fails to build is skipped, but a refused search is no verdict: its
-    cap error propagates, as it does from a round trip."""
+    builds and is an isomorphism makes it ISOMORPHIC.  A witness whose
+    build raises a DiacatError is skipped, but a refused search is no
+    verdict: its cap error propagates, as it does from a round trip."""
     if o1.same_structure(o2):
         return CommutativityReport(square_id, expected, "EQUAL")
     if expected == "EQUAL":
@@ -773,7 +770,7 @@ def _verdict(square_id, expected, o1, o2, witnesses):
             w = build()
         except (ResourceCapExceeded, SearchSpaceTooLarge):
             raise
-        except (DiacatError, AssertionError):
+        except DiacatError:
             continue
         if w is None:
             continue
@@ -798,7 +795,8 @@ def _envelope_witness(alg, bound, o1, o2):
     full = xu_full if alg.flavor == "lie" else xud_full
     r = full(embed(_chain_tag(alg.flavor, 1, 1), alg), bound)
     inv_bridge = inverse(r.base_bridge)
-    assert inv_bridge is not None
+    if inv_bridge is None:
+        raise LemmaViolation("the base bridge is not invertible")
     alpha = AlgebraMorphism(o1.actee, o2.actee, inv_bridge.mul(o1.mu.matrix))
     beta = AlgebraMorphism(o1.actor, o2.actor, inv_bridge)
     return XmodMorphism(o1, o2, alpha, beta)

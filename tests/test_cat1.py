@@ -2,19 +2,20 @@ import random
 
 import pytest
 
-from diacat import fixtures
-from diacat.actions import Action, CrossedModule, trivial_action
+from diacat import cat1, fixtures
+from diacat.actions import (Action, CrossedModule, action_by_ambient_products,
+                            trivial_action)
 from diacat.algebra import (AlgebraMorphism, BilinearMap, abelian_algebra,
-                            make_algebra)
+                            induced_subalgebra, kernel_of, make_algebra)
 from diacat.cat1 import (Cat1, InternalCategory, cat1_decomposition_iso,
                          cat1_isomorphism_report, cat1_of_xmod, check_cat1,
-                         check_internal_category, identity_cat1, psi,
+                         check_internal_category, identity_cat1,
                          xdias_to_internal, xmod_isomorphism_report,
                          xmod_of_cat1)
 from diacat.errors import (InvalidAction, InvalidAlgebra, InvalidCat1,
                            InvalidCrossedModule, InvalidInternalCategory)
 from diacat.fields import GF
-from diacat.functors import find_xmod_isomorphism
+from diacat.functors import _as_dias_or_lb, find_xmod_isomorphism
 from diacat.linalg import Matrix, Subspace, kernel
 
 F2 = GF(2)
@@ -83,7 +84,7 @@ def _failing_cat1(g):
 def _failing_internal_category(g):
     # gamma = 0 on the diagonal pullback of the identity cat-1 structure
     c = identity_cat1(g)
-    return InternalCategory(c, c.incl, Matrix.zero(F2, 2, 4))
+    return InternalCategory(c, Matrix.zero(F2, 2, 4))
 
 
 FAILURES = [
@@ -163,7 +164,7 @@ def test_internal_category_structure_and_roundtrip():
         xm = fixtures.get(name)
         ic = xdias_to_internal(xm)
         assert check_internal_category(ic).passed, name
-        back = psi(ic)
+        back = xmod_of_cat1(ic.cat1)
         assert xm.same_structure(back) or \
             find_xmod_isomorphism(xm, back) is not None, name
 
@@ -175,6 +176,83 @@ def test_internal_composition_agrees_on_units():
     rep = check_internal_category(ic)
     names = [it.name for it in rep.items]
     assert any("unit" in n or "sigma" in n for n in names)
+
+
+def _dias_xmods():
+    """Every bundled dialgebra and associative crossed module, the latter
+    viewed as a dialgebra one."""
+    return [(name, _as_dias_or_lb(xm)) for name, xm in fixtures.by_kind("xmod")
+            if xm.flavor in ("dias", "as")]
+
+
+def test_an_internal_category_checks_its_cat1_structure_once(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return check_cat1(c)
+
+    monkeypatch.setattr(cat1, "check_cat1", counted)
+    for name, xm in _dias_xmods():
+        calls.clear()
+        ic = xdias_to_internal(xm)
+        assert calls == [ic.cat1], name
+        assert ic.certificate.passed, name
+
+
+def test_the_unit_section_is_the_base_inclusion():
+    # the crossed module acting through a unit section built apart from
+    # the base inclusion, with the same matrix
+    for name, xm in _dias_xmods():
+        c = xdias_to_internal(xm).cat1
+        l_incl = induced_subalgebra(c.E, kernel_of(c.s))[1]
+        sigma = AlgebraMorphism(c.base, c.E, c.incl.matrix)
+        through_sigma = CrossedModule(
+            c.t.compose(l_incl), action_by_ambient_products(sigma, l_incl))
+        assert xmod_of_cat1(c).same_structure(through_sigma), name
+
+
+# the report of an internal category, item by item
+INTERNAL_ITEMS = [
+    "cat1 base subspace is closed under products",
+    "cat1 incl preserves bracket", "cat1 s preserves bracket",
+    "cat1 t preserves bracket",
+    "cat1 s restricts to the identity on the base",
+    "cat1 t restricts to the identity on the base",
+    "cat1 [Ker s,Ker t] = 0", "cat1 [Ker t,Ker s] = 0",
+    "sigma preserves bracket", "s . sigma = id", "t . sigma = id",
+    "pullback is closed under products", "gamma preserves bracket",
+    "s . gamma = s . pr1", "t . gamma = t . pr2",
+    "gamma(x, sigma t(x)) = x", "gamma(sigma s(x), x) = x",
+    "gamma is associative on composable triples",
+    "gamma(l, sigma t(l) + l') = l + l'"]
+
+
+def _unchecked_cat1(g):
+    # t = 0, built unchecked: the internal category checks the structure
+    return Cat1(g, Subspace.full(F2, 2), Matrix.identity(F2, 2),
+                Matrix.zero(F2, 2, 2), check=False)
+
+
+@pytest.mark.parametrize("build,message,failing", [
+    (identity_cat1, "s . gamma = s . pr1 at None",
+     {"s . gamma = s . pr1": None, "t . gamma = t . pr2": None,
+      "gamma(x, sigma t(x)) = x": (0,), "gamma(sigma s(x), x) = x": (0,),
+      "gamma is associative on composable triples": (0,)}),
+    (_unchecked_cat1, "cat1 t restricts to the identity on the base at None",
+     {"cat1 t restricts to the identity on the base": None,
+      "t . sigma = id": None, "s . gamma = s . pr1": None,
+      "gamma(x, sigma t(x)) = x": (0,), "gamma(sigma s(x), x) = x": (0,)}),
+], ids=["identity", "unchecked-t-zero"])
+def test_invalid_internal_category_reports(build, message, failing):
+    # gamma = 0 on E (+) E
+    with pytest.raises(InvalidInternalCategory) as exc:
+        InternalCategory(build(fixtures.get("leibniz-ff-e-f2")),
+                         Matrix.zero(F2, 2, 4))
+    assert str(exc.value) == "internal-category axioms fail: " + message
+    items = exc.value.report.items
+    assert [it.name for it in items] == INTERNAL_ITEMS
+    assert {it.name: it.where for it in items if not it.passed} == failing
 
 
 def _kernel_products_by_double_loop(c):

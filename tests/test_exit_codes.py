@@ -31,8 +31,8 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 from diacat import documents, fixtures
-from diacat.actions import action_slots
-from diacat.algebra import FLAVORS
+from diacat.actions import XmodMorphism, action_slots
+from diacat.algebra import FLAVORS, AxiomReport
 from diacat.cli import (_BATTERIES, _CONSTRUCTIONS, _battery, _Named,
                         main)
 from diacat.functors import square_ids
@@ -121,13 +121,13 @@ def test_unwritable_out_is_an_input_error(tmp_path, argv):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _fresh_run(argv):
+def _fresh_run(argv, python=("-m", "diacat.cli")):
     """``diacat argv`` in a fresh interpreter with a timeout, so a command
-    that would hang fails instead."""
+    that would hang fails instead; ``python`` replaces ``-m diacat.cli``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     env.pop("DIACAT_MAX_DIM", None)
-    return subprocess.run([sys.executable, "-m", "diacat.cli", *argv],
+    return subprocess.run([sys.executable, *python, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=10)
 
@@ -142,6 +142,40 @@ def test_huge_truncation_hits_the_cap_at_once(trunc, dim):
     assert run.stderr == (f"resource cap exceeded: ambient dimension {dim} "
                           "over F2 exceeds cap 512 (set DIACAT_MAX_DIM to "
                           "raise it)\n")
+
+
+def _failing_check(self):
+    report = AxiomReport("forced crossed-module morphism")
+    report.add("forced to fail", False, None)
+    return report
+
+
+# XAS certifies its projection pair; with that certificate forced to fail
+FAILED_PROJECTIONS = ("failure: the projection pair is not a crossed-module "
+                      "morphism: forced to fail at None\n")
+
+
+def test_a_failed_certificate_exits_1_in_process(monkeypatch):
+    monkeypatch.setattr(XmodMorphism, "check", _failing_check)
+    rc, out, err = _run(["construct", "XAS", "xdias-ideal-incl-f2"])
+    assert (rc, out, err) == (1, "", FAILED_PROJECTIONS)
+
+
+def test_a_failed_certificate_exits_1_under_python_O():
+    # a certificate is an error raised, not an assert that -O strips
+    code = "\n".join([
+        "import sys",
+        "from diacat import cli",
+        "from diacat.actions import XmodMorphism",
+        "from diacat.algebra import AxiomReport",
+        "report = AxiomReport('forced crossed-module morphism')",
+        "report.add('forced to fail', False, None)",
+        "XmodMorphism.check = lambda self: report",
+        "sys.exit(cli.main(sys.argv[1:]))"])
+    run = _fresh_run(["construct", "XAS", "xdias-ideal-incl-f2"],
+                     python=("-O", "-c", code))
+    assert (run.returncode, run.stdout, run.stderr) == (
+        1, "", FAILED_PROJECTIONS)
 
 
 @pytest.mark.parametrize("p, rc", [

@@ -6,7 +6,9 @@ import tracemalloc
 import pytest
 
 from diacat import cli, fixtures, functors
-from diacat.algebra import BilinearMap, abelian_algebra, make_algebra
+from diacat.actions import XmodMorphism
+from diacat.algebra import (AxiomReport, BilinearMap, abelian_algebra,
+                            make_algebra)
 from diacat.errors import (DiacatError, DimensionMismatch,
                            SearchSpaceTooLarge)
 from diacat.fields import GF, QQ
@@ -68,6 +70,20 @@ def test_crossed_associativization_is_a_quotient():
     assert out.flavor == "as"
     assert projs.check().passed
     assert out.actor.dim <= xm.actor.dim
+
+
+def _failing_check(self):
+    report = AxiomReport("forced crossed-module morphism")
+    report.add("forced to fail", False, None)
+    return report
+
+
+def test_a_failing_projection_pair_raises_a_diacat_error(monkeypatch):
+    # the projections of a universal quotient are certified; a failing
+    # certificate raises the package's own error, also under python -O
+    monkeypatch.setattr(XmodMorphism, "check", _failing_check)
+    with pytest.raises(DiacatError, match="forced to fail at None"):
+        xas_of_xdias(fixtures.get("xdias-ideal-incl-f2"))
 
 
 def test_crossed_lie_functors():

@@ -15,6 +15,7 @@ from diacat import cli, fixtures, functors
 from diacat.actions import CrossedModule
 from diacat.algebra import (Algebra, AlgebraMorphism, BilinearMap,
                             make_algebra)
+from diacat.errors import NotWellDefined
 from diacat.fields import GF
 from diacat.functors import (FUNCTOR_TAGS, _SQUARES, _verdict, apply_functor,
                              check_square, find_algebra_isomorphism,
@@ -118,7 +119,7 @@ def test_verdict_helper_reaches_every_outcome():
     assert (rep.verdict, rep.witness, rep.detail) == ("EQUAL", None, "")
 
     def broken():
-        raise AssertionError("a witness builder that fails")
+        raise NotWellDefined("a witness builder that fails")
 
     rep = _verdict("t", "ISOMORPHIC", a, b,
                    [broken, lambda: None, not_bijective, search])
@@ -135,6 +136,13 @@ def test_verdict_helper_reaches_every_outcome():
     rep = _verdict("t", "EQUAL", a, b, [broken])
     assert (rep.verdict, rep.passed) == ("FAIL", False)
     assert rep.detail == " composites are not tensor-identical"
+
+    # a builder's own failure is a DiacatError; anything else is a bug
+    def asserting():
+        raise AssertionError("a witness builder with a bug")
+
+    with pytest.raises(AssertionError, match="with a bug"):
+        _verdict("t", "ISOMORPHIC", a, b, [asserting, search])
 
 
 def test_a_refused_search_in_a_square_exits_3(monkeypatch, capsys):
