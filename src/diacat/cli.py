@@ -11,10 +11,20 @@ tag registry and the envelope stack, not the functor module.
 
 Each ``verify`` battery is one row of ``_BATTERIES``; a bundled fixture
 that is invalid on purpose is certified as its document is.
+
+``main`` runs a command line in-process and returns its exit code.
+``run``, the entry point of ``python -m diacat.cli`` and of the ``diacat``
+script, ends the process as soon as the output is flushed and the
+``atexit`` handlers have run, without the interpreter's teardown.  Under
+a profiler or trace hook or ``python -i``, after a failed flush, or when
+``main`` raises, it exits the ordinary way.  Exit codes and output bytes
+are the same on both paths.
 """
 
 import argparse
+import atexit
 import json
+import os
 import sys
 from functools import partial
 from typing import NamedTuple
@@ -487,5 +497,37 @@ def main(argv=None) -> int:
         return EXIT_FAIL
 
 
+def _watched():
+    """Whether a profiler, a trace hook or an interactive prompt waits for
+    the end of this process."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 on
+    if monitoring is not None and any(  # its six tool ids
+            monitoring.get_tool(i) is not None for i in range(6)):
+        return True
+    return bool(sys.flags.inspect)
+
+
+def run(argv=None):
+    """The process entry point: ``main``, then the ``atexit`` handlers,
+    a flush of stdout and stderr, and ``os._exit``, which skips clearing
+    and freeing every module, class and function.  The exit takes the
+    ordinary ``sys.exit`` path when ``main`` raises, when a flush raises,
+    and under a profiler, a trace hook or ``python -i``, so these behave
+    as they would without ``run``."""
+    code = main(argv)
+    if _watched():
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # noqa: BLE001 - a closed pipe, or no stdout: the
+        # ordinary exit handles it as it would without run
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

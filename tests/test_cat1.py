@@ -170,12 +170,18 @@ def test_internal_category_structure_and_roundtrip():
 
 
 def test_internal_composition_agrees_on_units():
-    # gamma of (sigma(x), sigma(x)) must be sigma(x)
-    xm = fixtures.get("xdias-ideal-incl-f2")
-    ic = xdias_to_internal(xm)
-    rep = check_internal_category(ic)
-    names = [it.name for it in rep.items]
-    assert any("unit" in n or "sigma" in n for n in names)
+    """gamma(sigma y, sigma y) = sigma y for every basis vector y of the
+    base, and both unit laws pass, on every bundled dialgebra and
+    associative crossed module."""
+    for name, xm in _dias_xmods():
+        ic = xdias_to_internal(xm)
+        sigma = ic.cat1.incl.matrix
+        for j in range(ic.cat1.base.dim):
+            unit = sigma.col(j)
+            assert ic.compose(unit, unit) == unit, (name, j)
+        passed = {it.name: it.passed for it in ic.certificate.items}
+        assert passed["gamma(x, sigma t(x)) = x"], name
+        assert passed["gamma(sigma s(x), x) = x"], name
 
 
 def _dias_xmods():

@@ -13,10 +13,15 @@ document kind on it in-process.  A Hypothesis strategy also draws whole document
 flavor, dims, sparse tensors, ``mu`` and action slots, each sometimes out
 of range or of another flavor) and runs ``check`` on them.  Another draws
 ``verify`` and ``construct`` command lines over the bundled fixtures.
+A fresh ``python -m diacat.cli`` gives the exit code, stdout and stderr
+of ``main`` in-process; ``cli.run`` skips the interpreter's teardown
+but not the ``atexit`` handlers, and leaves profilers, trace hooks,
+``python -i`` and a closed stdout pipe to the ordinary exit.
 """
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
@@ -121,15 +126,157 @@ def test_unwritable_out_is_an_input_error(tmp_path, argv):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _fresh_run(argv, python=("-m", "diacat.cli")):
+def _fresh_run(argv, python=("-m", "diacat.cli"), stdout=subprocess.PIPE,
+               **environ):
     """``diacat argv`` in a fresh interpreter with a timeout, so a command
-    that would hang fails instead; ``python`` replaces ``-m diacat.cli``."""
+    that would hang fails instead; ``python`` replaces ``-m diacat.cli``.
+    ``environ`` sets variables of the child's environment, and removes
+    those given as None."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     env.pop("DIACAT_MAX_DIM", None)
+    for key, value in environ.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     return subprocess.run([sys.executable, *python, *argv],
-                          capture_output=True, text=True, env=env,
+                          stdin=subprocess.DEVNULL, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env,
                           timeout=10)
+
+
+def _two_step_dias(n=32, m=10):
+    """A dialgebra over F3 on x_0..x_{n-1}, z_0..z_{m-1} whose products of
+    two x's are z's and whose other products are zero.  Its leibnization
+    is a document larger than a pipe buffer."""
+    return {"field": "Fp", "p": 3, "flavor": "dias", "dim": n + m,
+            "left": [[i, j, n + (i + j) % m, "1"]
+                     for i in range(n) for j in range(n)],
+            "right": [[i, j, n + i * j % m, "2"]
+                      for i in range(n) for j in range(n)]}
+
+
+@pytest.fixture
+def docs(tmp_path, monkeypatch):
+    """Paths of a valid and a perturbed crossed-module document, of a
+    malformed algebra document and of ``_two_step_dias``."""
+    monkeypatch.delenv("DIACAT_MAX_DIM", raising=False)
+    valid = fixtures.document("xlb-ideal-e-f2")
+    perturbed = copy.deepcopy(valid)
+    perturbed["mu"][1] = ["1"]  # mu(e0) = e + f
+    malformed = dict(fixtures.document("leibniz-ff-e-f2"), p=4)
+    paths = {}
+    for name, doc in (("valid", valid), ("perturbed", perturbed),
+                      ("malformed", malformed), ("big", _two_step_dias())):
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    return paths
+
+
+def test_a_fresh_process_ends_as_main_returns(docs):
+    """The exit code, stdout and stderr of ``python -m diacat.cli`` are
+    those of ``main`` in-process on lines that exit 0, 1, 2 and 3: a valid
+    and a perturbed ``check``, a malformed document, a usage error, a
+    truncation over the dimension cap, and last a ``construct`` whose
+    stdout is larger than a pipe buffer."""
+    codes = set()
+    for argv in (["check", docs["valid"]], ["check", docs["perturbed"]],
+                 ["check", docs["malformed"]], ["construct", "Ud", "--bogus"],
+                 ["construct", "Ud", "leibniz-ff-e-f2", "--trunc", "6"],
+                 ["construct", "LB", docs["big"]]):
+        run = _fresh_run(argv)
+        assert (run.returncode, run.stdout, run.stderr) == _run(argv), argv
+        codes.add(run.returncode)
+    assert codes == {0, 1, 2, 3}
+    assert len(run.stdout) > 2 ** 16
+
+
+def test_out_file_is_the_stdout_document(docs, tmp_path):
+    argv = ["construct", "LB", docs["big"]]
+    out = tmp_path / "out.json"
+    printed = _fresh_run(argv)
+    written = _fresh_run(argv + ["--out", str(out)])
+    assert (printed.returncode, written.returncode) == (0, 0)
+    assert out.read_bytes() == printed.stdout.encode()
+    assert json.loads(written.stdout)["output"] == "algebra"
+
+
+# a fresh interpreter that registers an atexit handler, keeps an object
+# whose finalizer reports the interpreter's teardown, sets the hook it is
+# given, and ends through cli.run
+RUN_WITH_MARKERS = """\
+import atexit, os, sys
+atexit.register(print, "atexit handler ran", file=sys.stderr)
+class Marker:
+    def __del__(self, write=os.write):
+        write(2, b"torn down\\n")
+marker = Marker()
+{hook}
+from diacat import cli
+cli.run(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize("hook, teardown", [
+    ("", ""),
+    ("sys.setprofile(lambda *args: None)", "torn down\n"),
+    ("sys.settrace(lambda *args: None)", "torn down\n"),
+], ids=["no hook", "profile hook", "trace hook"])
+def test_run_skips_the_teardown_unless_a_hook_is_set(docs, hook, teardown):
+    """``cli.run`` runs the atexit handlers once and ends with main's exit
+    code and output; the interpreter tears down only under a hook."""
+    for argv in (["check", docs["valid"]], ["check", docs["perturbed"]]):
+        run = _fresh_run(argv, python=("-c", RUN_WITH_MARKERS.format(
+            hook=hook)))
+        rc, out, err = _run(argv)
+        assert (run.returncode, run.stdout) == (rc, out), argv
+        assert run.stderr == err + "atexit handler ran\n" + teardown, argv
+
+
+def test_run_leaves_the_interactive_prompt_to_python_i(docs):
+    argv = ["check", docs["valid"]]
+    run = _fresh_run(argv, python=("-i", "-c", RUN_WITH_MARKERS.format(
+        hook="")))
+    assert run.stdout == _run(argv)[1]
+    assert ">>> " in run.stderr, run.stderr
+    assert run.stderr.endswith("torn down\n"), run.stderr
+
+
+def test_a_profiler_still_prints_its_table(docs):
+    argv = ["check", docs["valid"]]
+    run = _fresh_run(argv, python=("-m", "cProfile", "-m", "diacat.cli"))
+    rc, out, err = _run(argv)
+    assert (run.returncode, run.stderr) == (rc, err)
+    assert run.stdout.startswith(out)
+    table = run.stdout[len(out):]
+    assert "function calls" in table and "Ordered by" in table, table
+
+
+BROKEN_PIPE = f"BrokenPipeError: [Errno {errno.EPIPE}] " \
+              f"{os.strerror(errno.EPIPE)}"
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_a_closed_pipe_ends_the_process_as_before(docs, unbuffered):
+    """Buffered output fails in the flush at exit, which Python reports
+    as ignored with exit 120; unbuffered output fails in the write, with
+    a traceback and exit 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = _fresh_run(["check", docs["valid"]], stdout=write_end,
+                         PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert run.stderr.splitlines()[-1] == BROKEN_PIPE, run.stderr
+    if unbuffered:
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("Traceback"), run.stderr
+        assert "in _emit_json" in run.stderr, run.stderr
+    else:
+        assert run.returncode == 120, run.stderr
+        assert run.stderr.startswith("Exception ignored in"), run.stderr
 
 
 @pytest.mark.parametrize("trunc, dim", [

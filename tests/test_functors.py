@@ -313,6 +313,15 @@ def test_adjunction_chain_all_pairs():
                 assert rep.passed, (flavor, pair, rep.first_failure())
 
 
+def test_naturality_is_checked_along_a_non_identity_endomorphism():
+    # each chain battery's algebra has one, the zero map at least
+    for _, name in cli._CHAIN_PAIRS:
+        alg = fixtures.get(name)
+        ident = Matrix.identity(alg.field, alg.dim)
+        assert any(m.matrix != ident for m in enumerate_homs(alg, alg)), name
+        assert functors._pick_endo(alg, None).matrix != ident, name
+
+
 def test_adjunction_chain_rejects_bad_pair():
     with pytest.raises(DiacatError):
         verify_adjunction_chain(("U2", "J2"), [])
