@@ -39,20 +39,24 @@ subspace, stopped at the first escape.  ``quotient_algebra`` divides by the
 ideal its argument generates, so a seed is closed once and an ideal is
 passed over once: the pass that builds ideals is also the one that
 certifies them.
+
+Only the functions that build matrices, subspaces or quotients import
+``linalg``, when they run; the checker's sparse vectors come from
+``fields``, so certifying an algebra loads no linear algebra.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from . import linalg
 from .config import guard_dim
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAlgebra,
                      NotClosed)
-from .fields import Field
-from .linalg import (Matrix, QuotientMap, Subspace, sp_add_into,
-                     sp_from_dense, sp_to_dense)
+from .fields import Field, sp_add_into, sp_from_dense, sp_to_dense
+
+if TYPE_CHECKING:
+    from .linalg import Matrix, Subspace
 
 # ---------------------------------------------------------------------------
 # sparse vectors
@@ -691,10 +695,12 @@ class AlgebraMorphism:
 
     @classmethod
     def identity(cls, alg):
+        from .linalg import Matrix
         return cls(alg, alg, Matrix.identity(alg.field, alg.dim))
 
     @classmethod
     def zero(cls, source, target):
+        from .linalg import Matrix
         return cls(source, target, Matrix.zero(source.field, target.dim, source.dim))
 
     def apply(self, v):
@@ -751,10 +757,12 @@ def first_unintertwined(src: BilinearMap, tgt: BilinearMap, left, right,
 
 
 def kernel_of(f: AlgebraMorphism) -> Subspace:
+    from . import linalg
     return linalg.kernel(f.matrix)
 
 
 def image_of(f: AlgebraMorphism) -> Subspace:
+    from . import linalg
     return linalg.image(f.matrix)
 
 
@@ -785,6 +793,7 @@ def basis_products(alg: Algebra, vectors):
 
 def multiply_subspaces(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all basis products a*b under every product of the flavor."""
+    from .linalg import Subspace
     return Subspace.span(alg.field, _products(alg, a.rows, b.rows), alg.dim)
 
 
@@ -839,6 +848,7 @@ def quotient_algebra(alg: Algebra, seed: Subspace) -> Quotient:
     vectors, so quotienting by the zero ideal reproduces the original
     structure constants on the nose.
     """
+    from .linalg import QuotientMap
     ideal = ideal_closure(alg, seed)
     f = alg.field
     qm = QuotientMap(alg.dim, ideal)
@@ -853,6 +863,7 @@ def quotient_algebra(alg: Algebra, seed: Subspace) -> Quotient:
 
 def induced_subalgebra(alg: Algebra, sub: Subspace):
     """Structure induced on a product-closed subspace; returns (algebra, inclusion)."""
+    from .linalg import Matrix
     f = alg.field
 
     def back(w):
@@ -889,6 +900,7 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
 
 def derived_tower_nilpotent(alg: Algebra, bound: int) -> bool:
     """True iff every (bound+1)-fold product vanishes (any bracketing)."""
+    from .linalg import Subspace
     f = alg.field
     # layers[k] spans all k-fold products: the products of layers i and k - i
     layers = {1: Subspace.full(f, alg.dim).rows}
@@ -955,6 +967,7 @@ def associative_quotient(d: Dialgebra) -> Quotient:
     Returns (associative algebra, projection as a dialgebra morphism onto the
     quotient viewed as a dialgebra), with that ideal.
     """
+    from .linalg import Subspace
     f = d.field
     quot = quotient_algebra(d, Subspace.span(f, merge_seeds(d), d.dim))
     quot_dias, proj = quot
@@ -970,6 +983,7 @@ def lie_quotient(g: LeibnizAlgebra) -> Quotient:
     Returns (lie algebra, projection as a Leibniz morphism onto the
     quotient), with that ideal.
     """
+    from .linalg import Subspace
     f = g.field
     quot = quotient_algebra(g, Subspace.span(f, square_seeds(g), g.dim))
     quot_lb, proj = quot

@@ -5,12 +5,22 @@ Exit codes are a stable contract: 0 pass, 1 mathematical failure,
 2 input error, 3 resource cap exceeded.  Machine-readable JSON goes to
 stdout with sorted keys; human commentary goes to stderr.
 
-Handlers import what they run, so ``check`` never loads the functor,
-envelope and cat1 modules, and ``construct`` of an envelope tag loads the
-tag registry and the envelope stack, not the functor module.
+Every job compiles the modules it loads, so this module holds only
+argument parsing, ``check``, ``fixtures``, output and exit codes, and the
+other handlers import what they run:
 
-Each ``verify`` battery is one row of ``_BATTERIES``; a bundled fixture
-that is invalid on purpose is certified as its document is.
+- ``check`` loads ``documents``, ``algebra``, ``fields``, ``config`` and
+  ``errors``; a crossed-module document adds ``actions`` and ``linalg``.
+  Only rational documents load ``fractions``.
+- ``construct`` adds ``tags`` (``tags.construct`` and the construction
+  table), ``fixtures``, ``linalg`` and what its kind builds: ``envelope``
+  for an envelope tag, not ``functors``.
+- ``verify`` adds ``batteries``, the battery table, and the functor,
+  envelope and cat1 stack its battery runs.
+- ``fixtures`` adds ``fixtures`` and ``linalg``.
+
+No module imports this one: under ``python -m diacat.cli`` it is
+``__main__``, and an import would compile it a second time.
 
 ``main`` runs a command line in-process and returns its exit code.
 ``run``, the entry point of ``python -m diacat.cli`` and of the ``diacat``
@@ -26,11 +36,9 @@ import atexit
 import json
 import os
 import sys
-from functools import partial
-from typing import NamedTuple
 
 from . import documents
-from .algebra import FLAVORS, Algebra
+from .algebra import FLAVORS
 from .errors import (DiacatError, ParseError, ResourceCapExceeded,
                      SearchSpaceTooLarge)
 
@@ -45,13 +53,6 @@ def _emit_json(doc):
     sys.stdout.write(documents.canonical_json(doc))
 
 
-def _report_items(report):
-    return [{"name": it.name, "passed": it.passed,
-             "where": None if it.where is None else str(it.where),
-             "detail": None if it.detail is None else str(it.detail)}
-            for it in report.items]
-
-
 def _write_or_print(doc, out_path):
     text = documents.canonical_json(doc)
     if not out_path:
@@ -62,30 +63,6 @@ def _write_or_print(doc, out_path):
             fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {out_path}: {exc}") from exc
-
-
-def _resolve(spec, kind):
-    """A fixture name or a document path, to a live object.  A fixture that
-    is invalid on purpose is read, and certified, as its document is."""
-    from . import fixtures
-    fx = fixtures.info(spec) if spec in fixtures.names() else None
-    if fx is not None and fx.valid:
-        if fx.kind != kind:
-            raise ParseError(f"fixture {spec!r} is a {fx.kind}, "
-                             f"expected {kind}")
-        return fixtures.get(spec)
-    try:
-        doc = (fixtures.document(spec) if fx is not None
-               else documents.load_document(spec))
-    except ParseError as exc:
-        raise ParseError(f"{spec!r} is neither a bundled fixture name nor a "
-                         f"readable document ({exc})") from exc
-    found = documents.document_kind(doc)
-    if found != kind:
-        raise ParseError(f"{spec}: expected a {kind} document, found {found}")
-    if found == "xmod":
-        return documents.xmod_from_document(doc)
-    return documents.algebra_from_document(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +86,7 @@ def cmd_check(args) -> int:
         dims = [obj.dim]
     report = obj.check()
     out = {"kind": kind, "flavor": obj.flavor, "dims": dims,
-           "passed": report.passed, "items": _report_items(report)}
+           "passed": report.passed, "items": documents._report_items(report)}
     _emit_json(out)
     if args.verbose:
         for it in report.items:
@@ -122,60 +99,9 @@ def cmd_check(args) -> int:
 # construct
 
 
-def _semidirect(xm):
-    from .actions import semidirect
-    return semidirect(xm.action)[0]
-
-
-def _roundtrip_cat1(xm):
-    from .cat1 import cat1_of_xmod, xmod_of_cat1
-    return xmod_of_cat1(cat1_of_xmod(xm))
-
-
-def _roundtrip_internal(xm):
-    from .cat1 import xdias_to_internal, xmod_of_cat1
-    return xmod_of_cat1(xdias_to_internal(xm).cat1)
-
-
-# construction kinds beside the functor tags: source categories, builder
-_CONSTRUCTIONS = {
-    "semidirect": (("XDias", "XLb", "XAs", "XLie"), _semidirect),
-    "roundtrip-cat1": (("XDias", "XLb"), _roundtrip_cat1),
-    "roundtrip-internal": (("XDias",), _roundtrip_internal),
-}
-
-
-def _construct(kind, args):
-    from .tags import FUNCTOR_TAGS, apply_functor, category
-    if kind in FUNCTOR_TAGS:
-        fn = FUNCTOR_TAGS[kind]
-        truncated = fn.truncated
-        sources = (fn.source,)
-        build = partial(apply_functor, kind, bound=args.trunc)
-    elif kind in _CONSTRUCTIONS:
-        truncated = False
-        sources, build = _CONSTRUCTIONS[kind]
-    else:
-        raise ParseError(f"unknown construction kind {kind!r}")
-    if truncated and args.trunc is None:
-        raise ParseError(f"construct {kind} requires --trunc")
-    if not truncated and args.trunc is not None:
-        raise ParseError(f"construct {kind} takes no --trunc")
-    if len(args.inputs) != 1:
-        raise ParseError(f"construct {kind} takes exactly one input")
-    obj = _resolve(args.inputs[0],
-                   "xmod" if sources[0].startswith("X") else "algebra")
-    if category(obj) not in sources:
-        raise ParseError(f"construct {kind} takes an object of "
-                         f"{' or '.join(sources)}, got one of {category(obj)}")
-    out = build(obj)
-    if isinstance(out, Algebra):
-        return documents.algebra_to_document(out)
-    return documents.xmod_to_document(out)
-
-
 def cmd_construct(args) -> int:
-    doc = _construct(args.kind, args)
+    from .tags import construct
+    doc = construct(args.kind, args.inputs, args.trunc)
     report = {"kind": args.kind, "output": documents.document_kind(doc)}
     if documents.document_kind(doc) == "xmod":
         report["dims"] = [doc["source"]["dim"], doc["target"]["dim"]]
@@ -193,182 +119,9 @@ def cmd_construct(args) -> int:
 # verify
 
 
-# the named inputs a battery takes; with none named, it runs every valid
-# bundled fixture of that kind and those flavors
-class _Named(NamedTuple):
-    kind: str
-    flavors: tuple
-
-
-class _Battery(NamedTuple):
-    trunc: bool  # reads --trunc, and applies 2 when it is absent
-    inputs: object  # a _Named, or fixed pairs of bundled fixture names
-    run: object  # run(args, name, input) -> that input's result dicts
-
-
-def _inputs(args, inputs):
-    """A battery's (name, input) pairs, all resolved before any runs."""
-    from . import fixtures
-    if not isinstance(inputs, _Named):
-        if args.fixtures:
-            raise ParseError(f"{args.what} runs its bundled pairs and takes "
-                             "no fixture names")
-        return [(f"{a} / {b}", (fixtures.get(a), fixtures.get(b)))
-                for a, b in inputs]
-    if not args.fixtures:
-        return [(name, obj) for name, obj in fixtures.by_kind(inputs.kind)
-                if obj.flavor in inputs.flavors]
-    out = []
-    for spec in args.fixtures:
-        obj = _resolve(spec, inputs.kind)
-        if obj.flavor not in inputs.flavors:
-            raise ParseError(f"{spec}: flavor {obj.flavor!r} not accepted "
-                             f"here (need one of {sorted(inputs.flavors)})")
-        out.append((spec, obj))
-    return out
-
-
-def _square(square_id, args, name, obj):
-    from .functors import check_square
-    rep = check_square(square_id, obj, bound=args.trunc, cap=args.cap)
-    return [{"check": f"square:{square_id}", "fixture": name,
-             "expected": rep.expected, "verdict": rep.verdict,
-             "passed": rep.passed, "detail": rep.detail.strip() or None}]
-
-
-def _adjunction(which, args, name, pair):
-    from . import functors
-    rep = getattr(functors, f"verify_adjunction_{which}")(
-        *pair, args.trunc, cap=args.cap)
-    return [{"check": f"adjunction:{which}", "fixture": name,
-             "passed": rep.passed, "cardinality": len(rep.left),
-             "items": _report_items(rep.items)}]
-
-
-def _chain(i, args, name, pair):
-    from .functors import verify_adjunction_chain
-    from .tags import chain_pairs
-    out = []
-    for tags in chain_pairs(pair[0].flavor, i):
-        rep = verify_adjunction_chain(tags, [pair], cap=args.cap)
-        out.append({"check": f"adjunction:{tags[0]}-|{tags[1]}",
-                    "fixture": name, "passed": rep.passed,
-                    "items": _report_items(rep)})
-    return out
-
-
-def _roundtrip(xm, back, cap):
-    """Whether a round trip came back to ``xm``, and how: ``"equal"`` for
-    tensor-identical, else ``"isomorphism"``, found by a search."""
-    from .functors import find_xmod_isomorphism
-    if xm.same_structure(back):
-        return True, "equal"
-    return find_xmod_isomorphism(xm, back, cap=cap) is not None, "isomorphism"
-
-
-def _cat1(args, name, xm):
-    from .cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
-                       cat1_of_xmod, xmod_of_cat1)
-    from .functors import _as_dias_or_lb
-    xm = _as_dias_or_lb(xm)
-    c = cat1_of_xmod(xm)
-    back = xmod_of_cat1(c)
-    ok_x, via = _roundtrip(xm, back, args.cap)
-    c2 = cat1_of_xmod(back)
-    h = cat1_decomposition_iso(c, c2)
-    rep = cat1_isomorphism_report(c, c2, h)
-    return [{"check": "equivalence:cat1", "fixture": name,
-             "passed": ok_x and rep.passed, "crossed-roundtrip": via,
-             "cat1-roundtrip": _report_items(rep)}]
-
-
-def _internal(args, name, xm):
-    from .cat1 import xdias_to_internal, xmod_of_cat1
-    from .functors import _as_dias_or_lb
-    xm = _as_dias_or_lb(xm)
-    ic = xdias_to_internal(xm)
-    struct = ic.certificate
-    back = xmod_of_cat1(ic.cat1)
-    ok, via = _roundtrip(xm, back, args.cap)
-    return [{"check": "equivalence:internal", "fixture": name,
-             "passed": ok and struct.passed, "roundtrip": via,
-             "structure": _report_items(struct)}]
-
-
-def _parallelepiped(args, name, xm):
-    from .functors import check_parallelepiped
-    rep = check_parallelepiped(xm, bound=args.trunc, cap=args.cap)
-    faces: dict = {}
-    for it in rep.items:
-        key = it.name.split(":", 1)[0]
-        faces[key] = faces.get(key, True) and it.passed
-    return [{"check": "parallelepiped", "fixture": name,
-             "passed": rep.passed, "faces": faces,
-             "items": _report_items(rep)}]
-
-
-_UD_PAIRS = [
-    ("lb-abelian-1-f2", "free-dias-1-2-f2"),
-    ("lb-abelian-1-f2", "dias-abelian-2-f2"),
-    ("lb-abelian-2-f2", "dias-abelian-2-f2"),
-    ("lb-abelian-2-f2", "dias-assoc-tri-2-f2"),
-    ("leibniz-ff-e-f2", "free-dias-1-2-f2"),
-    ("leibniz-ff-e-f2", "dias-assoc-tri-2-f2"),
-]
-
-_XUD_PAIRS = [
-    ("xlb-zero-ff-e-f2", "xdias-zero-f2"),
-    ("xlb-ident-abelian-1-f2", "xdias-ideal-incl-f2"),
-    ("xlb-ideal-e-f2", "xdias-ideal-incl-f2"),
-]
-
-# one (crossed module, algebra) pair per flavor: dias, lb, as, lie
-_CHAIN_PAIRS = [
-    ("xdias-ideal-incl-f2", "free-dias-1-2-f2"),
-    ("xlb-ideal-e-f2", "leibniz-ff-e-f2"),
-    ("xas-ident-nilp2-f2", "as-nilp-2-f2"),
-    ("xlie-abelian-pair-f2", "lie-abelian-1-f2"),
-]
-
-# every battery beside the square:<id> ones, which _battery builds from the
-# square table
-_BATTERIES = {
-    "adjunction:ud": _Battery(True, _UD_PAIRS, partial(_adjunction, "ud")),
-    "adjunction:xud": _Battery(True, _XUD_PAIRS, partial(_adjunction, "xud")),
-    "adjunction:chain:0": _Battery(False, _CHAIN_PAIRS, partial(_chain, 0)),
-    "adjunction:chain:1": _Battery(False, _CHAIN_PAIRS, partial(_chain, 1)),
-    "equivalence:cat1": _Battery(False, _Named("xmod", tuple(FLAVORS)), _cat1),
-    "equivalence:internal": _Battery(False, _Named("xmod", ("dias", "as")),
-                                     _internal),
-    "parallelepiped": _Battery(True, _Named("xmod", ("lb", "lie")),
-                               _parallelepiped),
-}
-
-
-def _battery(what):
-    """The table row of a battery name; a ``square:<id>`` row is built from
-    the square table."""
-    if what in _BATTERIES:
-        return _BATTERIES[what]
-    from .functors import square_fixture_kind, square_flavors, square_ids
-    square_id = what.removeprefix("square:")
-    if square_id == what or square_id not in square_ids():
-        known = [f"square:{i}" for i in square_ids()] + list(_BATTERIES)
-        raise ParseError(f"unknown verification {what!r}; expected one of "
-                         + ", ".join(known))
-    return _Battery(True, _Named(square_fixture_kind(square_id),
-                                 tuple(square_flavors(square_id))),
-                    partial(_square, square_id))
-
-
 def cmd_verify(args) -> int:
-    battery = _battery(args.what)
-    if battery.trunc:
-        args.trunc = args.trunc or 2
-    elif args.trunc is not None:
-        raise ParseError(f"verify {args.what} takes no --trunc")
-    results = [r for name, obj in _inputs(args, battery.inputs)
-               for r in battery.run(args, name, obj)]
+    from .batteries import run_battery
+    results = run_battery(args)
     passed = all(r["passed"] for r in results)
     _emit_json({"what": args.what, "passed": passed, "results": results})
     if args.verbose:

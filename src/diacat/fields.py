@@ -6,12 +6,16 @@ and any other is a ``fractions.Fraction`` (lowest terms, positive
 denominator); an ``int`` and a ``Fraction`` of equal value compare, hash
 and format alike.  Over a prime field a scalar is an int in ``[0, p)``.
 Containers (matrices, tensors, algebras) carry the ``Field`` descriptor;
-the descriptor supplies the arithmetic.
+the descriptor supplies the arithmetic.  ``fractions`` is imported by the
+three operations that build a ``Fraction`` (``Rationals.of``, ``inv`` and
+``parse``) when they run, so a job over a prime field never loads it.
+
+The sparse-vector helpers ``sp_add_into``, ``sp_from_dense`` and
+``sp_to_dense`` live here, below both ``linalg`` and ``algebra``: the axiom
+checker runs on them without loading ``linalg``, which re-exports them.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import ParseError
 
@@ -80,7 +84,10 @@ class Rationals(Field):
         return 1
 
     def of(self, x):
-        return x if type(x) is int else _integral(Fraction(x))
+        if type(x) is int:
+            return x
+        from fractions import Fraction
+        return _integral(Fraction(x))
 
     def add(self, a, b):
         return _integral(a + b)
@@ -97,12 +104,14 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
+        from fractions import Fraction
         return _integral(1 / Fraction(a))
 
     def is_zero(self, a):
         return a == 0
 
     def parse(self, text):
+        from fractions import Fraction
         try:
             return _integral(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
@@ -218,3 +227,32 @@ def GF(p: int) -> PrimeField:
     if p not in _gf_cache:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]
+
+
+# ---------------------------------------------------------------------------
+# sparse vectors: dicts from index to nonzero scalar
+
+
+def sp_add_into(field, acc: dict, other: dict, scale=None):
+    for k, c in other.items():
+        if scale is not None:
+            c = field.mul(scale, c)
+        if k in acc:
+            s = field.add(acc[k], c)
+            if field.is_zero(s):
+                del acc[k]
+            else:
+                acc[k] = s
+        elif not field.is_zero(c):
+            acc[k] = c
+
+
+def sp_from_dense(field, v) -> dict:
+    return {i: c for i, c in enumerate(v) if not field.is_zero(c)}
+
+
+def sp_to_dense(field, d: dict, n) -> list:
+    out = [field.zero()] * n
+    for k, c in d.items():
+        out[k] = c
+    return out

@@ -7,7 +7,9 @@ One deliberately invalid algebra is included as a negative example for
 the checkers (marked ``valid=False``).
 
 Builders import ``actions`` and ``envelope`` only when they run, so that
-resolving an algebra fixture or a document loads neither.
+resolving an algebra fixture or a document loads neither.  ``resolve``
+reads a command-line input, a fixture name or a document path, for
+``diacat construct`` and ``diacat verify``.
 """
 
 from typing import NamedTuple
@@ -16,7 +18,7 @@ from . import documents
 from .algebra import (AlgebraMorphism, AssociativeAlgebra, BilinearMap,
                       Dialgebra, LeibnizAlgebra, LieAlgebra, abelian_algebra,
                       dialgebra_of_associative)
-from .errors import DiacatError
+from .errors import DiacatError, ParseError
 from .fields import GF, QQ
 from .linalg import Matrix, Subspace
 
@@ -190,6 +192,30 @@ def document(name) -> dict:
     if fx.kind == "algebra":
         return documents.algebra_to_document(obj)
     return documents.xmod_to_document(obj)
+
+
+def resolve(spec, kind):
+    """A fixture name or a document path, to a live object of ``kind``
+    ("algebra" or "xmod").  A fixture that is invalid on purpose is read,
+    and certified, as its document is."""
+    fx = _REGISTRY.get(spec)
+    if fx is not None and fx.valid:
+        if fx.kind != kind:
+            raise ParseError(f"fixture {spec!r} is a {fx.kind}, "
+                             f"expected {kind}")
+        return get(spec)
+    try:
+        doc = (document(spec) if fx is not None
+               else documents.load_document(spec))
+    except ParseError as exc:
+        raise ParseError(f"{spec!r} is neither a bundled fixture name nor a "
+                         f"readable document ({exc})") from exc
+    found = documents.document_kind(doc)
+    if found != kind:
+        raise ParseError(f"{spec}: expected a {kind} document, found {found}")
+    if found == "xmod":
+        return documents.xmod_from_document(doc)
+    return documents.algebra_from_document(doc)
 
 
 def by_kind(kind):

@@ -15,6 +15,11 @@ matrices by it from no rows.  ``_residual`` answers every question about a
 vector modulo a subspace from its pivot rows, and ``_solutions`` reads a
 null space's canonical basis, and a solution reduced by it, off one
 reduction with the columns reversed.
+
+The sparse-vector helpers ``sp_add_into``, ``sp_from_dense`` and
+``sp_to_dense`` are defined in ``fields`` and imported here, so
+``linalg.sp_*`` names them as before; the axiom checker reaches them
+without this module.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .fields import Field
+from .fields import Field, sp_add_into, sp_from_dense, sp_to_dense
 
 
 def vec_zero(field, n):
@@ -54,31 +59,6 @@ def unit_vector(field, n, i):
     v = vec_zero(field, n)
     v[i] = field.one()
     return v
-
-
-def sp_add_into(field, acc: dict, other: dict, scale=None):
-    for k, c in other.items():
-        if scale is not None:
-            c = field.mul(scale, c)
-        if k in acc:
-            s = field.add(acc[k], c)
-            if field.is_zero(s):
-                del acc[k]
-            else:
-                acc[k] = s
-        elif not field.is_zero(c):
-            acc[k] = c
-
-
-def sp_from_dense(field, v) -> dict:
-    return {i: c for i, c in enumerate(v) if not field.is_zero(c)}
-
-
-def sp_to_dense(field, d: dict, n) -> list:
-    out = vec_zero(field, n)
-    for k, c in d.items():
-        out[k] = c
-    return out
 
 
 def _entries(v, n):

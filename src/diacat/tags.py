@@ -1,4 +1,4 @@
-"""The registry of the 36 functor tags.
+"""The registry of the 36 functor tags, and what ``diacat construct`` runs.
 
 ``FUNCTOR_TAGS`` gives each tag its source and target category and its
 builder, for ``apply_functor``, ``functors.check_square`` and ``diacat
@@ -7,16 +7,22 @@ construct`` alike.  A builder finds its implementation in ``algebra``,
 imported, so ``construct Ud`` loads the envelope stack and not the functor
 module.  The lookup at call time also sees a wrapper bound to that name
 after import, as the benchmark's tracer binds them.
+
+``_CONSTRUCTIONS`` holds the construction kinds beside the tags
+(``semidirect`` and the two round trips), and ``construct`` runs a tag or
+one of those kinds on a fixture name or document path, as ``diacat
+construct`` does.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from importlib import import_module
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 from .algebra import Algebra
-from .errors import DiacatError
+from .errors import DiacatError, ParseError
 
 # letters of the projections and embeddings per flavor, and the tag suffix
 _CHAIN_LETTERS = {"dias": ("U", "J"), "lb": ("U", "J"),
@@ -132,3 +138,63 @@ def apply_functor(tag, obj, bound=None):
     if bound is None:
         raise DiacatError(f"functor {tag} requires a truncation bound")
     return fn.build(obj, bound)
+
+
+# ---------------------------------------------------------------------------
+# diacat construct
+
+
+def _semidirect(xm):
+    from .actions import semidirect
+    return semidirect(xm.action)[0]
+
+
+def _roundtrip_cat1(xm):
+    from .cat1 import cat1_of_xmod, xmod_of_cat1
+    return xmod_of_cat1(cat1_of_xmod(xm))
+
+
+def _roundtrip_internal(xm):
+    from .cat1 import xdias_to_internal, xmod_of_cat1
+    return xmod_of_cat1(xdias_to_internal(xm).cat1)
+
+
+# construction kinds beside the functor tags: source categories, builder
+_CONSTRUCTIONS = {
+    "semidirect": (("XDias", "XLb", "XAs", "XLie"), _semidirect),
+    "roundtrip-cat1": (("XDias", "XLb"), _roundtrip_cat1),
+    "roundtrip-internal": (("XDias",), _roundtrip_internal),
+}
+
+
+def construct(kind, inputs, trunc=None) -> dict:
+    """The document of construction ``kind`` (a functor tag or a key of
+    ``_CONSTRUCTIONS``) on ``inputs``, one fixture name or document path,
+    with the bound ``trunc`` that a truncated kind needs."""
+    from . import documents
+    from .fixtures import resolve
+    if kind in FUNCTOR_TAGS:
+        fn = FUNCTOR_TAGS[kind]
+        truncated = fn.truncated
+        sources = (fn.source,)
+        build = partial(apply_functor, kind, bound=trunc)
+    elif kind in _CONSTRUCTIONS:
+        truncated = False
+        sources, build = _CONSTRUCTIONS[kind]
+    else:
+        raise ParseError(f"unknown construction kind {kind!r}")
+    if truncated and trunc is None:
+        raise ParseError(f"construct {kind} requires --trunc")
+    if not truncated and trunc is not None:
+        raise ParseError(f"construct {kind} takes no --trunc")
+    if len(inputs) != 1:
+        raise ParseError(f"construct {kind} takes exactly one input")
+    obj = resolve(inputs[0],
+                  "xmod" if sources[0].startswith("X") else "algebra")
+    if category(obj) not in sources:
+        raise ParseError(f"construct {kind} takes an object of "
+                         f"{' or '.join(sources)}, got one of {category(obj)}")
+    out = build(obj)
+    if isinstance(out, Algebra):
+        return documents.algebra_to_document(out)
+    return documents.xmod_to_document(out)

@@ -17,6 +17,7 @@ from diacat.actions import (CrossedModule, _crossed_equations,
 from diacat.algebra import (AlgebraMorphism, BilinearMap, Dialgebra,
                             check_dialgebra, check_leibniz, ideal_closure,
                             kernel_of)
+from diacat.batteries import _BATTERIES, _battery
 from diacat.cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
                          cat1_of_xmod, check_internal_category,
                          xdias_to_internal, xmod_isomorphism_report,
@@ -29,7 +30,7 @@ from diacat.functors import (apply_functor, check_parallelepiped,
                              verify_adjunction_chain, verify_adjunction_ud,
                              verify_adjunction_xud, xas_of_xdias, xliel_of_xlb)
 from diacat.linalg import Matrix, Subspace, inverse
-from diacat.tags import FUNCTOR_TAGS
+from diacat.tags import _CONSTRUCTIONS, FUNCTOR_TAGS
 
 import oracles
 
@@ -311,10 +312,10 @@ def _command_lines():
     line's tables: a battery that reads ``--trunc`` runs at 1, 2 and 3, and
     a kind that needs ``--trunc`` gets 2."""
     for what in ([f"square:{i}" for i in square_ids()]
-                 + list(cli._BATTERIES)):
-        for trunc in ((1, 2, 3) if cli._battery(what).trunc else (None,)):
+                 + list(_BATTERIES)):
+        for trunc in ((1, 2, 3) if _battery(what).trunc else (None,)):
             yield ["verify", what] + (["--trunc", str(trunc)] if trunc else [])
-    for kind in sorted(FUNCTOR_TAGS) + sorted(cli._CONSTRUCTIONS):
+    for kind in sorted(FUNCTOR_TAGS) + sorted(_CONSTRUCTIONS):
         trunc = (["--trunc", "2"] if getattr(FUNCTOR_TAGS.get(kind),
                                               "truncated", False) else [])
         for name in fixtures.names():

@@ -8,7 +8,8 @@ import pytest
 
 from diacat import documents, fixtures
 from diacat.algebra import abelian_algebra
-from diacat.cli import _BATTERIES, _Named, main
+from diacat.batteries import _BATTERIES, _Named
+from diacat.cli import main
 from diacat.errors import ParseError
 from diacat.fields import GF, QQ
 
@@ -198,7 +199,7 @@ def test_cli_construct_roundtrips():
 
 def test_roundtrip_reports_equal_then_isomorphism():
     from diacat.algebra import BilinearMap, make_algebra
-    from diacat.cli import _roundtrip
+    from diacat.batteries import _roundtrip
     from diacat.functors import embed
 
     def lb(triples):

@@ -38,10 +38,10 @@ from hypothesis import (HealthCheck, example, given, settings,
 from diacat import documents, fixtures
 from diacat.actions import XmodMorphism, action_slots
 from diacat.algebra import FLAVORS, AxiomReport
-from diacat.cli import (_BATTERIES, _CONSTRUCTIONS, _battery, _Named,
-                        main)
+from diacat.batteries import _BATTERIES, _battery, _Named
+from diacat.cli import main
 from diacat.functors import square_ids
-from diacat.tags import FUNCTOR_TAGS, category
+from diacat.tags import _CONSTRUCTIONS, FUNCTOR_TAGS, category
 
 SEED = 20261018
 MUTATIONS = 60
@@ -178,12 +178,18 @@ def test_a_fresh_process_ends_as_main_returns(docs):
     """The exit code, stdout and stderr of ``python -m diacat.cli`` are
     those of ``main`` in-process on lines that exit 0, 1, 2 and 3: a valid
     and a perturbed ``check``, a malformed document, a usage error, a
-    truncation over the dimension cap, and last a ``construct`` whose
+    truncation over the dimension cap, a ``verify`` battery of each kind
+    and a ``construct`` beside the functor tags, whose handlers live
+    outside ``cli``, ``fixtures list``, and last a ``construct`` whose
     stdout is larger than a pipe buffer."""
     codes = set()
     for argv in (["check", docs["valid"]], ["check", docs["perturbed"]],
                  ["check", docs["malformed"]], ["construct", "Ud", "--bogus"],
                  ["construct", "Ud", "leibniz-ff-e-f2", "--trunc", "6"],
+                 ["verify", "square:LieLb-I0"],
+                 ["verify", "adjunction:chain:0"],
+                 ["construct", "semidirect", "xlb-ideal-e-f2"],
+                 ["fixtures", "list"],
                  ["construct", "LB", docs["big"]]):
         run = _fresh_run(argv)
         assert (run.returncode, run.stdout, run.stderr) == _run(argv), argv

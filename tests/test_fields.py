@@ -1,9 +1,16 @@
 """Rationals hold an integral scalar as an ``int`` and any other as a
 ``Fraction``: every operation agrees in value with plain ``Fraction``
-arithmetic, and its result is an ``int`` exactly when it is integral."""
+arithmetic, and its result is an ``int`` exactly when it is integral.
+``fractions`` is loaded by the first rational operation that needs it, not
+by importing the command line."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from diacat.fields import QQ
 
@@ -53,3 +60,41 @@ def test_rational_operations_agree_with_fractions():
             _held_as_int_when_integral(QQ.mul(a, b), fa * fb)
             if fb:
                 _held_as_int_when_integral(QQ.div(a, b), fa / fb)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a fresh interpreter: import the command line, then run rational
+# operations that build a ``Fraction``; print what each gave, as JSON
+LAZY_FRACTIONS = """\
+import json, sys
+import diacat.cli
+from diacat.errors import ParseError
+from diacat.fields import QQ
+out = {"loaded": "fractions" in sys.modules}
+parsed = QQ.parse("6/4")
+from fractions import Fraction
+values = [parsed, QQ.of(Fraction(4, 2)), QQ.inv(3)]
+out["values"] = [[repr(v), type(v).__name__] for v in values]
+out["errors"] = []
+for text in ("1/0", "x"):
+    try:
+        QQ.parse(text)
+    except ParseError as exc:
+        out["errors"].append(str(exc))
+print(json.dumps(out))
+"""
+
+
+def test_rationals_load_fractions_when_they_first_need_it():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", LAZY_FRACTIONS], env=env,
+                         check=True, capture_output=True, text=True)
+    assert json.loads(run.stdout) == {
+        "loaded": False,
+        "values": [["Fraction(3, 2)", "Fraction"], ["2", "int"],
+                   ["Fraction(1, 3)", "Fraction"]],
+        "errors": ["bad rational coefficient '1/0': Fraction(1, 0)",
+                   "bad rational coefficient 'x': Invalid literal for "
+                   "Fraction: 'x'"]}

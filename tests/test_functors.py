@@ -7,6 +7,7 @@ import pytest
 
 from diacat import cli, fixtures, functors
 from diacat.actions import XmodMorphism
+from diacat.batteries import _CHAIN_PAIRS
 from diacat.algebra import (AxiomReport, BilinearMap, abelian_algebra,
                             make_algebra)
 from diacat.errors import (DiacatError, DimensionMismatch,
@@ -315,7 +316,7 @@ def test_adjunction_chain_all_pairs():
 
 def test_naturality_is_checked_along_a_non_identity_endomorphism():
     # each chain battery's algebra has one, the zero map at least
-    for _, name in cli._CHAIN_PAIRS:
+    for _, name in _CHAIN_PAIRS:
         alg = fixtures.get(name)
         ident = Matrix.identity(alg.field, alg.dim)
         assert any(m.matrix != ident for m in enumerate_homs(alg, alg)), name

@@ -4,9 +4,13 @@
 
 Each subcommand loads only the modules it runs: a fresh interpreter that
 imports the command line, or checks one document, leaves the functor,
-envelope and cat1 stack unloaded; one that constructs an envelope loads no
-functor module, nor, for an algebra, the crossed-module stack.  No path
-loads ``dataclasses``, nor ``diacat.audit``, which no module imports.
+envelope and cat1 stack and the ``verify`` batteries unloaded, and for an
+algebra document ``linalg`` too; no ``check`` over a prime field loads
+``fractions``.  One that constructs an envelope loads no functor module
+and no battery, nor, for an algebra, the crossed-module stack.  No path
+loads ``dataclasses``, nor ``diacat.audit``, which no module imports.  No
+module imports ``diacat.cli``, which under ``python -m diacat.cli`` is
+``__main__`` and would be compiled a second time.
 """
 
 import ast
@@ -96,18 +100,22 @@ STACK = ["diacat.functors", "diacat.envelope", "diacat.cat1",
 CHECK = "from diacat.cli import main; main(['check', DOC])"
 CONSTRUCT = ("from diacat.cli import main; "
              "assert main(['construct', {!r}, {}, '--trunc', '2']) == 0")
+# what the check path leaves to the commands that build
+BUILDERS = ["diacat.linalg", "diacat.batteries", "fractions"]
 BUDGETS = {
     "import-cli": ("import diacat.cli", None,
-                   STACK + ["diacat.actions", "diacat.audit", "dataclasses"]),
+                   STACK + BUILDERS + ["diacat.actions", "diacat.audit",
+                                       "dataclasses"]),
     "check-algebra": (CHECK, "leibniz-ff-e-f2",
-                      STACK + ["diacat.actions", "diacat.audit",
-                               "dataclasses"]),
-    "check-xmod": (CHECK, "xlb-ideal-e-f2", STACK + ["diacat.audit"]),
+                      STACK + BUILDERS + ["diacat.actions", "diacat.audit",
+                                          "dataclasses"]),
+    "check-xmod": (CHECK, "xlb-ideal-e-f2",
+                   STACK + ["diacat.audit", "fractions"]),
     "import-functors": ("import diacat.functors", None,
                         ["diacat.audit", "dataclasses"]),
     "construct-ud": (CONSTRUCT.format("Ud", "DOC"), "leibniz-ff-e-f2",
                      ["diacat.functors", "diacat.cat1", "diacat.actions",
-                      "diacat.audit"]),
+                      "diacat.audit", "diacat.batteries"]),
     "construct-xud": (CONSTRUCT.format("XUd", "'xlb-ideal-e-f2'"), None,
                       ["diacat.functors", "diacat.audit"]),
 }
@@ -128,3 +136,38 @@ def test_fresh_interpreter_loads_only_what_it_runs(tmp_path, run):
     subprocess.run([sys.executable, "-c", script], env=env, check=True,
                    capture_output=True)
     assert sorted(set(banned) & set(json.loads(loaded.read_text()))) == []
+
+
+# records the modules of a ``python -m diacat.cli`` job from an atexit
+# handler, which ``cli.run`` runs before it ends the process
+RECORDER = """\
+import atexit, json, os, sys
+
+@atexit.register
+def record():
+    path = os.path.join(os.path.dirname(__file__), "modules.json")
+    with open(path, "w") as fh:
+        json.dump(sorted(sys.modules), fh)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "DOC"], ["construct", "semidirect", "xlb-ideal-e-f2"],
+    ["verify", "adjunction:chain:0"],
+], ids=lambda argv: argv[0])
+def test_no_module_imports_the_command_line(tmp_path, argv):
+    """``diacat.cli`` runs as ``__main__``; a module that imported it would
+    load it a second time, under its own name."""
+    from diacat import fixtures
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(fixtures.document("xlb-ideal-e-f2")))
+    (tmp_path / "sitecustomize.py").write_text(RECORDER)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(tmp_path), str(SRC.parent),
+                    os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-m", "diacat.cli",
+                    *[str(doc) if a == "DOC" else a for a in argv]],
+                   env=env, check=True, capture_output=True)
+    loaded = json.loads((tmp_path / "modules.json").read_text())
+    assert "diacat.documents" in loaded  # the job ran to its atexit
+    assert "diacat.cli" not in loaded
