@@ -7,19 +7,21 @@ A bundled fixture that is invalid on purpose is certified as its document
 is.  Only ``cli.cmd_verify`` imports this module, so ``check`` and
 ``construct`` jobs never load it.
 
-Every battery runs the functor stack, so it is imported with this module;
-handlers reach each function through its module at call time, where the
+Each handler imports the modules it runs when it runs: ``functors`` for
+the squares, the adjunctions and the prism, and ``cat1`` with the
+crossed-module lifts ``lifts`` for the ``equivalence`` batteries, which so
+compile no ``functors`` unless a round trip needs an isomorphism search.
+Handlers reach each function through its module at call time, where the
 benchmark's tracer may have rebound it.
 """
 
 from functools import partial
 from typing import NamedTuple
 
-from . import cat1, fixtures, functors
+from . import fixtures
 from .algebra import FLAVORS
 from .documents import _report_items
 from .errors import ParseError
-from .tags import chain_pairs
 
 
 # the named inputs a battery takes; with none named, it runs every valid
@@ -57,6 +59,7 @@ def _inputs(args, inputs):
 
 
 def _square(square_id, args, name, obj):
+    from . import functors
     rep = functors.check_square(square_id, obj, bound=args.trunc,
                                 cap=args.cap)
     return [{"check": f"square:{square_id}", "fixture": name,
@@ -65,6 +68,7 @@ def _square(square_id, args, name, obj):
 
 
 def _adjunction(which, args, name, pair):
+    from . import functors
     rep = getattr(functors, f"verify_adjunction_{which}")(
         *pair, args.trunc, cap=args.cap)
     return [{"check": f"adjunction:{which}", "fixture": name,
@@ -73,6 +77,8 @@ def _adjunction(which, args, name, pair):
 
 
 def _chain(i, args, name, pair):
+    from . import functors
+    from .tags import chain_pairs
     out = []
     for tags in chain_pairs(pair[0].flavor, i):
         rep = functors.verify_adjunction_chain(tags, [pair], cap=args.cap)
@@ -87,12 +93,14 @@ def _roundtrip(xm, back, cap):
     tensor-identical, else ``"isomorphism"``, found by a search."""
     if xm.same_structure(back):
         return True, "equal"
+    from . import functors
     found = functors.find_xmod_isomorphism(xm, back, cap=cap)
     return found is not None, "isomorphism"
 
 
 def _cat1(args, name, xm):
-    xm = functors._as_dias_or_lb(xm)
+    from . import cat1, lifts
+    xm = lifts._as_dias_or_lb(xm)
     c = cat1.cat1_of_xmod(xm)
     back = cat1.xmod_of_cat1(c)
     ok_x, via = _roundtrip(xm, back, args.cap)
@@ -105,7 +113,8 @@ def _cat1(args, name, xm):
 
 
 def _internal(args, name, xm):
-    xm = functors._as_dias_or_lb(xm)
+    from . import cat1, lifts
+    xm = lifts._as_dias_or_lb(xm)
     ic = cat1.xdias_to_internal(xm)
     struct = ic.certificate
     back = cat1.xmod_of_cat1(ic.cat1)
@@ -116,6 +125,7 @@ def _internal(args, name, xm):
 
 
 def _parallelepiped(args, name, xm):
+    from . import functors
     rep = functors.check_parallelepiped(xm, bound=args.trunc, cap=args.cap)
     faces: dict = {}
     for it in rep.items:
@@ -169,6 +179,7 @@ def _battery(what):
     the square table."""
     if what in _BATTERIES:
         return _BATTERIES[what]
+    from . import functors
     square_id = what.removeprefix("square:")
     if square_id == what or square_id not in functors.square_ids():
         known = ([f"square:{i}" for i in functors.square_ids()]

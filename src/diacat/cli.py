@@ -14,9 +14,14 @@ other handlers import what they run:
   Only rational documents load ``fractions``.
 - ``construct`` adds ``tags`` (``tags.construct`` and the construction
   table), ``fixtures``, ``linalg`` and what its kind builds: ``envelope``
-  for an envelope tag, not ``functors``.
-- ``verify`` adds ``batteries``, the battery table, and the functor,
-  envelope and cat1 stack its battery runs.
+  for an envelope tag and ``lifts`` for a crossed-module lift, not
+  ``functors``.
+- ``verify`` adds ``batteries``, the battery table, with ``fixtures``,
+  and only what its battery runs: ``functors`` and ``tags`` for a square,
+  an adjunction or the prism, ``equations`` for a hom search,
+  ``envelope`` for an envelope, ``cat1`` for a crossed envelope or an
+  ``equivalence`` battery, ``lifts`` for a crossed-module lift, and
+  ``adjunctions`` for an ``adjunction`` battery.
 - ``fixtures`` adds ``fixtures`` and ``linalg``.
 
 No module imports this one: under ``python -m diacat.cli`` it is
@@ -138,6 +143,9 @@ def cmd_verify(args) -> int:
 def cmd_fixtures(args) -> int:
     from . import fixtures
     if args.action == "list":
+        if args.name is not None or args.out is not None:
+            raise ParseError("fixtures list takes no fixture name and no "
+                             "--out")
         for name in fixtures.names():
             fx = fixtures.info(name)
             flag = "" if fx.valid else "  [invalid on purpose]"

@@ -27,7 +27,8 @@ from .algebra import (Algebra, AlgebraMorphism, AssociativeAlgebra,
 from .config import max_dim
 from .errors import (DimensionMismatch, InvalidCrossedModule, LemmaViolation,
                      NotWellDefined, ResourceCapExceeded)
-from .linalg import Matrix, QuotientMap, Subspace, image, vec_is_zero
+from .linalg import (Matrix, QuotientMap, Subspace, _assert_killed, image,
+                     vec_is_zero)
 
 if TYPE_CHECKING:
     from .actions import CrossedModule
@@ -242,13 +243,6 @@ def envelope_transpose(env: Envelope, target: Algebra,
     if induced.matrix.mul(env.eta) != phi:
         raise NotWellDefined("induced map does not extend the generators")
     return induced
-
-
-def _assert_killed(f, mat: Matrix, sub: Subspace, what):
-    """Raise NotWellDefined unless ``mat`` sends every row of ``sub`` to 0."""
-    for r in sub.rows:
-        if not vec_is_zero(f, mat.mul_vec(r)):
-            raise NotWellDefined(f"{what} does not kill the defining ideal")
 
 
 def envelope_functor_morphism(env_src: Envelope, env_tgt: Envelope,

@@ -1,204 +1,47 @@
-"""Functors between the four flavors, hom enumeration, and diagram checks.
+"""Embeddings and projections, hom enumeration, and diagram checks.
 
-The algebra-level functors (leibnization, associative and Lie quotients,
-commutator bracket, inclusions, envelopes) are lifted here to crossed
-modules, together with the embeddings J/I of algebras as degenerate crossed
-modules and the projections U/G back down; ``tags.FUNCTOR_TAGS``
-registers all 36 of them, and its builders call the ones here when they
-run.  The two universal quotients (XAS, XLiel) share ``_crossed_quotient``,
-as the two envelopes share ``envelope._crossed_envelope``.  Every hom-set
-over a finite field comes from one column-by-column search in one
-canonical order, lexicographic in the columns: a ``_Plan``, built once
-per hom-set from its equations (compiled and solved by ``equations``),
-and run once per prefix of fixed columns.  Each adjunction is an
-explicit map between two enumerated hom-sets that ``_bijection``
-certifies, and the embedding/projection ones are rows of ``_CHAIN_ROWS``.
-``_SQUARES`` holds each commuting square of the prism, per fixture flavor,
-as two paths of registered tags whose composites ``check_square``
-compares, with EQUAL / ISOMORPHIC verdicts.
+The embeddings J/I of algebras as degenerate crossed modules and the
+projections U/G back down are here; the crossed-module lifts of the
+algebra functors are in ``lifts``, and ``tags.FUNCTOR_TAGS`` registers all
+36 functors.  Every hom-set over a finite field comes from one
+column-by-column search in one canonical order, lexicographic in the
+columns: an ``equations._Plan``, built once per hom-set from its compiled
+equations, and run once per prefix of fixed columns.  Each adjunction is
+an explicit map between two enumerated hom-sets that
+``adjunctions._bijection`` certifies, and the embedding/projection ones
+are rows of ``adjunctions._CHAIN_ROWS``.  ``_SQUARES`` holds each
+commuting square of the prism, per fixture flavor, as two paths of
+registered tags whose composites ``check_square`` compares, with EQUAL /
+ISOMORPHIC verdicts.
+
+Every job compiles the modules it loads, so ``equations``, ``envelope``,
+``cat1``, ``lifts`` and ``adjunctions`` are imported inside the functions
+that run them: a square whose composites agree compiles no search, and
+only the adjunction verifiers compile ``adjunctions``.  The entry points
+that the benchmark's tracer rebinds by name stay here: the enumerators,
+the isomorphism searches, ``check_square``, the ``verify_adjunction_*``
+verifiers and ``check_parallelepiped``.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .actions import (Action, CrossedModule, XmodMorphism, action_slots,
-                      identity_xmod, induced_action, semidirect, zero_xmod)
+from .actions import (CrossedModule, XmodMorphism, action_slots,
+                      identity_xmod, zero_xmod)
 from .algebra import (Algebra, AlgebraMorphism, AxiomReport,
-                      associative_quotient, commutator_lie,
-                      derived_tower_nilpotent, dialgebra_of_associative,
-                      ideal_closure, image_of, kernel_of, leibnization,
-                      leibniz_of_lie, lie_quotient, make_algebra, merge_seeds,
-                      quotient_algebra, sp_add, sp_cols, sp_sub,
-                      square_seeds)
-from .cat1 import cat1_of_xmod
-from .config import DEFAULT_SEARCH_CAP
-from .envelope import (Envelope, XudResult, _assert_killed, envelope_transpose,
-                       ud, xu_full, xud, xud_full)
-from .equations import (_add_triples, _affine_points, _affine_set, _dense,
-                        _Equation, _intertwined, _residual, _scaled_eye,
-                        _triples)
-from .errors import (DiacatError, FieldMismatch, InvalidAlgebra,
-                     InvalidCrossedModule, LemmaViolation, NotWellDefined,
-                     ResourceCapExceeded, SearchSpaceTooLarge)
-from .linalg import (Matrix, Subspace, inverse, sp_from_dense, vec_is_zero,
-                     vec_scale, vec_zero)
-from .tags import (_CHAIN_LETTERS, FUNCTOR_TAGS, _chain_tag, _functor,
-                   apply_functor, chain_pairs)
+                      associative_quotient, derived_tower_nilpotent, image_of,
+                      leibnization, lie_quotient, quotient_algebra)
+from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
+                     LemmaViolation, NotWellDefined, ResourceCapExceeded,
+                     SearchSpaceTooLarge)
+from .linalg import Matrix, inverse
+from .tags import FUNCTOR_TAGS, _chain_tag, _functor, apply_functor
 
-# ---------------------------------------------------------------------------
-# crossed-module-level functors
-
-
-def _expect_xm(xm, flavor, what):
-    if not isinstance(xm, CrossedModule) or xm.flavor != flavor:
-        raise InvalidCrossedModule(f"{what} expects a {flavor} crossed module")
-
-
-def xlb_of_xdias(xm: CrossedModule) -> CrossedModule:
-    """Leibniz crossed module of a dialgebra one: bracket both levels,
-    cross brackets [x,l] = x -| l - l |- x and [l,x] = l -| x - x |- l."""
-    _expect_xm(xm, "dias", "xlb_of_xdias")
-    act = xm.action
-    L = leibnization(xm.actee)
-    D = leibnization(xm.actor)
-    gq = act.cross(0, "DL").subtract(act.cross(1, "LD").transpose_args())
-    qg = act.cross(0, "LD").subtract(act.cross(1, "DL").transpose_args())
-    cross = {"DL": gq, "LD": qg}
-    new_act = Action.from_cross(D, L, lambda pidx, side: cross[side])
-    return CrossedModule(AlgebraMorphism(L, D, xm.mu.matrix), new_act)
-
-
-def _action_closed_ideal(act: Action, seeds) -> Subspace:
-    """Smallest ideal of the actee that contains the sparse ``seeds`` and
-    is stable under every cross product with the actor: the ideal they
-    generate in the semidirect product, which lies in the actee block."""
-    f, nl = act.field, act.actee.dim
-    semi = semidirect(act, check=False)[0]
-    closed = ideal_closure(semi, Subspace.span(f, seeds, semi.dim))
-    return Subspace.span(f, closed.rows, nl)
-
-
-def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
-    """Lift a universal quotient of algebras to crossed modules.
-
-    The actor is divided by ``actor_quotient``, the actee by the smallest
-    actor-stable ideal containing the sparse ``seeds``; the cross products
-    and mu pass to the quotients.  Returns the crossed module, of the
-    quotient actor's flavor, together with the projection pair, packaged
-    as a crossed-module morphism into its re-inclusion ``inclusion(out)``.
-    """
-    f = xm.actee.field
-    L, D, act = xm.actee, xm.actor, xm.action
-    D_q, proj_D = q_D = actor_quotient(D)
-    ideal = _action_closed_ideal(act, seeds)
-    quot, proj_L = q_L = quotient_algebra(L, ideal)
-    prods = quot.products()
-    if any(p != prods[0] for p in prods):
-        raise InvalidAlgebra("the quotient failed to merge the products")
-    L_q = make_algebra(D_q.flavor, f, prods[:1], list(quot.labels))
-    qm_D, qm_L = q_D.qmap, q_L.qmap
-    # representative independence on the actor side
-    dl, ld = act.cross(0, "DL"), act.cross(0, "LD")
-    if not all(ideal.contains(w) for side in (dl, ld.transpose_args())
-               for r in q_D.ideal.rows for w in side.with_basis(r).values()):
-        raise NotWellDefined("cross products are not constant on actor classes")
-
-    mu_mat = proj_D.matrix.mul(xm.mu.matrix)
-    _assert_killed(f, mu_mat, ideal, "the induced structural morphism")
-    act_q = induced_action(D_q, L_q, act.cross,
-                           sp_cols(qm_D.section), sp_cols(qm_L.section),
-                           lambda w: sp_from_dense(f, proj_L.matrix.mul_vec(w)))
-    out = CrossedModule(AlgebraMorphism(L_q, D_q, mu_mat.mul(qm_L.section)),
-                        act_q)
-    inc = inclusion(out)
-    projs = XmodMorphism(xm, inc, AlgebraMorphism(L, inc.actee, proj_L.matrix),
-                         AlgebraMorphism(D, inc.actor, proj_D.matrix))
-    rep = projs.check()
-    if not rep.passed:
-        bad = rep.first_failure()
-        raise LemmaViolation("the projection pair is not a crossed-module "
-                             f"morphism: {bad.name} at {bad.where}", rep)
-    return out, projs
-
-
-def xas_of_xdias(xm: CrossedModule):
-    """Associative crossed module: merge -| and |- by the universal quotients.
-
-    The actee is divided by the smallest actor-stable ideal containing all
-    differences of the two products, internal and mixed.  Returns the new
-    crossed module together with the projection pair, packaged as a
-    crossed-module morphism into the dialgebra re-inclusion of the result.
-    """
-    _expect_xm(xm, "dias", "xas_of_xdias")
-    f, act = xm.actee.field, xm.action
-    dl_l, dl_r = act.cross(0, "DL"), act.cross(1, "DL")
-    ld_l, ld_r = act.cross(0, "LD"), act.cross(1, "LD")
-    seeds = merge_seeds(xm.actee)
-    for a in range(xm.actor.dim):
-        for q in range(xm.actee.dim):
-            seeds.append(sp_sub(f, dl_l.pair(a, q), dl_r.pair(a, q)))
-            seeds.append(sp_sub(f, ld_l.pair(q, a), ld_r.pair(q, a)))
-    return _crossed_quotient(xm, associative_quotient, seeds,
-                             inc_xas_to_xdias)
-
-
-def xliel_of_xlb(xm: CrossedModule) -> CrossedModule:
-    """Lie crossed module of a Leibniz one by the square-killing quotients.
-
-    Actor: quotient by polarized squares.  Actee: quotient by the
-    actor-stable ideal of polarized squares plus the mixed symmetrizers
-    [q,x] + [x,q]."""
-    _expect_xm(xm, "lb", "xliel_of_xlb")
-    f, act = xm.actee.field, xm.action
-    gq, qg = act.cross(0, "DL"), act.cross(0, "LD")
-    seeds = square_seeds(xm.actee)
-    for q in range(xm.actee.dim):
-        for a in range(xm.actor.dim):
-            seeds.append(sp_add(f, qg.pair(q, a), gq.pair(a, q)))
-    return _crossed_quotient(xm, lie_quotient, seeds, inc_xlie_to_xlb)[0]
-
-
-def xliea_of_xas(xm: CrossedModule) -> CrossedModule:
-    """Lie crossed module of an associative one: commutators both levels,
-    cross bracket [a,r] = ar - ra."""
-    _expect_xm(xm, "as", "xliea_of_xas")
-    R = commutator_lie(xm.actee)
-    A = commutator_lie(xm.actor)
-    ar, ra = xm.action.cross(0, "DL"), xm.action.cross(0, "LD")
-    pm = ar.subtract(ra.transpose_args())
-    return CrossedModule(AlgebraMorphism(R, A, xm.mu.matrix),
-                         Action.from_cross(A, R, lambda pidx, side: pm))
-
-
-def inc_xas_to_xdias(xm: CrossedModule) -> CrossedModule:
-    """View an associative crossed module as one of dialgebras."""
-    _expect_xm(xm, "as", "inc_xas_to_xdias")
-    L = dialgebra_of_associative(xm.actee)
-    D = dialgebra_of_associative(xm.actor)
-    act = Action.from_cross(D, L, lambda pidx, side: xm.action.cross(0, side))
-    return CrossedModule(AlgebraMorphism(L, D, xm.mu.matrix), act)
-
-
-def inc_xlie_to_xlb(xm: CrossedModule) -> CrossedModule:
-    """View a Lie crossed module as a Leibniz one."""
-    _expect_xm(xm, "lie", "inc_xlie_to_xlb")
-    Q = leibniz_of_lie(xm.actee)
-    G = leibniz_of_lie(xm.actor)
-    act = Action.from_cross(G, Q, xm.action.cross)
-    return CrossedModule(AlgebraMorphism(Q, G, xm.mu.matrix), act)
-
-
-def _as_dias_or_lb(xm: CrossedModule) -> CrossedModule:
-    """An as or lie crossed module viewed as a dias or lb one; dias and lb
-    ones as they are."""
-    if xm.flavor == "as":
-        return inc_xas_to_xdias(xm)
-    if xm.flavor == "lie":
-        return inc_xlie_to_xlb(xm)
-    return xm
-
+if TYPE_CHECKING:
+    from .adjunctions import BijectionReport
+    from .envelope import Envelope
 
 # ---------------------------------------------------------------------------
 # embeddings and projections
@@ -235,147 +78,6 @@ def project(tag, xm: CrossedModule) -> Algebra:
 # hom-set enumeration
 
 
-def _holds(f, equations, cols):
-    """Whether every one of ``equations`` holds at the columns ``cols``."""
-    for eq in equations:
-        if not vec_is_zero(f, _residual(f, eq, cols)):
-            return False
-    return True
-
-
-def _determined(f, neg_inv, eq, others, cols):
-    """The affine set of ``_affine_set`` where the equation ``eq`` alone
-    fixes the next column: it reads that column only through ``lin[k]``,
-    and ``neg_inv`` holds the triples of minus the inverse of ``lin[k]``.
-    The one candidate is ``neg_inv`` times the residual at zero; it is
-    ``(point, [])`` if every equation of ``others`` holds there, else
-    None."""
-    at = cols + [vec_zero(f, eq.rows)]
-    point = vec_zero(f, eq.rows)
-    _add_triples(f, point, neg_inv, _residual(f, eq, at))
-    at[-1] = point
-    return (point, []) if _holds(f, others, at) else None
-
-
-def _determining(f, linear, k, width):
-    """``(neg_inv, eq, others)`` for ``_determined`` from the first of the
-    equations ``linear`` of column k, of length ``width``, that reads it
-    only through an invertible ``lin[k]``, or None if there is none."""
-    for i, eq in enumerate(linear):
-        if k in eq.lin and k not in (eq.u, eq.v):
-            inv = inverse(_dense(f, eq.lin[k], eq.rows, width))
-            if inv is not None:
-                return (_triples(f, inv.neg()), eq,
-                        linear[:i] + linear[i + 1:])
-    return None
-
-
-class _Plan:
-    """The search of one hom-set: every assignment of the unknown columns
-    c_k in F^widths[k] that satisfies the compiled equations, after ``n0``
-    prefix columns, which are fixed and numbered first.
-
-    What depends only on the hom-set is done here, once.  Each equation
-    is filed at the last column it involves, which must follow the prefix,
-    as linear in it (all but ``map(c_k, c_k)``) or quadratic; a quadratic
-    one whose map and triples are all zero, such as ``[c, c] = 0`` into a
-    Lie algebra, holds everywhere and is dropped.  A depth ``reads`` the
-    earlier columns its linear equations read.  It is ``determined`` when
-    one of them reads its column only through an invertible ``lin[k]``
-    (``_determining``): ``c I``, c nonzero, where the source's product
-    makes the column a product of earlier ones, or an invertible mu' in the
-    square of ``enumerate_xmod_homs``.  ``run`` then walks the columns from
-    a prefix, as often as the caller needs: once for a hom-set of algebras,
-    once per actor map beta for the alpha columns of crossed modules.
-    """
-
-    def __init__(self, f, widths, equations, n0=0):
-        try:
-            self.elems = list(f.elements())
-        except NotImplementedError as exc:
-            raise DiacatError(str(exc)) from exc
-        self.field, self.widths, self.n0 = f, widths, n0
-        self.linear = [[] for _ in widths]
-        self.quadratic = [[] for _ in widths]
-        reads = [set() for _ in widths]
-        for eq in equations:
-            k = eq.k - n0
-            if eq.map is None or not eq.u == eq.v == eq.k:
-                self.linear[k].append(eq)
-                reads[k] |= eq.reads
-            elif not eq.map.is_zero() or any(eq.lin.values()):
-                self.quadratic[k].append(eq)
-        self.reads = [sorted(r) for r in reads]
-        self.determined = [_determining(f, eqs, n0 + k, widths[k])
-                           for k, eqs in enumerate(self.linear)]
-
-    def _visit(self, k, cols, slots):
-        """An iterator over the points of depth k under the columns
-        ``cols[:n0 + k]``.  The affine set at depth k depends only on the
-        columns it reads, so each depth keeps one slot: the key is their
-        values, the value the set's points in lexicographic order, listed
-        as they are tried (``equations._affine_points``).  A visit with the
-        slot's key scans the list again; any other solves afresh
-        (``_determined`` or ``_affine_set``) and replaces it, so a depth
-        that reads nothing (every column between abelian algebras) builds
-        its points once per run."""
-        key = [cols[i] for i in self.reads[k]]
-        if slots[k] is not None and slots[k][0] == key:
-            return iter(slots[k][1])
-        listed = []
-        slots[k] = (key, listed)
-        f, prefix, det = self.field, cols[:self.n0 + k], self.determined[k]
-        affine = (_determined(f, *det, prefix) if det
-                  else _affine_set(f, self.widths[k], self.linear[k], prefix))
-        if affine is None:
-            return iter(())
-        part, basis = affine
-        scaled = [[vec_scale(f, t, b) for t in self.elems] for b in basis]
-        return _affine_points(f, part, scaled, listed)
-
-    def run(self, cap=None, prefix=()):
-        """The solutions after the columns ``prefix``, as tuples of the
-        unknown columns, in lexicographic order.
-
-        The columns are fixed one at a time, depth first, with one
-        iterator of points per depth on an explicit stack, so a finished
-        run leaves nothing for the cycle collector.  Only the quadratic
-        equations are evaluated per point.  The last depth hands each
-        solution on as the tuple of the earlier unknown columns, taken once
-        per visit, plus its point.  The slots hold only points the run has
-        tried, so a run the cap refuses has built at most ``cap + 1``: the
-        ``cap + 1``-th point tried raises ``SearchSpaceTooLarge``.
-        """
-        cap = DEFAULT_SEARCH_CAP if cap is None else cap
-        f, n0, last = self.field, self.n0, len(self.widths) - 1
-        if last < 0:
-            yield ()
-            return
-        cols = [tuple(c) for c in prefix] + [None] * (last + 1)
-        slots, points = [None] * (last + 1), [None] * (last + 1)
-        points[0], head = self._visit(0, cols, slots), ()
-        scanned, k = 0, 0
-        while k >= 0:
-            quad = self.quadratic[k]
-            for c in points[k]:
-                scanned += 1
-                if scanned > cap:
-                    raise SearchSpaceTooLarge(scanned, cap)
-                cols[n0 + k] = c
-                if quad and not _holds(f, quad, cols):
-                    continue
-                if k == last:
-                    yield head + (c,)
-                    continue
-                k += 1
-                points[k] = self._visit(k, cols, slots)
-                if k == last:
-                    head = tuple(cols[n0:n0 + k])
-                break
-            else:
-                k -= 1
-
-
 def enumerate_homs(a: Algebra, b: Algebra, cap=None) -> list:
     """All flavor morphisms a -> b over a finite field, in canonical order:
     lexicographic in the columns of the matrix, first column first.
@@ -383,6 +85,7 @@ def enumerate_homs(a: Algebra, b: Algebra, cap=None) -> list:
     One ``_Plan`` over the columns, under the product equations
     ``phi(e_i e_j) = phi(e_i) phi(e_j)``, run once.
     """
+    from .equations import _intertwined, _Plan
     if a.flavor != b.flavor:
         raise DiacatError("hom enumeration needs algebras of one flavor")
     if a.field != b.field:
@@ -407,6 +110,8 @@ def enumerate_generated_homs(env: Envelope, target: Algebra, cap=None) -> list:
     (every word is an iterated product of them), and independent of the
     bracket-morphism condition the adjunction checks it against.
     """
+    from .envelope import envelope_transpose
+    from .equations import _Plan
     f = env.algebra.field
     n = target.dim
     found = []
@@ -428,6 +133,8 @@ def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> list:
     equivariances, run once for each actor map beta from
     ``enumerate_homs``.
     """
+    from .equations import (_Equation, _intertwined, _Plan, _scaled_eye,
+                            _triples)
     if x.flavor != y.flavor:
         raise InvalidCrossedModule("crossed modules of different flavors")
     f = x.actee.field
@@ -462,50 +169,11 @@ def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> list:
 # adjunction verification
 
 
-class BijectionReport(NamedTuple):
-    left: list
-    right: list
-    items: AxiomReport
-
-    @property
-    def passed(self):
-        return self.items.passed
-
-    def summary(self):
-        return self.items.summary()
-
-
-def _pair_key(m: XmodMorphism):
-    return m.alpha.matrix, m.beta.matrix
-
-
-def _bijection(report, left, right, images, keys, names, prefix="",
-               also=()):
-    """Add the items certifying a map between the enumerated hom-sets
-    ``left`` = Hom(Fa, b) and ``right`` = Hom(a, Gb) as a bijection.
-
-    ``images`` holds the key of each image, in the order of the map's
-    domain (either hom-set), and ``keys`` those of the other hom-set.
-    After the cardinality item and the ``also`` items come "lands in",
-    "injective" and "surjective" (every key is hit) under the three
-    ``names``, or their conjunction when ``names`` is one string.
-    """
-    report.add(prefix + f"cardinalities equal ({len(left)} = {len(right)})",
-               len(left) == len(right))
-    for name, ok in also:
-        report.add(prefix + name, ok)
-    hit = set(images)
-    checks = (hit <= keys, len(hit) == len(images), keys <= hit)
-    if isinstance(names, str):
-        report.add(prefix + names, all(checks))
-    else:
-        for name, ok in zip(names, checks):
-            report.add(prefix + name, ok)
-
-
 def verify_adjunction_ud(g, d, bound: int, cap=None) -> BijectionReport:
     """Bijection between morphisms out of the envelope and bracket
     morphisms into the leibnization, by restriction to generators."""
+    from .adjunctions import BijectionReport, _bijection, _splits
+    from .envelope import ud
     if not derived_tower_nilpotent(d, bound):
         raise NotWellDefined("target dialgebra is not nilpotent within the bound")
     env = ud(g, bound)
@@ -522,59 +190,14 @@ def verify_adjunction_ud(g, d, bound: int, cap=None) -> BijectionReport:
     return BijectionReport(left, right, report)
 
 
-def _splits(env, d, psi: Matrix) -> bool:
-    """Whether the transpose of ``psi`` restricts back to ``psi`` on the
-    generators; a transpose that is not well defined does not."""
-    try:
-        return envelope_transpose(env, d, psi).matrix.mul(env.eta) == psi
-    except NotWellDefined:
-        return False
-
-
-def _block_diag(f, a: Matrix, b: Matrix) -> Matrix:
-    top = a.hstack(Matrix.zero(f, a.rows, b.cols))
-    bottom = Matrix.zero(f, b.rows, a.cols).hstack(b)
-    return top.vstack(bottom)
-
-
-def xud_transpose(r: XudResult, target: CrossedModule,
-                  alpha: Matrix, beta: Matrix) -> XmodMorphism:
-    """The crossed morphism out of the enveloping crossed module determined
-    by a crossed morphism (alpha, beta) into the bracket image of ``target``.
-
-    The pair acts blockwise on the semidirect model, envelopes, factors
-    through the kernel-product quotient, and restricts to both levels.
-    """
-    c_t = cat1_of_xmod(target)
-    f = c_t.E.field
-    h = _block_diag(f, alpha, beta)
-    k = envelope_transpose(r.env_big, c_t.E, h)
-    _assert_killed(f, k.matrix, r.qmap.sub, "the enveloped block map")
-    kbar = k.matrix.mul(r.qmap.section)
-    nl, nd = target.actee.dim, target.actor.dim
-    # Ker s-bar lands in the actee block, the base in the actor block
-    a_imgs = [kbar.mul_vec(v) for v in kernel_of(r.cat1.s).rows]
-    b_imgs = [kbar.mul_vec(v) for v in r.cat1.d_sub.rows]
-    if not (all(vec_is_zero(f, w[nl:]) for w in a_imgs)
-            and all(vec_is_zero(f, w[:nl]) for w in b_imgs)):
-        raise NotWellDefined("the enveloped block map mixes the two blocks")
-    a_cols, b_cols = [w[:nl] for w in a_imgs], [w[nl:] for w in b_imgs]
-    alpha_out = AlgebraMorphism(r.xmod.actee, target.actee,
-                                Matrix.from_cols(f, a_cols, nl))
-    beta_out = AlgebraMorphism(r.xmod.actor, target.actor,
-                               Matrix.from_cols(f, b_cols, nd))
-    return XmodMorphism(r.xmod, target, alpha_out, beta_out)
-
-
-def xud_unit_maps(r: XudResult):
-    """(actee unit, actor unit) of the crossed-module envelope adjunction."""
-    unit_actor = r.base_bridge.mul(r.env_base.eta)
-    return r.unit_actee, unit_actor
-
-
 def verify_adjunction_xud(xlb: CrossedModule, xdias: CrossedModule,
                           bound: int, cap=None) -> BijectionReport:
     """Crossed-module envelope adjunction, verified against enumeration."""
+    from .adjunctions import (BijectionReport, _bijection, _pair_key,
+                              xud_transpose, xud_unit_maps)
+    from .cat1 import cat1_of_xmod
+    from .envelope import xud_full
+    from .lifts import _expect_xm, xlb_of_xdias
     _expect_xm(xlb, "lb", "verify_adjunction_xud")
     _expect_xm(xdias, "dias", "verify_adjunction_xud")
     c_t = cat1_of_xmod(xdias)
@@ -602,63 +225,6 @@ def verify_adjunction_xud(xlb: CrossedModule, xdias: CrossedModule,
     return BijectionReport(left, right, report)
 
 
-# ---------------------------------------------------------------------------
-# adjunction chains for the embeddings and projections
-
-
-def _chain_kind(tagpair):
-    """(flavor, which adjoint is the projection, index) of a chain pair."""
-    for flavor in _CHAIN_LETTERS:
-        for i in (0, 1):
-            proj_left, emb_left = chain_pairs(flavor, i)
-            if tuple(tagpair) == proj_left:
-                return flavor, "proj-left", i
-            if tuple(tagpair) == emb_left:
-                return flavor, "emb-left", i
-    raise DiacatError(f"unknown adjunction pair {tagpair!r}")
-
-
-# The algebra side of a chain row takes (xm, a, emb), emb the embedding of
-# a at the row's index, to the algebra hom-set and the lift of its
-# morphisms to crossed ones: out of Coker mu or the actor for U_i -| J_i,
-# into the actor or the actee for J_i -| U_{i+1}.
-def _lift_from_coker(xm, alg, emb, cap):
-    coker, proj = cokernel_of_mu(xm)
-    zero = AlgebraMorphism.zero(xm.actee, emb.actee)
-    return enumerate_homs(coker, alg, cap), lambda h: XmodMorphism(
-        xm, emb, zero,
-        AlgebraMorphism(xm.actor, alg, h.matrix.mul(proj.matrix)))
-
-
-def _lift_from_actor(xm, alg, emb, cap):
-    return enumerate_homs(xm.actor, alg, cap), lambda h: XmodMorphism(
-        xm, emb,
-        AlgebraMorphism(xm.actee, emb.actee, h.matrix.mul(xm.mu.matrix)),
-        AlgebraMorphism(xm.actor, alg, h.matrix))
-
-
-def _lift_into_actor(xm, alg, emb, cap):
-    zero = AlgebraMorphism.zero(emb.actee, xm.actee)
-    return enumerate_homs(alg, xm.actor, cap), lambda h: XmodMorphism(
-        emb, xm, zero, AlgebraMorphism(alg, xm.actor, h.matrix))
-
-
-def _lift_into_actee(xm, alg, emb, cap):
-    return enumerate_homs(alg, xm.actee, cap), lambda h: XmodMorphism(
-        emb, xm, AlgebraMorphism(alg, xm.actee, h.matrix),
-        AlgebraMorphism(alg, xm.actor, xm.mu.matrix.mul(h.matrix)))
-
-
-# (kind, index) -> (algebra side, restriction of a crossed morphism out of
-# emb back to the algebra, None where the projection is the left adjoint)
-_CHAIN_ROWS = {
-    ("proj-left", 0): (_lift_from_coker, None),
-    ("proj-left", 1): (_lift_from_actor, None),
-    ("emb-left", 0): (_lift_into_actor, lambda m: m.beta),
-    ("emb-left", 1): (_lift_into_actee, lambda m: m.alpha),
-}
-
-
 def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
     """Hom-set bijections for the embedding/projection adjunctions.
 
@@ -667,6 +233,8 @@ def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
     hom-sets are enumerated, left first, the explicit bijection is applied
     elementwise, and one naturality square is spot-checked.
     """
+    from .adjunctions import (_CHAIN_ROWS, _bijection, _chain_kind, _pair_key,
+                              _pick_endo)
     flavor, kind, i = _chain_kind(tagpair)
     algebra_side, restrict = _CHAIN_ROWS[kind, i]
     report = AxiomReport(f"adjunction {tagpair[0]} -| {tagpair[1]}")
@@ -709,14 +277,6 @@ def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
                           == restrict(m).matrix.mul(u.matrix) for m in left)
         report.add(prefix + "naturality square", natural)
     return report
-
-
-def _pick_endo(alg, cap):
-    endos = enumerate_homs(alg, alg, cap)
-    for m in endos:
-        if m.matrix != Matrix.identity(alg.field, alg.dim):
-            return m
-    return endos[0]
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +352,7 @@ def _envelope_witness(alg, bound, o1, o2):
     """The identity crossed module of alg (J1' or I1') sent through the
     crossed envelope, mapped by the inverse of its base bridge onto the
     identity crossed module of alg's envelope."""
+    from .envelope import xu_full, xud_full
     full = xu_full if alg.flavor == "lie" else xud_full
     r = full(embed(_chain_tag(alg.flavor, 1, 1), alg), bound)
     inv_bridge = inverse(r.base_bridge)
@@ -906,6 +467,8 @@ def check_parallelepiped(xm: CrossedModule, bound: int = 2, cap=None) -> AxiomRe
     The fixture is normalized to a Leibniz crossed module (and, for the
     faces that need one, to a dialgebra crossed module through the
     envelope); each face is one or two registered squares."""
+    from .envelope import xud
+    from .lifts import _as_dias_or_lb, xas_of_xdias, xlb_of_xdias
     base = _as_dias_or_lb(xm)
     if base.flavor == "dias":
         xdias, xlb = base, xlb_of_xdias(base)

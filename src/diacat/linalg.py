@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import DimensionMismatch, FieldMismatch, NotWellDefined
 from .fields import Field, sp_add_into, sp_from_dense, sp_to_dense
 
 
@@ -423,6 +423,13 @@ def inverse(m: Matrix) -> Optional[Matrix]:
         return None
     return Matrix(f, [[rows[i].get(n + j, f.zero()) for j in range(n)]
                       for i in range(n)], n, n)
+
+
+def _assert_killed(f, mat: Matrix, sub: Subspace, what):
+    """Raise NotWellDefined unless ``mat`` sends every row of ``sub`` to 0."""
+    for r in sub.rows:
+        if not vec_is_zero(f, mat.mul_vec(r)):
+            raise NotWellDefined(f"{what} does not kill the defining ideal")
 
 
 class QuotientMap:

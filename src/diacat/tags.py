@@ -3,8 +3,9 @@
 ``FUNCTOR_TAGS`` gives each tag its source and target category and its
 builder, for ``apply_functor``, ``functors.check_square`` and ``diacat
 construct`` alike.  A builder finds its implementation in ``algebra``,
-``envelope`` or ``functors`` when it runs, not when the registry is
-imported, so ``construct Ud`` loads the envelope stack and not the functor
+``envelope``, ``lifts`` or ``functors`` when it runs, not when the
+registry is imported, so ``construct Ud`` loads the envelope stack and
+``construct XLB`` the crossed-module lifts, and neither the functor
 module.  The lookup at call time also sees a wrapper bound to that name
 after import, as the benchmark's tracer binds them.
 
@@ -88,17 +89,17 @@ def _registry():
         "IncAsDias": Functor("As", "Dias",
                              _deferred("algebra.dialgebra_of_associative")),
         "IncLieLb": Functor("Lie", "Lb", _deferred("algebra.leibniz_of_lie")),
-        "XLB": Functor("XDias", "XLb", _deferred("functors.xlb_of_xdias")),
-        "XAS": Functor("XDias", "XAs", _deferred("functors.xas_of_xdias",
-                                                 keep=first)),
-        "XLiea": Functor("XAs", "XLie", _deferred("functors.xliea_of_xas")),
-        "XLiel": Functor("XLb", "XLie", _deferred("functors.xliel_of_xlb")),
+        "XLB": Functor("XDias", "XLb", _deferred("lifts.xlb_of_xdias")),
+        "XAS": Functor("XDias", "XAs", _deferred("lifts.xas_of_xdias",
+                                              keep=first)),
+        "XLiea": Functor("XAs", "XLie", _deferred("lifts.xliea_of_xas")),
+        "XLiel": Functor("XLb", "XLie", _deferred("lifts.xliel_of_xlb")),
         "XUd": Functor("XLb", "XDias", _deferred("envelope.xud"), True),
         "XU": Functor("XLie", "XAs", _deferred("envelope.xu"), True),
         "IncXAsXDias": Functor("XAs", "XDias",
-                               _deferred("functors.inc_xas_to_xdias")),
+                               _deferred("lifts.inc_xas_to_xdias")),
         "IncXLieXLb": Functor("XLie", "XLb",
-                              _deferred("functors.inc_xlie_to_xlb")),
+                              _deferred("lifts.inc_xlie_to_xlb")),
     }
     for flavor in _CHAIN_LETTERS:
         alg = flavor.capitalize()

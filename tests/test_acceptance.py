@@ -26,9 +26,10 @@ from diacat.envelope import ud, xu, xud, xud_full
 from diacat.fields import GF
 from diacat.functors import (apply_functor, check_parallelepiped,
                              check_square, embed, find_xmod_isomorphism,
-                             inc_xas_to_xdias, inc_xlie_to_xlb, square_ids,
-                             verify_adjunction_chain, verify_adjunction_ud,
-                             verify_adjunction_xud, xas_of_xdias, xliel_of_xlb)
+                             square_ids, verify_adjunction_chain,
+                             verify_adjunction_ud, verify_adjunction_xud)
+from diacat.lifts import (inc_xas_to_xdias, inc_xlie_to_xlb, xas_of_xdias,
+                          xliel_of_xlb)
 from diacat.linalg import Matrix, Subspace, inverse
 from diacat.tags import _CONSTRUCTIONS, FUNCTOR_TAGS
 

@@ -15,7 +15,7 @@ import io
 
 import pytest
 
-from diacat import fixtures, functors
+from diacat import adjunctions, envelope, fixtures, functors
 from diacat.actions import XmodMorphism
 from diacat.algebra import AlgebraMorphism
 from diacat.cli import main
@@ -145,12 +145,12 @@ def _chain(pair):
 
 def _break_row(monkeypatch, key, lift=None, restrict=None):
     """Replace the lift or the restriction of one chain row."""
-    side, real_restrict = functors._CHAIN_ROWS[key]
+    side, real_restrict = adjunctions._CHAIN_ROWS[key]
 
     def broken_side(*args):
         homs, real_lift = side(*args)
         return homs, (lambda h: lift(real_lift(h), h)) if lift else real_lift
-    monkeypatch.setitem(functors._CHAIN_ROWS, key,
+    monkeypatch.setitem(adjunctions._CHAIN_ROWS, key,
                         (broken_side, restrict or real_restrict))
 
 
@@ -183,7 +183,7 @@ def test_ud_with_a_zero_transpose_after_enumeration(monkeypatch):
 
     def enumerate_then_break(env, target, cap=None):
         found = real(env, target, cap)
-        monkeypatch.setattr(functors, "envelope_transpose",
+        monkeypatch.setattr(envelope, "envelope_transpose",
                             lambda env, d, phi: AlgebraMorphism.zero(
                                 env.algebra, d))
         return found
@@ -202,7 +202,7 @@ def test_ud_with_an_ill_defined_transpose_after_enumeration(monkeypatch):
 
     def enumerate_then_break(env, target, cap=None):
         found = real(env, target, cap)
-        monkeypatch.setattr(functors, "envelope_transpose", ill_defined)
+        monkeypatch.setattr(envelope, "envelope_transpose", ill_defined)
         return found
     monkeypatch.setattr(functors, "enumerate_generated_homs",
                         enumerate_then_break)
@@ -220,21 +220,21 @@ def test_xud_without_one_morphism_out_of_the_envelope(monkeypatch):
 
 
 def test_xud_with_a_constant_transpose(monkeypatch):
-    real = functors.xud_transpose
+    real = adjunctions.xud_transpose
     first = {}
 
     def constant(r, target, alpha, beta):
         out = real(r, target, alpha, beta)
         return first.setdefault("out", out)
-    monkeypatch.setattr(functors, "xud_transpose", constant)
+    monkeypatch.setattr(adjunctions, "xud_transpose", constant)
     assert _failing(_xud().items) == [
         "transpose injective", "transpose surjective",
         "precomposition with the units recovers the original"]
 
 
 def test_xud_with_zero_units(monkeypatch):
-    real = functors.xud_unit_maps
-    monkeypatch.setattr(functors, "xud_unit_maps", lambda r: tuple(
+    real = adjunctions.xud_unit_maps
+    monkeypatch.setattr(adjunctions, "xud_unit_maps", lambda r: tuple(
         Matrix.zero(u.field, u.rows, u.cols) for u in real(r)))
     assert _failing(_xud().items) == [
         "precomposition with the units recovers the original"]

@@ -15,7 +15,8 @@ from diacat.cat1 import (Cat1, InternalCategory, cat1_decomposition_iso,
 from diacat.errors import (InvalidAction, InvalidAlgebra, InvalidCat1,
                            InvalidCrossedModule, InvalidInternalCategory)
 from diacat.fields import GF
-from diacat.functors import _as_dias_or_lb, find_xmod_isomorphism
+from diacat.functors import find_xmod_isomorphism
+from diacat.lifts import _as_dias_or_lb
 from diacat.linalg import Matrix, Subspace, kernel
 
 F2 = GF(2)

@@ -123,6 +123,20 @@ def test_unwritable_out_is_an_input_error(tmp_path, argv):
     assert err.startswith("input error: cannot write"), err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fixtures", "list", "leibniz-ff-e-f2"],
+    ["fixtures", "list", "--out", "list.txt"],
+], ids=" ".join)
+def test_fixtures_list_takes_no_name_and_no_out(tmp_path, argv):
+    # the list goes to stdout only; before, both lines printed it and
+    # exited 0, and --out wrote nothing
+    rc, out, err = _run([str(tmp_path / a) if a == "list.txt" else a
+                         for a in argv])
+    assert (rc, out) == (2, ""), err
+    assert err.startswith("input error: fixtures list takes no"), err
+    assert not (tmp_path / "list.txt").exists()
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from diacat import cli, fixtures, functors
+from diacat import adjunctions, cli, equations, fixtures, functors
 from diacat.actions import XmodMorphism
 from diacat.batteries import _CHAIN_PAIRS
 from diacat.algebra import (AxiomReport, BilinearMap, abelian_algebra,
@@ -18,11 +18,11 @@ from diacat.functors import (FUNCTOR_TAGS, apply_functor, check_parallelepiped,
                              cokernel_of_mu, embed, enumerate_generated_homs,
                              enumerate_homs, enumerate_xmod_homs,
                              find_algebra_isomorphism, find_xmod_isomorphism,
-                             inc_xas_to_xdias, inc_xlie_to_xlb, project,
-                             square_fixture_kind, square_flavors, square_ids,
-                             verify_adjunction_chain, verify_adjunction_ud,
-                             verify_adjunction_xud, xas_of_xdias,
-                             xlb_of_xdias, xliea_of_xas, xliel_of_xlb)
+                             project, square_fixture_kind, square_flavors,
+                             square_ids, verify_adjunction_chain,
+                             verify_adjunction_ud, verify_adjunction_xud)
+from diacat.lifts import (inc_xas_to_xdias, inc_xlie_to_xlb, xas_of_xdias,
+                          xlb_of_xdias, xliea_of_xas, xliel_of_xlb)
 from diacat.linalg import Matrix
 
 F2 = GF(2)
@@ -180,18 +180,19 @@ def test_one_plan_per_hom_set(monkeypatch):
              "enumerate_xmod_homs": 0}
     depths = []
     for name in calls:
-        real = getattr(functors, name)
+        module = equations if name == "_determining" else functors
+        real = getattr(module, name)
 
         def counted(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
-        monkeypatch.setattr(functors, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    class CountedPlan(functors._Plan):
+    class CountedPlan(equations._Plan):
         def __init__(self, f, widths, *args):
             depths.append(len(widths))
             super().__init__(f, widths, *args)
-    monkeypatch.setattr(functors, "_Plan", CountedPlan)
+    monkeypatch.setattr(equations, "_Plan", CountedPlan)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert cli.main(["verify", "adjunction:chain:1"]) == 0, err.getvalue()
@@ -320,7 +321,7 @@ def test_naturality_is_checked_along_a_non_identity_endomorphism():
         alg = fixtures.get(name)
         ident = Matrix.identity(alg.field, alg.dim)
         assert any(m.matrix != ident for m in enumerate_homs(alg, alg)), name
-        assert functors._pick_endo(alg, None).matrix != ident, name
+        assert adjunctions._pick_endo(alg, None).matrix != ident, name
 
 
 def test_adjunction_chain_rejects_bad_pair():

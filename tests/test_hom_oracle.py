@@ -44,7 +44,7 @@ import random
 
 import pytest
 
-from diacat import fixtures, functors
+from diacat import equations, fixtures
 from diacat.actions import CrossedModule
 from diacat.algebra import (BilinearMap, abelian_algebra, make_algebra,
                             product_arity)
@@ -194,12 +194,12 @@ def _count_solves(monkeypatch):
     solves, on either route: ``_affine_set`` or ``_determined``."""
     calls = []
     for route in ("_affine_set", "_determined"):
-        real = getattr(functors, route)
+        real = getattr(equations, route)
 
         def counted(*args, route=route, real=real):
             calls.append((route, len(args[-1])))
             return real(*args)
-        monkeypatch.setattr(functors, route, counted)
+        monkeypatch.setattr(equations, route, counted)
     return calls
 
 
@@ -320,14 +320,14 @@ def test_determined_depths_match_oracle_in_order(monkeypatch, name, p, flavor,
     rng = random.Random(f"{SEED}:determined:{name}:{p}")
     calls = _count_solves(monkeypatch)
     rejected = 0
-    counted = functors._determined
+    counted = equations._determined
 
     def determined(*args):
         nonlocal rejected
         out = counted(*args)
         rejected += out is None
         return out
-    monkeypatch.setattr(functors, "_determined", determined)
+    monkeypatch.setattr(equations, "_determined", determined)
     sliced = 0
     for t in targets:
         tgt = _in_basis(p, t, _random_basis(p, len(t), rng))

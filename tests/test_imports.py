@@ -7,7 +7,13 @@ imports the command line, or checks one document, leaves the functor,
 envelope and cat1 stack and the ``verify`` batteries unloaded, and for an
 algebra document ``linalg`` too; no ``check`` over a prime field loads
 ``fractions``.  One that constructs an envelope loads no functor module
-and no battery, nor, for an algebra, the crossed-module stack.  No path
+and no battery, nor, for an algebra, the crossed-module stack.  Importing
+``functors`` loads neither the envelope, the cat1 nor the search stack.
+A ``verify`` job loads only what its battery runs: a square whose
+composites agree loads no search, no adjunction machinery and no cat1
+structure, an embedding/projection chain no cat1 structure, and the cat1
+equivalence, whose round trips agree, neither the functor module, the
+tag registry, the search nor the adjunction machinery.  No path
 loads ``dataclasses``, nor ``diacat.audit``, which no module imports.  No
 module imports ``diacat.cli``, which under ``python -m diacat.cli`` is
 ``__main__`` and would be compiled a second time.
@@ -100,6 +106,9 @@ STACK = ["diacat.functors", "diacat.envelope", "diacat.cat1",
 CHECK = "from diacat.cli import main; main(['check', DOC])"
 CONSTRUCT = ("from diacat.cli import main; "
              "assert main(['construct', {!r}, {}, '--trunc', '2']) == 0")
+VERIFY = "from diacat.cli import main; assert main(['verify', {!r}]) == 0"
+# what only the hom search and the adjunction verifiers run
+SEARCH = ["diacat.equations", "diacat.adjunctions"]
 # what the check path leaves to the commands that build
 BUILDERS = ["diacat.linalg", "diacat.batteries", "fractions"]
 BUDGETS = {
@@ -112,12 +121,19 @@ BUDGETS = {
     "check-xmod": (CHECK, "xlb-ideal-e-f2",
                    STACK + ["diacat.audit", "fractions"]),
     "import-functors": ("import diacat.functors", None,
-                        ["diacat.audit", "dataclasses"]),
+                        ["diacat.cat1", "diacat.envelope", "diacat.equations",
+                         "diacat.audit", "dataclasses"]),
     "construct-ud": (CONSTRUCT.format("Ud", "DOC"), "leibniz-ff-e-f2",
                      ["diacat.functors", "diacat.cat1", "diacat.actions",
                       "diacat.audit", "diacat.batteries"]),
     "construct-xud": (CONSTRUCT.format("XUd", "'xlb-ideal-e-f2'"), None,
                       ["diacat.functors", "diacat.audit"]),
+    "verify-square": (VERIFY.format("square:LbDias-J0"), None,
+                      ["diacat.cat1"] + SEARCH),
+    "verify-chain": (VERIFY.format("adjunction:chain:0"), None,
+                     ["diacat.cat1"]),
+    "verify-cat1": (VERIFY.format("equivalence:cat1"), None,
+                    ["diacat.functors", "diacat.tags"] + SEARCH),
 }
 
 

@@ -82,10 +82,51 @@ def test_every_checker_is_traced():
     assert not set(checkers) - names, sorted(set(checkers) - names)
 
 
+# hom-scan's worker runs an untraced pass, which loads the search module,
+# before it installs the tracer; the search must still reach the traced
+# linalg.inverse, which fixes the determined column of the Heisenberg
+# algebra's endomorphisms
+_SEARCH_THEN_TRACE = """
+import json
+from diacat import functors
+from diacat.algebra import BilinearMap, make_algebra
+from diacat.fields import GF
+f = GF(3)
+h = make_algebra("lie", f, [BilinearMap.from_triples(
+    f, 3, 3, 3, [(0, 1, 2, 1), (1, 0, 2, 2)])])
+functors.enumerate_homs(h, h)
+from tracer import Tracer, install
+tracer = Tracer()
+install(tracer)
+functors.enumerate_homs(h, h)
+print(json.dumps(sorted({span[3] for span in tracer.spans})))
+"""
+
+
+def test_a_search_loaded_before_the_tracer_is_traced():
+    root = TRACER.parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    run = subprocess.run([sys.executable, "-c", _SEARCH_THEN_TRACE], env=env,
+                         capture_output=True, text=True, check=True)
+    names = set(json.loads(run.stdout))
+    assert {"functors.enumerate_homs", "linalg.inverse"} <= names, names
+
+
 # one job of each kind: (command line, spans it must record); DOC is the
 # path of an lb document
 TRACED_JOBS = {
     "verify": (["verify", "square:LieLb-I1"], ["functors.check_square"]),
+    # the adjunction, cat1, envelope and search stacks load when a
+    # battery first runs them; the calls made from them are traced too
+    "adjunction:xud": (["verify", "adjunction:xud"],
+                       ["functors.verify_adjunction_xud", "envelope.xud_full",
+                        "cat1.cat1_of_xmod", "functors.enumerate_homs"]),
+    "adjunction:chain:0": (["verify", "adjunction:chain:0"],
+                           ["functors.verify_adjunction_chain",
+                            "functors.enumerate_homs"]),
+    "equivalence:internal": (["verify", "equivalence:internal"],
+                             ["cat1.xdias_to_internal"]),
     "construct": (["construct", "Ud", "leibniz-ff-e-f2", "--trunc", "2"],
                   ["envelope.ud"]),
     # the crossed envelope imports actions and cat1 when it runs
