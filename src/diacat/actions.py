@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from itertools import chain, product as iter_product
 
-from .algebra import (ASSOC_AXIOM, DIAS_AXIOMS, FLAVORS, LEIBNIZ_AXIOM,
-                      Algebra, AlgebraMorphism, AxiomReport, BilinearMap,
-                      Certified, _check_templates, abelian_algebra,
-                      basis_products, first_unintertwined, image_of,
-                      induced_bilinear, induced_subalgebra, is_ideal,
-                      kernel_of, make_algebra, product_arity,
+from .algebra import (AXIOMS, FLAVORS, Algebra, AlgebraMorphism,
+                      AxiomReport, BilinearMap, Certified, _check_templates,
+                      abelian_algebra, basis_products, first_unintertwined,
+                      image_of, induced_bilinear, induced_subalgebra,
+                      is_ideal, kernel_of, make_algebra, product_arity,
                       quotient_algebra, sp_cols)
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAction,
                      InvalidCrossedModule, LemmaViolation, NotAnIdeal)
@@ -172,14 +171,11 @@ _MIXED_PATTERNS = tuple(p for p in iter_product((ACTOR, ACTEE), repeat=3)
                         if len(set(p)) == 2)
 
 
-MIXED_TEMPLATES = {"dias": DIAS_AXIOMS, "lb": (LEIBNIZ_AXIOM,),
-                   "as": (ASSOC_AXIOM,)}
-
-
 def mixed_instances(flavor):
-    """All axiom instances with variables of both sorts, as (name, fn, sorts)."""
+    """All instances of the flavor's axioms (``algebra.AXIOMS``) with
+    variables of both sorts, as (name, fn, sorts)."""
     return tuple((f"{name.split(':')[0]} @ ({','.join(pat)})", fn, pat)
-                 for name, fn in MIXED_TEMPLATES[flavor]
+                 for name, fn in AXIOMS[flavor]
                  for pat in _MIXED_PATTERNS)
 
 

@@ -17,9 +17,13 @@ under those keys, and the four flavor classes only set ``flavor``.
 Structure tensors are stored sparsely, because at desk scale they are
 overwhelmingly zero: a ``BilinearMap`` keeps ``rows[i]``, the nonzero basis
 products e_i e_j keyed by j, and builds ``cols``, the same cells keyed by
-column, on first read.  Constructors check the axioms and attach the
-report as a certificate; pass ``check=False`` only when the caller
-re-certifies immediately afterwards.
+column, on first read.  ``cells`` lists its nonzero products row-major,
+and ``polarized`` is the map with the same values m(c, c) and no cell
+below the diagonal: the one form of the square [x,x] and of [x,y] + [y,x]
+for the Lie checker, the Lie quotient's seeds and the hom search.
+Constructors check the axioms and attach the report as a certificate;
+pass ``check=False`` only when the caller re-certifies immediately
+afterwards.
 
 Every basis triple is certified, but not one at a time: ``_check_templates``
 evaluates each axiom once per slab ``x = e_i``, with y and z ranging over
@@ -39,6 +43,14 @@ subspace, stopped at the first escape.  ``quotient_algebra`` divides by the
 ideal its argument generates, so a seed is closed once and an ideal is
 passed over once: the pass that builds ideals is also the one that
 certifies them.
+
+Each flavor-changing functor is written once, as a rule keyed by its tag:
+``LEVELWISE`` holds the four that keep the space (LB, Liea and the two
+inclusions), ``QUOTIENTS`` the two universal quotients (AS and Liel) with
+the map whose nonzero products generate the ideal divided out, and
+``retyped`` is the one step that reads a quotient whose products agree
+as an algebra of the quotient's flavor.  ``lifts`` applies the same rules
+to crossed modules.
 
 Only the functions that build matrices, subspaces or quotients import
 ``linalg``, when they run; the checker's sparse vectors come from
@@ -60,12 +72,6 @@ if TYPE_CHECKING:
 
 # ---------------------------------------------------------------------------
 # sparse vectors
-
-
-def sp_add(field, a: dict, b: dict) -> dict:
-    out = dict(a)
-    sp_add_into(field, out, b)
-    return out
 
 
 def sp_sub(field, a: dict, b: dict) -> dict:
@@ -176,11 +182,26 @@ class BilinearMap:
                                 sp_from_dense(self.field, v))
         return sp_to_dense(self.field, out, self.out_dim)
 
-    def triples(self):
+    def cells(self):
+        """The nonzero products as ``(i, j, e_i e_j)``, row-major (do not
+        mutate the products)."""
         for i, row in enumerate(self.rows):
             for j in sorted(row):
-                for k in sorted(row[j]):
-                    yield (i, j, k, row[j][k])
+                yield i, j, row[j]
+
+    def triples(self):
+        for i, j, cell in self.cells():
+            for k in sorted(cell):
+                yield (i, j, k, cell[k])
+
+    def polarized(self) -> "BilinearMap":
+        """The map with the same values ``m(c, c)`` as this map m and no
+        cell below the diagonal: ``m(e_i, e_i)``, and ``m(e_i, e_j) +
+        m(e_j, e_i)`` at i < j, for a square map.  It is zero exactly when
+        m is alternating, in characteristic 2 as well."""
+        return BilinearMap.from_triples(
+            self.field, self.left_dim, self.right_dim, self.out_dim,
+            ((min(i, j), max(i, j), k, c) for i, j, k, c in self.triples()))
 
     def is_zero(self):
         return not any(self.rows)
@@ -298,29 +319,34 @@ class AxiomReport:
 #
 # A template maps a product callback m(pidx, a, b) and a difference callback
 # s(a, b) on three variables to the pair of elements that the axiom equates.
-# The same templates drive the plain algebra checkers and, on the mixed-sort
-# triples of a semidirect product, the action checkers.
+# ``AXIOMS`` lists each flavor's templates as (name, template) pairs: the
+# same templates drive the plain algebra checkers and, on the mixed-sort
+# triples of a semidirect product, the action checkers.  A Lie algebra
+# satisfies the Leibniz identity; ``check_lie`` adds that it is alternating.
 
-DIAS_AXIOMS = (
-    ("d1: (x-|y)-|z = x-|(y|-z)",
-     lambda m, s, x, y, z: (m(0, m(0, x, y), z), m(0, x, m(1, y, z)))),
-    ("d2: (x-|y)-|z = x-|(y-|z)",
-     lambda m, s, x, y, z: (m(0, m(0, x, y), z), m(0, x, m(0, y, z)))),
-    ("d3: (x|-y)-|z = x|-(y-|z)",
-     lambda m, s, x, y, z: (m(0, m(1, x, y), z), m(1, x, m(0, y, z)))),
-    ("d4: (x-|y)|-z = x|-(y|-z)",
-     lambda m, s, x, y, z: (m(1, m(0, x, y), z), m(1, x, m(1, y, z)))),
-    ("d5: (x|-y)|-z = x|-(y|-z)",
-     lambda m, s, x, y, z: (m(1, m(1, x, y), z), m(1, x, m(1, y, z)))),
-)
+_LEIBNIZ = (("leibniz: [x,[y,z]] = [[x,y],z] - [[x,z],y]",
+             lambda m, s, x, y, z: (m(0, x, m(0, y, z)),
+                                    s(m(0, m(0, x, y), z),
+                                      m(0, m(0, x, z), y)))),)
 
-LEIBNIZ_AXIOM = ("leibniz: [x,[y,z]] = [[x,y],z] - [[x,z],y]",
-                 lambda m, s, x, y, z: (m(0, x, m(0, y, z)),
-                                        s(m(0, m(0, x, y), z),
-                                          m(0, m(0, x, z), y))))
-
-ASSOC_AXIOM = ("assoc: (xy)z = x(yz)",
-               lambda m, s, x, y, z: (m(0, m(0, x, y), z), m(0, x, m(0, y, z))))
+AXIOMS = {
+    "dias": (
+        ("d1: (x-|y)-|z = x-|(y|-z)",
+         lambda m, s, x, y, z: (m(0, m(0, x, y), z), m(0, x, m(1, y, z)))),
+        ("d2: (x-|y)-|z = x-|(y-|z)",
+         lambda m, s, x, y, z: (m(0, m(0, x, y), z), m(0, x, m(0, y, z)))),
+        ("d3: (x|-y)-|z = x|-(y-|z)",
+         lambda m, s, x, y, z: (m(0, m(1, x, y), z), m(1, x, m(0, y, z)))),
+        ("d4: (x-|y)|-z = x|-(y|-z)",
+         lambda m, s, x, y, z: (m(1, m(0, x, y), z), m(1, x, m(1, y, z)))),
+        ("d5: (x|-y)|-z = x|-(y|-z)",
+         lambda m, s, x, y, z: (m(1, m(1, x, y), z), m(1, x, m(1, y, z))))),
+    "lb": _LEIBNIZ,
+    "as": (("assoc: (xy)z = x(yz)",
+            lambda m, s, x, y, z: (m(0, m(0, x, y), z),
+                                   m(0, x, m(0, y, z)))),),
+    "lie": _LEIBNIZ,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +512,11 @@ def _check_templates(report, products, instances):
 # flavor checkers (single sort)
 
 
-def _whole(templates, n):
-    """Instances of single-sort templates over every basis triple."""
-    every = (range(n),) * 3
-    return [(name, fn, every) for name, fn in templates]
+def _check_axioms(report, flavor, products) -> AxiomReport:
+    """The templates ``AXIOMS[flavor]`` on every basis triple."""
+    every = (range(products[0].left_dim),) * 3
+    return _check_templates(report, products,
+                            [(name, fn, every) for name, fn in AXIOMS[flavor]])
 
 
 def check_dialgebra(left: BilinearMap, right: BilinearMap) -> AxiomReport:
@@ -499,31 +526,28 @@ def check_dialgebra(left: BilinearMap, right: BilinearMap) -> AxiomReport:
     if not (left.left_dim == left.right_dim == left.out_dim
             == right.left_dim == right.right_dim == right.out_dim):
         raise DimensionMismatch("dialgebra products must be square and equal-dim")
-    return _check_templates(AxiomReport("dialgebra"), [left, right],
-                            _whole(DIAS_AXIOMS, left.left_dim))
+    return _check_axioms(AxiomReport("dialgebra"), "dias", [left, right])
 
 
 def check_leibniz(bracket: BilinearMap) -> AxiomReport:
-    return _check_templates(AxiomReport("leibniz"), [bracket],
-                            _whole([LEIBNIZ_AXIOM], bracket.left_dim))
+    return _check_axioms(AxiomReport("leibniz"), "lb", [bracket])
 
 
 def check_associative(product: BilinearMap) -> AxiomReport:
-    return _check_templates(AxiomReport("associative"), [product],
-                            _whole([ASSOC_AXIOM], product.left_dim))
+    return _check_axioms(AxiomReport("associative"), "as", [product])
 
 
 def check_lie(bracket: BilinearMap) -> AxiomReport:
-    """Alternating (including the char-2 diagonal) plus the Leibniz identity."""
-    f = bracket.field
+    """Alternating, read off the polarized square: its first diagonal cell
+    fails [x,x] = 0 (in characteristic 2 as well), its first other cell
+    antisymmetry; then the Leibniz identity."""
     report = AxiomReport("lie")
-    n = bracket.left_dim
-    bad = next(((i, i) for i in range(n) if bracket.pair(i, i)), None)
-    report.add("alternating: [x,x] = 0", bad is None, bad)
-    bad = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                if sp_add(f, bracket.pair(i, j), bracket.pair(j, i))), None)
-    report.add("antisymmetry: [x,y] + [y,x] = 0", bad is None, bad)
-    return _check_templates(report, [bracket], _whole([LEIBNIZ_AXIOM], n))
+    pairs = [(i, j) for i, j, _ in bracket.polarized().cells()]
+    for name, diagonal in (("alternating: [x,x] = 0", True),
+                           ("antisymmetry: [x,y] + [y,x] = 0", False)):
+        bad = next((p for p in pairs if (p[0] == p[1]) == diagonal), None)
+        report.add(name, bad is None, bad)
+    return _check_axioms(report, "lie", [bracket])
 
 
 # ---------------------------------------------------------------------------
@@ -916,76 +940,88 @@ def derived_tower_nilpotent(alg: Algebra, bound: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # flavor-changing constructions on plain algebras
+#
+# Each functor is written once, keyed by its tag.  ``LEVELWISE`` holds the
+# four that keep the space: the source and target flavor and a rule, which
+# builds the target's products (in ``FLAVORS`` order) from ``p(pidx,
+# side)``, the source's product pidx with its arguments on ``side``: "DL"
+# or "LD", and ``side[::-1]`` is the other.  On an algebra p ignores the
+# side; ``lifts`` applies the same rule to the cross products of an action.
+# ``QUOTIENTS`` holds the two universal quotients: the source and target
+# flavor and the map whose nonzero products generate the ideal divided
+# out, x -| y - x |- y, or the polarized square, which kills squares in
+# characteristic 2 as well.
+
+LEVELWISE = {
+    "LB": ("dias", "lb", lambda p, side: (
+        p(0, side).subtract(p(1, side[::-1]).transpose_args()),)),
+    "Liea": ("as", "lie", lambda p, side: (
+        p(0, side).subtract(p(0, side[::-1]).transpose_args()),)),
+    "IncAsDias": ("as", "dias", lambda p, side: (p(0, side),) * 2),
+    "IncLieLb": ("lie", "lb", lambda p, side: (p(0, side),)),
+}
+
+QUOTIENTS = {
+    "AS": ("dias", "as", lambda d: d.left.subtract(d.right)),
+    "Liel": ("lb", "lie", lambda g: g.bracket.polarized()),
+}
+
+
+def levelwise(tag, alg: Algebra) -> Algebra:
+    """The functor ``LEVELWISE[tag]`` on ``alg``, on the same space."""
+    _, target, rule = LEVELWISE[tag]
+    prods = alg.products()
+    return make_algebra(target, alg.field,
+                        rule(lambda pidx, side: prods[pidx], "DL"),
+                        list(alg.labels))
 
 
 def leibnization(d: Dialgebra) -> LeibnizAlgebra:
     """Bracket [x,y] = x -| y - y |- x on the same space."""
-    f = d.field
-    swapped = d.right.transpose_args()
-    return LeibnizAlgebra(f, d.left.subtract(swapped), list(d.labels))
+    return levelwise("LB", d)
 
 
 def dialgebra_of_associative(a: AssociativeAlgebra) -> Dialgebra:
     """View an associative algebra as a dialgebra with both products equal."""
-    return Dialgebra(a.field, a.product, a.product, list(a.labels))
+    return levelwise("IncAsDias", a)
 
 
 def commutator_lie(a: AssociativeAlgebra) -> LieAlgebra:
     """Commutator bracket [x,y] = xy - yx."""
-    br = a.product.subtract(a.product.transpose_args())
-    return LieAlgebra(a.field, br, list(a.labels))
+    return levelwise("Liea", a)
 
 
 def leibniz_of_lie(p: LieAlgebra) -> LeibnizAlgebra:
     """A Lie algebra is in particular a Leibniz algebra."""
-    return LeibnizAlgebra(p.field, p.bracket, list(p.labels))
+    return levelwise("IncLieLb", p)
 
 
-def merge_seeds(d: Dialgebra) -> list:
-    """x -| y - x |- y on every basis pair: the ideal they generate merges
-    the two products."""
-    f = d.field
-    return [sp_sub(f, d.left.pair(i, j), d.right.pair(i, j))
-            for i in range(d.dim) for j in range(d.dim)]
+def retyped(quot: Algebra, flavor) -> Algebra:
+    """A quotient whose products agree, as the algebra of ``flavor`` with
+    that one product."""
+    prods = quot.products()
+    if any(p != prods[0] for p in prods[1:]):
+        raise InvalidAlgebra("the quotient failed to merge the products")
+    return make_algebra(flavor, quot.field, prods[:1], list(quot.labels))
 
 
-def square_seeds(g: LeibnizAlgebra) -> list:
-    """Polarized squares [x,x] and [x,y]+[y,x] on basis pairs, so that the
-    ideal they generate kills squares in characteristic 2 as well."""
-    f = g.field
-    out = []
-    for i in range(g.dim):
-        out.append(g.bracket.pair(i, i))
-        for j in range(i + 1, g.dim):
-            out.append(sp_add(f, g.bracket.pair(i, j), g.bracket.pair(j, i)))
-    return out
+def universal_quotient(tag, alg: Algebra) -> Quotient:
+    """The quotient ``QUOTIENTS[tag]`` of ``alg``: divided by the ideal its
+    seeds generate and retyped.  Returns (quotient, projection as a
+    morphism of ``alg``'s flavor onto the quotient before retyping), with
+    that ideal."""
+    from .linalg import Subspace
+    seeds = QUOTIENTS[tag][2](alg).cells()
+    quot = quotient_algebra(alg, Subspace.span(
+        alg.field, (w for _, _, w in seeds), alg.dim))
+    return Quotient(retyped(quot[0], QUOTIENTS[tag][1]), quot[1], quot.qmap)
 
 
 def associative_quotient(d: Dialgebra) -> Quotient:
-    """Universal associative quotient: divide by the ideal forcing -| = |-.
-
-    Returns (associative algebra, projection as a dialgebra morphism onto the
-    quotient viewed as a dialgebra), with that ideal.
-    """
-    from .linalg import Subspace
-    f = d.field
-    quot = quotient_algebra(d, Subspace.span(f, merge_seeds(d), d.dim))
-    quot_dias, proj = quot
-    if quot_dias.left != quot_dias.right:
-        raise InvalidAlgebra("associative quotient failed to merge the products")
-    asq = AssociativeAlgebra(f, quot_dias.left, list(quot_dias.labels))
-    return Quotient(asq, proj, quot.qmap)
+    """Universal associative quotient: divide by the ideal forcing -| = |-."""
+    return universal_quotient("AS", d)
 
 
 def lie_quotient(g: LeibnizAlgebra) -> Quotient:
-    """Universal Lie quotient: divide by the ideal generated by squares.
-
-    Returns (lie algebra, projection as a Leibniz morphism onto the
-    quotient), with that ideal.
-    """
-    from .linalg import Subspace
-    f = g.field
-    quot = quotient_algebra(g, Subspace.span(f, square_seeds(g), g.dim))
-    quot_lb, proj = quot
-    lie = LieAlgebra(f, quot_lb.bracket, list(quot_lb.labels))
-    return Quotient(lie, proj, quot.qmap)
+    """Universal Lie quotient: divide by the ideal generated by squares."""
+    return universal_quotient("Liel", g)

@@ -12,8 +12,7 @@ checkers and canonical round-trip isomorphisms.
 
 from __future__ import annotations
 
-from .actions import (CrossedModule, XmodMorphism, action_by_ambient_products,
-                      semidirect)
+from .actions import CrossedModule, action_by_ambient_products, semidirect
 from .algebra import (FLAVORS, Algebra, AlgebraMorphism, AxiomReport,
                       BilinearMap, Certified, direct_sum, first_unintertwined,
                       induced_subalgebra, kernel_of, multiply_subspaces)
@@ -84,12 +83,6 @@ def check_cat1(c: Cat1) -> AxiomReport:
     return report
 
 
-def identity_cat1(alg: Algebra) -> Cat1:
-    """E = base with s = t = id; both kernels vanish."""
-    ident = Matrix.identity(alg.field, alg.dim)
-    return Cat1(alg, Subspace.full(alg.field, alg.dim), ident, ident)
-
-
 # ---------------------------------------------------------------------------
 # crossed module <-> cat-1
 
@@ -152,15 +145,6 @@ def cat1_isomorphism_report(c1: Cat1, c2: Cat1, h: AlgebraMorphism) -> AxiomRepo
                h.matrix.mul(c1.incl.matrix) == c2.incl.matrix, None)
     report.add("s' . h = s", c2.s.matrix.mul(h.matrix) == c1.s.matrix, None)
     report.add("t' . h = t", c2.t.matrix.mul(h.matrix) == c1.t.matrix, None)
-    return report
-
-
-def xmod_isomorphism_report(xm1: CrossedModule, xm2: CrossedModule,
-                            alpha: AlgebraMorphism, beta: AlgebraMorphism) -> AxiomReport:
-    """Verify (alpha, beta) as an isomorphism of crossed modules."""
-    report = XmodMorphism(xm1, xm2, alpha, beta).check()
-    report.add("alpha is bijective", alpha.is_bijective(), None)
-    report.add("beta is bijective", beta.is_bijective(), None)
     return report
 
 

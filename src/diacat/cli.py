@@ -77,11 +77,12 @@ def _write_or_print(doc, out_path):
 def cmd_check(args) -> int:
     doc = documents.load_document(args.path)
     if args.flavor_override:
-        doc = dict(doc)
-        doc["flavor"] = args.flavor_override
+        doc = dict(doc, flavor=args.flavor_override)
         if documents.document_kind(doc) == "xmod":
-            doc["source"] = dict(doc["source"], flavor=args.flavor_override)
-            doc["target"] = dict(doc["target"], flavor=args.flavor_override)
+            # a part that is not an object is left for the reader to refuse
+            for part in ("source", "target"):
+                if isinstance(doc.get(part), dict):
+                    doc[part] = dict(doc[part], flavor=args.flavor_override)
     kind = documents.document_kind(doc)
     if kind == "xmod":
         obj = documents.xmod_from_document(doc, check=False)

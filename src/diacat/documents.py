@@ -11,6 +11,8 @@ as zero: an algebra document with ``left``/``right`` does not parse as
 ``lb``, while ``lb`` and ``lie`` share the key ``bracket``.  Action slot
 names differ between every two flavors, so a crossed-module document never
 reads under another flavor.  Only crossed-module documents load ``actions``.
+A JSON boolean is not an integer here: ``true`` as ``p``, ``dim``, an
+index or a coefficient is an input error.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def field_from_document(doc):
         return QQ
     if kind == "Fp":
         p = doc.get("p")
-        if not isinstance(p, int):
+        if type(p) is not int:
             raise ParseError("field Fp needs an integer key 'p'")
         try:
             return GF(p)
@@ -51,7 +53,7 @@ def field_from_document(doc):
 
 
 def _coeff(field, c, where):
-    if isinstance(c, int):
+    if type(c) is int:
         return field.of(c)
     if isinstance(c, str):
         try:
@@ -73,7 +75,7 @@ def _triples_from_document(field, entries, left_dim, right_dim, out_dim, where):
         if not (isinstance(item, list) and len(item) == 4):
             raise ParseError(f"{where}[{pos}]: expected [i, j, k, coeff]")
         i, j, k, c = item
-        if not all(isinstance(v, int) for v in (i, j, k)):
+        if not all(type(v) is int for v in (i, j, k)):
             raise ParseError(f"{where}[{pos}]: indices must be integers")
         if not (0 <= i < left_dim and 0 <= j < right_dim and 0 <= k < out_dim):
             raise ParseError(f"{where}[{pos}]: index out of range "
@@ -107,7 +109,7 @@ def algebra_from_document(doc, check=True) -> Algebra:
         raise ParseError(f"keys {foreign} are products of another flavor, "
                          f"not of {flavor}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         raise ParseError("'dim' must be a non-negative integer")
     labels = doc.get("basis")
     if labels is not None:

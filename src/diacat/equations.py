@@ -21,11 +21,10 @@ a search do not compile it.  The one traced function the search calls,
 from __future__ import annotations
 
 from . import linalg
-from .algebra import BilinearMap
 from .config import DEFAULT_SEARCH_CAP
 from .errors import DiacatError, SearchSpaceTooLarge
-from .linalg import (Matrix, _solutions, sp_add_into, sp_from_dense,
-                     vec_add, vec_is_zero, vec_scale, vec_zero)
+from .linalg import (Matrix, _solutions, sp_from_dense, vec_add,
+                     vec_is_zero, vec_scale, vec_zero)
 
 
 def _triples(f, m: Matrix) -> tuple:
@@ -56,20 +55,6 @@ def _add_triples(f, out, triples, v):
             out[r] = f.add(out[r], f.mul(a, x))
 
 
-def _upper_form(m):
-    """The map with the same values ``m(c, c)`` as the bilinear map m and
-    no cell below the diagonal: ``m(e_i, e_i)``, and ``m(e_i, e_j) +
-    m(e_j, e_i)`` at i < j.  It is zero when m is alternating, as a Lie
-    bracket is."""
-    f = m.field
-    rows = tuple({} for _ in range(m.left_dim))
-    for i, row in enumerate(m.rows):
-        for j, cell in row.items():
-            sp_add_into(f, rows[min(i, j)].setdefault(max(i, j), {}), cell)
-    rows = tuple({j: w for j, w in r.items() if w} for r in rows)
-    return BilinearMap(f, m.left_dim, m.right_dim, m.out_dim, rows)
-
-
 class _Equation:
     """The equation ``sum_s lin[s] c_s = map(c_u, c_v)`` in the unknown
     columns c, with ``rows`` rows: ``lin`` maps each column index s to the
@@ -89,15 +74,17 @@ def _intertwined(src, tgt, lefts, rights, outs, width):
     """The equations ``phi(src(e_i, e_j)) = tgt(c_lefts[i], c_rights[j])``
     of every basis pair, where the unknown phi sends e_s to column
     ``outs[s]`` of length ``width``.  Where both slots are one column c,
-    ``tgt(c, c)`` is read off ``_upper_form(tgt)``, built once."""
-    f, bil = src.field, not tgt.is_zero()
-    upper = _upper_form(tgt) if bil else None
+    ``tgt(c, c)`` is read off ``tgt.polarized()``, built once when first
+    needed."""
+    f, bil, upper = src.field, not tgt.is_zero(), None
     for i, u in enumerate(lefts):
         for j, v in enumerate(rights):
             lin = {outs[s]: _scaled_eye(f, c, width)
                    for s, c in src.pair(i, j).items()}
             if lin or bil:
-                m = upper if u == v else tgt
+                m = tgt
+                if bil and u == v:
+                    m = upper = upper or tgt.polarized()
                 yield _Equation(lin, (m, u, v) if bil else None, width)
 
 

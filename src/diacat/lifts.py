@@ -3,10 +3,17 @@
 Leibnization (XLB), the associative and Lie quotients (XAS, XLiel), the
 commutator bracket (XLiea) and the two inclusions (IncXAsXDias,
 IncXLieXLb), each on both levels of a crossed module and on its cross
-products; ``tags.FUNCTOR_TAGS`` registers them.  The two universal
-quotients share ``_crossed_quotient``.  ``_as_dias_or_lb`` views an
-associative or Lie crossed module as one of dialgebras or Leibniz
-algebras, for the cat-1 equivalences and the prism.
+products; ``tags.FUNCTOR_TAGS`` registers them.  Each lift is its algebra
+functor, written once in ``algebra``, plus one rule for the cross
+products.  The four levelwise lifts share ``_levelwise``: the functor on
+both levels, and its ``algebra.LEVELWISE`` rule on the cross products.
+The two universal quotients share ``_crossed_quotient``: the actor's
+algebra quotient, and the actee divided by the ideal that the same seeds
+(``algebra.QUOTIENTS``) generate in the semidirect product.  Both return
+the crossed module and its projection pair, as ``universal_quotient``
+returns a ``Quotient``.  ``_as_dias_or_lb`` views an associative or Lie
+crossed module as one of dialgebras or Leibniz algebras, for the cat-1
+equivalences, the prism and the quotients' projection pairs.
 
 Only what applies them loads this module: the builders of their tags,
 ``functors`` where the XUd adjunction and the prism need them, and the
@@ -20,12 +27,9 @@ from __future__ import annotations
 from . import algebra
 from .actions import (Action, CrossedModule, XmodMorphism, induced_action,
                       semidirect)
-from .algebra import (AlgebraMorphism, associative_quotient, commutator_lie,
-                      dialgebra_of_associative, leibnization, leibniz_of_lie,
-                      lie_quotient, make_algebra, merge_seeds, sp_add, sp_cols,
-                      sp_sub, square_seeds)
-from .errors import (InvalidAlgebra, InvalidCrossedModule, LemmaViolation,
-                     NotWellDefined)
+from .algebra import (LEVELWISE, QUOTIENTS, AlgebraMorphism, levelwise,
+                      retyped, sp_cols, universal_quotient)
+from .errors import InvalidCrossedModule, LemmaViolation, NotWellDefined
 from .linalg import Subspace, _assert_killed, sp_from_dense
 
 
@@ -34,48 +38,42 @@ def _expect_xm(xm, flavor, what):
         raise InvalidCrossedModule(f"{what} expects a {flavor} crossed module")
 
 
-def xlb_of_xdias(xm: CrossedModule) -> CrossedModule:
-    """Leibniz crossed module of a dialgebra one: bracket both levels,
-    cross brackets [x,l] = x -| l - l |- x and [l,x] = l -| x - x |- l."""
-    _expect_xm(xm, "dias", "xlb_of_xdias")
-    act = xm.action
-    L = leibnization(xm.actee)
-    D = leibnization(xm.actor)
-    gq = act.cross(0, "DL").subtract(act.cross(1, "LD").transpose_args())
-    qg = act.cross(0, "LD").subtract(act.cross(1, "DL").transpose_args())
-    cross = {"DL": gq, "LD": qg}
-    new_act = Action.from_cross(D, L, lambda pidx, side: cross[side])
-    return CrossedModule(AlgebraMorphism(L, D, xm.mu.matrix), new_act)
+def _levelwise(tag, xm: CrossedModule) -> CrossedModule:
+    """The lift of the functor ``LEVELWISE[tag]``: the functor on both
+    levels, mu unchanged, and its rule on the cross products.  The input
+    is validated before the action is read."""
+    source, _, rule = LEVELWISE[tag]
+    _expect_xm(xm, source, f"the lift of {tag}")
+    L, D = levelwise(tag, xm.actee), levelwise(tag, xm.actor)
+    cross = xm.action.cross
+    act = Action.from_cross(D, L, lambda pidx, side: rule(cross, side)[pidx])
+    return CrossedModule(AlgebraMorphism(L, D, xm.mu.matrix), act)
 
 
-def _action_closed_ideal(act: Action, seeds) -> Subspace:
-    """Smallest ideal of the actee that contains the sparse ``seeds`` and
-    is stable under every cross product with the actor: the ideal they
-    generate in the semidirect product, which lies in the actee block."""
-    f, nl = act.field, act.actee.dim
-    semi = semidirect(act, check=False)[0]
-    closed = algebra.ideal_closure(semi, Subspace.span(f, seeds, semi.dim))
-    return Subspace.span(f, closed.rows, nl)
+def _crossed_quotient(tag, xm: CrossedModule):
+    """The lift of the universal quotient ``QUOTIENTS[tag]``.
 
-
-def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
-    """Lift a universal quotient of algebras to crossed modules.
-
-    The actor is divided by ``actor_quotient``, the actee by the smallest
-    actor-stable ideal containing the sparse ``seeds``; the cross products
-    and mu pass to the quotients.  Returns the crossed module, of the
-    quotient actor's flavor, together with the projection pair, packaged
-    as a crossed-module morphism into its re-inclusion ``inclusion(out)``.
+    The actor is divided by its algebra quotient.  The actee is divided by
+    the ideal of the semidirect product that the quotient's seeds on every
+    basis pair with an actee element generate: the smallest actor-stable
+    ideal of the actee containing its own seeds and the mixed ones.  The
+    cross products and mu pass to the quotients.  Returns the crossed
+    module, of the quotient actor's flavor, and the projection pair, as a
+    crossed-module morphism into its re-inclusion.
     """
+    source, target, seeds = QUOTIENTS[tag]
+    _expect_xm(xm, source, f"the lift of {tag}")
     f = xm.actee.field
     L, D, act = xm.actee, xm.actor, xm.action
-    D_q, proj_D = q_D = actor_quotient(D)
-    ideal = _action_closed_ideal(act, seeds)
-    quot, proj_L = q_L = algebra.quotient_algebra(L, ideal)
-    prods = quot.products()
-    if any(p != prods[0] for p in prods):
-        raise InvalidAlgebra("the quotient failed to merge the products")
-    L_q = make_algebra(D_q.flavor, f, prods[:1], list(quot.labels))
+    nl = L.dim
+    D_q, proj_D = q_D = universal_quotient(tag, D)
+    semi = semidirect(act, check=False)[0]
+    closed = algebra.ideal_closure(semi, Subspace.span(
+        f, (w for i, j, w in seeds(semi).cells() if min(i, j) < nl),
+        semi.dim))
+    ideal = Subspace.span(f, closed.rows, nl)
+    q_L = algebra.quotient_algebra(L, ideal)
+    L_q, proj_L = retyped(q_L[0], target), q_L[1]
     qm_D, qm_L = q_D.qmap, q_L.qmap
     # representative independence on the actor side
     dl, ld = act.cross(0, "DL"), act.cross(0, "LD")
@@ -90,7 +88,7 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
                            lambda w: sp_from_dense(f, proj_L.matrix.mul_vec(w)))
     out = CrossedModule(AlgebraMorphism(L_q, D_q, mu_mat.mul(qm_L.section)),
                         act_q)
-    inc = inclusion(out)
+    inc = _as_dias_or_lb(out)
     projs = XmodMorphism(xm, inc, AlgebraMorphism(L, inc.actee, proj_L.matrix),
                          AlgebraMorphism(D, inc.actor, proj_D.matrix))
     rep = projs.check()
@@ -101,71 +99,42 @@ def _crossed_quotient(xm: CrossedModule, actor_quotient, seeds, inclusion):
     return out, projs
 
 
+def xlb_of_xdias(xm: CrossedModule) -> CrossedModule:
+    """Leibniz crossed module of a dialgebra one: bracket both levels,
+    cross brackets [x,l] = x -| l - l |- x and [l,x] = l -| x - x |- l."""
+    return _levelwise("LB", xm)
+
+
 def xas_of_xdias(xm: CrossedModule):
-    """Associative crossed module: merge -| and |- by the universal quotients.
-
-    The actee is divided by the smallest actor-stable ideal containing all
-    differences of the two products, internal and mixed.  Returns the new
-    crossed module together with the projection pair, packaged as a
-    crossed-module morphism into the dialgebra re-inclusion of the result.
-    """
-    _expect_xm(xm, "dias", "xas_of_xdias")
-    f, act = xm.actee.field, xm.action
-    dl_l, dl_r = act.cross(0, "DL"), act.cross(1, "DL")
-    ld_l, ld_r = act.cross(0, "LD"), act.cross(1, "LD")
-    seeds = merge_seeds(xm.actee)
-    for a in range(xm.actor.dim):
-        for q in range(xm.actee.dim):
-            seeds.append(sp_sub(f, dl_l.pair(a, q), dl_r.pair(a, q)))
-            seeds.append(sp_sub(f, ld_l.pair(q, a), ld_r.pair(q, a)))
-    return _crossed_quotient(xm, associative_quotient, seeds,
-                             inc_xas_to_xdias)
+    """Associative crossed module: merge -| and |- by the universal
+    quotients, the actee's seeds being the differences of the two
+    products, internal and mixed.  Returns (crossed module, projection
+    pair)."""
+    return _crossed_quotient("AS", xm)
 
 
-def xliel_of_xlb(xm: CrossedModule) -> CrossedModule:
-    """Lie crossed module of a Leibniz one by the square-killing quotients.
-
-    Actor: quotient by polarized squares.  Actee: quotient by the
-    actor-stable ideal of polarized squares plus the mixed symmetrizers
-    [q,x] + [x,q]."""
-    _expect_xm(xm, "lb", "xliel_of_xlb")
-    f, act = xm.actee.field, xm.action
-    gq, qg = act.cross(0, "DL"), act.cross(0, "LD")
-    seeds = square_seeds(xm.actee)
-    for q in range(xm.actee.dim):
-        for a in range(xm.actor.dim):
-            seeds.append(sp_add(f, qg.pair(q, a), gq.pair(a, q)))
-    return _crossed_quotient(xm, lie_quotient, seeds, inc_xlie_to_xlb)[0]
+def xliel_of_xlb(xm: CrossedModule):
+    """Lie crossed module of a Leibniz one by the square-killing
+    quotients, the actee's seeds being the polarized squares and the mixed
+    symmetrizers [q,x] + [x,q].  Returns (crossed module, projection
+    pair)."""
+    return _crossed_quotient("Liel", xm)
 
 
 def xliea_of_xas(xm: CrossedModule) -> CrossedModule:
     """Lie crossed module of an associative one: commutators both levels,
     cross bracket [a,r] = ar - ra."""
-    _expect_xm(xm, "as", "xliea_of_xas")
-    R = commutator_lie(xm.actee)
-    A = commutator_lie(xm.actor)
-    ar, ra = xm.action.cross(0, "DL"), xm.action.cross(0, "LD")
-    pm = ar.subtract(ra.transpose_args())
-    return CrossedModule(AlgebraMorphism(R, A, xm.mu.matrix),
-                         Action.from_cross(A, R, lambda pidx, side: pm))
+    return _levelwise("Liea", xm)
 
 
 def inc_xas_to_xdias(xm: CrossedModule) -> CrossedModule:
     """View an associative crossed module as one of dialgebras."""
-    _expect_xm(xm, "as", "inc_xas_to_xdias")
-    L = dialgebra_of_associative(xm.actee)
-    D = dialgebra_of_associative(xm.actor)
-    act = Action.from_cross(D, L, lambda pidx, side: xm.action.cross(0, side))
-    return CrossedModule(AlgebraMorphism(L, D, xm.mu.matrix), act)
+    return _levelwise("IncAsDias", xm)
 
 
 def inc_xlie_to_xlb(xm: CrossedModule) -> CrossedModule:
     """View a Lie crossed module as a Leibniz one."""
-    _expect_xm(xm, "lie", "inc_xlie_to_xlb")
-    Q = leibniz_of_lie(xm.actee)
-    G = leibniz_of_lie(xm.actor)
-    act = Action.from_cross(G, Q, xm.action.cross)
-    return CrossedModule(AlgebraMorphism(Q, G, xm.mu.matrix), act)
+    return _levelwise("IncLieLb", xm)
 
 
 def _as_dias_or_lb(xm: CrossedModule) -> CrossedModule:

@@ -17,9 +17,8 @@ null space's canonical basis, and a solution reduced by it, off one
 reduction with the columns reversed.
 
 The sparse-vector helpers ``sp_add_into``, ``sp_from_dense`` and
-``sp_to_dense`` are defined in ``fields`` and imported here, so
-``linalg.sp_*`` names them as before; the axiom checker reaches them
-without this module.
+``sp_to_dense`` are defined in ``fields`` and imported here; the axiom
+checker reaches them without this module.
 """
 
 from __future__ import annotations

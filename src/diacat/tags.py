@@ -93,7 +93,8 @@ def _registry():
         "XAS": Functor("XDias", "XAs", _deferred("lifts.xas_of_xdias",
                                               keep=first)),
         "XLiea": Functor("XAs", "XLie", _deferred("lifts.xliea_of_xas")),
-        "XLiel": Functor("XLb", "XLie", _deferred("lifts.xliel_of_xlb")),
+        "XLiel": Functor("XLb", "XLie", _deferred("lifts.xliel_of_xlb",
+                                                  keep=first)),
         "XUd": Functor("XLb", "XDias", _deferred("envelope.xud"), True),
         "XU": Functor("XLie", "XAs", _deferred("envelope.xu"), True),
         "IncXAsXDias": Functor("XAs", "XDias",

@@ -18,9 +18,11 @@ give comparable dumps: run this file in each and compare the outputs with
 - unknown battery names;
 - every ``construct`` kind on every bundled fixture and on the document of
   ``dias-not-assoc-1``, with ``--trunc 2`` where the kind takes a bound;
-- last, lines whose inputs follow their options: every battery on
+- lines whose inputs follow their options: every battery on
   ``xlb-ideal-e-f2`` with ``--cap 40`` in both orders, and every
-  ``construct`` line above that takes ``--trunc 2``, with it first.
+  ``construct`` line above that takes ``--trunc 2``, with it first;
+- last, ``check`` on every bundled fixture's document, then on each of
+  them under every ``--flavor-override``.
 
 With ``--fresh K``, every K-th of those command lines (the first, the
 K+1-th, ...) also runs in a fresh ``python -m diacat.cli`` process, where
@@ -47,13 +49,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from diacat import cli, documents, fixtures  # noqa: E402
+from diacat.algebra import FLAVORS  # noqa: E402
 from diacat.batteries import _BATTERIES  # noqa: E402
 from diacat.functors import square_ids  # noqa: E402
 from diacat.tags import _CONSTRUCTIONS, FUNCTOR_TAGS  # noqa: E402
 
 TRUNCS = (None, 1, 2, 3)
 CAPS = (None, 0, 3, 40)
-DOCUMENTS = ("free-dias-1-2-f2", "xdias-ideal-incl-f2", "dias-not-assoc-1")
 NAMED = (["leibniz-ff-e-f2"], ["xlb-ideal-e-f2"],
          ["<tmp>/free-dias-1-2-f2.json"], ["<tmp>/xdias-ideal-incl-f2.json"],
          ["dias-not-assoc-1"], ["<tmp>/dias-not-assoc-1.json"],
@@ -102,6 +104,11 @@ def command_lines():
         if getattr(FUNCTOR_TAGS.get(kind), "truncated", False):
             for name in fixtures.names() + ["<tmp>/dias-not-assoc-1.json"]:
                 yield ["construct", kind, "--trunc", "2", name]
+    for name in fixtures.names():
+        yield ["check", f"<tmp>/{name}.json"]
+    for name in fixtures.names():
+        for flavor in FLAVORS:
+            yield ["check", f"<tmp>/{name}.json", "--flavor-override", flavor]
 
 
 def in_process(argv, tmp):
@@ -139,7 +146,7 @@ def main():
     os.environ.pop("DIACAT_MAX_DIM", None)
     ran = differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in DOCUMENTS:
+        for name in fixtures.names():
             Path(tmp, f"{name}.json").write_text(
                 documents.canonical_json(fixtures.document(name)))
         for i, argv in enumerate(command_lines()):

@@ -10,7 +10,7 @@ import time
 from functools import lru_cache
 
 from diacat import cli, documents, fixtures
-from diacat.actions import (CrossedModule, _crossed_equations,
+from diacat.actions import (CrossedModule, XmodMorphism, _crossed_equations,
                             lemma_crossed_checks, self_action,
                             semidirect_homomorphism_checks, trivial_action,
                             xmod_from_ideal)
@@ -20,8 +20,7 @@ from diacat.algebra import (AlgebraMorphism, BilinearMap, Dialgebra,
 from diacat.batteries import _BATTERIES, _battery
 from diacat.cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
                          cat1_of_xmod, check_internal_category,
-                         xdias_to_internal, xmod_isomorphism_report,
-                         xmod_of_cat1)
+                         xdias_to_internal, xmod_of_cat1)
 from diacat.envelope import ud, xu, xud, xud_full
 from diacat.fields import GF
 from diacat.functors import (apply_functor, check_parallelepiped,
@@ -172,14 +171,12 @@ def test_criterion_04_cat1_equivalence_round_trips():
         c = cat1_of_xmod(xm)
         back = xmod_of_cat1(c)
         if xm.same_structure(back):
-            rep = xmod_isomorphism_report(
-                xm, back, AlgebraMorphism.identity(xm.actee),
-                AlgebraMorphism.identity(xm.actor))
+            wit = XmodMorphism(xm, back, AlgebraMorphism.identity(xm.actee),
+                               AlgebraMorphism.identity(xm.actor))
         else:
             wit = find_xmod_isomorphism(xm, back)
             assert wit is not None, name
-            rep = xmod_isomorphism_report(xm, back, wit.alpha, wit.beta)
-        assert rep.passed, name
+        assert wit.check().passed and wit.is_bijective(), name
         c2 = cat1_of_xmod(back)
         h = cat1_decomposition_iso(c, c2)
         assert cat1_isomorphism_report(c, c2, h).passed, name
@@ -244,8 +241,9 @@ def test_criterion_07_envelope_commutes_with_zero_and_identity_embeddings():
         alpha = AlgebraMorphism(left.actee, right.actee,
                                 inv_bridge.mul(t_restr))
         beta = AlgebraMorphism(left.actor, right.actor, inv_bridge)
-        wit = xmod_isomorphism_report(left, right, alpha, beta)
-        assert wit.passed, (name, wit.first_failure())
+        wit = XmodMorphism(left, right, alpha, beta)
+        rep = wit.check()
+        assert rep.passed and wit.is_bijective(), (name, rep.first_failure())
 
 
 def test_criterion_08_flavor_squares_and_parallelepiped():
@@ -274,16 +272,14 @@ def test_criterion_08_flavor_squares_and_parallelepiped():
         if xm.flavor != "lb":
             continue
         o1 = xas_of_xdias(xud(xm, 2))[0]
-        o2 = xu(xliel_of_xlb(xm), 2)
+        o2 = xu(xliel_of_xlb(xm)[0], 2)
         if o1.same_structure(o2):
-            wit = xmod_isomorphism_report(
-                o1, o2, AlgebraMorphism.identity(o1.actee),
-                AlgebraMorphism.identity(o1.actor))
+            wit = XmodMorphism(o1, o2, AlgebraMorphism.identity(o1.actee),
+                               AlgebraMorphism.identity(o1.actor))
         else:
-            m = find_xmod_isomorphism(o1, o2)
-            assert m is not None, name
-            wit = xmod_isomorphism_report(o1, o2, m.alpha, m.beta)
-        assert wit.passed, name
+            wit = find_xmod_isomorphism(o1, o2)
+            assert wit is not None, name
+        assert wit.check().passed and wit.is_bijective(), name
     assert time.monotonic() - t0 < 300.0
 
 

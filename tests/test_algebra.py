@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import tracemalloc
@@ -10,7 +11,8 @@ from diacat.actions import Action, _semidirect_products, tensor_shape
 from diacat.algebra import (FLAVORS, AxiomReport, BilinearMap, LieAlgebra,
                             _check_templates, abelian_algebra,
                             associative_quotient, basis_products,
-                            check_dialgebra, check_leibniz, commutator_lie,
+                            check_dialgebra, check_leibniz, check_lie,
+                            commutator_lie,
                             direct_sum, ideal_closure, induced_subalgebra,
                             is_ideal, lie_quotient, make_algebra,
                             quotient_algebra)
@@ -35,6 +37,64 @@ def test_ffe_is_leibniz_but_not_lie():
     assert g.check().passed
     with pytest.raises(InvalidAlgebra):
         LieAlgebra(QQ, g.bracket, labels=g.labels)
+
+
+def _random_dense(rng, field, n, out):
+    """A dense n x n -> out table, about a third of its entries nonzero."""
+    values = [field.parse(v) for v in ("1", "-1", "2", "1/2")
+              if field is QQ or v != "1/2"]
+    return [[[rng.choice(values) if rng.random() < 0.3 else field.zero()
+              for _ in range(out)] for _ in range(n)] for _ in range(n)]
+
+
+def _bilinear(field, dense, out):
+    n = len(dense)
+    return BilinearMap.from_triples(field, n, n, out, [
+        (i, j, k, c) for i in range(n) for j in range(n)
+        for k, c in enumerate(dense[i][j]) if not field.is_zero(c)])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_polarized_and_cells_match_a_dense_oracle(field):
+    """``cells`` lists the nonzero products row-major; ``polarized`` holds
+    [e_i,e_i] and [e_i,e_j] + [e_j,e_i] (i < j) and takes the values m(c,c)
+    of m on every vector c of a small prime field."""
+    rng = random.Random(f"polarized:{field}")
+    zero = field.zero()
+    for _ in range(40):
+        n, out = rng.randint(0, 3), rng.randint(1, 2)
+        dense = _random_dense(rng, field, n, out)
+        m = _bilinear(field, dense, out)
+
+        def sparse(v):
+            return {k: c for k, c in enumerate(v) if not field.is_zero(c)}
+        assert list(m.cells()) == [
+            (i, j, sparse(dense[i][j])) for i in range(n) for j in range(n)
+            if sparse(dense[i][j])]
+        upper = [[dense[i][j] if i == j else
+                  [field.add(a, b) for a, b in zip(dense[i][j], dense[j][i])]
+                  if i < j else [zero] * out for j in range(n)]
+                 for i in range(n)]
+        assert m.polarized() == _bilinear(field, upper, out)
+        if field is not QQ:
+            for c in itertools.product(list(field.elements()), repeat=n):
+                assert m.polarized().apply(c, c) == m.apply(c, c)
+
+
+def test_polarized_tells_antisymmetric_from_alternating_over_f2():
+    """Over F2 the bracket [e0,e0] = e0, [e0,e1] = [e1,e0] = e1 is
+    antisymmetric but not alternating: its polarized square keeps only the
+    diagonal cell, and check_lie fails only "alternating", there."""
+    m = BilinearMap.from_triples(F2, 2, 2, 2, [(0, 0, 0, 1), (0, 1, 1, 1),
+                                               (1, 0, 1, 1)])
+    assert list(m.polarized().cells()) == [(0, 0, {0: F2.one()})]
+    report = check_lie(m)
+    assert [(it.name, it.passed, it.where) for it in report.items[:2]] == [
+        ("alternating: [x,x] = 0", False, (0, 0)),
+        ("antisymmetry: [x,y] + [y,x] = 0", True, None)]
+    assert not m.polarized().is_zero()
+    assert BilinearMap.from_triples(F2, 2, 2, 2, [
+        (0, 1, 1, 1), (1, 0, 1, 1)]).polarized().is_zero()
 
 
 def test_templates_must_be_multilinear():

@@ -8,8 +8,11 @@ are read off the battery table.  The invalid fixture ``dias-not-assoc-1``
 ends every command alike by name and by its document.  A
 huge bound and an oversized document hit the dimension cap before
 anything is allocated.  A seeded fuzzer mutates every bundled fixture document one
-JSON value at a time and runs ``check`` and one ``construct`` per
-document kind on it in-process.  A Hypothesis strategy also draws whole documents (field,
+JSON value at a time and runs ``check``, ``check`` under one
+``--flavor-override`` drawn from the same seed, and one ``construct`` per
+document kind on it in-process.  A crossed-module document whose source
+or target is not an object, and a JSON boolean in place of any integer of
+a bundled document, are input errors.  A Hypothesis strategy also draws whole documents (field,
 flavor, dims, sparse tensors, ``mu`` and action slots, each sometimes out
 of range or of another flavor) and runs ``check`` on them.  Another draws
 ``verify`` and ``construct`` command lines over the bundled fixtures.
@@ -492,8 +495,10 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path):
         rng = random.Random(f"{SEED}:{name}")
         for trial in range(MUTATIONS):
             doc = _mutate(rng, original)
+            override = rng.choice(sorted(FLAVORS))
             path.write_text(json.dumps(doc))
             for argv in (["check", str(path)],
+                         ["check", str(path), "--flavor-override", override],
                          ["construct", construct, str(path)]):
                 try:
                     rc, out, err = _run(argv)
@@ -512,6 +517,91 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path):
                 seen.add((argv[0], rc))
     # the mutations reach accepted, rejected and failing documents alike
     assert {("check", 0), ("check", 1), ("check", 2)} <= seen, seen
+
+
+@pytest.mark.parametrize("part", ["source", "target"])
+@pytest.mark.parametrize("value", ["missing", None, [0], "x", 1, []],
+                         ids=repr)
+def test_flavor_override_on_a_part_that_is_not_an_object(tmp_path, part,
+                                                          value):
+    """Under every override, a crossed-module document whose source or
+    target is missing or not an object is an input error, as without one."""
+    doc = fixtures.document("xlb-ideal-e-f2")
+    if value == "missing":
+        del doc[part]
+    else:
+        doc[part] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for override in [None, *sorted(FLAVORS)]:
+        argv = ["check", str(path)]
+        if override:
+            argv += ["--flavor-override", override]
+        rc, out, err = _run(argv)
+        assert (rc, out) == (2, ""), (argv, err)
+        assert err.startswith("input error: "), (argv, err)
+
+
+def _integer_paths(node, prefix=()):
+    """The path of every integer below ``node``."""
+    for path in _paths(node, prefix):
+        value = node
+        for key in path:
+            value = value[key]
+        if type(value) is int:
+            yield path
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def test_a_boolean_where_an_integer_belongs_is_an_input_error(tmp_path):
+    """Every integer of every bundled document (a modulus, a dimension or
+    a triple index), replaced by a JSON boolean, makes ``check`` exit 2
+    with nothing on stdout: a boolean is not read as 0 or 1."""
+    path = tmp_path / "doc.json"
+    ran = 0
+    for name in fixtures.names():
+        original = fixtures.document(name)
+        for where in _integer_paths(original):
+            for flag in (True, False):
+                path.write_text(json.dumps(_replaced(original, where, flag)))
+                rc, out, err = _run(["check", str(path)])
+                assert (rc, out) == (2, ""), (name, where, flag, err)
+                ran += 1
+    assert ran > 100, ran
+
+
+@pytest.mark.parametrize("name, where, value, message", [
+    ("leibniz-ff-e-f2", ("p",), True, "field Fp needs an integer key 'p'"),
+    ("leibniz-ff-e-f2", ("dim",), True,
+     "'dim' must be a non-negative integer"),
+    ("leibniz-ff-e-f2", ("bracket", 0, 1), True,
+     "products.bracket[0]: indices must be integers"),
+    ("leibniz-ff-e-f2", ("bracket", 0, 3), True,
+     "products.bracket[0]: coefficient must be a string or integer"),
+    ("xlb-ideal-e-f2", ("source", "dim"), True,
+     "'dim' must be a non-negative integer"),
+    ("xlb-ideal-e-f2", ("mu", 0, 0), True,
+     "mu[0][0]: coefficient must be a string or integer"),
+    ("xlb-ideal-e-f2", ("action", "gq"), [[True, 0, 0, "1"]],
+     "action.gq[0]: indices must be integers"),
+    ("xlb-ideal-e-f2", ("action", "gq"), [[0, 0, 0, True]],
+     "action.gq[0]: coefficient must be a string or integer"),
+], ids=str)
+def test_a_boolean_is_refused_with_its_path(tmp_path, name, where, value,
+                                            message):
+    doc = _replaced(fixtures.document(name), where, value)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = _run(["check", str(path)])
+    assert (rc, out, err) == (2, "", f"input error: {message}\n")
 
 
 GOOD_FIELDS = ({"field": "Fp", "p": 2}, {"field": "Fp", "p": 3},

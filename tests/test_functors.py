@@ -11,7 +11,7 @@ from diacat.batteries import _CHAIN_PAIRS
 from diacat.algebra import (AxiomReport, BilinearMap, abelian_algebra,
                             make_algebra)
 from diacat.errors import (DiacatError, DimensionMismatch,
-                           SearchSpaceTooLarge)
+                           InvalidCrossedModule, SearchSpaceTooLarge)
 from diacat.fields import GF, QQ
 from diacat.functors import (FUNCTOR_TAGS, apply_functor, check_parallelepiped,
                              check_square,
@@ -87,9 +87,38 @@ def test_a_failing_projection_pair_raises_a_diacat_error(monkeypatch):
         xas_of_xdias(fixtures.get("xdias-ideal-incl-f2"))
 
 
+LIFT_SOURCES = {xlb_of_xdias: "dias", xas_of_xdias: "dias",
+                xliel_of_xlb: "lb", xliea_of_xas: "as",
+                inc_xas_to_xdias: "as", inc_xlie_to_xlb: "lie"}
+
+
+@pytest.mark.parametrize("lift", LIFT_SOURCES, ids=lambda f: f.__name__)
+def test_a_lift_refuses_an_algebra_and_another_flavor(lift):
+    """Each crossed lift checks its input before it reads an action: an
+    algebra, or a crossed module of another flavor, raises
+    InvalidCrossedModule."""
+    with pytest.raises(InvalidCrossedModule, match="expects a"):
+        lift(fixtures.get("leibniz-ff-e-f2"))
+    others = {xm.flavor: xm for _, xm in fixtures.by_kind("xmod")
+              if xm.flavor != LIFT_SOURCES[lift]}
+    assert len(others) == 3
+    for xm in others.values():
+        with pytest.raises(InvalidCrossedModule, match="expects a"):
+            lift(xm)
+
+
+def test_crossed_lie_quotient_returns_its_projection_pair():
+    xm = fixtures.get("xlb-ideal-e-f2")
+    out, projs = xliel_of_xlb(xm)
+    assert out.flavor == "lie"
+    assert projs.source is xm
+    assert projs.target.same_structure(inc_xlie_to_xlb(out))
+    assert projs.check().passed
+
+
 def test_crossed_lie_functors():
     xm = fixtures.get("xlb-ideal-e-f2")
-    xlie = xliel_of_xlb(xm)
+    xlie = xliel_of_xlb(xm)[0]
     assert xlie.flavor == "lie"
     assert xlie.check().passed
     xa = fixtures.get("xas-ident-nilp2-f2")
