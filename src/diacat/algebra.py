@@ -1011,10 +1011,10 @@ def universal_quotient(tag, alg: Algebra) -> Quotient:
     morphism of ``alg``'s flavor onto the quotient before retyping), with
     that ideal."""
     from .linalg import Subspace
-    seeds = QUOTIENTS[tag][2](alg).cells()
+    _, target, seeds = QUOTIENTS[tag]
     quot = quotient_algebra(alg, Subspace.span(
-        alg.field, (w for _, _, w in seeds), alg.dim))
-    return Quotient(retyped(quot[0], QUOTIENTS[tag][1]), quot[1], quot.qmap)
+        alg.field, (w for _, _, w in seeds(alg).cells()), alg.dim))
+    return Quotient(retyped(quot[0], target), quot[1], quot.qmap)
 
 
 def associative_quotient(d: Dialgebra) -> Quotient:
