@@ -111,8 +111,7 @@ def xud_transpose(r: envelope.XudResult, target: CrossedModule,
 
 def xud_unit_maps(r: envelope.XudResult):
     """(actee unit, actor unit) of the crossed-module envelope adjunction."""
-    unit_actor = r.base_bridge.mul(r.env_base.eta)
-    return r.unit_actee, unit_actor
+    return r.unit_actee, r.env_base.eta
 
 
 # ---------------------------------------------------------------------------

@@ -261,9 +261,8 @@ class XudResult(NamedTuple):
     """Full record of the crossed-module enveloping pipeline.
 
     ``xmod`` is the resulting crossed module and ``cat1`` its retraction
-    model on the quotient ``env_big``/X.  ``base_bridge`` rewrites envelope
-    coordinates of the base into the canonical coordinates of the embedded
-    base subalgebra; ``unit_actee`` sends the input actee to Ker s-bar
+    model on the quotient ``env_big``/X, whose base coordinates are those
+    of ``env_base``; ``unit_actee`` sends the input actee to Ker s-bar
     coordinates of the classes of its length-1 words.  ``qmap`` is the
     ``QuotientMap`` of the kernel-product ideal that ``pi`` divides out,
     whose section embeds the quotient's coordinates back into ``env_big``.
@@ -274,12 +273,43 @@ class XudResult(NamedTuple):
     env_big: Envelope
     env_base: Envelope
     pi: AlgebraMorphism
-    base_bridge: Matrix
     unit_actee: Matrix
     qmap: QuotientMap
 
 
 def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
+    """The envelope of the semidirect model E = actee x actor, divided by
+    the ideal X spanned by products of the kernels of the enveloped s and
+    t, as a cat-1 algebra over the envelope of the base, read back as a
+    crossed module.
+
+    The enveloped base inclusion ``incl_bar`` is certified to be the
+    canonical basis of its image, column for column, so the cat-1 base
+    takes ``env_base``'s coordinates as they are.  Why it holds:
+
+    - E's basis is the actee block, then the actor block in the base's
+      order, so letter i of the base is letter dim(actee) + i of E.  Words
+      come by length, then letters, so this monotone renaming keeps the
+      order of the words in base letters alone;
+    - every defining relation of env_of(E) on two base letters is the
+      base's relation renamed, and one with an actee letter lies on words
+      with an actee letter, since the actee is an ideal of E.  A product
+      of words has the letters of both, so the relation ideal splits into
+      the base's ideal, renamed, and a part on words with an actee letter;
+    - row reduction treats vectors on disjoint columns apart, and
+      ``quotient_algebra`` keeps the non-pivot words as its basis, in
+      order.  So the base's basis words are basis words of env_big, in
+      order, and the enveloped inclusion sends each to its own unit
+      vector;
+    - s kills the actee and fixes the base, so the kernel of the enveloped
+      s is spanned by the words with an actee letter.  Hence X and its
+      closure lie on those words too, and dividing by them sends the unit
+      vectors of base-only words to unit vectors, in order.
+
+    So ``incl_bar``'s columns are unit vectors at rising positions, which
+    is the canonical basis of their span; a ``LemmaViolation`` says a
+    proviso failed.
+    """
     from .actions import lemma_crossed_checks
     from .cat1 import Cat1, cat1_of_xmod, xmod_of_cat1
     c = cat1_of_xmod(xm)
@@ -307,12 +337,12 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
     tbar = udt.matrix.mul(section)
     incl_bar = pi.matrix.mul(udsigma.matrix)
     d_sub = image(incl_bar)
-    if d_sub.dim != env_base.algebra.dim:
-        raise LemmaViolation("the base envelope does not embed in the quotient")
-    bridge = Matrix.from_cols(
-        f, [d_sub.coords(incl_bar.col(i)) for i in range(incl_bar.cols)],
-        d_sub.dim)
-    cat1 = Cat1(quot, d_sub, bridge.mul(sbar), bridge.mul(tbar))
+    if d_sub.basis != tuple(tuple(incl_bar.col(i))
+                            for i in range(incl_bar.cols)):
+        raise LemmaViolation(
+            "the enveloped base inclusion is not the canonical basis of its "
+            "image")
+    cat1 = Cat1(quot, d_sub, sbar, tbar)
     out = xmod_of_cat1(cat1)
     lemma = lemma_crossed_checks(out)
     if not lemma.passed:
@@ -326,8 +356,7 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
     if None in unit_cols:
         raise LemmaViolation("an actee generator does not land in Ker s-bar")
     unit_actee = Matrix.from_cols(f, unit_cols, kers_bar.dim)
-    return XudResult(out, cat1, env_big, env_base, pi, bridge, unit_actee,
-                     q.qmap)
+    return XudResult(out, cat1, env_big, env_base, pi, unit_actee, q.qmap)
 
 
 def xud_full(xlb: CrossedModule, bound: int) -> XudResult:

@@ -2,14 +2,15 @@
 
     python tests/envelope_rungs.py [RUNG ...]
 
-A rung is ``ud:B`` (``ud(leibniz-ff-e-f2, B)``) or ``xud:B``
-(``xud_full(xlb-ideal-e-f2, B)``); the default ladder is ud:5 to ud:8,
-xud:4 and xud:5.  Each rung runs in a fresh interpreter with
-``DIACAT_MAX_DIM`` raised in its environment only, and prints its wall
-time, peak RSS and projection sha1: the first 12 hex digits of the sha1 of
-``repr`` of the projection matrix's rows (``Envelope.proj.matrix``, or
-``XudResult.pi.matrix``), as in ROADMAP's State section.  pytest does not
-collect this file.
+A rung is ``ud:B`` (``ud(leibniz-ff-e-f2, B)``), ``xud:B``
+(``xud_full(xlb-ideal-e-f2, B)``) or ``xu:B``
+(``xu_full(xlie-abelian-pair-f2, B)``); the default ladder is ud:5 to
+ud:8, xud:4, xud:5, xu:4 and xu:5.  Each rung runs in a fresh interpreter
+with ``DIACAT_MAX_DIM`` raised in its environment only, and prints its
+wall time, peak RSS and projection sha1: the first 12 hex digits of the
+sha1 of ``repr`` of the projection matrix's rows (``Envelope.proj.matrix``,
+or ``XudResult.pi.matrix`` for both crossed rungs), as in ROADMAP's State
+section.  pytest does not collect this file.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-LADDER = ("ud:5", "ud:6", "ud:7", "ud:8", "xud:4", "xud:5")
+LADDER = ("ud:5", "ud:6", "ud:7", "ud:8", "xud:4", "xud:5", "xu:4", "xu:5")
 CAP = "8192"
 
 
@@ -34,12 +35,15 @@ def projection_sha1(matrix):
 def build(rung):
     """The rung's projection matrix."""
     from diacat import fixtures
-    from diacat.envelope import ud, xud_full
+    from diacat.envelope import ud, xu_full, xud_full
     kind, bound = rung.split(":")
     if kind == "ud":
         return ud(fixtures.get("leibniz-ff-e-f2"), int(bound)).proj.matrix
     if kind == "xud":
         return xud_full(fixtures.get("xlb-ideal-e-f2"), int(bound)).pi.matrix
+    if kind == "xu":
+        return xu_full(fixtures.get("xlie-abelian-pair-f2"),
+                       int(bound)).pi.matrix
     raise SystemExit(f"unknown rung {rung!r}")
 
 

@@ -4,14 +4,14 @@ import tracemalloc
 
 import pytest
 
-from diacat import fixtures
-from diacat.algebra import (BilinearMap, abelian_algebra,
+from diacat import envelope, fixtures
+from diacat.algebra import (AlgebraMorphism, BilinearMap, abelian_algebra,
                             derived_tower_nilpotent, make_algebra)
 from diacat.envelope import (Word, envelope_functor_morphism,
                              envelope_transpose, free_dialgebra,
                              tensor_algebra, u_lie, ud, xu, xu_full, xud,
                              xud_full)
-from diacat.errors import DimensionMismatch, NotWellDefined
+from diacat.errors import DimensionMismatch, LemmaViolation, NotWellDefined
 from diacat.fields import GF, QQ
 from diacat.functors import apply_functor, enumerate_homs
 from diacat.linalg import Matrix, vec_eq, vec_sub
@@ -209,6 +209,28 @@ def test_xud_unit_lands_in_kernel_of_s():
     r = xud_full(xm, 2)
     assert r.unit_actee.cols == xm.actee.dim
     assert r.unit_actee.rows == r.xmod.actee.dim
+
+
+def test_a_reordered_base_inclusion_fails_the_certificate(monkeypatch):
+    # the third enveloped map of the pipeline is the base inclusion; with
+    # two of its columns swapped it is no canonical basis of its image
+    calls = []
+
+    def swapping(env_src, env_tgt, f_mor):
+        m = envelope_functor_morphism(env_src, env_tgt, f_mor)
+        calls.append(m)
+        if len(calls) != 3:
+            return m
+        cols = [m.matrix.col(j) for j in range(m.matrix.cols)]
+        cols[0], cols[1] = cols[1], cols[0]
+        return AlgebraMorphism(m.source, m.target, Matrix.from_cols(
+            m.matrix.field, cols, m.matrix.rows))
+
+    monkeypatch.setattr(envelope, "envelope_functor_morphism", swapping)
+    with pytest.raises(LemmaViolation,
+                       match="base inclusion is not the canonical basis"):
+        xud_full(fixtures.get("xlb-ideal-e-f2"), 2)
+    assert len(calls) == 3
 
 
 def test_xu_frozen_dims_abelian_pair():

@@ -1,26 +1,31 @@
 """The square table: every row is two composable paths of registered functor
-tags, every bundled fixture gives EQUAL, and every canonical witness is a
-verified isomorphism between the two composites.
+tags, and every bundled fixture gives EQUAL.
 
-The composites agree on every bundled fixture, so ``check_square`` never
-reaches a witness there.  The witness test makes the comparison answer
-"different" and the search answer "nothing", so only the row's canonical
-witness can give ISOMORPHIC.  With the comparison answering "different",
-a search that ``--cap`` refuses makes ``verify`` exit 3.
+A square passes EQUAL when its composites are tensor-identical.  Otherwise
+an ISOMORPHIC row passes only through a searched isomorphism, re-checked as
+a bijective morphism.  The search refuses Q, so over Q such a row can pass
+only as EQUAL.  The search tests make the comparison answer "different"; with
+``--cap 0`` the refused search makes ``verify`` exit 3.  The envelope
+squares are also EQUAL on every two-dim Leibniz algebra over F2 and F3,
+and the bar-unit dialgebra is an input on which 2.8-outer fails.
 """
+
+import json
 
 import pytest
 
-from diacat import cli, fixtures, functors
-from diacat.actions import CrossedModule
+from diacat import cli, documents, fixtures, functors
+from diacat.actions import CrossedModule, identity_xmod, zero_xmod
 from diacat.algebra import (Algebra, AlgebraMorphism, BilinearMap,
                             make_algebra)
-from diacat.errors import NotWellDefined
-from diacat.fields import GF
+from diacat.errors import InvalidAlgebra, NotWellDefined, SearchSpaceTooLarge
+from diacat.fields import GF, QQ
 from diacat.functors import (FUNCTOR_TAGS, _SQUARES, _verdict, apply_functor,
-                             check_square, find_algebra_isomorphism,
-                             square_fixture_kind, square_flavors, square_ids)
-from diacat.linalg import inverse
+                             check_square, square_fixture_kind, square_flavors,
+                             square_ids)
+from diacat.linalg import Matrix, inverse
+
+import oracles
 
 F2 = GF(2)
 
@@ -53,7 +58,6 @@ def test_every_square_row_is_two_composable_tag_paths(square_id):
         assert (FUNCTOR_TAGS[row.first[-1]].target
                 == FUNCTOR_TAGS[row.second[-1]].target)
         assert row.expected in ("EQUAL", "ISOMORPHIC")
-        assert row.witness is None or row.expected == "ISOMORPHIC"
         battery = _bundled(kind, flavor)
         assert battery, (square_id, flavor)
         for name, obj in battery:
@@ -61,88 +65,97 @@ def test_every_square_row_is_two_composable_tag_paths(square_id):
             assert (rep.verdict, rep.passed) == ("EQUAL", True), name
 
 
-# the rows with a canonical witness, and the size of their battery
-WITNESSED = [("2.8-outer", "dias", 4), ("LbDias-XUd-J1", "lb", 4),
-             ("AsLie-I1", "lie", 2)]
+# the rows registered ISOMORPHIC on algebra fixtures, and the size of the
+# F2 and Q parts of their battery
+ISOMORPHIC_ROWS = [("2.8-outer", "dias", 3, 1), ("LbDias-XUd-J1", "lb", 3, 1),
+                   ("AsLie-I1", "lie", 1, 1)]
 
 
-@pytest.mark.parametrize("square_id,flavor,count", WITNESSED,
-                         ids=[w[0] for w in WITNESSED])
-def test_canonical_witness_is_a_verified_isomorphism(monkeypatch, square_id,
-                                                     flavor, count):
+@pytest.mark.parametrize("square_id,flavor,n_f2,n_q", ISOMORPHIC_ROWS,
+                         ids=[r[0] for r in ISOMORPHIC_ROWS])
+def test_differing_composites_pass_only_by_a_verified_search(
+        monkeypatch, square_id, flavor, n_f2, n_q):
     row = _SQUARES[square_id][flavor]
-    assert row.witness is not None
+    assert row.expected == "ISOMORPHIC"
     battery = _bundled("algebra", flavor)
-    assert len(battery) == count
-    composites = {name: (_compose(row.first, obj),
-                         _compose(row.second, obj))
-                  for name, obj in battery}
-    reps, searches = {}, []
+    assert sorted(obj.field.name for _, obj in battery) == \
+        sorted([F2.name] * n_f2 + [QQ.name] * n_q)
     with monkeypatch.context() as mp:
         mp.setattr(Algebra, "same_structure", lambda self, other: False)
         mp.setattr(CrossedModule, "same_structure", lambda self, other: False)
-        for find in ("find_algebra_isomorphism", "find_xmod_isomorphism"):
-            mp.setattr(functors, find, lambda *args: searches.append(args))
-        for name, obj in battery:
-            reps[name] = check_square(square_id, obj)
-        # the canonical witness answered before any search
-        assert searches == []
-        # without the canonical witness, the differing composites fail
-        mp.setitem(_SQUARES[square_id], flavor, row._replace(witness=None))
-        rep = check_square(square_id, battery[0][1])
-        assert (rep.verdict, rep.detail) == ("FAIL",
-                                             " no isomorphism witness found")
+        reps = {name: check_square(square_id, obj) for name, obj in battery}
     xmod = flavor in ("lb", "lie")
-    for name, rep in reps.items():
+    for name, obj in battery:
+        rep = reps[name]
+        if obj.field != F2:
+            # the search refuses Q, so no witness is found
+            assert (rep.verdict, rep.passed, rep.detail) == (
+                "FAIL", False, " no isomorphism witness found"), name
+            continue
         assert (rep.verdict, rep.passed) == ("ISOMORPHIC", True), name
-        w, (o1, o2) = rep.witness, composites[name]
-        assert w.source.same_structure(o1), name
-        assert w.target.same_structure(o2), name
+        w = rep.witness
+        assert w.source.same_structure(_compose(row.first, obj)), name
+        assert w.target.same_structure(_compose(row.second, obj)), name
         assert w.check().passed, name
         for m in (w.alpha, w.beta) if xmod else (w,):
             assert inverse(m.matrix) is not None, name
 
 
-def _lb(triples):
-    return make_algebra("lb", F2, [BilinearMap.from_triples(F2, 2, 2, 2,
-                                                            triples)])
+def _lb(triples, field=F2):
+    return make_algebra("lb", field, [
+        BilinearMap.from_triples(field, 2, 2, 2, triples)])
 
 
-def test_verdict_helper_reaches_every_outcome():
+def test_verdict_helper_reaches_every_outcome(monkeypatch):
     # [e0, e0] = e1 and [e1, e1] = e0: isomorphic by the swap, not equal
     a, b = _lb([(0, 0, 1, 1)]), _lb([(1, 1, 0, 1)])
     ab = _lb([])
-    search = (lambda: find_algebra_isomorphism(a, b))
-    not_bijective = (lambda: AlgebraMorphism.zero(a, b))
 
-    rep = _verdict("t", "ISOMORPHIC", a, a, [])
+    rep = _verdict("t", "ISOMORPHIC", a, a)
     assert (rep.verdict, rep.witness, rep.detail) == ("EQUAL", None, "")
 
-    def broken():
-        raise NotWellDefined("a witness builder that fails")
-
-    rep = _verdict("t", "ISOMORPHIC", a, b,
-                   [broken, lambda: None, not_bijective, search])
+    rep = _verdict("t", "ISOMORPHIC", a, b)
     assert (rep.verdict, rep.passed, rep.detail) == ("ISOMORPHIC", True, "")
     assert rep.witness.is_morphism() and rep.witness.is_bijective()
 
-    rep = _verdict("t", "ISOMORPHIC", a, ab,
-                   [lambda: find_algebra_isomorphism(a, ab),
-                    lambda: AlgebraMorphism.zero(a, ab)])
+    rep = _verdict("t", "ISOMORPHIC", a, ab)
     assert (rep.verdict, rep.passed) == ("FAIL", False)
     assert rep.detail == " no isomorphism witness found"
 
-    # an EQUAL row never tries its witnesses
-    rep = _verdict("t", "EQUAL", a, b, [broken])
+    # a refused search is no verdict
+    with pytest.raises(SearchSpaceTooLarge):
+        _verdict("t", "ISOMORPHIC", a, b, 0)
+
+    def broken(*args):
+        raise NotWellDefined("a search that fails")
+
+    monkeypatch.setattr(functors, "find_algebra_isomorphism", broken)
+    # an EQUAL row never searches
+    rep = _verdict("t", "EQUAL", a, b)
     assert (rep.verdict, rep.passed) == ("FAIL", False)
     assert rep.detail == " composites are not tensor-identical"
+    # a search that fails finds no witness
+    rep = _verdict("t", "ISOMORPHIC", a, b)
+    assert (rep.verdict, rep.detail) == ("FAIL",
+                                         " no isomorphism witness found")
 
-    # a builder's own failure is a DiacatError; anything else is a bug
-    def asserting():
-        raise AssertionError("a witness builder with a bug")
+    # what the search returns is re-checked: the zero map is a morphism
+    # but not bijective, the identity matrix bijective but no morphism
+    for found in (AlgebraMorphism.zero(a, b),
+                  AlgebraMorphism(a, b, Matrix.identity(F2, 2))):
+        monkeypatch.setattr(functors, "find_algebra_isomorphism",
+                            lambda *args, found=found: found)
+        rep = _verdict("t", "ISOMORPHIC", a, b)
+        assert (rep.verdict, rep.detail) == ("FAIL",
+                                             " no isomorphism witness found")
 
+    # a search's own failure is a DiacatError; anything else is a bug
+    def asserting(*args):
+        raise AssertionError("a search with a bug")
+
+    monkeypatch.setattr(functors, "find_algebra_isomorphism", asserting)
     with pytest.raises(AssertionError, match="with a bug"):
-        _verdict("t", "ISOMORPHIC", a, b, [asserting, search])
+        _verdict("t", "ISOMORPHIC", a, b)
 
 
 def test_a_refused_search_in_a_square_exits_3(monkeypatch, capsys):
@@ -156,3 +169,53 @@ def test_a_refused_search_in_a_square_exits_3(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert (rc, out) == (cli.EXIT_CAP, ""), err
     assert err.startswith("resource cap exceeded: ")
+
+
+# D = <a, b> over F2 with x -| y = phi(y) x and x |- y = phi(x) y, where
+# phi(a) = 0 and phi(b) = 1: a dialgebra whose bar unit b is no unit of AS
+BAR_UNIT = {"basis": ["a", "b"], "dim": 2, "field": "Fp", "p": 2,
+            "flavor": "dias", "left": [[0, 1, 0, "1"], [1, 1, 1, "1"]],
+            "right": [[1, 0, 0, "1"], [1, 1, 1, "1"]]}
+
+
+def test_bar_unit_dialgebra_fails_the_mixed_square(tmp_path, capsys):
+    # the composites of 2.8-outer differ in dimension, so no witness exists
+    path = tmp_path / "bar-unit.json"
+    path.write_text(json.dumps(BAR_UNIT))
+    assert cli.main(["check", str(path)]) == 0
+    d = documents.algebra_from_document(BAR_UNIT)
+    assert _compose(("AS", "Liea"), d).dim == 1
+    assert _compose(("LB", "Liel"), d).dim == 2
+    capsys.readouterr()
+    assert cli.main(["verify", "square:2.8-outer", str(path)]) == 1
+    [result] = json.loads(capsys.readouterr().out)["results"]
+    assert (result["verdict"], result["detail"]) == (
+        "FAIL", "no isomorphism witness found")
+
+
+def _lb_algebras(p):
+    """Every valid two-dim Leibniz bracket table over F_p."""
+    field = GF(p)
+    for table in oracles.all_tensors(p, 2):
+        try:
+            yield _lb([(i, j, k, c) for i in range(2) for j in range(2)
+                       for k, c in enumerate(table[i][j]) if c], field)
+        except InvalidAlgebra:
+            continue
+
+
+def test_envelope_squares_are_equal_beyond_the_fixtures():
+    small = [g for p in (2, 3) for g in _lb_algebras(p)]
+    assert len(small) == 13 + 41
+    # leibniz-ff-e in the basis (f, e + f): every bracket is e = -f + (e + f)
+    rebased = _lb([(i, j, k, c) for i in range(2) for j in range(2)
+                   for k, c in ((0, -1), (1, 1))], QQ)
+    heis = fixtures.get("lie-heis-3-q")
+    cases = [case for g in small + [rebased] for case in (
+        ("LbDias-XUd-J0", g), ("LbDias-XUd-J1", g),
+        ("base-XUd-XU", identity_xmod(g)), ("base-XUd-XU", zero_xmod(g)))]
+    cases += [("AsLie-I0", heis), ("AsLie-I1", heis)]
+    cases += [("base-XUd-XU", apply_functor("IncXLieXLb", xm))
+              for xm in (identity_xmod(heis), zero_xmod(heis))]
+    for n, (square_id, obj) in enumerate(cases):
+        assert check_square(square_id, obj).verdict == "EQUAL", (n, square_id)
