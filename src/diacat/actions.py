@@ -8,7 +8,9 @@ certify the algebras run over its product tensors, with each variable
 ranging over the actee block or the actor block.  Hand-listing the 30
 dialgebra instances would invite a transcription slip; generating them
 cannot.  A Lie action has the two equations of the Jacobi identity with
-mixed sorts, run the same way.
+mixed sorts, run the same way.  ``semidirect`` returns that product as an
+algebra, certified by its own axiom check and nothing more: its inclusion,
+projection and splitting are unit blocks, which callers write themselves.
 
 ``Action`` is one class for all four flavors; its flavor is the actor's.
 Its tensor slots, their shapes and ``cross`` come from ``algebra.FLAVORS``:
@@ -249,38 +251,15 @@ def _semidirect_products(act: Action) -> list:
         for pidx in range(product_arity(act.flavor))]
 
 
-def semidirect(act: Action, check=True):
-    """Semidirect product on actee (+) actor.
-
-    Returns ``(E, inj, proj, split)`` for the split exact sequence
-    actee -> E -> actor with section ``split``; with ``check`` the three maps
-    are verified as morphisms and the action extracted back from the
-    splitting is compared with the input.
-    """
-    nl, nd = act.actee.dim, act.actor.dim
-    f = act.field
+def semidirect(act: Action, check=True) -> Algebra:
+    """The semidirect product on actee (+) actor, the actee block first,
+    its axioms certified when ``check`` is set.  The maps of the split
+    sequence actee -> E -> actor are unit blocks: the inclusion
+    [I | 0]^T, the projection [0 | I] and the splitting [0 | I]^T."""
     labels = ([f"l.{x}" for x in act.actee.labels]
               + [f"d.{x}" for x in act.actor.labels])
-    E = make_algebra(act.flavor, f, _semidirect_products(act), labels,
-                     check=check)
-    inj = AlgebraMorphism(act.actee, E,
-                          Matrix.identity(f, nl).vstack(Matrix.zero(f, nd, nl)))
-    proj = AlgebraMorphism(E, act.actor,
-                           Matrix.zero(f, nd, nl).hstack(Matrix.identity(f, nd)))
-    split = AlgebraMorphism(act.actor, E,
-                            Matrix.zero(f, nl, nd).vstack(Matrix.identity(f, nd)))
-    if check:
-        for m, tag in ((inj, "inclusion"), (proj, "projection"),
-                       (split, "splitting")):
-            rep = m.check()
-            if not rep.passed:
-                raise InvalidAction(
-                    f"semidirect {tag} is not a morphism: "
-                    f"{rep.first_failure().name}", rep)
-        recovered = action_by_ambient_products(split, inj, check=False)
-        if not recovered.same_tensors(act):
-            raise InvalidAction("splitting does not recover the action")
-    return E, inj, proj, split
+    return make_algebra(act.flavor, act.field, _semidirect_products(act),
+                        labels, check=check)
 
 
 # ---------------------------------------------------------------------------

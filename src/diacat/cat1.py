@@ -3,11 +3,13 @@
 A cat-1 structure is an algebra E with a distinguished subalgebra and two
 retractions s, t onto it whose kernels multiply to zero in every order.  Such
 data is equivalent to a crossed module: one direction restricts t to Ker s
-with the ambient action, the other rebuilds E as a semidirect product with
-s(l,x) = x and t(l,x) = mu(l) + x.  Internal categories refine the picture
-with a composition morphism on the pullback, whose unit section is the base
-inclusion; both directions are implemented here along with full axiom
-checkers and canonical round-trip isomorphisms.
+with the ambient action, the other rebuilds E as the semidirect product
+that ``actions.semidirect`` certifies, with s(l,x) = x and
+t(l,x) = mu(l) + x written as the block matrices [0 | I] and [mu | I];
+``check_cat1`` then certifies both as morphisms.  Internal categories
+refine the picture with a composition morphism on the pullback, whose unit
+section is the base inclusion; both directions are implemented here along
+with full axiom checkers and canonical round-trip isomorphisms.
 """
 
 from __future__ import annotations
@@ -88,14 +90,16 @@ def check_cat1(c: Cat1) -> AxiomReport:
 
 
 def cat1_of_xmod(xm: CrossedModule) -> Cat1:
-    """Semidirect model: E = actee x actor, s(l,x) = x, t(l,x) = mu(l)+x."""
-    E, _inj, proj, _split = semidirect(xm.action)
+    """Semidirect model: E = actee x actor, s(l,x) = x, t(l,x) = mu(l)+x,
+    so s = [0 | I] and t = [mu | I] in E's blocks."""
+    E = semidirect(xm.action)
     f = E.field
     nl, nd = xm.actee.dim, xm.actor.dim
     d_sub = Subspace.span(
         f, [unit_vector(f, nl + nd, nl + i) for i in range(nd)], nl + nd)
-    s_matrix = proj.matrix
-    t_matrix = xm.mu.matrix.hstack(Matrix.identity(f, nd))
+    ident = Matrix.identity(f, nd)
+    s_matrix = Matrix.zero(f, nd, nl).hstack(ident)
+    t_matrix = xm.mu.matrix.hstack(ident)
     return Cat1(E, d_sub, s_matrix, t_matrix)
 
 

@@ -10,13 +10,13 @@ into an algebra whose (N+1)-fold products vanish factors uniquely through it.
 On top of the free objects sit the enveloping quotients (one bracket
 relation per generator pair), their universal transposes against nilpotent
 targets, functoriality on morphisms, and the crossed-module-level enveloping
-pipeline through the semidirect model and its kernel-product quotient.
-Only that pipeline loads ``actions`` and ``cat1``, when it runs.
+pipeline through the semidirect model and its kernel-product quotient,
+which is an ideal as it stands (see ``_crossed_envelope``).  Only that
+pipeline loads ``actions`` and ``cat1``, when it runs.
 """
 
 from __future__ import annotations
 
-import warnings
 from functools import cache
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
@@ -283,6 +283,16 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
     t, as a cat-1 algebra over the envelope of the base, read back as a
     crossed module.
 
+    X = Ks.Kt + Kt.Ks is already a two-sided ideal, so the closure
+    ``quotient_algebra`` runs adds nothing.  Both kernels are ideals, and
+    associativity moves any outer factor e onto one of them:
+    e(ab) = (ea)b with ea in Ks, and (ab)e = a(be) with be in Kt.  For
+    dialgebras the axioms do the same for every pair of products:
+    e-|(a-|b) and e-|(a|-b) are (e-|a)-|b by d2 and d1, e|-(a-|b) is
+    (e|-a)-|b by d3 and e|-(a|-b) is (e|-a)|-b by d5; on the right,
+    (a-|b)-|e, (a|-b)-|e, (a-|b)|-e and (a|-b)|-e are a-|(b-|e),
+    a|-(b-|e), a|-(b|-e) and a|-(b|-e) by d2, d3, d4 and d5.
+
     The enveloped base inclusion ``incl_bar`` is certified to be the
     canonical basis of its image, column for column, so the cat-1 base
     takes ``env_base``'s coordinates as they are.  Why it holds:
@@ -325,10 +335,6 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
     x = multiply_subspaces(big, ks, kt).add(multiply_subspaces(big, kt, ks))
     quot, pi = q = quotient_algebra(big, x)
     xc = q.ideal
-    if xc.dim > x.dim:
-        warnings.warn(
-            "kernel-product subspace was not an ideal "
-            f"(dim {x.dim} -> {xc.dim}); using the closure")
     # s and t must factor through the quotient
     _assert_killed(f, uds.matrix, xc, "the enveloped s")
     _assert_killed(f, udt.matrix, xc, "the enveloped t")

@@ -317,9 +317,9 @@ def _verdict(square_id, expected, o1, o2, cap=None):
     """The square's report on composites o1, o2: EQUAL when they are
     tensor-identical, else, on an ISOMORPHIC row, ISOMORPHIC when the
     search finds an isomorphism that is re-checked as a bijective morphism.
-    A search that fails with a DiacatError finds no witness, but a refused
-    search is no verdict: its cap error propagates, as it does from a
-    round trip."""
+    A search that fails with a DiacatError (over Q: "Q is not finite") is
+    a FAIL whose detail names that failure, but a refused search is no
+    verdict: its cap error propagates, as it does from a round trip."""
     if o1.same_structure(o2):
         return CommutativityReport(square_id, expected, "EQUAL")
     if expected == "EQUAL":
@@ -331,8 +331,9 @@ def _verdict(square_id, expected, o1, o2, cap=None):
         w = find(o1, o2, cap)
     except (ResourceCapExceeded, SearchSpaceTooLarge):
         raise
-    except DiacatError:
-        w = None
+    except DiacatError as exc:
+        return CommutativityReport(square_id, expected, "FAIL", None,
+                                   f" isomorphism search failed: {exc}")
     if w is not None and w.is_morphism() and w.is_bijective():
         return CommutativityReport(square_id, expected, "ISOMORPHIC", w)
     return CommutativityReport(square_id, expected, "FAIL", None,
@@ -429,19 +430,21 @@ def check_square(square_id, fixture, bound: int = 2, cap=None) -> CommutativityR
 
 
 def check_parallelepiped(xm: CrossedModule, bound: int = 2, cap=None) -> AxiomReport:
-    """Evaluate all six faces of the two-level functor prism on one fixture.
+    """Evaluate all six faces of the two-level functor prism on one lb or
+    lie crossed module.
 
-    The fixture is normalized to a Leibniz crossed module (and, for the
-    faces that need one, to a dialgebra crossed module through the
-    envelope); each face is one or two registered squares."""
+    A lie fixture is viewed as a Leibniz crossed module.  The faces that
+    need a dialgebra or an associative crossed module take its envelope
+    XUd and that envelope's associative quotient; each face is one or two
+    registered squares."""
     from .envelope import xud
-    from .lifts import _as_dias_or_lb, xas_of_xdias, xlb_of_xdias
-    base = _as_dias_or_lb(xm)
-    if base.flavor == "dias":
-        xdias, xlb = base, xlb_of_xdias(base)
-    else:
-        xlb, xdias = base, xud(base, bound)
-    xas = xm if xm.flavor == "as" else xas_of_xdias(xdias)[0]
+    from .lifts import _as_dias_or_lb, xas_of_xdias
+    if xm.flavor not in ("lb", "lie"):
+        raise InvalidCrossedModule(f"the prism takes an lb or lie crossed "
+                                   f"module, not {xm.flavor!r}")
+    xlb = _as_dias_or_lb(xm)
+    xdias = xud(xlb, bound)
+    xas = xas_of_xdias(xdias)[0]
     d_top = xdias.actor
     a_top = associative_quotient(d_top)[0]
     g_lb = xlb.actor

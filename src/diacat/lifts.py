@@ -67,7 +67,7 @@ def _crossed_quotient(tag, xm: CrossedModule):
     L, D, act = xm.actee, xm.actor, xm.action
     nl = L.dim
     D_q, proj_D = q_D = universal_quotient(tag, D)
-    semi = semidirect(act, check=False)[0]
+    semi = semidirect(act, check=False)
     closed = algebra.ideal_closure(semi, Subspace.span(
         f, (w for i, j, w in seeds(semi).cells() if min(i, j) < nl),
         semi.dim))

@@ -148,7 +148,7 @@ def apply_functor(tag, obj, bound=None):
 
 def _semidirect(xm):
     from .actions import semidirect
-    return semidirect(xm.action)[0]
+    return semidirect(xm.action)
 
 
 def _roundtrip_cat1(xm):

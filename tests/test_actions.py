@@ -44,15 +44,39 @@ def test_invalid_action_is_rejected():
         Action(g, ab, tensors).certify()
 
 
+def _semidirect_blocks(xm):
+    """The semidirect model and its inclusion [I | 0]^T, projection
+    [0 | I] and splitting [0 | I]^T."""
+    E = semidirect(xm.action)
+    f, nl, nd = E.field, xm.actee.dim, xm.actor.dim
+    inj = AlgebraMorphism(xm.actee, E, Matrix.identity(f, nl).vstack(
+        Matrix.zero(f, nd, nl)))
+    proj = AlgebraMorphism(E, xm.actor, Matrix.zero(f, nd, nl).hstack(
+        Matrix.identity(f, nd)))
+    split = AlgebraMorphism(xm.actor, E, Matrix.zero(f, nl, nd).vstack(
+        Matrix.identity(f, nd)))
+    return E, inj, proj, split
+
+
 def test_semidirect_split_exact_sequence():
     xm = fixtures.get("xlb-ideal-e-f2")
-    E, inj, proj, split = semidirect(xm.action)
+    E, inj, proj, split = _semidirect_blocks(xm)
     assert E.check().passed
     nl, nd = xm.actee.dim, xm.actor.dim
     assert proj.matrix.mul(inj.matrix).is_zero()
     assert proj.matrix.mul(split.matrix) == Matrix.identity(F2, nd)
     assert inj.check().passed and proj.check().passed and split.check().passed
     assert E.dim == nl + nd
+
+
+def test_semidirect_splitting_recovers_the_action():
+    for name in XMOD_NAMES:
+        xm = fixtures.get(name)
+        E, inj, proj, split = _semidirect_blocks(xm)
+        for m in (inj, proj, split):
+            assert m.check().passed, name
+        recovered = action_by_ambient_products(split, inj, check=False)
+        assert recovered.same_tensors(xm.action), name
 
 
 def test_xmod_from_ideal_free_dialgebra():
@@ -99,6 +123,24 @@ def test_lemma_checks_reject_kernel_outside_annihilator():
     report = lemma_crossed_checks(bad)
     assert report.first_failure().name == \
         "Ker mu lies in the annihilator of the actee"
+
+
+def test_lemma_checks_reject_an_image_acting_on_the_kernel():
+    # abelian L = <k, m> and D = <x>, mu(k) = 0, mu(m) = x and [x, k] = k:
+    # Ker mu = <k> is in the annihilator and Im mu = D is an ideal, but
+    # x = mu(m) moves k
+    L = abelian_algebra("lb", F2, 2, labels=["k", "m"])
+    D = abelian_algebra("lb", F2, 1, labels=["x"])
+    mu = AlgebraMorphism(L, D, Matrix(F2, [[F2.zero(), F2.one()]]))
+    act = Action(D, L, {
+        "gq": BilinearMap.from_triples(F2, 1, 2, 2, [(0, 0, 0, F2.one())]),
+        "qg": BilinearMap.from_triples(F2, 2, 1, 2, [])}, check=False)
+    report = lemma_crossed_checks(CrossedModule(mu, act, check=False))
+    assert [(it.name, it.passed) for it in report.items] == [
+        ("Ker mu lies in the annihilator of the actee", True),
+        ("Im mu is an ideal of the actor", True),
+        ("Im mu acts trivially on Ker mu", False)]
+    assert report.first_failure().where == (0, 0, 0)
 
 
 def test_a_failing_structure_lemma_stops_the_crossed_envelope(monkeypatch):

@@ -403,6 +403,14 @@ def test_parallelepiped_from_lie_fixture():
     assert rep.passed
 
 
+@pytest.mark.parametrize("name", ["xdias-ideal-incl-f2", "xas-ident-nilp2-f2"])
+def test_parallelepiped_takes_only_lb_or_lie(name):
+    xm = fixtures.get(name)
+    assert xm.flavor in ("dias", "as")
+    with pytest.raises(InvalidCrossedModule, match="lb or lie"):
+        check_parallelepiped(xm)
+
+
 def test_iso_search_positive_and_negative():
     g = fixtures.get("leibniz-ff-e-f2")
     assert find_algebra_isomorphism(g, g) is not None

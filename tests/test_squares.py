@@ -4,10 +4,11 @@ tags, and every bundled fixture gives EQUAL.
 A square passes EQUAL when its composites are tensor-identical.  Otherwise
 an ISOMORPHIC row passes only through a searched isomorphism, re-checked as
 a bijective morphism.  The search refuses Q, so over Q such a row can pass
-only as EQUAL.  The search tests make the comparison answer "different"; with
-``--cap 0`` the refused search makes ``verify`` exit 3.  The envelope
-squares are also EQUAL on every two-dim Leibniz algebra over F2 and F3,
-and the bar-unit dialgebra is an input on which 2.8-outer fails.
+only as EQUAL, and its FAIL detail names the refusal.  The search tests
+make the comparison answer "different"; with ``--cap 0`` the refused
+search makes ``verify`` exit 3.  The envelope squares are also EQUAL on
+every two-dim Leibniz algebra over F2 and F3, and the bar-unit dialgebra
+is an input on which 2.8-outer fails.
 """
 
 import json
@@ -88,9 +89,10 @@ def test_differing_composites_pass_only_by_a_verified_search(
     for name, obj in battery:
         rep = reps[name]
         if obj.field != F2:
-            # the search refuses Q, so no witness is found
+            # the search refuses Q, and the detail says so
             assert (rep.verdict, rep.passed, rep.detail) == (
-                "FAIL", False, " no isomorphism witness found"), name
+                "FAIL", False, " isomorphism search failed: Q is not finite"
+            ), name
             continue
         assert (rep.verdict, rep.passed) == ("ISOMORPHIC", True), name
         w = rep.witness
@@ -134,10 +136,10 @@ def test_verdict_helper_reaches_every_outcome(monkeypatch):
     rep = _verdict("t", "EQUAL", a, b)
     assert (rep.verdict, rep.passed) == ("FAIL", False)
     assert rep.detail == " composites are not tensor-identical"
-    # a search that fails finds no witness
+    # a search that fails is a FAIL that names the failure
     rep = _verdict("t", "ISOMORPHIC", a, b)
-    assert (rep.verdict, rep.detail) == ("FAIL",
-                                         " no isomorphism witness found")
+    assert (rep.verdict, rep.passed, rep.witness, rep.detail) == (
+        "FAIL", False, None, " isomorphism search failed: a search that fails")
 
     # what the search returns is re-checked: the zero map is a morphism
     # but not bijective, the identity matrix bijective but no morphism
