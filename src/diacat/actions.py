@@ -20,7 +20,10 @@ is the negated transpose.  ``Action.from_cross`` fills the slots from a
 ``cross(pidx, side)`` callback, and ``induced_action`` carries cross
 products along linear maps with it, whether they come from an ambient
 algebra (an ideal, a split extension, the kernel of a cat-1 structure) or
-pass to quotients.
+pass to quotients.  ``action_by_ambient_products`` takes the actee as the
+subspace of the ambient algebra that it is stored as, such as an ideal or
+Ker s of a cat-1 structure, and returns the action with the actee's
+inclusion, both in the coordinates of the subspace's canonical basis.
 
 A crossed module bundles a morphism mu: L -> D with an action of D on L,
 subject to equivariance of mu and Peiffer-style identities; the equation
@@ -41,7 +44,7 @@ from .algebra import (AXIOMS, FLAVORS, Algebra, AlgebraMorphism,
                       quotient_algebra, sp_cols)
 from .errors import (DimensionMismatch, FieldMismatch, InvalidAction,
                      InvalidCrossedModule, LemmaViolation, NotAnIdeal)
-from .linalg import Matrix, Subspace, sp_from_dense, unit_vector
+from .linalg import Matrix, Subspace, sp_from_dense
 
 ACTOR = "D"
 ACTEE = "L"
@@ -318,9 +321,10 @@ class CrossedModule(Certified):
 def _crossed_equations(report: AxiomReport, mu: AlgebraMorphism, act: Action):
     f = mu.source.field
     L, D = mu.source, mu.target
-    mu_cols = [mu.matrix.col(j) for j in range(L.dim)]
-    d_units = [unit_vector(f, D.dim, x) for x in range(D.dim)]
-    l_units = [unit_vector(f, L.dim, l) for l in range(L.dim)]
+    one = f.one()
+    mu_cols = sp_cols(mu.matrix)
+    d_units = [{x: one} for x in range(D.dim)]
+    l_units = [{l: one} for l in range(L.dim)]
     lp_sym = "l'"
     for pidx, p in enumerate(FLAVORS[act.flavor]):
         dl = act.cross(pidx, "DL")
@@ -385,8 +389,8 @@ class XmodMorphism:
         report.add("square: mu' . alpha = beta . mu", square, None)
 
         act, act2 = self.source.action, self.target.action
-        a_cols = [self.alpha.matrix.col(j) for j in range(self.source.actee.dim)]
-        b_cols = [self.beta.matrix.col(j) for j in range(self.source.actor.dim)]
+        a_cols = sp_cols(self.alpha.matrix)
+        b_cols = sp_cols(self.beta.matrix)
         for pidx, p in enumerate(FLAVORS[act.flavor]):
             dl, dl2 = act.cross(pidx, "DL"), act2.cross(pidx, "DL")
             ld, ld2 = act.cross(pidx, "LD"), act2.cross(pidx, "LD")
@@ -426,7 +430,7 @@ class XmodMorphism:
 
 
 def _matrix_preserves(src_products, tgt_products, mat: Matrix):
-    cols = [mat.col(j) for j in range(mat.cols)]
+    cols = sp_cols(mat)
     for pidx, (ps, pt) in enumerate(zip(src_products, tgt_products)):
         bad = first_unintertwined(ps, pt, cols, cols, mat)
         if bad is not None:
@@ -505,7 +509,7 @@ def lemma_crossed_checks(xm: CrossedModule) -> AxiomReport:
     zero = BilinearMap.zero(f, im.dim, ker.dim, L.dim)
     bad = None
     for pidx in range(product_arity(flavor)):
-        hits = [first_unintertwined(zero, tgt, im.basis, ker.basis)
+        hits = [first_unintertwined(zero, tgt, im.rows, ker.rows)
                 for tgt in (act.cross(pidx, "DL"),
                             act.cross(pidx, "LD").transpose_args())]
         hits = [h for h in hits if h is not None]
@@ -537,8 +541,8 @@ def xmod_from_ideal(ambient: Algebra, ideal: Subspace) -> CrossedModule:
     """Inclusion of an ideal with the ambient action as a crossed module."""
     if not is_ideal(ambient, ideal):
         raise NotAnIdeal("the designated actee subspace is not an ideal")
-    _, l_incl = induced_subalgebra(ambient, ideal)
-    act = action_by_ambient_products(AlgebraMorphism.identity(ambient), l_incl)
+    act, l_incl = action_by_ambient_products(
+        AlgebraMorphism.identity(ambient), ideal)
     return CrossedModule(l_incl, act)
 
 
@@ -556,32 +560,28 @@ def zero_xmod(alg: Algebra) -> CrossedModule:
 
 
 def action_by_ambient_products(actor_incl: AlgebraMorphism,
-                               actee_incl: AlgebraMorphism,
-                               check=True) -> Action:
-    """Action through two embeddings into a common ambient algebra.
+                               actee: Subspace, check=True):
+    """The action of the actor through its embedding into an ambient
+    algebra E on ``actee``, a subspace of E, by E's products.
 
-    The actee image must absorb products with the actor image.  Each cross
-    product is computed in the ambient and pulled back to the canonical
-    coordinates of the actee image, so the actee embedding's columns must
-    be that basis, as for ``induced_subalgebra``'s inclusion.
+    The actee must be a subalgebra that absorbs products with the actor
+    image.  It carries the structure ``induced_subalgebra`` gives it, in
+    the coordinates of its canonical basis, and each cross product is
+    computed in E and pulled back to those coordinates.  Returns
+    ``(action, actee inclusion)``.
     """
     E = actor_incl.target
-    if not (actee_incl.target is E or actee_incl.target.same_structure(E)):
-        raise DimensionMismatch("embeddings land in different ambients")
     f = E.field
-    actee_image = image_of(actee_incl)
-    m = actee_incl.matrix
-    if actee_image.basis != tuple(tuple(m.col(j)) for j in range(m.cols)):
-        raise InvalidAction("the actee embedding's columns are not the "
-                            "canonical basis of its image")
+    actee_alg, actee_incl = induced_subalgebra(E, actee)
 
     def back(w):
-        c = actee_image.coords(w)
+        c = actee.coords(w)
         if c is None:
             raise InvalidAction("ambient product leaves the actee image")
         return sp_from_dense(f, c)
 
-    return induced_action(actor_incl.source, actee_incl.source,
-                          lambda pidx, side: E.products()[pidx],
-                          sp_cols(actor_incl.matrix),
-                          sp_cols(actee_incl.matrix), back, check=check)
+    act = induced_action(actor_incl.source, actee_alg,
+                         lambda pidx, side: E.products()[pidx],
+                         sp_cols(actor_incl.matrix), actee.rows, back,
+                         check=check)
+    return act, actee_incl

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import envelope, functors
 from .actions import CrossedModule, XmodMorphism
-from .algebra import AlgebraMorphism, AxiomReport, kernel_of
+from .algebra import AlgebraMorphism, AxiomReport
 from .errors import DiacatError, NotWellDefined
 from .linalg import Matrix, _assert_killed, vec_is_zero
 from .tags import _CHAIN_LETTERS, chain_pairs
@@ -96,7 +96,7 @@ def xud_transpose(r: envelope.XudResult, target: CrossedModule,
     kbar = k.matrix.mul(r.qmap.section)
     nl, nd = target.actee.dim, target.actor.dim
     # Ker s-bar lands in the actee block, the base in the actor block
-    a_imgs = [kbar.mul_vec(v) for v in kernel_of(r.cat1.s).rows]
+    a_imgs = [kbar.mul_vec(v) for v in r.cat1.kers.rows]
     b_imgs = [kbar.mul_vec(v) for v in r.cat1.d_sub.rows]
     if not (all(vec_is_zero(f, w[nl:]) for w in a_imgs)
             and all(vec_is_zero(f, w[:nl]) for w in b_imgs)):

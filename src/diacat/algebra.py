@@ -399,7 +399,7 @@ def _check_templates(report, products, instances):
     ``z = e_k`` (k in zs) at once, as ``_Slab`` values.  A product walks
     only the nonzero cells, from the factor with fewer cells through the
     product's ``rows`` or ``cols``, so a slab costs what its nonzero
-    products cost.  Values that do not depend on i are computed once
+    products cost.  Products that do not depend on i are computed once
     per call.  The slabs are compared in order of i, and ``where`` is the
     least (j, k) at which the two sides differ in the first slab that
     differs: the row-major first violated triple.  Later slabs are not
@@ -411,8 +411,8 @@ def _check_templates(report, products, instances):
     f = products[0].field
     f_mul, f_add, f_is_zero = f.mul, f.add, f.is_zero
     one = f.one()
-    # values that do not depend on i, keyed by operation and operand ids;
-    # each entry keeps its operands alive, so the ids stay unique
+    # products that do not depend on i, keyed by product index and operand
+    # ids; each entry keeps its operands alive, so the ids stay unique
     memo: dict = {}
 
     def mul(pidx, a, b):
@@ -464,11 +464,6 @@ def _check_templates(report, products, instances):
         return out
 
     def sub(a, b):
-        fixed = a.fixed and b.fixed
-        if fixed:
-            hit = memo.get(("s", id(a), id(b)))
-            if hit is not None:
-                return hit[2]
         _same_variables(a, b)
         cells = dict(a.cells)
         for key, w in b.cells.items():
@@ -477,10 +472,7 @@ def _check_templates(report, products, instances):
                 cells[key] = d
             else:
                 del cells[key]
-        out = _Slab(a.axes, cells, fixed)
-        if fixed:
-            memo[("s", id(a), id(b))] = (a, b, out)
-        return out
+        return _Slab(a.axes, cells, a.fixed and b.fixed)
 
     ranges: dict = {}
     for name, fn, (xs, ys, zs) in instances:
@@ -738,7 +730,7 @@ class AlgebraMorphism:
 
     def check(self) -> AxiomReport:
         report = AxiomReport("morphism")
-        cols = [self.matrix.col(j) for j in range(self.source.dim)]
+        cols = sp_cols(self.matrix)
         for p, sp, tp in zip(FLAVORS[self.source.flavor],
                              self.source.products(), self.target.products()):
             bad = first_unintertwined(sp, tp, cols, cols, self.matrix)
@@ -761,17 +753,15 @@ def first_unintertwined(src: BilinearMap, tgt: BilinearMap, left, right,
     """First row-major basis pair (i, j) with
     ``out(src(e_i, e_j)) != tgt(left[i], right[j])``, or None.
 
-    ``left`` and ``right`` are dense vectors, one per basis element of the
-    corresponding argument of ``src``; ``out`` defaults to the identity.
-    Morphisms, equivariance and Peiffer identities are all this equation.
-    Both sides are sparse: ``left`` and ``right`` are made sparse once, and
-    ``out`` is applied only to nonzero basis products.
+    ``left`` and ``right`` are sparse vectors, one per basis element of
+    the corresponding argument of ``src``, as ``sp_cols`` gives a matrix's
+    columns and ``Subspace.rows`` a canonical basis; ``out`` defaults to
+    the identity.  Morphisms, equivariance and Peiffer identities are all
+    this equation.  ``out`` is applied only to nonzero basis products.
     """
     f = src.field
-    lefts = [sp_from_dense(f, u) for u in left]
-    rights = [sp_from_dense(f, v) for v in right]
-    for i, u in enumerate(lefts):
-        for j, v in enumerate(rights):
+    for i, u in enumerate(left):
+        for j, v in enumerate(right):
             lhs = src.pair(i, j)
             if lhs and out is not None:
                 lhs = sp_from_dense(f, out.mul_vec(lhs))

@@ -6,7 +6,9 @@ data is equivalent to a crossed module: one direction restricts t to Ker s
 with the ambient action, the other rebuilds E as the semidirect product
 that ``actions.semidirect`` certifies, with s(l,x) = x and
 t(l,x) = mu(l) + x written as the block matrices [0 | I] and [mu | I];
-``check_cat1`` then certifies both as morphisms.  Internal categories
+``check_cat1`` then certifies both as morphisms.  A ``Cat1`` computes
+Ker s once, as ``kers``, and the crossed module is read back from that
+subspace by ``actions.action_by_ambient_products``.  Internal categories
 refine the picture with a composition morphism on the pullback, whose unit
 section is the base inclusion; both directions are implemented here along
 with full axiom checkers and canonical round-trip isomorphisms.
@@ -29,7 +31,9 @@ class Cat1(Certified):
 
     ``base`` carries the induced structure of ``d_sub`` in its canonical
     coordinates and ``incl`` embeds it back; ``s`` and ``t`` are expressed in
-    those coordinates.
+    those coordinates.  ``kers``, the subspace Ker s of E, is computed once
+    here, for every reader: the checkers, the crossed module restricted to
+    it, the decomposition witness and the envelopes.
     """
 
     invalid = InvalidCat1
@@ -42,6 +46,7 @@ class Cat1(Certified):
         self.base, self.incl = induced_subalgebra(E, d_sub)
         self.s = AlgebraMorphism(E, self.base, s_matrix)
         self.t = AlgebraMorphism(E, self.base, t_matrix)
+        self.kers = kernel_of(self.s)
         if check:
             self.certify()
 
@@ -72,14 +77,13 @@ def check_cat1(c: Cat1) -> AxiomReport:
     report.add("t restricts to the identity on the base",
                c.t.matrix.mul(c.incl.matrix) == ident, None)
 
-    kers = kernel_of(c.s)
-    kert = kernel_of(c.t)
+    kers, kert = c.kers, kernel_of(c.t)
     for p, prod in zip(FLAVORS[c.flavor], c.E.products()):
         for a, b, aname, bname in ((kers, kert, "Ker s", "Ker t"),
                                    (kert, kers, "Ker t", "Ker s")):
             bad = first_unintertwined(
                 BilinearMap.zero(c.E.field, a.dim, b.dim, c.E.dim), prod,
-                a.basis, b.basis)
+                a.rows, b.rows)
             report.add(f"{p.form.format(aname, bname)} = 0",
                        bad is None, bad)
     return report
@@ -106,11 +110,8 @@ def cat1_of_xmod(xm: CrossedModule) -> Cat1:
 def xmod_of_cat1(c: Cat1) -> CrossedModule:
     """Restrict t to Ker s; the base acts through its inclusion by the
     ambient products."""
-    kers = kernel_of(c.s)
-    _L_alg, l_incl = induced_subalgebra(c.E, kers)
-    mu = c.t.compose(l_incl)
-    act = action_by_ambient_products(c.incl, l_incl)
-    return CrossedModule(mu, act)
+    act, l_incl = action_by_ambient_products(c.incl, c.kers)
+    return CrossedModule(c.t.compose(l_incl), act)
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +121,13 @@ def xmod_of_cat1(c: Cat1) -> CrossedModule:
 def cat1_decomposition_iso(c: Cat1, target: Cat1) -> AlgebraMorphism:
     """The splitting e = (e - incl(s(e))) + incl(s(e)) maps E isomorphically
     onto the semidirect model rebuilt from its crossed module."""
-    kers = kernel_of(c.s)
     f = c.E.field
     cols = []
     for j in range(c.E.dim):
         e = unit_vector(f, c.E.dim, j)
         sval = c.s.matrix.col(j)
         resid = vec_sub(f, e, c.incl.matrix.mul_vec(sval))
-        kc = kers.coords(resid)
+        kc = c.kers.coords(resid)
         if kc is None:
             raise InvalidCat1("element does not split along Ker s")
         cols.append(list(kc) + list(sval))
@@ -214,10 +214,10 @@ def check_internal_category(ic: InternalCategory) -> AxiomReport:
                closure.is_subspace_of(ic.pullback), None)
     report.extend(ic.gamma.check(), "gamma ")
 
-    pr1 = Matrix.identity(f, E.dim).hstack(Matrix.zero(f, E.dim, E.dim))
-    pr2 = Matrix.zero(f, E.dim, E.dim).hstack(Matrix.identity(f, E.dim))
-    pr1r = pr1.mul(ic.pb_incl.matrix)
-    pr2r = pr2.mul(ic.pb_incl.matrix)
+    # pr1 and pr2 on the pullback: the two halves of its inclusion
+    n, pb = E.dim, ic.pb_incl.matrix
+    pr1r = Matrix(f, pb.entries[:n], n, pb.cols)
+    pr2r = Matrix(f, pb.entries[n:], n, pb.cols)
     report.add("s . gamma = s . pr1",
                c.s.matrix.mul(ic.gamma.matrix) == c.s.matrix.mul(pr1r), None)
     report.add("t . gamma = t . pr2",
@@ -237,7 +237,6 @@ def check_internal_category(ic: InternalCategory) -> AxiomReport:
         report.add(name, bad is None, bad)
 
     # associativity over the object of composable triples
-    n = E.dim
     zero_block = Matrix.zero(f, c.base.dim, n)
     top = c.t.matrix.hstack(c.s.matrix.neg()).hstack(zero_block)
     bottom = zero_block.hstack(c.t.matrix).hstack(c.s.matrix.neg())
@@ -254,11 +253,10 @@ def check_internal_category(ic: InternalCategory) -> AxiomReport:
     report.add("gamma is associative on composable triples", bad is None, bad)
 
     # composition of kernel elements reduces to addition
-    kers = kernel_of(c.s)
     bad = None
-    for i, l in enumerate(kers.basis):
+    for i, l in enumerate(c.kers.basis):
         unit_of_l = sigma.mul_vec(c.t.matrix.mul_vec(list(l)))
-        for j, lp in enumerate(kers.basis):
+        for j, lp in enumerate(c.kers.basis):
             g = ic.compose(l, vec_add(f, unit_of_l, list(lp)))
             if g is None or not vec_eq(f, g, vec_add(f, list(l), list(lp))):
                 bad = (i, j)

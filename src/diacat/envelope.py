@@ -27,8 +27,7 @@ from .algebra import (Algebra, AlgebraMorphism, AssociativeAlgebra,
 from .config import max_dim
 from .errors import (DimensionMismatch, InvalidCrossedModule, LemmaViolation,
                      NotWellDefined, ResourceCapExceeded)
-from .linalg import (Matrix, QuotientMap, Subspace, _assert_killed, image,
-                     vec_is_zero)
+from .linalg import Matrix, QuotientMap, Subspace, _assert_killed, image
 
 if TYPE_CHECKING:
     from .actions import CrossedModule
@@ -229,10 +228,7 @@ def envelope_transpose(env: Envelope, target: Algebra,
     for p, i, j in free.factors:
         cols.append(prods[p].apply(cols[i], cols[j]))
     on_free = Matrix.from_cols(f, cols, target.dim)
-    for r in env.relations.rows:
-        if not vec_is_zero(f, on_free.mul_vec(r)):
-            raise NotWellDefined(
-                "generator images do not kill the enveloping relations")
+    _assert_killed(f, on_free, env.relations, "the map of generator images")
     induced = AlgebraMorphism(env.algebra, target,
                               on_free.mul(env.qmap.section))
     rep = induced.check()
@@ -355,13 +351,12 @@ def _crossed_envelope(xm: CrossedModule, bound: int, env_of) -> XudResult:
         bad = lemma.first_failure()
         raise LemmaViolation(
             f"structure lemma failed: {bad.name} at {bad.where}", lemma)
-    kers_bar = kernel_of(cat1.s)
     eta_classes = pi.matrix.mul(env_big.eta)
-    unit_cols = [kers_bar.coords(eta_classes.col(i))
+    unit_cols = [cat1.kers.coords(eta_classes.col(i))
                  for i in range(xm.actee.dim)]
     if None in unit_cols:
         raise LemmaViolation("an actee generator does not land in Ker s-bar")
-    unit_actee = Matrix.from_cols(f, unit_cols, kers_bar.dim)
+    unit_actee = Matrix.from_cols(f, unit_cols, cat1.kers.dim)
     return XudResult(out, cat1, env_big, env_base, pi, unit_actee, q.qmap)
 
 

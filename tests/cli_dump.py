@@ -21,8 +21,11 @@ give comparable dumps: run this file in each and compare the outputs with
 - lines whose inputs follow their options: every battery on
   ``xlb-ideal-e-f2`` with ``--cap 40`` in both orders, and every
   ``construct`` line above that takes ``--trunc 2``, with it first;
-- last, ``check`` on every bundled fixture's document, then on each of
-  them under every ``--flavor-override``.
+- ``check`` on every bundled fixture's document, then on each of them
+  under every ``--flavor-override``;
+- last, ``--verbose``, whose commentary goes to stderr: ``check`` of a
+  valid and of a failing document, one ``construct`` that prints its
+  document, and one ``verify``.
 
 With ``--fresh K``, every K-th of those command lines (the first, the
 K+1-th, ...) also runs in a fresh ``python -m diacat.cli`` process, where
@@ -109,6 +112,10 @@ def command_lines():
     for name in fixtures.names():
         for flavor in FLAVORS:
             yield ["check", f"<tmp>/{name}.json", "--flavor-override", flavor]
+    yield ["check", "<tmp>/xlb-ideal-e-f2.json", "--verbose"]
+    yield ["check", "<tmp>/dias-not-assoc-1.json", "--verbose"]
+    yield ["construct", "semidirect", "xlb-ideal-e-f2", "--verbose"]
+    yield ["verify", "equivalence:cat1", "xlb-ideal-e-f2", "--verbose"]
 
 
 def in_process(argv, tmp):

@@ -6,7 +6,7 @@ from diacat import cat1, fixtures
 from diacat.actions import (Action, CrossedModule, action_by_ambient_products,
                             trivial_action)
 from diacat.algebra import (AlgebraMorphism, BilinearMap, abelian_algebra,
-                            induced_subalgebra, kernel_of, make_algebra)
+                            make_algebra)
 from diacat.cat1 import (Cat1, InternalCategory, cat1_decomposition_iso,
                          cat1_isomorphism_report, cat1_of_xmod, check_cat1,
                          check_internal_category, xdias_to_internal,
@@ -208,10 +208,9 @@ def test_the_unit_section_is_the_base_inclusion():
     # the base inclusion, with the same matrix
     for name, xm in _dias_xmods():
         c = xdias_to_internal(xm).cat1
-        l_incl = induced_subalgebra(c.E, kernel_of(c.s))[1]
         sigma = AlgebraMorphism(c.base, c.E, c.incl.matrix)
-        through_sigma = CrossedModule(
-            c.t.compose(l_incl), action_by_ambient_products(sigma, l_incl))
+        act, l_incl = action_by_ambient_products(sigma, c.kers)
+        through_sigma = CrossedModule(c.t.compose(l_incl), act)
         assert xmod_of_cat1(c).same_structure(through_sigma), name
 
 
@@ -256,6 +255,21 @@ def test_invalid_internal_category_reports(build, message, failing):
     items = exc.value.report.items
     assert [it.name for it in items] == INTERNAL_ITEMS
     assert {it.name: it.where for it in items if not it.passed} == failing
+
+
+def test_the_kernel_law_rejects_a_composition_that_drops_an_arrow():
+    # gamma(u, v) = u on the semidirect model: gamma(l, sigma t(l) + l')
+    # is l, not l + l'
+    c = cat1_of_xmod(fixtures.get("xdias-ideal-incl-f2"))
+    f, n = c.E.field, c.E.dim
+    with pytest.raises(InvalidInternalCategory) as exc:
+        InternalCategory(c, Matrix.identity(f, n).hstack(Matrix.zero(f, n, n)))
+    items = exc.value.report.items
+    assert {it.name: it.where for it in items if not it.passed} == {
+        "t . gamma = t . pr2": None, "gamma(sigma s(x), x) = x": (0,),
+        "gamma is associative on composable triples": (5,),
+        "gamma(l, sigma t(l) + l') = l + l'": (0, 0)}
+    assert items[-1].name == "gamma(l, sigma t(l) + l') = l + l'"
 
 
 def _kernel_products_by_double_loop(c):
