@@ -560,7 +560,7 @@ def zero_xmod(alg: Algebra) -> CrossedModule:
 
 
 def action_by_ambient_products(actor_incl: AlgebraMorphism,
-                               actee: Subspace, check=True):
+                               actee: Subspace):
     """The action of the actor through its embedding into an ambient
     algebra E on ``actee``, a subspace of E, by E's products.
 
@@ -582,6 +582,5 @@ def action_by_ambient_products(actor_incl: AlgebraMorphism,
 
     act = induced_action(actor_incl.source, actee_alg,
                          lambda pidx, side: E.products()[pidx],
-                         sp_cols(actor_incl.matrix), actee.rows, back,
-                         check=check)
+                         sp_cols(actor_incl.matrix), actee.rows, back)
     return act, actee_incl

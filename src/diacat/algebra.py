@@ -46,10 +46,13 @@ certifies them.
 
 Each flavor-changing functor is written once, as a rule keyed by its tag:
 ``LEVELWISE`` holds the four that keep the space (LB, Liea and the two
-inclusions), ``QUOTIENTS`` the two universal quotients (AS and Liel) with
-the map whose nonzero products generate the ideal divided out, and
+inclusions), which ``levelwise`` applies, and ``QUOTIENTS`` the two
+universal quotients (AS and Liel) with the map whose nonzero products
+generate the ideal divided out, which ``universal_quotient`` applies;
 ``retyped`` is the one step that reads a quotient whose products agree
-as an algebra of the quotient's flavor.  ``lifts`` applies the same rules
+as an algebra of the quotient's flavor.  A row is the only place its
+source and target flavors are written: ``tags`` registers each row's
+algebra tag and crossed tag from it, and ``lifts`` applies the same rules
 to crossed modules.
 
 Only the functions that build matrices, subspaces or quotients import
@@ -966,26 +969,6 @@ def levelwise(tag, alg: Algebra) -> Algebra:
                         list(alg.labels))
 
 
-def leibnization(d: Dialgebra) -> LeibnizAlgebra:
-    """Bracket [x,y] = x -| y - y |- x on the same space."""
-    return levelwise("LB", d)
-
-
-def dialgebra_of_associative(a: AssociativeAlgebra) -> Dialgebra:
-    """View an associative algebra as a dialgebra with both products equal."""
-    return levelwise("IncAsDias", a)
-
-
-def commutator_lie(a: AssociativeAlgebra) -> LieAlgebra:
-    """Commutator bracket [x,y] = xy - yx."""
-    return levelwise("Liea", a)
-
-
-def leibniz_of_lie(p: LieAlgebra) -> LeibnizAlgebra:
-    """A Lie algebra is in particular a Leibniz algebra."""
-    return levelwise("IncLieLb", p)
-
-
 def retyped(quot: Algebra, flavor) -> Algebra:
     """A quotient whose products agree, as the algebra of ``flavor`` with
     that one product."""
@@ -1005,13 +988,3 @@ def universal_quotient(tag, alg: Algebra) -> Quotient:
     quot = quotient_algebra(alg, Subspace.span(
         alg.field, (w for _, _, w in seeds(alg).cells()), alg.dim))
     return Quotient(retyped(quot[0], target), quot[1], quot.qmap)
-
-
-def associative_quotient(d: Dialgebra) -> Quotient:
-    """Universal associative quotient: divide by the ideal forcing -| = |-."""
-    return universal_quotient("AS", d)
-
-
-def lie_quotient(g: LeibnizAlgebra) -> Quotient:
-    """Universal Lie quotient: divide by the ideal generated by squares."""
-    return universal_quotient("Liel", g)

@@ -120,17 +120,16 @@ def xmod_of_cat1(c: Cat1) -> CrossedModule:
 
 def cat1_decomposition_iso(c: Cat1, target: Cat1) -> AlgebraMorphism:
     """The splitting e = (e - incl(s(e))) + incl(s(e)) maps E isomorphically
-    onto the semidirect model rebuilt from its crossed module."""
+    onto the semidirect model rebuilt from its crossed module.  Since
+    s . incl = id, e - incl(s(e)) lies in Ker s, so its coordinates in the
+    canonical basis ``c.kers`` are its entries at the pivots."""
     f = c.E.field
     cols = []
     for j in range(c.E.dim):
         e = unit_vector(f, c.E.dim, j)
         sval = c.s.matrix.col(j)
         resid = vec_sub(f, e, c.incl.matrix.mul_vec(sval))
-        kc = c.kers.coords(resid)
-        if kc is None:
-            raise InvalidCat1("element does not split along Ker s")
-        cols.append(list(kc) + list(sval))
+        cols.append([resid[p] for p in c.kers.pivots] + list(sval))
     return AlgebraMorphism(c.E, target.E,
                            Matrix.from_cols(f, cols, target.E.dim))
 

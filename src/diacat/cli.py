@@ -14,8 +14,9 @@ other handlers import what they run:
   Only rational documents load ``fractions``.
 - ``construct`` adds ``tags`` (``tags.construct`` and the construction
   table), ``fixtures``, ``linalg`` and what its kind builds: ``envelope``
-  for an envelope tag and ``lifts`` for a crossed-module lift, not
-  ``functors``.
+  for an envelope tag, ``lifts`` for a crossed-module lift, ``actions``
+  for an embedding or a projection, and ``functors`` only for the
+  cokernel projection U0/G0.
 - ``verify`` adds ``batteries``, the battery table, with ``fixtures``,
   and only what its battery runs: ``functors`` and ``tags`` for a square,
   an adjunction or the prism, ``equations`` for a hom search,

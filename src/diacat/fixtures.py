@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import documents
 from .algebra import (AlgebraMorphism, AssociativeAlgebra, BilinearMap,
                       Dialgebra, LeibnizAlgebra, LieAlgebra, abelian_algebra,
-                      dialgebra_of_associative)
+                      levelwise)
 from .errors import DiacatError, ParseError
 from .fields import GF, QQ
 from .linalg import Matrix, Subspace
@@ -105,7 +105,7 @@ _register("dias-abelian-2-f2", "algebra",
 _register("dias-assoc-tri-2-f2", "algebra",
           "the nilpotent associative algebra t*t = t2 over F2, viewed as a "
           "dialgebra with equal products",
-          lambda: dialgebra_of_associative(_nilp2(F2)))
+          lambda: levelwise("IncAsDias", _nilp2(F2)))
 _register("dias-not-assoc-1", "algebra",
           "one generator with e -| e = e and e |- e = 0; fails the first "
           "dialgebra axiom, bundled as a negative example",

@@ -1,18 +1,17 @@
-"""Embeddings and projections, hom enumeration, and diagram checks.
+"""Hom enumeration, adjunction verifiers and diagram checks.
 
-The embeddings J/I of algebras as degenerate crossed modules and the
-projections U/G back down are here; the crossed-module lifts of the
-algebra functors are in ``lifts``, and ``tags.FUNCTOR_TAGS`` registers all
-36 functors.  Every hom-set over a finite field comes from one
-column-by-column search in one canonical order, lexicographic in the
-columns: an ``equations._Plan``, built once per hom-set from its compiled
-equations, and run once per prefix of fixed columns.  Each adjunction is
-an explicit map between two enumerated hom-sets that
-``adjunctions._bijection`` certifies, and the embedding/projection ones
-are rows of ``adjunctions._CHAIN_ROWS``.  ``_SQUARES`` holds each
-commuting square of the prism, per fixture flavor, as two paths of
-registered tags whose composites ``check_square`` compares, with EQUAL /
-ISOMORPHIC verdicts.
+``tags.FUNCTOR_TAGS`` registers all 36 functors, and this module applies
+them by tag, through ``apply_functor``; the one builder it keeps is
+``cokernel_of_mu``, the U/G projection at index 0.  Every hom-set over a
+finite field comes from one column-by-column search in one canonical
+order, lexicographic in the columns: an ``equations._Plan``, built once
+per hom-set from its compiled equations, and run once per prefix of fixed
+columns.  Each adjunction is an explicit map between two enumerated
+hom-sets that ``adjunctions._bijection`` certifies, and the
+embedding/projection ones are rows of ``adjunctions._CHAIN_ROWS``.
+``_SQUARES`` holds each commuting square of the prism, per fixture
+flavor, as two paths of registered tags whose composites ``check_square``
+compares, with EQUAL / ISOMORPHIC verdicts.
 
 Every job compiles the modules it loads, so ``equations``, ``envelope``,
 ``cat1``, ``lifts`` and ``adjunctions`` are imported inside the functions
@@ -27,49 +26,25 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .actions import (CrossedModule, XmodMorphism, action_slots,
-                      identity_xmod, zero_xmod)
+from .actions import CrossedModule, XmodMorphism, action_slots
 from .algebra import (Algebra, AlgebraMorphism, AxiomReport,
-                      associative_quotient, derived_tower_nilpotent, image_of,
-                      leibnization, lie_quotient, quotient_algebra)
+                      derived_tower_nilpotent, image_of, quotient_algebra)
 from .errors import (DiacatError, FieldMismatch, InvalidCrossedModule,
                      NotWellDefined, ResourceCapExceeded, SearchSpaceTooLarge)
 from .linalg import Matrix
-from .tags import FUNCTOR_TAGS, _chain_tag, _functor, apply_functor
+from .tags import FUNCTOR_TAGS, _chain_tag, apply_functor
 
 if TYPE_CHECKING:
     from .adjunctions import BijectionReport
     from .envelope import Envelope
 
 # ---------------------------------------------------------------------------
-# embeddings and projections
-
-
-def embed(tag, a: Algebra) -> CrossedModule:
-    """J/I embeddings: index 0 is the zero-source crossed module, index 1
-    the identity crossed module with the self action."""
-    fn = _functor(tag, a)
-    if fn.target != "X" + fn.source:
-        raise DiacatError(f"{tag} is not an embedding")
-    return identity_xmod(a) if tag[1] == "1" else zero_xmod(a)
+# the U/G projection at index 0
 
 
 def cokernel_of_mu(xm: CrossedModule):
     """Quotient of the actor by the image of the structural morphism."""
     return quotient_algebra(xm.actor, image_of(xm.mu))
-
-
-def project(tag, xm: CrossedModule) -> Algebra:
-    """U/G projections: index 0 the cokernel, 1 the actor, 2 the actee."""
-    fn = _functor(tag, xm)
-    if fn.source != "X" + fn.target:
-        raise DiacatError(f"{tag} is not a projection")
-    idx = tag[1]
-    if idx == "0":
-        return cokernel_of_mu(xm)[0]
-    if idx == "1":
-        return xm.actor
-    return xm.actee
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +144,13 @@ def enumerate_xmod_homs(x: CrossedModule, y: CrossedModule, cap=None) -> list:
 
 def verify_adjunction_ud(g, d, bound: int, cap=None) -> BijectionReport:
     """Bijection between morphisms out of the envelope and bracket
-    morphisms into the leibnization, by restriction to generators."""
+    morphisms into LB of the target, by restriction to generators."""
     from .adjunctions import BijectionReport, _bijection, _splits
     from .envelope import ud
     if not derived_tower_nilpotent(d, bound):
         raise NotWellDefined("target dialgebra is not nilpotent within the bound")
     env = ud(g, bound)
-    lbd = leibnization(d)
+    lbd = apply_functor("LB", d)
     right = enumerate_homs(g, lbd, cap)
     left = enumerate_generated_homs(env, d, cap)
     report = AxiomReport("envelope adjunction")
@@ -195,7 +170,7 @@ def verify_adjunction_xud(xlb: CrossedModule, xdias: CrossedModule,
                               xud_transpose, xud_unit_maps)
     from .cat1 import cat1_of_xmod
     from .envelope import xud_full
-    from .lifts import _expect_xm, xlb_of_xdias
+    from .lifts import _expect_xm
     _expect_xm(xlb, "lb", "verify_adjunction_xud")
     _expect_xm(xdias, "dias", "verify_adjunction_xud")
     c_t = cat1_of_xmod(xdias)
@@ -203,7 +178,7 @@ def verify_adjunction_xud(xlb: CrossedModule, xdias: CrossedModule,
         raise NotWellDefined(
             "target semidirect algebra is not nilpotent within the bound")
     r = xud_full(xlb, bound)
-    xlb_t = xlb_of_xdias(xdias)
+    xlb_t = apply_functor("XLB", xdias)
     right = enumerate_xmod_homs(xlb, xlb_t, cap)
     left = enumerate_xmod_homs(r.xmod, xdias, cap)
     report = AxiomReport("crossed envelope adjunction")
@@ -241,7 +216,7 @@ def verify_adjunction_chain(tagpair, fixtures, cap=None) -> AxiomReport:
             raise InvalidCrossedModule(
                 f"fixture {n} does not match flavor {flavor!r}")
         prefix = f"[{n}] "
-        emb = embed(_chain_tag(flavor, 1, i), alg)
+        emb = apply_functor(_chain_tag(flavor, 1, i), alg)
         # naturality in the algebra argument is checked along u
         u = _pick_endo(alg, cap)
         emb_u = XmodMorphism(
@@ -438,17 +413,17 @@ def check_parallelepiped(xm: CrossedModule, bound: int = 2, cap=None) -> AxiomRe
     XUd and that envelope's associative quotient; each face is one or two
     registered squares."""
     from .envelope import xud
-    from .lifts import _as_dias_or_lb, xas_of_xdias
+    from .lifts import _as_dias_or_lb
     if xm.flavor not in ("lb", "lie"):
         raise InvalidCrossedModule(f"the prism takes an lb or lie crossed "
                                    f"module, not {xm.flavor!r}")
     xlb = _as_dias_or_lb(xm)
     xdias = xud(xlb, bound)
-    xas = xas_of_xdias(xdias)[0]
+    xas = apply_functor("XAS", xdias)
     d_top = xdias.actor
-    a_top = associative_quotient(d_top)[0]
+    a_top = apply_functor("AS", d_top)
     g_lb = xlb.actor
-    p_lie = lie_quotient(g_lb)[0]
+    p_lie = apply_functor("Liel", g_lb)
     report = AxiomReport("parallelepiped")
 
     def face(name, square_id, fixture):

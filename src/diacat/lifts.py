@@ -3,17 +3,18 @@
 Leibnization (XLB), the associative and Lie quotients (XAS, XLiel), the
 commutator bracket (XLiea) and the two inclusions (IncXAsXDias,
 IncXLieXLb), each on both levels of a crossed module and on its cross
-products; ``tags.FUNCTOR_TAGS`` registers them.  Each lift is its algebra
-functor, written once in ``algebra``, plus one rule for the cross
-products.  The four levelwise lifts share ``_levelwise``: the functor on
-both levels, and its ``algebra.LEVELWISE`` rule on the cross products.
-The two universal quotients share ``_crossed_quotient``: the actor's
+products.  Each lift is its algebra functor, written once in ``algebra``
+as a row keyed by the algebra tag, plus one rule for the cross products,
+and ``tags.FUNCTOR_TAGS`` registers the lift of each row under its
+crossed tag.  ``crossed_levelwise`` lifts a row of ``algebra.LEVELWISE``:
+the functor on both levels, and the row's rule on the cross products.
+``crossed_quotient`` lifts a row of ``algebra.QUOTIENTS``: the actor's
 algebra quotient, and the actee divided by the ideal that the same seeds
-(``algebra.QUOTIENTS``) generate in the semidirect product.  Both return
-the crossed module and its projection pair, as ``universal_quotient``
-returns a ``Quotient``.  ``_as_dias_or_lb`` views an associative or Lie
-crossed module as one of dialgebras or Leibniz algebras, for the cat-1
-equivalences, the prism and the quotients' projection pairs.
+generate in the semidirect product; it returns the crossed module and
+its projection pair, as ``universal_quotient`` returns a ``Quotient``.
+``_as_dias_or_lb`` views an associative or Lie crossed module as one of
+dialgebras or Leibniz algebras, for the cat-1 equivalences, the prism and
+the quotients' projection pairs.
 
 Only what applies them loads this module: the builders of their tags,
 ``functors`` where the XUd adjunction and the prism need them, and the
@@ -38,7 +39,7 @@ def _expect_xm(xm, flavor, what):
         raise InvalidCrossedModule(f"{what} expects a {flavor} crossed module")
 
 
-def _levelwise(tag, xm: CrossedModule) -> CrossedModule:
+def crossed_levelwise(tag, xm: CrossedModule) -> CrossedModule:
     """The lift of the functor ``LEVELWISE[tag]``: the functor on both
     levels, mu unchanged, and its rule on the cross products.  The input
     is validated before the action is read."""
@@ -50,7 +51,7 @@ def _levelwise(tag, xm: CrossedModule) -> CrossedModule:
     return CrossedModule(AlgebraMorphism(L, D, xm.mu.matrix), act)
 
 
-def _crossed_quotient(tag, xm: CrossedModule):
+def crossed_quotient(tag, xm: CrossedModule):
     """The lift of the universal quotient ``QUOTIENTS[tag]``.
 
     The actor is divided by its algebra quotient.  The actee is divided by
@@ -99,49 +100,8 @@ def _crossed_quotient(tag, xm: CrossedModule):
     return out, projs
 
 
-def xlb_of_xdias(xm: CrossedModule) -> CrossedModule:
-    """Leibniz crossed module of a dialgebra one: bracket both levels,
-    cross brackets [x,l] = x -| l - l |- x and [l,x] = l -| x - x |- l."""
-    return _levelwise("LB", xm)
-
-
-def xas_of_xdias(xm: CrossedModule):
-    """Associative crossed module: merge -| and |- by the universal
-    quotients, the actee's seeds being the differences of the two
-    products, internal and mixed.  Returns (crossed module, projection
-    pair)."""
-    return _crossed_quotient("AS", xm)
-
-
-def xliel_of_xlb(xm: CrossedModule):
-    """Lie crossed module of a Leibniz one by the square-killing
-    quotients, the actee's seeds being the polarized squares and the mixed
-    symmetrizers [q,x] + [x,q].  Returns (crossed module, projection
-    pair)."""
-    return _crossed_quotient("Liel", xm)
-
-
-def xliea_of_xas(xm: CrossedModule) -> CrossedModule:
-    """Lie crossed module of an associative one: commutators both levels,
-    cross bracket [a,r] = ar - ra."""
-    return _levelwise("Liea", xm)
-
-
-def inc_xas_to_xdias(xm: CrossedModule) -> CrossedModule:
-    """View an associative crossed module as one of dialgebras."""
-    return _levelwise("IncAsDias", xm)
-
-
-def inc_xlie_to_xlb(xm: CrossedModule) -> CrossedModule:
-    """View a Lie crossed module as a Leibniz one."""
-    return _levelwise("IncLieLb", xm)
-
-
 def _as_dias_or_lb(xm: CrossedModule) -> CrossedModule:
     """An as or lie crossed module viewed as a dias or lb one; dias and lb
     ones as they are."""
-    if xm.flavor == "as":
-        return inc_xas_to_xdias(xm)
-    if xm.flavor == "lie":
-        return inc_xlie_to_xlb(xm)
-    return xm
+    tag = {"as": "IncAsDias", "lie": "IncLieLb"}.get(xm.flavor)
+    return xm if tag is None else crossed_levelwise(tag, xm)

@@ -2,12 +2,17 @@
 
 ``FUNCTOR_TAGS`` gives each tag its source and target category and its
 builder, for ``apply_functor``, ``functors.check_square`` and ``diacat
-construct`` alike.  A builder finds its implementation in ``algebra``,
-``envelope``, ``lifts`` or ``functors`` when it runs, not when the
-registry is imported, so ``construct Ud`` loads the envelope stack and
-``construct XLB`` the crossed-module lifts, and neither the functor
-module.  The lookup at call time also sees a wrapper bound to that name
-after import, as the benchmark's tracer binds them.
+construct`` alike.  It is read off the rule tables: each row of
+``algebra.LEVELWISE`` and ``algebra.QUOTIENTS`` gives its algebra tag and
+its crossed lift in ``lifts`` their categories, so a row is the only place
+they are written, and the J/I and U/G tags are bound to their builders by
+chain index.  A builder finds its implementation in ``algebra``,
+``actions``, ``envelope``, ``lifts`` or ``functors`` when it runs, not
+when the registry is imported, so ``construct Ud`` loads the envelope
+stack, ``construct XLB`` the crossed-module lifts and ``construct J1`` or
+``U1'`` the crossed modules, and none of them the functor module.  The
+lookup at call time also sees a wrapper bound to that name after import,
+as the benchmark's tracer binds them.
 
 ``_CONSTRUCTIONS`` holds the construction kinds beside the tags
 (``semidirect`` and the two round trips), and ``construct`` runs a tag or
@@ -22,7 +27,7 @@ from importlib import import_module
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
-from .algebra import Algebra
+from .algebra import LEVELWISE, QUOTIENTS, Algebra
 from .errors import DiacatError, ParseError
 
 # letters of the projections and embeddings per flavor, and the tag suffix
@@ -74,44 +79,40 @@ def _deferred(path, *head, keep=None):
 
 
 def _registry():
-    first, algebra = itemgetter(0), attrgetter("algebra")
-    tags = {
-        "LB": Functor("Dias", "Lb", _deferred("algebra.leibnization")),
-        "AS": Functor("Dias", "As", _deferred("algebra.associative_quotient",
-                                              keep=first)),
-        "Liea": Functor("As", "Lie", _deferred("algebra.commutator_lie")),
-        "Liel": Functor("Lb", "Lie", _deferred("algebra.lie_quotient",
-                                               keep=first)),
-        "Ud": Functor("Lb", "Dias", _deferred("envelope.ud", keep=algebra),
-                      True),
-        "U": Functor("Lie", "As", _deferred("envelope.u_lie", keep=algebra),
-                     True),
-        "IncAsDias": Functor("As", "Dias",
-                             _deferred("algebra.dialgebra_of_associative")),
-        "IncLieLb": Functor("Lie", "Lb", _deferred("algebra.leibniz_of_lie")),
-        "XLB": Functor("XDias", "XLb", _deferred("lifts.xlb_of_xdias")),
-        "XAS": Functor("XDias", "XAs", _deferred("lifts.xas_of_xdias",
-                                              keep=first)),
-        "XLiea": Functor("XAs", "XLie", _deferred("lifts.xliea_of_xas")),
-        "XLiel": Functor("XLb", "XLie", _deferred("lifts.xliel_of_xlb",
-                                                  keep=first)),
-        "XUd": Functor("XLb", "XDias", _deferred("envelope.xud"), True),
-        "XU": Functor("XLie", "XAs", _deferred("envelope.xu"), True),
-        "IncXAsXDias": Functor("XAs", "XDias",
-                               _deferred("lifts.inc_xas_to_xdias")),
-        "IncXLieXLb": Functor("XLie", "XLb",
-                              _deferred("lifts.inc_xlie_to_xlb")),
-    }
+    """The algebra tag of each ``LEVELWISE`` and ``QUOTIENTS`` row and its
+    crossed lift (X before the tag, or before each flavor of an Inc tag),
+    the four envelopes, and the chain tags by index: J/I 0 and 1 the zero
+    and identity crossed modules, U/G 0, 1 and 2 the cokernel of mu, the
+    actor and the actee."""
+    first = itemgetter(0)
+    tags = {}
+    for table, build, lift, keep in (
+            (LEVELWISE, "algebra.levelwise", "lifts.crossed_levelwise", None),
+            (QUOTIENTS, "algebra.universal_quotient", "lifts.crossed_quotient",
+             first)):
+        for tag, (source, target, _) in table.items():
+            src, tgt = source.capitalize(), target.capitalize()
+            xtag = f"IncX{src}X{tgt}" if tag.startswith("Inc") else "X" + tag
+            tags[tag] = Functor(src, tgt, _deferred(build, tag, keep=keep))
+            tags[xtag] = Functor("X" + src, "X" + tgt,
+                                 _deferred(lift, tag, keep=keep))
+    envelope = attrgetter("algebra")
+    tags["Ud"] = Functor("Lb", "Dias", _deferred("envelope.ud", keep=envelope),
+                         True)
+    tags["U"] = Functor("Lie", "As",
+                        _deferred("envelope.u_lie", keep=envelope), True)
+    tags["XUd"] = Functor("XLb", "XDias", _deferred("envelope.xud"), True)
+    tags["XU"] = Functor("XLie", "XAs", _deferred("envelope.xu"), True)
+    embeddings = (_deferred("actions.zero_xmod"),
+                  _deferred("actions.identity_xmod"))
+    projections = (_deferred("functors.cokernel_of_mu", keep=first),
+                   attrgetter("actor"), attrgetter("actee"))
     for flavor in _CHAIN_LETTERS:
         alg = flavor.capitalize()
-        for i in (0, 1):
-            tag = _chain_tag(flavor, 1, i)
-            tags[tag] = Functor(alg, "X" + alg,
-                                _deferred("functors.embed", tag))
-        for i in (0, 1, 2):
-            tag = _chain_tag(flavor, 0, i)
-            tags[tag] = Functor("X" + alg, alg,
-                                _deferred("functors.project", tag))
+        for i, build in enumerate(embeddings):
+            tags[_chain_tag(flavor, 1, i)] = Functor(alg, "X" + alg, build)
+        for i, build in enumerate(projections):
+            tags[_chain_tag(flavor, 0, i)] = Functor("X" + alg, alg, build)
     return tags
 
 
@@ -121,20 +122,15 @@ FUNCTOR_TAGS = _registry()
 assert len(FUNCTOR_TAGS) == 36
 
 
-def _functor(tag, obj) -> Functor:
-    """The registered functor ``tag``; ``obj`` must lie in its source."""
+def apply_functor(tag, obj, bound=None):
+    """Apply a registered functor to ``obj``, which must lie in its
+    source; the truncated ones need ``bound``."""
     fn = FUNCTOR_TAGS.get(tag)
     if fn is None:
         raise DiacatError(f"unknown functor tag {tag!r}")
     if category(obj) != fn.source:
         raise DiacatError(f"{tag} expects an object of {fn.source}, "
                           f"got one of {category(obj)}")
-    return fn
-
-
-def apply_functor(tag, obj, bound=None):
-    """Apply a registered functor; the truncated ones need ``bound``."""
-    fn = _functor(tag, obj)
     if not fn.truncated:
         return fn.build(obj)
     if bound is None:

@@ -24,11 +24,10 @@ from diacat.cat1 import (cat1_decomposition_iso, cat1_isomorphism_report,
 from diacat.envelope import ud, xu, xud, xud_full
 from diacat.fields import GF
 from diacat.functors import (apply_functor, check_parallelepiped,
-                             check_square, embed, find_xmod_isomorphism,
+                             check_square, find_xmod_isomorphism,
                              square_ids, verify_adjunction_chain,
                              verify_adjunction_ud, verify_adjunction_xud)
-from diacat.lifts import (inc_xas_to_xdias, inc_xlie_to_xlb, xas_of_xdias,
-                          xliel_of_xlb)
+from diacat.lifts import _as_dias_or_lb
 from diacat.linalg import Matrix, Subspace
 from diacat.tags import _CONSTRUCTIONS, FUNCTOR_TAGS
 
@@ -142,11 +141,7 @@ def test_criterion_03_crossed_axioms_iff_semidirect_maps():
     assert rand_true > 0 and rand_false > 0, (rand_true, rand_false)
 
     for name in XMOD_NAMES:
-        xm = fixtures.get(name)
-        if xm.flavor == "as":
-            xm = inc_xas_to_xdias(xm)
-        elif xm.flavor == "lie":
-            xm = inc_xlie_to_xlb(xm)
+        xm = _as_dias_or_lb(fixtures.get(name))
         maps = semidirect_homomorphism_checks(xm)
         assert xm.check().passed and maps.passed, name
 
@@ -154,11 +149,7 @@ def test_criterion_03_crossed_axioms_iff_semidirect_maps():
 def _normalized_xmods():
     out = []
     for name in XMOD_NAMES:
-        xm = fixtures.get(name)
-        if xm.flavor == "as":
-            xm = inc_xas_to_xdias(xm)
-        elif xm.flavor == "lie":
-            xm = inc_xlie_to_xlb(xm)
+        xm = _as_dias_or_lb(fixtures.get(name))
         out.append((name, xm))
     return out
 
@@ -229,9 +220,9 @@ def test_criterion_07_envelope_commutes_with_zero_and_identity_embeddings():
         assert rep1.passed, (name, rep1.verdict)
         # the isomorphism: t-bar restricted to Ker s-bar, and the identity
         # of the base, whose coordinates are the envelope's own
-        r = xud_full(embed("J1'", g), 2)
+        r = xud_full(apply_functor("J1'", g), 2)
         left = r.xmod
-        right = embed("J1", ud(g, 2).algebra)
+        right = apply_functor("J1", ud(g, 2).algebra)
         kers = kernel_of(r.cat1.s)
         t_restr = r.cat1.t.matrix.mul(
             Matrix.from_cols(g.field, [list(v) for v in kers.basis],
@@ -269,8 +260,8 @@ def test_criterion_08_flavor_squares_and_parallelepiped():
     for name, xm in fixtures.by_kind("xmod"):
         if xm.flavor != "lb":
             continue
-        o1 = xas_of_xdias(xud(xm, 2))[0]
-        o2 = xu(xliel_of_xlb(xm)[0], 2)
+        o1 = apply_functor("XAS", xud(xm, 2))
+        o2 = xu(apply_functor("XLiel", xm), 2)
         if o1.same_structure(o2):
             wit = XmodMorphism(o1, o2, AlgebraMorphism.identity(o1.actee),
                                AlgebraMorphism.identity(o1.actor))
@@ -283,7 +274,7 @@ def test_criterion_08_flavor_squares_and_parallelepiped():
 
 def test_criterion_09_embedding_projection_adjunction_chains():
     batteries = {
-        "dias": ((embed("J1", fixtures.get("dias-assoc-tri-2-f2")),
+        "dias": ((apply_functor("J1", fixtures.get("dias-assoc-tri-2-f2")),
                   fixtures.get("dias-abelian-2-f2")), ("U", "J", "")),
         "lb": ((fixtures.get("xlb-ideal-e-f2"),
                 fixtures.get("leibniz-ff-e-f2")), ("U", "J", "'")),

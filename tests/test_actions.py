@@ -77,8 +77,7 @@ def test_semidirect_splitting_recovers_the_action():
             assert m.check().passed, name
         actee = Subspace.span(E.field, (inj.matrix.col(j) for j in
                                         range(xm.actee.dim)), E.dim)
-        recovered, incl = action_by_ambient_products(split, actee,
-                                                     check=False)
+        recovered, incl = action_by_ambient_products(split, actee)
         assert incl.matrix == inj.matrix, name
         assert recovered.same_tensors(xm.action), name
 
@@ -176,6 +175,16 @@ def test_a_failing_structure_lemma_stops_the_crossed_envelope(monkeypatch):
     assert str(exc.value) == ("structure lemma failed: "
                               "Im mu is an ideal of the actor at None")
     assert exc.value.report is failing
+
+
+def test_action_by_ambient_products_rejects_an_actee_the_actor_leaves():
+    """span{y} of the Heisenberg algebra is closed (abelian), but the
+    identity actor takes y to [x, y] = z, outside it."""
+    h = fixtures.get("lie-heis-3-q")
+    y = Subspace.span(QQ, [[QQ.zero(), QQ.one(), QQ.zero()]], 3)
+    with pytest.raises(InvalidAction,
+                       match="^ambient product leaves the actee image$"):
+        action_by_ambient_products(AlgebraMorphism.identity(h), y)
 
 
 def test_action_by_ambient_products_matches_fixture():

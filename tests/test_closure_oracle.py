@@ -22,9 +22,9 @@ import random
 from diacat import algebra, fixtures
 from diacat.actions import CrossedModule, lemma_crossed_checks, trivial_action
 from diacat.algebra import (AlgebraMorphism, BilinearMap, abelian_algebra,
-                            associative_quotient, basis_products,
-                            ideal_closure, is_ideal, lie_quotient,
-                            make_algebra, multiply_subspaces, quotient_algebra)
+                            basis_products, ideal_closure, is_ideal,
+                            make_algebra, multiply_subspaces, quotient_algebra,
+                            universal_quotient)
 from diacat.documents import algebra_to_document
 from diacat.envelope import (free_dialgebra, tensor_algebra, u_lie, ud,
                              xud_full)
@@ -258,11 +258,11 @@ SEEDED_QUOTIENTS = {
     "ud": (lambda: _env(ud, "leibniz-ff-e-f2", 3), "ddaaa1d04438ec4d"),
     "u_lie": (lambda: _env(u_lie, "lie-heis-3-q", 2), "e341dd80182f0ad3"),
     "xud_full": (lambda: _xud("xlb-ideal-e-f2", 2), "0ac16f6a9433aa0f"),
-    "associative_quotient": (
-        lambda: associative_quotient(fixtures.get("free-dias-1-2-f2")),
-        "2e8d9e5315264986"),
-    "lie_quotient": (lambda: lie_quotient(fixtures.get("leibniz-ff-e-f2")),
-                     "80622c6c47e66c34"),
+    "AS": (lambda: universal_quotient("AS", fixtures.get("free-dias-1-2-f2")),
+           "2e8d9e5315264986"),
+    "Liel": (lambda: universal_quotient("Liel",
+                                        fixtures.get("leibniz-ff-e-f2")),
+             "80622c6c47e66c34"),
 }
 
 

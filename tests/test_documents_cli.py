@@ -200,18 +200,19 @@ def test_cli_construct_roundtrips():
 def test_roundtrip_reports_equal_then_isomorphism():
     from diacat.algebra import BilinearMap, make_algebra
     from diacat.batteries import _roundtrip
-    from diacat.functors import embed
+    from diacat.tags import apply_functor
 
     def lb(triples):
         return make_algebra("lb", GF(2), [BilinearMap.from_triples(
             GF(2), 2, 2, 2, triples)])
 
     # [e0, e0] = e1 and [e1, e1] = e0: isomorphic by the swap, not equal
-    x = embed("J1'", lb([(0, 0, 1, 1)]))
-    y = embed("J1'", lb([(1, 1, 0, 1)]))
+    x = apply_functor("J1'", lb([(0, 0, 1, 1)]))
+    y = apply_functor("J1'", lb([(1, 1, 0, 1)]))
     assert _roundtrip(x, x, None) == (True, "equal")
     assert _roundtrip(x, y, None) == (True, "isomorphism")
-    assert _roundtrip(x, embed("J1'", lb([])), None) == (False, "isomorphism")
+    z = apply_functor("J1'", lb([]))
+    assert _roundtrip(x, z, None) == (False, "isomorphism")
 
 
 def test_cli_verify_exit_codes():

@@ -14,7 +14,7 @@ from diacat.algebra import AlgebraMorphism, BilinearMap, abelian_algebra
 from diacat.documents import algebra_to_document, xmod_to_document
 from diacat.errors import InvalidAction
 from diacat.fields import GF
-from diacat.functors import embed
+from diacat.tags import apply_functor
 
 F2 = GF(2)
 
@@ -73,7 +73,7 @@ def test_document_keys(flavor):
     tag, products, slots, _, _ = PINNED[flavor]
     a = abelian_algebra(flavor, F2, 1)
     assert sorted(algebra_to_document(a)) == sorted(ALGEBRA_KEYS + products)
-    doc = xmod_to_document(embed(tag, a))
+    doc = xmod_to_document(apply_functor(tag, a))
     assert sorted(doc) == XMOD_KEYS
     assert sorted(doc["action"]) == slots
     for side in ("source", "target"):
@@ -89,7 +89,7 @@ def test_morphism_item_names(flavor):
 
 @pytest.mark.parametrize("flavor", sorted(PINNED))
 def test_crossed_module_item_names(flavor):
-    xm = embed(PINNED[flavor][0], abelian_algebra(flavor, F2, 1))
+    xm = apply_functor(PINNED[flavor][0], abelian_algebra(flavor, F2, 1))
     report = crossed_module_report(xm.mu, xm.action)
     assert report.passed
     assert [it.name for it in report.items] == PINNED[flavor][4]

@@ -14,15 +14,14 @@ from diacat.errors import (DiacatError, DimensionMismatch,
                            InvalidCrossedModule, SearchSpaceTooLarge)
 from diacat.fields import GF, QQ
 from diacat.functors import (FUNCTOR_TAGS, apply_functor, check_parallelepiped,
-                             check_square,
-                             cokernel_of_mu, embed, enumerate_generated_homs,
-                             enumerate_homs, enumerate_xmod_homs,
-                             find_algebra_isomorphism, find_xmod_isomorphism,
-                             project, square_fixture_kind, square_flavors,
-                             square_ids, verify_adjunction_chain,
-                             verify_adjunction_ud, verify_adjunction_xud)
-from diacat.lifts import (inc_xas_to_xdias, inc_xlie_to_xlb, xas_of_xdias,
-                          xlb_of_xdias, xliea_of_xas, xliel_of_xlb)
+                             check_square, cokernel_of_mu,
+                             enumerate_generated_homs, enumerate_homs,
+                             enumerate_xmod_homs, find_algebra_isomorphism,
+                             find_xmod_isomorphism, square_fixture_kind,
+                             square_flavors, square_ids,
+                             verify_adjunction_chain, verify_adjunction_ud,
+                             verify_adjunction_xud)
+from diacat.lifts import crossed_levelwise, crossed_quotient
 from diacat.linalg import Matrix
 
 F2 = GF(2)
@@ -59,7 +58,7 @@ def test_leibnization_bracket_values():
 
 def test_crossed_leibnization_matches_algebra_level():
     xm = fixtures.get("xdias-ideal-incl-f2")
-    xlb = xlb_of_xdias(xm)
+    xlb = apply_functor("XLB", xm)
     assert xlb.flavor == "lb"
     assert xlb.actor.same_structure(apply_functor("LB", xm.actor))
     assert xlb.check().passed
@@ -67,7 +66,7 @@ def test_crossed_leibnization_matches_algebra_level():
 
 def test_crossed_associativization_is_a_quotient():
     xm = fixtures.get("xdias-ideal-incl-f2")
-    out, projs = xas_of_xdias(xm)
+    out, projs = crossed_quotient("AS", xm)
     assert out.flavor == "as"
     assert projs.check().passed
     assert out.actor.dim <= xm.actor.dim
@@ -84,58 +83,64 @@ def test_a_failing_projection_pair_raises_a_diacat_error(monkeypatch):
     # certificate raises the package's own error, also under python -O
     monkeypatch.setattr(XmodMorphism, "check", _failing_check)
     with pytest.raises(DiacatError, match="forced to fail at None"):
-        xas_of_xdias(fixtures.get("xdias-ideal-incl-f2"))
+        apply_functor("XAS", fixtures.get("xdias-ideal-incl-f2"))
 
 
-LIFT_SOURCES = {xlb_of_xdias: "dias", xas_of_xdias: "dias",
-                xliel_of_xlb: "lb", xliea_of_xas: "as",
-                inc_xas_to_xdias: "as", inc_xlie_to_xlb: "lie"}
+# each crossed lift, named for what it takes to what: its builder, its
+# rule's tag and its source flavor
+LIFTS = {"xlb_of_xdias": (crossed_levelwise, "LB", "dias"),
+         "xas_of_xdias": (crossed_quotient, "AS", "dias"),
+         "xliel_of_xlb": (crossed_quotient, "Liel", "lb"),
+         "xliea_of_xas": (crossed_levelwise, "Liea", "as"),
+         "inc_xas_to_xdias": (crossed_levelwise, "IncAsDias", "as"),
+         "inc_xlie_to_xlb": (crossed_levelwise, "IncLieLb", "lie")}
 
 
-@pytest.mark.parametrize("lift", LIFT_SOURCES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("lift", LIFTS)
 def test_a_lift_refuses_an_algebra_and_another_flavor(lift):
     """Each crossed lift checks its input before it reads an action: an
     algebra, or a crossed module of another flavor, raises
     InvalidCrossedModule."""
+    build, tag, source = LIFTS[lift]
     with pytest.raises(InvalidCrossedModule, match="expects a"):
-        lift(fixtures.get("leibniz-ff-e-f2"))
+        build(tag, fixtures.get("leibniz-ff-e-f2"))
     others = {xm.flavor: xm for _, xm in fixtures.by_kind("xmod")
-              if xm.flavor != LIFT_SOURCES[lift]}
+              if xm.flavor != source}
     assert len(others) == 3
     for xm in others.values():
         with pytest.raises(InvalidCrossedModule, match="expects a"):
-            lift(xm)
+            build(tag, xm)
 
 
 def test_crossed_lie_quotient_returns_its_projection_pair():
     xm = fixtures.get("xlb-ideal-e-f2")
-    out, projs = xliel_of_xlb(xm)
+    out, projs = crossed_quotient("Liel", xm)
     assert out.flavor == "lie"
     assert projs.source is xm
-    assert projs.target.same_structure(inc_xlie_to_xlb(out))
+    assert projs.target.same_structure(apply_functor("IncXLieXLb", out))
     assert projs.check().passed
 
 
 def test_crossed_lie_functors():
     xm = fixtures.get("xlb-ideal-e-f2")
-    xlie = xliel_of_xlb(xm)[0]
+    xlie = apply_functor("XLiel", xm)
     assert xlie.flavor == "lie"
     assert xlie.check().passed
     xa = fixtures.get("xas-ident-nilp2-f2")
-    assert xliea_of_xas(xa).flavor == "lie"
-    assert inc_xas_to_xdias(xa).flavor == "dias"
-    assert inc_xlie_to_xlb(xlie).flavor == "lb"
+    assert apply_functor("XLiea", xa).flavor == "lie"
+    assert apply_functor("IncXAsXDias", xa).flavor == "dias"
+    assert apply_functor("IncXLieXLb", xlie).flavor == "lb"
 
 
 def test_embed_project_round_trips():
     g = fixtures.get("leibniz-ff-e-f2")
-    j1 = embed("J1'", g)
+    j1 = apply_functor("J1'", g)
     assert j1.actee.dim == j1.actor.dim == 2
-    assert project("U1'", j1).same_structure(g)
-    assert project("U2'", j1).same_structure(g)
-    j0 = embed("J0'", g)
+    assert apply_functor("U1'", j1).same_structure(g)
+    assert apply_functor("U2'", j1).same_structure(g)
+    j0 = apply_functor("J0'", g)
     assert j0.actee.dim == 0
-    assert project("U1'", j0).same_structure(g)
+    assert apply_functor("U1'", j0).same_structure(g)
     coker, proj = cokernel_of_mu(fixtures.get("xlb-ideal-e-f2"))
     assert coker.dim == 1
     assert proj.check().passed

@@ -50,10 +50,10 @@ from diacat.algebra import (BilinearMap, abelian_algebra, make_algebra,
                             product_arity)
 from diacat.equations import _affine_set, _Equation, _residual, _triples
 from diacat.fields import GF
-from diacat.functors import embed, enumerate_homs, enumerate_xmod_homs
+from diacat.functors import enumerate_homs, enumerate_xmod_homs
 from diacat.linalg import (Matrix, inverse, kernel, solve, unit_vector,
                            vec_scale, vec_sub, vec_zero)
-from diacat.tags import FUNCTOR_TAGS, category
+from diacat.tags import FUNCTOR_TAGS, apply_functor, category
 
 import oracles
 from test_xmod_oracle import _dense, _perturb, _rebuild, _state
@@ -351,7 +351,7 @@ def _crossed_modules():
         out.append(CrossedModule(*_rebuild(xm, state), check=False))
     for _name, alg in fixtures.by_kind("algebra"):
         if getattr(alg.field, "p", None) == 2:
-            out += [embed(tag, alg) for tag, fn in FUNCTOR_TAGS.items()
+            out += [apply_functor(tag, alg) for tag, fn in FUNCTOR_TAGS.items()
                     if fn.source == category(alg)
                     and fn.target == "X" + fn.source]
     return out

@@ -7,7 +7,9 @@ imports the command line, or checks one document, leaves the functor,
 envelope and cat1 stack and the ``verify`` batteries unloaded, and for an
 algebra document ``linalg`` too; no ``check`` over a prime field loads
 ``fractions``.  One that constructs an envelope loads no functor module
-and no battery, nor, for an algebra, the crossed-module stack.  Importing
+and no battery, nor, for an algebra, the crossed-module stack, and one
+that constructs an embedding (J/I) or a projection at index 1 or 2
+(U/G) loads no functor module either.  Importing
 ``functors`` loads neither the envelope, the cat1 nor the search stack.
 A ``verify`` job loads only what its battery runs: a square whose
 composites agree loads no search, no adjunction machinery and no cat1
@@ -106,6 +108,9 @@ STACK = ["diacat.functors", "diacat.envelope", "diacat.cat1",
 CHECK = "from diacat.cli import main; main(['check', DOC])"
 CONSTRUCT = ("from diacat.cli import main; "
              "assert main(['construct', {!r}, {}, '--trunc', '2']) == 0")
+# a kind that takes no bound
+CONSTRUCT_PLAIN = ("from diacat.cli import main; "
+                   "assert main(['construct', {!r}, {}]) == 0")
 VERIFY = "from diacat.cli import main; assert main(['verify', {!r}]) == 0"
 # what only the hom search and the adjunction verifiers run
 SEARCH = ["diacat.equations", "diacat.adjunctions"]
@@ -128,6 +133,13 @@ BUDGETS = {
                       "diacat.audit", "diacat.batteries"]),
     "construct-xud": (CONSTRUCT.format("XUd", "'xlb-ideal-e-f2'"), None,
                       ["diacat.functors", "diacat.audit"]),
+    "construct-j1": (CONSTRUCT_PLAIN.format("J1", "DOC"),
+                     "dias-assoc-tri-2-f2",
+                     ["diacat.functors", "diacat.cat1", "diacat.audit"]),
+    "construct-u1": (CONSTRUCT_PLAIN.format("U1'", "'xlb-ideal-e-f2'"), None,
+                     ["diacat.functors", "diacat.cat1", "diacat.audit"]),
+    "construct-g2": (CONSTRUCT_PLAIN.format("G2", "'xas-ident-nilp2-f2'"),
+                     None, ["diacat.functors", "diacat.cat1", "diacat.audit"]),
     "verify-square": (VERIFY.format("square:LbDias-J0"), None,
                       ["diacat.cat1"] + SEARCH),
     "verify-chain": (VERIFY.format("adjunction:chain:0"), None,

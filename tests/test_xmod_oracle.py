@@ -15,7 +15,7 @@ import random
 from diacat import fixtures
 from diacat.actions import Action, crossed_module_report
 from diacat.algebra import AlgebraMorphism, BilinearMap, make_algebra
-from diacat.functors import apply_functor, embed
+from diacat.functors import apply_functor
 from diacat.linalg import Matrix
 
 import oracles
@@ -33,7 +33,7 @@ SLOTS = {"dias": (("dl_left", "ld_left"), ("dl_right", "ld_right")),
 def _lie_cases():
     cases = [(name, xm) for name, xm in fixtures.by_kind("xmod")
              if xm.flavor == "lie"]
-    cases += [(f"I1' {name}", embed("I1'", alg))
+    cases += [(f"I1' {name}", apply_functor("I1'", alg))
               for name, alg in fixtures.by_kind("algebra")
               if alg.flavor == "lie"]
     cases += [(f"XLiea {name}", apply_functor("XLiea", xm))
